@@ -33,12 +33,10 @@ from .graphs import (
     Graph,
     ParameterError,
     build_family,
-    complement,
     complete,
     complete_bipartite,
     cycle,
     double_star,
-    enumerate_graphs,
     harmonic_tree,
     is_bipartite,
     is_connected,
@@ -49,13 +47,11 @@ from .graphs import (
 )
 from .spectra import (
     AmbiguousGroupingError,
-    ClassificationUncertainError,
     ConvergenceError,
     EigenDecomposition,
     EigenGroup,
     MainSpectrum,
     SpectralInvariantError,
-    classify_main,
     decompose_all_ones,
     eigen_decompose,
     group_eigenvalues,
@@ -68,7 +64,6 @@ __all__ = [
     "ALL_IDS",
     "AmbiguousGroupingError",
     "CLAIMS",
-    "ClassificationUncertainError",
     "ConvergenceError",
     "EdgeListError",
     "EigenDecomposition",
@@ -89,9 +84,7 @@ __all__ = [
     "analyze_graph",
     "analyze_pair",
     "build_family",
-    "classify_main",
     "coarsest_equitable",
-    "complement",
     "complete",
     "complete_bipartite",
     "cycle",
@@ -100,7 +93,6 @@ __all__ = [
     "divisor_walk_rank",
     "double_star",
     "eigen_decompose",
-    "enumerate_graphs",
     "exact_det",
     "exact_rank",
     "group_eigenvalues",

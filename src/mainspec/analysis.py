@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exact, spectra
 from .graphs import Graph
 
@@ -88,6 +90,36 @@ def resolve_spectrum(
     return spectra.resolve_with_rank(spectrum, rank), None, True
 
 
+def finish_analysis(
+    g: Graph,
+    evals: np.ndarray,
+    proj_sq: np.ndarray,
+    decomposition: spectra.EigenDecomposition | None = None,
+) -> GraphAnalysis:
+    """Everything after the eigensolver, for one graph.
+
+    Takes the sorted eigenvalues and per-eigenvector all-ones projections,
+    groups and flags them, reconciles the flags with the exact walk-matrix
+    rank, and runs the harmonic test.  A confident disagreement is left in
+    the result (``s_float != rank``) for the caller to act on.
+    """
+    groups = spectra.build_groups(evals, proj_sq)
+    flags, gray = spectra.classify_flags(groups, g.n)
+    rank = exact.walk_matrix(g).rank
+    resolved, s_float, used_fallback = resolve_spectrum(
+        spectra.MainSpectrum(tuple(groups)), flags, gray, rank
+    )
+    return GraphAnalysis(
+        graph=g,
+        spectrum=resolved,
+        rank=rank,
+        s_float=s_float,
+        used_fallback=used_fallback,
+        harmonic_level=exact.harmonic_ell(g),
+        decomposition=decomposition,
+    )
+
+
 def analyze_graph(
     g: Graph, *, keep_decomposition: bool = False, strict: bool = True
 ) -> GraphAnalysis:
@@ -100,21 +132,15 @@ def analyze_graph(
     disagreement as a finding instead of dying mid-stream.
     """
     dec = spectra.eigen_decompose(g)
-    spectrum = spectra.group_eigenvalues(dec)
-    flags, gray = spectra.classify_flags(spectrum.groups, g.n)
-    rank = exact.walk_matrix(g).rank
-    resolved, s_float, used_fallback = resolve_spectrum(spectrum, flags, gray, rank)
-    if strict and s_float is not None and s_float != rank:
-        raise RouteDisagreementError(s_float, rank)
-    return GraphAnalysis(
-        graph=g,
-        spectrum=resolved,
-        rank=rank,
-        s_float=s_float,
-        used_fallback=used_fallback,
-        harmonic_level=exact.harmonic_ell(g),
-        decomposition=dec if keep_decomposition else None,
+    result = finish_analysis(
+        g,
+        dec.eigenvalues,
+        dec.eigenvectors.sum(axis=0) ** 2,
+        dec if keep_decomposition else None,
     )
+    if strict and result.s_float is not None and result.s_float != result.rank:
+        raise RouteDisagreementError(result.s_float, result.rank)
+    return result
 
 
 def analyze_pair(g: Graph, *, strict: bool = True) -> tuple[GraphAnalysis, GraphAnalysis]:

@@ -36,17 +36,18 @@ def walk_matrix(g: Graph) -> WalkMatrix:
     return WalkMatrix(entries, exact_rank(entries))
 
 
-def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals via fraction-free Bareiss elimination.
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Fraction-free Bareiss elimination; returns (rank, swap sign, last pivot).
 
     Pivots are chosen by largest magnitude over the whole remaining submatrix
-    (full pivoting); row and column swaps do not change the rank, and the
-    Bareiss update keeps every intermediate value an exact integer.
+    (full pivoting).  Every row or column swap flips the sign, and the Bareiss
+    update keeps every intermediate value an exact integer.  For a square
+    matrix of full rank, sign times the last pivot is the determinant.
     """
     m = [list(map(int, row)) for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    sign = 1
     prev = 1
     r = 0
     while r < min(nrows, ncols):
@@ -61,9 +62,11 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
             break
         if pi != r:
             m[pi], m[r] = m[r], m[pi]
+            sign = -sign
         if pj != r:
             for row in m:
                 row[pj], row[r] = row[r], row[pj]
+            sign = -sign
         piv = m[r][r]
         for i in range(r + 1, nrows):
             mi = m[i]
@@ -73,44 +76,21 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
             mi[r] = 0
         prev = piv
         r += 1
-    return r
+    return r, sign, prev
+
+
+def exact_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals (row and column swaps do not change it)."""
+    return _bareiss(rows)[0]
 
 
 def exact_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix (Bareiss, exact)."""
-    m = [list(map(int, row)) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for r in range(n):
-        pi, pj, best = -1, -1, 0
-        for i in range(r, n):
-            for j in range(r, n):
-                v = m[i][j]
-                if v and abs(v) > best:
-                    pi, pj, best = i, j, abs(v)
-        if pi < 0:
-            return 0
-        if pi != r:
-            m[pi], m[r] = m[r], m[pi]
-            sign = -sign
-        if pj != r:
-            for row in m:
-                row[pj], row[r] = row[r], row[pj]
-            sign = -sign
-        piv = m[r][r]
-        for i in range(r + 1, n):
-            mi = m[i]
-            f = mi[r]
-            for j in range(r + 1, n):
-                mi[j] = (mi[j] * piv - f * m[r][j]) // prev
-            mi[r] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
+    rank, sign, last = _bareiss(rows)
+    return sign * last if rank == n else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Core graph type, named families, and exhaustive enumeration.
+"""Core graph type, named families, and graph predicates.
 
 Vertices are always 0..n-1 and graphs are simple and undirected.  Adjacency is
 stored as one neighbor bitmask per vertex: equality and hashing are cheap, and
@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# Exhaustive enumeration walks all 2^(n(n-1)/2) labeled graphs; past n = 8 that
-# is no longer a sane thing to offer.
+# Exhaustive sweeps (``sweeps.sweep``) walk all 2^(n(n-1)/2) labeled graphs;
+# past n = 8 that is no longer a sane thing to offer.
 MAX_ENUM_ORDER = 8
 
 
@@ -121,10 +121,6 @@ class Graph:
         return Graph(self.n, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(self.rows)))
 
 
-def complement(g: Graph) -> Graph:
-    return g.complement()
-
-
 @dataclass(frozen=True)
 class DegreeVector:
     """Degree sequence with its two standard aggregates."""
@@ -201,22 +197,6 @@ def is_semiregular_bipartite(g: Graph) -> bool:
         if len({g.degree(v) for v in side}) > 1:
             return False
     return True
-
-
-def enumerate_graphs(n: int, *, connected_only: bool = False) -> Iterator[Graph]:
-    """Yield every labeled graph on n vertices in edge-mask order.
-
-    No isomorphism rejection is performed: all 2^(n(n-1)/2) masks are visited
-    in increasing order, so the stream is deterministic and restartable.
-    """
-    if not (1 <= n <= MAX_ENUM_ORDER):
-        raise ParameterError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}, got {n}")
-    npairs = n * (n - 1) // 2
-    for mask in range(1 << npairs):
-        g = Graph.from_edge_mask(n, mask)
-        if connected_only and not is_connected(g):
-            continue
-        yield g
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 The eigensolver is a cyclic Jacobi iteration written here (no LAPACK): the
 matrices are desk-scale symmetric 0/1 matrices, Jacobi converges
 unconditionally, and a fixed sweep order keeps results deterministic for a
-fixed graph.  A batched variant applies the same rotation schedule across a
-stack of equally-sized matrices so that exhaustive sweeps stay cheap.
+fixed graph.  There is one solver, batched over a stack of equally-sized
+matrices: the Brent-Luk round-robin order rotates floor(n/2) disjoint pairs
+per step, so every step is a handful of array operations whether the stack
+holds one matrix or a whole exhaustive chunk.  A single graph is a batch of
+one.
 
 Every tolerance in this module scales with the problem: see the constants
 below.  Classification refuses to guess inside its gray zone; callers resolve
@@ -12,7 +15,6 @@ those instances against the exact integer route.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +26,18 @@ from .graphs import Graph, degree_data
 #   residual         |A v - lam v|_max <= 1e-9 * (1 + lam_max) * n
 #   trace            |sum lam - tr A|  <= 1e-8 * n * max(1, lam_max)
 #   grouping gap                          1e-7 * max(1, lam_max)
-#   main threshold   ||P j||^2         >  1e-6 * n, gray zone [x0.1, x10]
+#   main threshold   ||P j||^2         >  1e-12 * n, gray zone [x0.1, x10]
+# Measured on 24,576 sampled order-8 graphs and 110 G(n, p) and structured
+# graphs of order 16-56, each with its complement: non-main group projections
+# are rounding noise (at most 2.5e-26), main ones at least 2e-9 (2.4e-7 at
+# order 8), so the gray band [1e-13 n, 1e-11 n] lies inside the gap.  A
+# threshold near 1e-6 n would call main projections of about 7e-7 (order-8
+# graphs such as GvO\eG) non-main and contradict the exact rank.
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 TRACE_TOL = 1e-8
 GROUP_TOL = 1e-7
-MAIN_TOL = 1e-6
+MAIN_TOL = 1e-12
 GRAY_LO = 0.1
 GRAY_HI = 10.0
 
@@ -46,18 +54,6 @@ class SpectralInvariantError(RuntimeError):
 
 class AmbiguousGroupingError(RuntimeError):
     """Adjacent eigenvalue groups too close to separate at the grouping tolerance."""
-
-
-class ClassificationUncertainError(RuntimeError):
-    """Some projection landed in the gray zone; carries the unclassified spectrum."""
-
-    def __init__(self, spectrum: "MainSpectrum", gray_indices: tuple[int, ...]):
-        super().__init__(
-            f"projection(s) at group index {list(gray_indices)} in the gray zone; "
-            "resolve against the exact walk-matrix rank"
-        )
-        self.spectrum = spectrum
-        self.gray_indices = gray_indices
 
 
 @dataclass(frozen=True)
@@ -112,135 +108,121 @@ class MainDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi, scalar and batched.
+# Cyclic Jacobi in round-robin order, batched.
 # ---------------------------------------------------------------------------
 
 
-def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float]:
-    """Stable (c, s) zeroing the (p,q) entry of the 2x2 symmetric block."""
-    theta = (aqq - app) / (2.0 * apq)
-    if abs(theta) > 1.0e154:
-        # theta^2 would overflow; in this regime 1/(|theta|+sqrt(..)) ~ 1/(2 theta).
-        t = 0.5 / theta
-    else:
-        t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot layout of a sweep's first step and the slot permutation between steps.
+
+    Brent-Luk round-robin (circle) ordering: with m = n rounded up to even,
+    index m-1 stays in the last slot while the other m-1 indices move one
+    place round a circle per step, so the m-1 steps of a sweep pair every
+    index with every other exactly once.  Slots (2i, 2i+1) hold a step's
+    disjoint pairs.  For odd n, index m-1 is a dummy: it is left out, and
+    the slot paired with it idles for that step.
+    """
+    m = n + (n & 1)
+
+    def layout(step: int) -> list[int]:
+        slots: list[int] = []
+        for i in range(1, m // 2):
+            slots += [(step - i) % (m - 1), (step + i) % (m - 1)]
+        return slots + [step % (m - 1), m - 1]
+
+    first = layout(0)
+    slot_of = {index: slot for slot, index in enumerate(first)}
+    perm = [slot_of[index] for index in layout(1)]
+    return np.array(first[:n]), np.array(perm[:n])
+
+
+def _pair_rotations(a: np.ndarray, p: slice, q: slice) -> tuple[np.ndarray, np.ndarray]:
+    """(c, s) of the rotation that zeroes a[p, q] for every slot pair in the stack."""
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    apq = np.diagonal(a, offset=1, axis1=1, axis2=2)[:, p]
+    active = np.abs(apq) > 1e-300
+    theta = np.divide(diag[:, q] - diag[:, p], 2.0 * apq, out=np.zeros_like(apq), where=active)
+    with np.errstate(over="ignore", divide="ignore"):
+        # theta^2 would overflow; there 1/(|theta|+sqrt(..)) ~ 1/(2 theta).
+        huge = np.abs(theta) > 1.0e154
+        t = np.where(
+            huge,
+            0.5 / np.where(huge, theta, 1.0),
+            np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
+        )
+    t = np.where(active, t, 0.0)
+    c = 1.0 / np.sqrt(t * t + 1.0)
     return c, t * c
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a symmetric matrix in place with cyclic-by-row sweeps."""
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diagonal(a).copy(), v
-    stop = 1e-14 * max(1.0, float(np.abs(a).max()))
-    iu = np.triu_indices(n, 1)
-    for _ in range(max_sweeps):
-        if float(np.abs(a[iu]).max()) <= stop:
-            return np.diagonal(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                c, s = _rotation(a[p, p], a[q, q], apq)
-                rp = c * a[p, :] - s * a[q, :]
-                rq = s * a[p, :] + c * a[q, :]
-                a[p, :] = rp
-                a[q, :] = rq
-                cp = c * a[:, p] - s * a[:, q]
-                cq = s * a[:, p] + c * a[:, q]
-                a[:, p] = cp
-                a[:, q] = cq
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p] = vp
-                v[:, q] = vq
-    raise ConvergenceError(f"no convergence after {max_sweeps} cyclic sweeps (n={n})")
+def _rotate(xp: np.ndarray, xq: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """(xp, xq) <- (c xp - s xq, s xp + c xq) in place, for two views of one array.
+
+    The views end with the call, so the array they look into is not kept
+    alive after the caller replaces it.
+    """
+    xp[...], xq[...] = c * xp - s * xq, s * xp + c * xq
 
 
 def _jacobi_batch(a: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi over a (B, n, n) stack; same schedule as the scalar path.
+    """Cyclic Jacobi over a (B, n, n) stack in round-robin order.
 
-    Positions whose off-diagonal entry is already (near) zero get the identity
-    rotation, so converged matrices in the stack are left untouched while the
-    stragglers finish.
+    A sweep is n-1 steps (n for odd n), and each step rotates its floor(n/2)
+    disjoint pairs at once; they commute, so this is the same as rotating
+    them one after another.  The stack is kept in slot order, which makes a
+    step's pairs the even and odd slots (basic slices), and a fixed
+    permutation moves every index to its next slot after the step.
+    Eigenvector columns follow the slots; their rows stay in vertex order.
+    A pair whose (p, q) entry is already (near) zero gets the identity
+    rotation, so converged matrices in the stack are left untouched while
+    the stragglers finish.
     """
     B, n, _ = a.shape
-    v = np.broadcast_to(np.eye(n), (B, n, n)).copy()
     if n == 1:
-        return a[:, 0, 0].copy().reshape(B, 1), v
+        return a[:, 0, :].copy(), np.ones((B, 1, 1))
+    first, perm = _round_robin(n)
+    a = a[:, first[:, None], first]
+    v = np.zeros((B, n, n))
+    v[:, first, np.arange(n)] = 1.0
+    p = slice(0, n - 1, 2)
+    q = slice(1, n, 2)
+    pairs = np.arange(0, n - 1, 2)
     stop = 1e-14 * max(1.0, float(np.abs(a).max()))
     iu = np.triu_indices(n, 1)
     for _ in range(max_sweeps):
         if float(np.abs(a[:, iu[0], iu[1]]).max()) <= stop:
             return np.diagonal(a, axis1=1, axis2=2).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                active = np.abs(apq) > 1e-300
-                theta = np.divide(
-                    a[:, q, q] - a[:, p, p],
-                    2.0 * apq,
-                    out=np.zeros(B),
-                    where=active,
-                )
-                with np.errstate(over="ignore", divide="ignore"):
-                    huge = np.abs(theta) > 1.0e154
-                    t = np.where(
-                        huge,
-                        0.5 / np.where(huge, theta, 1.0),
-                        np.copysign(1.0, theta)
-                        / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
-                    )
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cb = c[:, None]
-                sb = s[:, None]
-                rp = cb * a[:, p, :] - sb * a[:, q, :]
-                rq = sb * a[:, p, :] + cb * a[:, q, :]
-                a[:, p, :] = rp
-                a[:, q, :] = rq
-                cp = cb * a[:, :, p] - sb * a[:, :, q]
-                cq = sb * a[:, :, p] + cb * a[:, :, q]
-                a[:, :, p] = cp
-                a[:, :, q] = cq
-                vp = cb * v[:, :, p] - sb * v[:, :, q]
-                vq = sb * v[:, :, p] + cb * v[:, :, q]
-                v[:, :, p] = vp
-                v[:, :, q] = vq
-    raise ConvergenceError(f"no convergence after {max_sweeps} cyclic sweeps (batch n={n})")
+        for _step in range(n - 1 + (n & 1)):
+            c, s = _pair_rotations(a, p, q)
+            _rotate(a[:, p, :], a[:, q, :], c[:, :, None], s[:, :, None])
+            c, s = c[:, None, :], s[:, None, :]
+            _rotate(a[:, :, p], a[:, :, q], c, s)
+            _rotate(v[:, :, p], v[:, :, q], c, s)
+            # The rotation makes a[p, q] and a[q, p] exactly zero; store that,
+            # not their rounding residue (about eps * |a_pp|, different in the
+            # two triangles), which can otherwise sit above the stop level in
+            # the triangle the next rotation of the pair does not read.
+            a[:, pairs, pairs + 1] = 0.0
+            a[:, pairs + 1, pairs] = 0.0
+            a = a[:, perm[:, None], perm]
+            v = v[:, :, perm]
+    raise ConvergenceError(f"no convergence after {max_sweeps} cyclic sweeps (n={n})")
 
 
-def _check_bounds(a: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> float:
-    """Validate orthonormality / residual / trace bounds; returns the residual."""
-    n = len(evals)
-    lam_max = float(np.abs(evals).max()) if n else 0.0
-    gram = evecs.T @ evecs - np.eye(n)
-    orth = float(np.abs(gram).max())
-    if orth > ORTHONORMALITY_TOL * n:
-        raise SpectralInvariantError(f"orthonormality defect {orth:.3e} exceeds bound (n={n})")
-    resid = float(np.abs(a @ evecs - evecs * evals).max())
-    if resid > RESIDUAL_TOL * (1.0 + lam_max) * n:
-        raise SpectralInvariantError(f"eigen residual {resid:.3e} exceeds bound (n={n})")
-    tr = float(np.trace(a))
-    drift = abs(float(evals.sum()) - tr)
-    if drift > TRACE_TOL * n * max(1.0, lam_max):
-        raise SpectralInvariantError(f"trace drift {drift:.3e} exceeds bound (n={n})")
-    return resid
+def _require(what: str, values: np.ndarray, bounds: np.ndarray | float, n: int) -> None:
+    """Raise SpectralInvariantError naming the worst value that misses its bound."""
+    bad = values > bounds
+    if bad.any():
+        raise SpectralInvariantError(f"{what} {values[bad].max():.3e} exceeds bound (n={n})")
 
 
 def eigen_decompose(g: Graph) -> EigenDecomposition:
-    """Full spectrum of the adjacency matrix, eigenvalues non-increasing."""
-    a = g.adjacency_matrix()
-    evals, evecs = _jacobi(a.copy())
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    evecs = evecs[:, order]
-    resid = _check_bounds(a, evals, evecs)
-    return EigenDecomposition(evals, evecs, resid)
+    """Full spectrum of the adjacency matrix, eigenvalues non-increasing.
+
+    A batch of one through :func:`eigen_decompose_batch`.
+    """
+    evals, evecs, hygiene = eigen_decompose_batch(g.adjacency_matrix()[None])
+    return EigenDecomposition(evals[0], evecs[0], hygiene["residual"])
 
 
 def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
@@ -252,7 +234,7 @@ def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dic
     """
     mats = np.asarray(mats, dtype=np.float64)
     B, n, _ = mats.shape
-    evals, evecs = _jacobi_batch(mats.copy())
+    evals, evecs = _jacobi_batch(mats)
     order = np.argsort(-evals, axis=1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=1)
     evecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
@@ -260,15 +242,12 @@ def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dic
     lam_max = np.abs(evals).max(axis=1) if n else np.zeros(B)
     gram = np.einsum("bij,bik->bjk", evecs, evecs) - np.eye(n)
     orth = np.abs(gram).reshape(B, -1).max(axis=1)
-    if (orth > ORTHONORMALITY_TOL * n).any():
-        raise SpectralInvariantError("orthonormality defect exceeds bound in batch")
+    _require("orthonormality defect", orth, ORTHONORMALITY_TOL * n, n)
     resid = np.abs(np.einsum("bij,bjk->bik", mats, evecs) - evecs * evals[:, None, :])
     resid = resid.reshape(B, -1).max(axis=1)
-    if (resid > RESIDUAL_TOL * (1.0 + lam_max) * n).any():
-        raise SpectralInvariantError("eigen residual exceeds bound in batch")
+    _require("eigen residual", resid, RESIDUAL_TOL * (1.0 + lam_max) * n, n)
     drift = np.abs(evals.sum(axis=1) - np.trace(mats, axis1=1, axis2=2))
-    if (drift > TRACE_TOL * n * np.maximum(1.0, lam_max)).any():
-        raise SpectralInvariantError("trace drift exceeds bound in batch")
+    _require("trace drift", drift, TRACE_TOL * n * np.maximum(1.0, lam_max), n)
     hygiene = {
         "orthonormality": float(orth.max()),
         "residual": float(resid.max()),
@@ -348,24 +327,6 @@ def classify_flags(
         else:
             flags.append(grp.projection_norm_sq > tau)
     return flags, gray
-
-
-def classify_main(g: Graph, d: EigenDecomposition) -> MainSpectrum:
-    """Group and flag main eigenvalues; refuses to guess in the gray zone.
-
-    Raises ClassificationUncertainError carrying the grouped (unflagged)
-    spectrum when any projection falls inside [0.1, 10] x threshold; callers
-    should resolve such instances with the exact walk-matrix rank.
-    """
-    spectrum = group_eigenvalues(d)
-    flags, gray = classify_flags(spectrum.groups, g.n)
-    if gray:
-        raise ClassificationUncertainError(spectrum, tuple(gray))
-    groups = tuple(
-        EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq, flag)
-        for grp, flag in zip(spectrum.groups, flags)
-    )
-    return MainSpectrum(groups)
 
 
 def resolve_with_rank(spectrum: MainSpectrum, rank: int) -> MainSpectrum:

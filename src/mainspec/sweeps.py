@@ -2,19 +2,21 @@
 
 The enumeration is an edge-bitmask counter; each chunk of masks becomes a
 (B, n, n) adjacency stack, goes through the batched Jacobi once, and is then
-finished per graph in plain Python (grouping, exact rank, harmonic test).
+finished per graph by ``analysis.finish_analysis`` (grouping, exact rank,
+harmonic test), the same finish ``analyze_graph`` uses.
 Complements ride along in the same chunk because nearly every complement
 claim needs both spectra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from . import exact, spectra
-from .analysis import GraphAnalysis, resolve_spectrum
+from . import spectra
+from .analysis import GraphAnalysis, finish_analysis
+from .analysis import resolve_spectrum  # noqa: F401  (bound here for perfbench's span tracer)
 from .graphs import Graph, is_connected, triangle_pairs
 
 DEFAULT_CHUNK = 1 << 15
@@ -30,7 +32,6 @@ class HygieneTracker:
     trace_drift: float = 0.0
     graphs: int = 0
     fallbacks: int = 0
-    ambiguous: int = 0
 
     def update(self, batch_hygiene: dict[str, float], count: int) -> None:
         self.orthonormality = max(self.orthonormality, batch_hygiene["orthonormality"])
@@ -76,27 +77,12 @@ def _analyses_for_chunk(
     if hygiene is not None:
         hygiene.update(batch_hyg, len(masks))
     proj_sq = evecs.sum(axis=1) ** 2
-    out: list[GraphAnalysis] = []
-    for row, mask in enumerate(masks.tolist()):
-        g = Graph.from_edge_mask(n, mask)
-        groups = spectra.build_groups(evals[row], proj_sq[row])
-        flags, gray = spectra.classify_flags(groups, n)
-        rank = exact.walk_matrix(g).rank
-        resolved, s_float, used_fallback = resolve_spectrum(
-            spectra.MainSpectrum(tuple(groups)), flags, gray, rank
-        )
-        if used_fallback and hygiene is not None:
-            hygiene.fallbacks += 1
-        out.append(
-            GraphAnalysis(
-                graph=g,
-                spectrum=resolved,
-                rank=rank,
-                s_float=s_float,
-                used_fallback=used_fallback,
-                harmonic_level=exact.harmonic_ell(g),
-            )
-        )
+    out = [
+        finish_analysis(Graph.from_edge_mask(n, mask), evals[row], proj_sq[row])
+        for row, mask in enumerate(masks.tolist())
+    ]
+    if hygiene is not None:
+        hygiene.fallbacks += sum(a.used_fallback for a in out)
     return out
 
 

@@ -1,6 +1,8 @@
 """The two-route reconciliation layer."""
+import numpy as np
 import pytest
 
+from mainspec import spectra
 from mainspec.analysis import (
     GraphAnalysis,
     RouteDisagreementError,
@@ -8,21 +10,23 @@ from mainspec.analysis import (
     analyze_pair,
     resolve_spectrum,
 )
+from mainspec.graph6 import parse_graph6
 from mainspec.graphs import (
+    Graph,
     cycle,
     double_star,
-    enumerate_graphs,
     harmonic_tree,
     path,
     pendant_decorated,
     star,
 )
 from mainspec.spectra import EigenGroup, MainSpectrum
+from mainspec.sweeps import mask_population, sweep
 
 
 def test_routes_agree_exhaustively_n4():
-    for g in enumerate_graphs(4):
-        a = analyze_graph(g)  # strict: would raise on disagreement
+    for mask in range(mask_population(4)):
+        a = analyze_graph(Graph.from_edge_mask(4, mask))  # strict: would raise on disagreement
         assert a.s_float == a.rank
         assert not a.used_fallback
 
@@ -80,17 +84,30 @@ def test_eigenvalue_by_position():
         a.eigenvalue(4)
 
 
-def test_gray_zone_uses_fallback():
-    # P_39: one projection sits inside the gray band, so the float route
-    # abstains and the exact rank decides.  Still strict-safe.
+@pytest.mark.parametrize("label,rank", [(b"GvO\\eG", 6), (b"GiRIOc", 8), (b"GAayG[", 8)])
+def test_small_main_projections_count_as_main(label, rank):
+    # Main projections near 7e-7: a 1e-6 * n threshold called them non-main
+    # and the confident float count fell one short of the rank.
+    a = analyze_graph(parse_graph6(label))
+    assert a.s_float == a.rank == a.main_count == rank
+    assert not a.used_fallback
+
+
+def test_gray_zone_uses_fallback(monkeypatch):
+    # P_39 with the band pinned at 1e-6 * n: one projection sits inside the
+    # gray band, so the float route abstains and the exact rank decides.
+    # Still strict-safe.
+    monkeypatch.setattr(spectra, "MAIN_TOL", 1e-6)
     a = analyze_graph(path(39))
     assert a.used_fallback
     assert a.s_float is None
     assert a.main_count == a.rank == 20
 
 
-def test_fallback_keeps_path_parity():
+def test_fallback_keeps_path_parity(monkeypatch):
+    monkeypatch.setattr(spectra, "MAIN_TOL", 1e-6)
     a = analyze_graph(path(39))
+    assert a.used_fallback
     # mains must still be exactly the odd-index eigenvalues
     for idx, grp in enumerate(a.spectrum.groups):
         assert grp.is_main == ((idx + 1) % 2 == 1)
@@ -138,3 +155,12 @@ def test_strict_flag_difference():
     # end to end by the sweeps.
     a = analyze_graph(path(5), strict=False)
     assert isinstance(a, GraphAnalysis)
+
+
+def test_sweep_matches_analyze_graph():
+    # both go through analysis.finish_analysis; only the batch size differs
+    for ga, _ in sweep(5, masks=np.arange(0, mask_population(5), 5), with_complement=False):
+        a = analyze_graph(ga.graph)
+        assert (ga.rank, ga.s_float, ga.used_fallback, ga.harmonic_level) == (
+            a.rank, a.s_float, a.used_fallback, a.harmonic_level)
+        assert [g.is_main for g in ga.spectrum.groups] == [g.is_main for g in a.spectrum.groups]

@@ -2,19 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mainspec import cli
 from mainspec.graphs import (
     MAX_ENUM_ORDER,
     Graph,
     ParameterError,
     bipartition,
-    complement,
     complete,
     complete_bipartite,
     cycle,
     degree_data,
     double_star,
     empty_graph,
-    enumerate_graphs,
     harmonic_tree,
     is_bipartite,
     is_connected,
@@ -24,6 +23,7 @@ from mainspec.graphs import (
     star,
     triangle_pairs,
 )
+from mainspec.sweeps import mask_population
 
 # Frozen labeled-graph counts (total, connected) up to n = 5.
 ENUM_COUNTS = {1: (1, 1), 2: (2, 1), 3: (8, 4), 4: (64, 38), 5: (1024, 728)}
@@ -76,23 +76,27 @@ class TestGraphType:
 
 
 class TestEnumeration:
+    """The edge-mask population that exhaustive sweeps walk."""
+
     @pytest.mark.parametrize("n", sorted(ENUM_COUNTS))
     def test_total_counts(self, n):
         total, _ = ENUM_COUNTS[n]
-        assert sum(1 for _ in enumerate_graphs(n)) == total
+        graphs = {Graph.from_edge_mask(n, m) for m in range(mask_population(n))}
+        assert len(graphs) == mask_population(n) == total
 
     @pytest.mark.parametrize("n", sorted(ENUM_COUNTS))
     def test_connected_counts(self, n):
         _, conn = ENUM_COUNTS[n]
-        assert sum(1 for _ in enumerate_graphs(n, connected_only=True)) == conn
+        masks = range(mask_population(n))
+        assert sum(is_connected(Graph.from_edge_mask(n, m)) for m in masks) == conn
 
-    def test_order_cap(self):
-        with pytest.raises(ParameterError):
-            next(enumerate_graphs(MAX_ENUM_ORDER + 1))
+    def test_order_cap(self, capsys):
+        assert cli.main(["verify", "T45", "--exhaustive", str(MAX_ENUM_ORDER + 1)]) == 2
+        assert f"between 1 and {MAX_ENUM_ORDER}" in capsys.readouterr().err
 
     def test_masks_are_distinct(self):
-        seen = {g.edge_mask() for g in enumerate_graphs(4)}
-        assert len(seen) == 64
+        seen = {Graph.from_edge_mask(4, m).edge_mask() for m in range(mask_population(4))}
+        assert seen == set(range(64))
 
 
 @settings(max_examples=300)
@@ -100,7 +104,7 @@ class TestEnumeration:
 def test_complement_involution(nm):
     n, mask = nm
     g = Graph.from_edge_mask(n, mask)
-    assert complement(complement(g)) == g
+    assert g.complement().complement() == g
 
 
 @settings(max_examples=300)
@@ -108,7 +112,7 @@ def test_complement_involution(nm):
 def test_complement_edge_count(nm):
     n, mask = nm
     g = Graph.from_edge_mask(n, mask)
-    assert g.m + complement(g).m == n * (n - 1) // 2
+    assert g.m + g.complement().m == n * (n - 1) // 2
 
 
 @settings(max_examples=300)

@@ -11,29 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mainspec import spectra
+from mainspec.analysis import analyze_graph
 from mainspec.graphs import (
     Graph,
     complete,
     cycle,
     double_star,
-    enumerate_graphs,
     path,
     star,
 )
 from mainspec.spectra import (
     AmbiguousGroupingError,
-    ClassificationUncertainError,
     EigenGroup,
     MainSpectrum,
     build_groups,
     classify_flags,
-    classify_main,
     decompose_all_ones,
     eigen_decompose,
     eigen_decompose_batch,
     group_eigenvalues,
     resolve_with_rank,
 )
+from mainspec.sweeps import mask_population
 
 mask_graphs = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(
@@ -63,14 +62,16 @@ def test_decomposition_reconstructs_matrix(nm):
 
 
 def test_eigenvalues_sorted_descending():
-    for g in enumerate_graphs(5):
+    for mask in range(mask_population(5)):
+        g = Graph.from_edge_mask(5, mask)
         evals = eigen_decompose(g).eigenvalues
         assert (np.diff(evals) <= 1e-12).all()
 
 
 def test_exhaustive_small_against_lapack():
     for n in range(1, 5):
-        for g in enumerate_graphs(n):
+        for mask in range(mask_population(n)):
+            g = Graph.from_edge_mask(n, mask)
             ours = eigen_decompose(g).eigenvalues
             lapack = np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
             assert np.abs(ours - lapack).max() < 1e-11
@@ -83,6 +84,15 @@ def test_known_path4_spectrum():
     assert np.abs(evals - expected).max() < 1e-12
 
 
+def test_dense_cycle_complement_converges():
+    # lambda_1 = 41, so the rounding left in a rotated pair's own entries is
+    # above the 1e-14 stop level unless the rotation stores exact zeros there.
+    g = cycle(44).complement()
+    ours = eigen_decompose(g).eigenvalues
+    lapack = np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
+    assert np.abs(ours - lapack).max() < 1e-10
+
+
 def test_single_vertex():
     d = eigen_decompose(Graph.from_edge_mask(1, 0))
     assert d.eigenvalues.tolist() == [0.0]
@@ -91,16 +101,24 @@ def test_single_vertex():
 
 class TestBatch:
     def test_batch_agrees_with_scalar(self):
-        graphs = list(enumerate_graphs(5))[::7]
-        mats = np.stack([g.adjacency_matrix().astype(float) for g in graphs])
+        graphs = [Graph.from_edge_mask(5, m) for m in range(0, mask_population(5), 7)]
+        mats = np.stack([g.adjacency_matrix() for g in graphs])
         bvals, bvecs, hygiene = eigen_decompose_batch(mats)
+        lapack = np.linalg.eigvalsh(mats)[:, ::-1]
+        assert np.abs(bvals - lapack).max() < 1e-11
         for i, g in enumerate(graphs):
-            svals = eigen_decompose(g).eigenvalues
-            assert np.abs(bvals[i] - svals).max() < 1e-11
+            # the same graph alone (a batch of one) and inside the stack
+            alone = eigen_decompose(g)
+            assert np.abs(bvals[i] - alone.eigenvalues).max() < 1e-11
             # projections are basis independent, compare those instead of vectors
-            sproj = np.sort(eigen_decompose(g).eigenvectors.sum(axis=0) ** 2)
+            sproj = np.sort(alone.eigenvectors.sum(axis=0) ** 2)
             bproj = np.sort(bvecs[i].sum(axis=0) ** 2)
             assert np.abs(sproj - bproj).max() < 1e-9
+
+    def test_bound_violation_names_worst_value_and_order(self, monkeypatch):
+        monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(spectra.SpectralInvariantError, match=r"eigen residual .* \(n=5\)"):
+            eigen_decompose(path(5))
 
     def test_hygiene_keys(self):
         mats = np.stack([cycle(4).adjacency_matrix().astype(float)])
@@ -124,12 +142,14 @@ class TestGrouping:
         assert abs(projections[2] - 0.2679491924311228) < 1e-9
 
     def test_projections_sum_to_n(self):
-        for g in enumerate_graphs(5):
+        for mask in range(mask_population(5)):
+            g = Graph.from_edge_mask(5, mask)
             ms = group_eigenvalues(eigen_decompose(g))
             assert abs(sum(grp.projection_norm_sq for grp in ms.groups) - g.n) < 1e-9
 
     def test_multiplicities_sum_to_n(self):
-        for g in enumerate_graphs(4):
+        for mask in range(mask_population(4)):
+            g = Graph.from_edge_mask(4, mask)
             ms = group_eigenvalues(eigen_decompose(g))
             assert sum(grp.multiplicity for grp in ms.groups) == g.n
 
@@ -147,8 +167,7 @@ class TestGrouping:
 
 class TestClassification:
     def test_path4_mains(self):
-        g = path(4)
-        ms = classify_main(g, eigen_decompose(g))
+        ms = analyze_graph(path(4)).spectrum
         assert ms.main_count == 2
         v1, v2 = ms.main_values()
         assert abs(v1 - 1.618033988749895) < 1e-12
@@ -156,35 +175,37 @@ class TestClassification:
 
     def test_regular_graphs_single_main(self):
         for g in [cycle(5), cycle(6), complete(4)]:
-            ms = classify_main(g, eigen_decompose(g))
+            ms = analyze_graph(g).spectrum
             assert ms.main_count == 1
             assert ms.groups[0].is_main
 
     def test_double_star_balanced(self):
-        g = double_star(3, 3)
-        ms = classify_main(g, eigen_decompose(g))
+        ms = analyze_graph(double_star(3, 3)).spectrum
         assert ms.main_count == 2
         assert abs(ms.main_values()[0] - 2.302775637731995) < 1e-10
         assert abs(ms.main_values()[1] + 1.302775637731995) < 1e-10
         assert ms.groups[-1].is_main is False  # least eigenvalue non-main
 
     def test_top_group_always_main(self):
-        for g in enumerate_graphs(5):
-            ms = classify_main(g, eigen_decompose(g))
-            assert ms.groups[0].is_main
+        for mask in range(mask_population(5)):
+            g = Graph.from_edge_mask(5, mask)
+            flags, _ = classify_flags(group_eigenvalues(eigen_decompose(g)).groups, g.n)
+            assert flags[0]
 
-    def test_gray_zone_raises_on_long_path(self):
-        # P_39's smallest nonzero projection sits inside the gray band.
+    def test_gray_zone_abstains_on_long_path(self, monkeypatch):
+        # With the band pinned at 1e-6 * n, P_39's smallest main projection
+        # (about 7.7e-5) sits inside it.
+        monkeypatch.setattr(spectra, "MAIN_TOL", 1e-6)
         g = path(39)
-        with pytest.raises(ClassificationUncertainError) as exc:
-            classify_main(g, eigen_decompose(g))
-        assert exc.value.gray_indices
-        assert not exc.value.spectrum.classified
+        groups = group_eigenvalues(eigen_decompose(g)).groups
+        flags, gray = classify_flags(groups, g.n)
+        assert gray == [len(groups) - 1]
 
     def test_classify_flags_gray_band(self):
+        tau = spectra.MAIN_TOL * 4
         groups = [
             EigenGroup(2.0, 1, 4.0),
-            EigenGroup(0.5, 1, 1e-6),   # inside [0.1, 10] x (1e-6 * 4)
+            EigenGroup(0.5, 1, 0.25 * tau),  # inside [0.1, 10] x tau, below tau
             EigenGroup(-1.0, 1, 1e-30),
         ]
         flags, gray = classify_flags(groups, 4)
@@ -192,7 +213,8 @@ class TestClassification:
         assert gray == [1]
 
     def test_classify_flags_top_group_exempt(self):
-        groups = [EigenGroup(1.0, 1, 1e-6), EigenGroup(-1.0, 1, 5.0)]
+        tau = spectra.MAIN_TOL * 2
+        groups = [EigenGroup(1.0, 1, 0.5 * tau), EigenGroup(-1.0, 1, 5.0)]
         flags, gray = classify_flags(groups, 2)
         assert flags[0] is True
         assert gray == []
@@ -230,8 +252,7 @@ class TestMainDecomposition:
     @pytest.mark.parametrize("g", [path(4), star(5), double_star(2, 3), cycle(6)],
                              ids=["P4", "K_1_4", "T23", "C6"])
     def test_moment_identities(self, g):
-        ms = classify_main(g, eigen_decompose(g))
-        md = decompose_all_ones(g, ms)
+        md = decompose_all_ones(g, analyze_graph(g).spectrum)
         n = g.n
         m = g.m
         sum_sq = sum(d * d for d in g.degrees())

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from mainspec import theorems
+from mainspec import spectra, theorems
 from mainspec.analysis import GraphAnalysis, analyze_graph
 from mainspec.graphs import (
     FamilySpec,
@@ -17,13 +17,13 @@ from mainspec.graphs import (
     complete_bipartite,
     cycle,
     double_star,
-    enumerate_graphs,
     harmonic_tree,
     path,
     pendant_decorated,
     star,
 )
 from mainspec.spectra import EigenGroup, MainSpectrum
+from mainspec.sweeps import mask_population
 from mainspec.theorems import (
     ALL_IDS,
     CLAIMS,
@@ -265,7 +265,9 @@ class TestRankCount:
         assert rep.verdict == HOLDS
         assert rep.witnesses["rank"] == 5
 
-    def test_gray_instances_hold_via_fallback(self):
+    def test_gray_instances_hold_via_fallback(self, monkeypatch):
+        # the band pinned at 1e-6 * n puts one of P_39's projections in it
+        monkeypatch.setattr(spectra, "MAIN_TOL", 1e-6)
         rep = check_rank_count(path(39))
         assert rep.verdict == HOLDS
         assert rep.witnesses["used_fallback"] is True
@@ -334,7 +336,8 @@ class TestClosingCorollary:
 
 def test_every_graph_checker_on_small_sweep():
     # no checker may crash or fail on any real graph up to order 4
-    for g in enumerate_graphs(4):
+    for mask in range(mask_population(4)):
+        g = Graph.from_edge_mask(4, mask)
         a = analyze_graph(g, strict=False)
         for tid, fn in GRAPH_CHECKERS.items():
             rep = fn(g, analysis=a)
