@@ -1,7 +1,9 @@
 """Command-line front-end: analyze | generate | verify.
 
 Exit codes: 0 success, 1 at least one claim failed, 2 usage or parse error,
-3 the floating and exact main-eigenvalue counts disagreed confidently.
+3 the floating and exact main-eigenvalue counts disagreed confidently,
+4 a numerical-hygiene check failed (Jacobi did not converge, a decomposition
+missed its bounds, or eigenvalue groups were too close to separate).
 """
 from __future__ import annotations
 
@@ -22,8 +24,9 @@ from .graphs import (
     ParameterError,
     build_family,
     is_bipartite,
+    is_connected,
 )
-from .spectra import ConvergenceError, SpectralInvariantError
+from .spectra import AmbiguousGroupingError, ConvergenceError, SpectralInvariantError
 from .theorems import (
     ALL_IDS,
     CLAIMS,
@@ -39,6 +42,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DISAGREE = 3
+EXIT_NUMERICAL = 4
+
+_NUMERICAL_ERRORS = (AmbiguousGroupingError, ConvergenceError, SpectralInvariantError)
 
 _MAX_FAIL_DETAIL = 20  # failing witnesses printed per claim in table mode
 
@@ -162,9 +168,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: cross-check disagreement: float route found {err.s_float} "
               f"main eigenvalues, walk-matrix rank is {err.rank}", file=sys.stderr)
         return EXIT_DISAGREE
-    except (ConvergenceError, SpectralInvariantError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DISAGREE
+    except _NUMERICAL_ERRORS as err:
+        print(f"error: numerical check failed: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     record = _analysis_record(g, a, co, source, args.format)
     if args.json:
         record["generated_at"] = _timestamp()
@@ -303,10 +309,10 @@ def _run_graph_checkers(
     masks = None
     if args.sample and sweeps.mask_population(n) > args.sample:
         masks = sweeps.sample_masks(n, args.sample)
-    pair_iter: Iterable[tuple[GraphAnalysis, GraphAnalysis | None]] = sweeps.sweep(
-        n, masks=masks, connected_only=args.connected, with_complement=True
-    )
+    pair_iter: Iterable[tuple[GraphAnalysis, GraphAnalysis]] = sweeps.sweep(n, masks=masks)
     for a, co in pair_iter:
+        if args.connected and not is_connected(a.graph):
+            continue
         if args.bipartite and not is_bipartite(a.graph):
             continue
         if a.s_float is not None and a.s_float != a.rank:
@@ -371,9 +377,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         disagreement = _run_graph_checkers(ids, args, tallies, args.json)
         _run_family_checkers(ids, args, tallies, args.json)
-    except (ConvergenceError, SpectralInvariantError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DISAGREE
+    except _NUMERICAL_ERRORS as err:
+        print(f"error: numerical check failed: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     failures = sum(t.fails for t in tallies.values())
     instances = sum(t.total for t in tallies.values())

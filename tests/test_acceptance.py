@@ -124,7 +124,7 @@ def test_criterion_1_route_agreement(digest: SweepDigest) -> None:
     assert digest.seconds_n6 < 60.0, f"order<=6 block took {digest.seconds_n6:.1f}s"
     _announce(
         1,
-        f"{2 * digest.pairs} analyses ({digest.mode}), 0 route disagreements, "
+        f"{digest.hygiene.graphs} analyses ({digest.mode}), 0 route disagreements, "
         f"{digest.hygiene.fallbacks} gray-zone fallbacks, "
         f"order<=6 block {digest.seconds_n6:.1f}s",
     )

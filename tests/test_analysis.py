@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mainspec import spectra
+from mainspec import spectra, sweeps
 from mainspec.analysis import (
     GraphAnalysis,
     RouteDisagreementError,
@@ -13,6 +13,7 @@ from mainspec.analysis import (
 from mainspec.graph6 import parse_graph6
 from mainspec.graphs import (
     Graph,
+    complete,
     cycle,
     double_star,
     harmonic_tree,
@@ -159,8 +160,36 @@ def test_strict_flag_difference():
 
 def test_sweep_matches_analyze_graph():
     # both go through analysis.finish_analysis; only the batch size differs
-    for ga, _ in sweep(5, masks=np.arange(0, mask_population(5), 5), with_complement=False):
+    for ga, _ in sweep(5, masks=np.arange(0, mask_population(5), 5)):
         a = analyze_graph(ga.graph)
         assert (ga.rank, ga.s_float, ga.used_fallback, ga.harmonic_level) == (
             a.rank, a.s_float, a.used_fallback, a.harmonic_level)
         assert [g.is_main for g in ga.spectrum.groups] == [g.is_main for g in a.spectrum.groups]
+
+
+def test_exhaustive_sweep_analyses_each_graph_once(monkeypatch):
+    # the complement of mask m is mask full ^ m, already in the order-5 chunk
+    stacks = []
+    batch = spectra.eigen_decompose_batch
+
+    def recording(mats):
+        stacks.append(mats)
+        return batch(mats)
+
+    monkeypatch.setattr(spectra, "eigen_decompose_batch", recording)
+    pairs = list(sweep(5))
+    masks = np.arange(mask_population(5), dtype=np.int64)
+    assert np.array_equal(np.concatenate(stacks), sweeps.adjacency_stack(5, masks))
+    assert [a.graph for a, _ in pairs] == [Graph.from_edge_mask(5, m) for m in masks.tolist()]
+    assert all(co.graph == a.graph.complement() for a, co in pairs)
+
+
+def test_sweep_streams_masks_chunk_by_chunk(monkeypatch):
+    def no_population(n):
+        raise AssertionError("the whole mask population was materialised")
+
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 4)
+    monkeypatch.setattr(sweeps, "all_masks", no_population)
+    a, co = next(sweep(8))
+    assert a.graph == Graph.from_edge_mask(8, 0)
+    assert co.graph == complete(8)

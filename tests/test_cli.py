@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from mainspec import cli
+from mainspec import cli, spectra
 from mainspec.analysis import RouteDisagreementError
 from mainspec.theorems import TheoremReport
 
@@ -85,6 +85,23 @@ class TestAnalyze:
         assert "2" in err and "3" in err
 
 
+NUMERICAL_ERRORS = [spectra.AmbiguousGroupingError, spectra.ConvergenceError,
+                    spectra.SpectralInvariantError]
+
+
+@pytest.mark.parametrize("error", NUMERICAL_ERRORS)
+@pytest.mark.parametrize("argv", [("analyze", "Ch"), ("verify", "T45", "--exhaustive", "3")],
+                         ids=["analyze", "verify"])
+def test_numerical_failure_exit4(capsys, monkeypatch, argv, error):
+    def boom(evals, proj_sq):
+        raise error("injected")
+
+    monkeypatch.setattr(spectra, "build_groups", boom)
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert err == "error: numerical check failed: injected\n"
+
+
 class TestGenerate:
     @pytest.mark.parametrize("argv,expected", [
         (("path", "4"), "Ch"),
@@ -150,6 +167,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "T37", "--exhaustive", "4",
                            "--connected", "--bipartite")
         assert code == 0
+
+    def test_connected_filter_count(self, capsys):
+        # 38 connected labeled graphs on 4 vertices plus 52 family extras
+        code, out, _ = run(capsys, "verify", "T45", "--exhaustive", "4", "--connected")
+        assert code == 0
+        assert "T45: 90 instances" in out
 
     def test_sampled_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "T45", "--exhaustive", "7",

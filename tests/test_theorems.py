@@ -10,6 +10,7 @@ import pytest
 
 from mainspec import spectra, theorems
 from mainspec.analysis import GraphAnalysis, analyze_graph
+from mainspec.graph6 import parse_graph6
 from mainspec.graphs import (
     FamilySpec,
     Graph,
@@ -183,6 +184,15 @@ class TestComplementClaims:
     def test_simple_shift_nonmain(self):
         rep = check_simple_shifted_nonmain(path(4))
         assert rep.verdict == HOLDS  # P4 is self-complementary with simple shifts
+
+    @pytest.mark.parametrize("g6", ["GM\\aE?", "GsaMJ?"])
+    def test_near_pair_is_not_a_pair(self, g6):
+        # lambda(G) + mu(comp) + 1 = 4.05e-7 here: the closest any order-8
+        # non-pair comes, and still no eigenvalue pairing
+        g = parse_graph6(g6)
+        assert check_complement_count(g).verdict == HOLDS
+        assert check_complement_membership(g).verdict == HOLDS
+        assert check_simple_shifted_nonmain(g).verdict == NOT_APPLICABLE
 
     def test_simple_shift_na_when_all_repeated(self):
         assert check_simple_shifted_nonmain(cycle(4)).verdict == NOT_APPLICABLE
