@@ -6,7 +6,7 @@ integer rank of the walk matrix — cross-checks them, and bundles checkers for
 a family of claims tying main eigenvalues to degrees, harmonicity, and the
 complement's spectrum.
 """
-from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph, analyze_pair
+from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph
 from .exact import (
     EquitablePartition,
     IntPolynomial,
@@ -82,7 +82,6 @@ __all__ = [
     "TheoremReport",
     "WalkMatrix",
     "analyze_graph",
-    "analyze_pair",
     "build_family",
     "coarsest_equitable",
     "complete",

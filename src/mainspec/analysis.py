@@ -1,14 +1,18 @@
-"""Joint float/exact analysis of a single graph.
+"""Joint float/exact analysis of graphs, one stack at a time.
 
 This is where the two independent routes meet: the Jacobi spectrum with its
 projection-based main flags, and the exact integer walk-matrix rank.  The
 float route classifies on its own whenever it is confident; gray-zone
 instances are resolved by trusting the exact count.  A confident float count
 that still contradicts the exact rank is a hard error, never papered over.
+``finish_analyses`` runs everything after the eigensolver over a stack of
+graphs; ``analyze_graph`` is a stack of one, and the sweeps pass whole
+chunks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -90,34 +94,30 @@ def resolve_spectrum(
     return spectra.resolve_with_rank(spectrum, rank), None, True
 
 
-def finish_analysis(
-    g: Graph,
-    evals: np.ndarray,
-    proj_sq: np.ndarray,
-    decomposition: spectra.EigenDecomposition | None = None,
-) -> GraphAnalysis:
-    """Everything after the eigensolver, for one graph.
+def finish_analyses(
+    graphs: Sequence[Graph], adj: np.ndarray, evals: np.ndarray, proj_sq: np.ndarray
+) -> list[GraphAnalysis]:
+    """Everything after the eigensolver, for a stack of equally-sized graphs.
 
-    Takes the sorted eigenvalues and per-eigenvector all-ones projections,
-    groups and flags them, reconciles the flags with the exact walk-matrix
-    rank, and runs the harmonic test.  A confident disagreement is left in
+    ``adj`` is the (B, n, n) adjacency stack of ``graphs``, ``evals`` their
+    sorted eigenvalues and ``proj_sq`` the per-eigenvector all-ones
+    projections, one row per graph.  Grouping, walk ranks and the harmonic
+    test run once over the whole stack; then each graph's groups are flagged
+    and reconciled with its exact rank.  A confident disagreement is left in
     the result (``s_float != rank``) for the caller to act on.
     """
     groups = spectra.build_groups(evals, proj_sq)
-    flags, gray = spectra.classify_flags(groups, g.n)
-    rank = exact.walk_matrix(g).rank
-    resolved, s_float, used_fallback = resolve_spectrum(
-        spectra.MainSpectrum(tuple(groups)), flags, gray, rank
-    )
-    return GraphAnalysis(
-        graph=g,
-        spectrum=resolved,
-        rank=rank,
-        s_float=s_float,
-        used_fallback=used_fallback,
-        harmonic_level=exact.harmonic_ell(g),
-        decomposition=decomposition,
-    )
+    adj = adj.astype(np.int64)
+    ranks = exact.walk_ranks(graphs, adj)
+    levels = exact.harmonic_levels(adj)
+    out = []
+    for g, grp, rank, level in zip(graphs, groups, ranks, levels):
+        flags, gray = spectra.classify_flags(grp, g.n)
+        resolved, s_float, used_fallback = resolve_spectrum(
+            spectra.MainSpectrum(tuple(grp)), flags, gray, rank
+        )
+        out.append(GraphAnalysis(g, resolved, rank, s_float, used_fallback, level))
+    return out
 
 
 def analyze_graph(
@@ -132,17 +132,14 @@ def analyze_graph(
     disagreement as a finding instead of dying mid-stream.
     """
     dec = spectra.eigen_decompose(g)
-    result = finish_analysis(
-        g,
-        dec.eigenvalues,
-        dec.eigenvectors.sum(axis=0) ** 2,
-        dec if keep_decomposition else None,
+    (result,) = finish_analyses(
+        [g],
+        g.adjacency_matrix()[None],
+        dec.eigenvalues[None],
+        (dec.eigenvectors.sum(axis=0) ** 2)[None],
     )
+    if keep_decomposition:
+        result = replace(result, decomposition=dec)
     if strict and result.s_float is not None and result.s_float != result.rank:
         raise RouteDisagreementError(result.s_float, result.rank)
     return result
-
-
-def analyze_pair(g: Graph, *, strict: bool = True) -> tuple[GraphAnalysis, GraphAnalysis]:
-    """Analyze a graph and its complement (most complement claims need both)."""
-    return analyze_graph(g, strict=strict), analyze_graph(g.complement(), strict=strict)

@@ -1,8 +1,13 @@
-"""Exact integer route: walk matrices, fraction-free rank, equitable partitions.
+"""Exact integer route: walk matrices, walk rank, equitable partitions.
 
-Everything here works in arbitrary-precision Python integers, so the results
-are exact regardless of how badly conditioned the floating spectrum is.  This
-module is the cross-check counterpart of :mod:`mainspec.spectra`.
+Every result here is an exact integer fact, whatever the conditioning of the
+floating spectrum; no float enters.  The analysis pipeline passes stacks of
+graphs (a single graph is a stack of one): their walk ranks come from a mod-p
+Krylov elimination whose dependency is then checked exactly in int64, and
+from fraction-free Bareiss elimination over arbitrary-precision Python
+integers where that certificate does not apply; their harmonic levels come
+from one int64 product.  This module is the cross-check counterpart of
+:mod:`mainspec.spectra`.
 """
 from __future__ import annotations
 
@@ -91,6 +96,102 @@ def exact_det(rows: Sequence[Sequence[int]]) -> int:
         raise ValueError("determinant needs a square matrix")
     rank, sign, last = _bareiss(rows)
     return sign * last if rank == n else 0
+
+
+# ---------------------------------------------------------------------------
+# Walk ranks of an adjacency stack: a mod-p Krylov certificate.
+# ---------------------------------------------------------------------------
+
+_PRIME = (1 << 31) - 1  # residues below 2^31, so a product of two fits in int64
+
+
+def _certifiable(n: int) -> bool:
+    """Whether the exact check of an order-n dependency cannot overflow int64.
+
+    Its n+1 terms are coefficients of size at most p//2 times walk counts of
+    size at most max(n-1, 1)^n; with p = 2^31 - 1 this holds for n <= 9.
+    """
+    return (n + 1) * (_PRIME // 2) * max(n - 1, 1) ** n < 1 << 63
+
+
+def _inverse_mod(x: np.ndarray) -> np.ndarray:
+    """x^(p-2) mod p elementwise: the inverse of every non-zero residue."""
+    out = np.ones_like(x)
+    e = _PRIME - 2
+    while e:
+        if e & 1:
+            out = out * x % _PRIME
+        x = x * x % _PRIME
+        e >>= 1
+    return out
+
+
+def _krylov_dependency(krylov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First mod-p dependency of each graph's Krylov sequence j, Aj, ..., A^n j.
+
+    Eliminates the vectors in order against a basis with unit pivots, keeping
+    each basis row as a combination of Krylov vectors.  Returns (rank_p,
+    coefficients): the first k whose vector reduces to zero, and the monic
+    combination m (m_k = 1, m_i = 0 for i > k) with sum m_i A^i j = 0 mod p,
+    lifted to the symmetric range.
+    """
+    B, n1, n = krylov.shape
+    rows = np.arange(B)
+    basis = np.zeros((B, n, n), dtype=np.int64)
+    combos = np.zeros((B, n, n1), dtype=np.int64)
+    pivots = np.zeros((B, n), dtype=np.int64)
+    rank = np.full(B, -1)
+    coeffs = np.zeros((B, n1), dtype=np.int64)
+    for k in range(n1):
+        v = krylov[:, k] % _PRIME
+        c = np.zeros((B, n1), dtype=np.int64)
+        c[:, k] = 1
+        for r in range(k):
+            f = v[rows, pivots[:, r]][:, None]
+            v = (v - f * basis[:, r]) % _PRIME
+            c = (c - f * combos[:, r]) % _PRIME
+        done = (rank < 0) & ~v.any(axis=1)
+        rank[done] = k
+        coeffs[done] = c[done]
+        if (rank >= 0).all():
+            break
+        piv = np.argmax(v != 0, axis=1)
+        inv = _inverse_mod(v[rows, piv])[:, None]
+        basis[:, k] = v * inv % _PRIME
+        combos[:, k] = c * inv % _PRIME
+        pivots[:, k] = piv
+    coeffs[coeffs > _PRIME // 2] -= _PRIME
+    return rank, coeffs
+
+
+def walk_ranks(graphs: Sequence[Graph], adj: np.ndarray) -> list[int]:
+    """Walk-matrix ranks of ``graphs``, whose (B, n, n) int64 adjacency stack is ``adj``.
+
+    For n <= 9 every rank is certified from both sides.  Lower bound: the
+    vectors j, ..., A^(k-1) j before the first one that reduces to zero mod p
+    are independent mod p, so some k x k minor of the walk matrix is non-zero
+    mod p, hence non-zero: rank >= k.  Upper bound: the lifted dependency
+    A^k j = -sum_{i<k} m_i A^i j, checked exactly, makes the span of
+    j, ..., A^(k-1) j invariant under A, so every later column lies in it:
+    rank <= k.  A graph whose check fails (rank_p falls short of the rank
+    because p divides every minor that shows it, or a true coefficient lies
+    outside the symmetric range) and every graph of order n > 9, where the
+    check could overflow int64, gets Bareiss on ``walk_matrix(g)``.
+    """
+    B, n, _ = adj.shape
+    ranks = np.full(B, -1)
+    if _certifiable(n):
+        krylov = np.empty((B, n + 1, n), dtype=np.int64)
+        krylov[:, 0] = 1
+        for k in range(n):
+            krylov[:, k + 1] = np.einsum("bij,bj->bi", adj, krylov[:, k])
+        rank_p, coeffs = _krylov_dependency(krylov)
+        exact_zero = ~np.einsum("bk,bkv->bv", coeffs, krylov).any(axis=1)
+        ranks[exact_zero] = rank_p[exact_zero]
+    out = ranks.tolist()
+    for b in np.flatnonzero(ranks < 0).tolist():
+        out[b] = walk_matrix(graphs[b]).rank
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +413,22 @@ def harmonic_ell(g: Graph) -> int | None:
     if all(ad[v] == ell * degs[v] for v in range(g.n)):
         return ell
     return None
+
+
+def harmonic_levels(adj: np.ndarray) -> list[int | None]:
+    """:func:`harmonic_ell` of every graph in a (B, n, n) int64 adjacency stack.
+
+    The level candidate is A·d / d at the first vertex of positive degree
+    (0 for edgeless graphs); a graph is harmonic iff A·d equals that multiple
+    of d everywhere, which also rules out a non-integer ratio.
+    """
+    d = adj.sum(axis=2)
+    ad = np.einsum("bij,bj->bi", adj, d)
+    rows = np.arange(len(adj))
+    pivot = np.argmax(d > 0, axis=1)
+    ell = ad[rows, pivot] // np.maximum(d[rows, pivot], 1)
+    harmonic = (ad == ell[:, None] * d).all(axis=1)
+    return [e if h else None for e, h in zip(ell.tolist(), harmonic.tolist())]
 
 
 def pseudo_regular_ratio(g: Graph) -> tuple[int, int] | None:

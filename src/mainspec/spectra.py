@@ -261,49 +261,55 @@ def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dic
 # ---------------------------------------------------------------------------
 
 
-def group_tolerance(evals: np.ndarray) -> float:
-    lam_max = float(np.abs(evals).max()) if len(evals) else 0.0
-    return GROUP_TOL * max(1.0, lam_max)
+def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup]]:
+    """Cluster each row of a (B, n) stack of sorted eigenvalues; one group list per row.
 
-
-def _group_runs(evals: np.ndarray, tau: float) -> list[tuple[int, int]]:
-    """Split the sorted eigenvalue list into runs separated by gaps > tau."""
-    runs = []
-    start = 0
-    for i in range(1, len(evals)):
-        if evals[i - 1] - evals[i] > tau:
-            runs.append((start, i))
-            start = i
-    runs.append((start, len(evals)))
-    return runs
-
-
-def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[EigenGroup]:
-    """Cluster sorted eigenvalues and sum the per-eigenvector projections.
-
-    Raises AmbiguousGroupingError when two neighboring representatives end up
-    closer than 3x the grouping tolerance, which would make the clustering
-    order dependent.
+    A gap larger than the row's grouping tolerance starts a new run.  A
+    group's value is the mean of its run and its projection the sum of the
+    run's per-eigenvector projections.  Sums add left to right from 0.0,
+    which is how numpy sums fewer than 8 values, so each group matches
+    ``evals[a:b].mean()`` and ``proj_sq[a:b].sum()`` bit for bit; the rare
+    runs of 8 or more take numpy's own sum.  Raises AmbiguousGroupingError
+    when two neighboring representatives end up closer than 3x the grouping
+    tolerance, which would make the clustering order dependent.
     """
-    tau = group_tolerance(evals)
-    runs = _group_runs(evals, tau)
-    groups = [
-        EigenGroup(float(evals[a:b].mean()), b - a, float(proj_sq[a:b].sum()))
-        for a, b in runs
+    B, n = evals.shape
+    tau = GROUP_TOL * np.maximum(1.0, np.abs(evals).max(axis=1))
+    starts = np.ones((B, n), dtype=bool)
+    starts[:, 1:] = evals[:, :-1] - evals[:, 1:] > tau[:, None]
+    run = np.cumsum(starts, axis=1) - 1
+    rows = np.arange(B)
+    sums = np.zeros((B, n))
+    proj = np.zeros((B, n))
+    mult = np.zeros((B, n), dtype=np.int64)
+    for i in range(n):
+        sums[rows, run[:, i]] += evals[:, i]
+        proj[rows, run[:, i]] += proj_sq[:, i]
+        mult[rows, run[:, i]] += 1
+    for b, r in zip(*np.nonzero(mult >= 8)):
+        a = int(np.argmax(run[b] == r))
+        sums[b, r] = evals[b, a:a + mult[b, r]].sum()
+        proj[b, r] = proj_sq[b, a:a + mult[b, r]].sum()
+    values = sums / np.maximum(mult, 1)
+    count = run[:, -1] + 1
+    close = values[:, :-1] - values[:, 1:] < 3.0 * tau[:, None]
+    close &= np.arange(1, n) < count[:, None]
+    if close.any():
+        b, r = np.argwhere(close)[0]
+        raise AmbiguousGroupingError(
+            f"group representatives {float(values[b, r])!r} and "
+            f"{float(values[b, r + 1])!r} are closer than {3.0 * tau[b]:.3e}"
+        )
+    return [
+        [EigenGroup(*grp) for grp in zip(v[:k], m[:k], p[:k])]
+        for v, m, p, k in zip(values.tolist(), mult.tolist(), proj.tolist(), count.tolist())
     ]
-    for left, right in zip(groups, groups[1:]):
-        if left.value - right.value < 3.0 * tau:
-            raise AmbiguousGroupingError(
-                f"group representatives {left.value!r} and {right.value!r} are "
-                f"closer than {3.0 * tau:.3e}"
-            )
-    return groups
 
 
 def group_eigenvalues(d: EigenDecomposition) -> MainSpectrum:
     """Grouping step only: clusters with projections, no main flags yet."""
     proj_sq = d.eigenvectors.sum(axis=0) ** 2
-    return MainSpectrum(tuple(build_groups(d.eigenvalues, proj_sq)))
+    return MainSpectrum(tuple(build_groups(d.eigenvalues[None], proj_sq[None])[0]))
 
 
 def classify_flags(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable
 
 from . import exact
@@ -73,7 +74,10 @@ def json_clean(value: Any) -> Any:
     return str(value)
 
 
+@lru_cache(maxsize=64)
 def _label(g: Graph) -> str:
+    """graph6 instance label; cached because a sweep runs every checker on one
+    graph before the next.  Bounded: an order-8 sweep passes 2^28 graphs."""
     return serialize_graph6(g).decode("ascii")
 
 
@@ -149,10 +153,10 @@ def check_bipartite_harmonic_nonmain(
     """L23: bipartite harmonic with an edge puts -lambda_1 in the spectrum, non-main."""
     a = _ensure(g, analysis)
     inst = _label(g)
-    if not (a.is_harmonic and g.m >= 1 and is_bipartite(g)):
+    bipartite = is_bipartite(g)
+    if not (a.is_harmonic and g.m >= 1 and bipartite):
         return TheoremReport("L23", inst, NOT_APPLICABLE,
-                             {"harmonic": a.is_harmonic, "m": g.m,
-                              "bipartite": is_bipartite(g)})
+                             {"harmonic": a.is_harmonic, "m": g.m, "bipartite": bipartite})
     lam1 = a.lambda_max
     target = -lam1
     grp = next((gr for gr in a.spectrum.groups if abs(gr.value - target) <= TOL_EQ), None)
@@ -381,12 +385,12 @@ def check_balanced_complete_bipartite_shift(
     complete bipartite and balanced."""
     a = _ensure(g, analysis)
     inst = _label(g)
-    if not (is_connected(g) and is_bipartite(g)):
-        return TheoremReport("T37", inst, NOT_APPLICABLE,
-                             {"connected": is_connected(g), "bipartite": is_bipartite(g)})
-    c = _ensure_co(g, co)
+    connected = is_connected(g)
     parts = bipartition(g)
-    assert parts is not None
+    if not (connected and parts is not None):
+        return TheoremReport("T37", inst, NOT_APPLICABLE,
+                             {"connected": connected, "bipartite": parts is not None})
+    c = _ensure_co(g, co)
     r, s = len(parts[0]), len(parts[1])
     structural = g.m == r * s and r == s
     equal = abs(c.lambda_max - (-1.0 - a.lambda_min)) <= TOL_EQ
@@ -469,9 +473,9 @@ def check_semiregular_main_pair(
     boundary and are reported not-applicable."""
     a = _ensure(g, analysis)
     inst = _label(g)
-    if g.n < 2 or not is_connected(g):
-        return TheoremReport("T44", inst, NOT_APPLICABLE,
-                             {"n": g.n, "connected": is_connected(g)})
+    connected = is_connected(g)
+    if g.n < 2 or not connected:
+        return TheoremReport("T44", inst, NOT_APPLICABLE, {"n": g.n, "connected": connected})
     dv = degree_data(g)
     lam1 = a.lambda_max
     bound = lam1 * lam1 * g.n

@@ -201,7 +201,8 @@ def test_criterion_6_balanced_bipartite_shift(digest: SweepDigest) -> None:
     """K(r,r) complements peak at r-1; equality only for balanced complete bipartite."""
     bad = []
     for r in range(1, 11):
-        a, co = analysis.analyze_pair(graphs.complete_bipartite(r, r))
+        g = graphs.complete_bipartite(r, r)
+        a, co = analysis.analyze_graph(g), analysis.analyze_graph(g.complement())
         want = float(r - 1)
         if abs(co.lambda_max - want) > 1e-8 or abs(-1.0 - a.lambda_min - want) > 1e-8:
             bad.append((r, co.lambda_max, a.lambda_min))

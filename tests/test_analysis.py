@@ -7,7 +7,6 @@ from mainspec.analysis import (
     GraphAnalysis,
     RouteDisagreementError,
     analyze_graph,
-    analyze_pair,
     resolve_spectrum,
 )
 from mainspec.graph6 import parse_graph6
@@ -126,7 +125,8 @@ def test_keep_decomposition():
 
 
 def test_analyze_pair_orders():
-    a, c = analyze_pair(path(4))
+    g = path(4)
+    a, c = analyze_graph(g), analyze_graph(g.complement())
     assert a.graph.m + c.graph.m == 6
     assert a.main_count == c.main_count  # complement preserves the count
 
@@ -159,7 +159,7 @@ def test_strict_flag_difference():
 
 
 def test_sweep_matches_analyze_graph():
-    # both go through analysis.finish_analysis; only the batch size differs
+    # both go through analysis.finish_analyses; only the batch size differs
     for ga, _ in sweep(5, masks=np.arange(0, mask_population(5), 5)):
         a = analyze_graph(ga.graph)
         assert (ga.rank, ga.s_float, ga.used_fallback, ga.harmonic_level) == (

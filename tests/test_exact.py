@@ -20,7 +20,7 @@ from mainspec.graphs import (
     pendant_decorated,
     star,
 )
-from mainspec.sweeps import mask_population
+from mainspec.sweeps import mask_population, sample_masks
 
 
 def fraction_rank(rows):
@@ -301,3 +301,71 @@ class TestPseudoRegular:
     @pytest.mark.parametrize("ell", [2, 3])
     def test_harmonic_tree_ratio_is_level(self, ell):
         assert exact.pseudo_regular_ratio(harmonic_tree(ell)) == (ell, 1)
+
+
+
+_BAREISS_WALK = exact.walk_matrix  # the per-graph route, kept before any monkeypatch
+
+
+def _stack(graphs):
+    return np.array([g.adjacency_matrix() for g in graphs], dtype=np.int64)
+
+
+def _bareiss_ranks(graphs):
+    return [_BAREISS_WALK(g).rank for g in graphs]
+
+
+class TestWalkRanks:
+    """Batched walk ranks: mod-p Krylov certificate, Bareiss where it cannot apply."""
+
+    @pytest.fixture
+    def bareiss_calls(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return _BAREISS_WALK(g)
+
+        monkeypatch.setattr(exact, "walk_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_graph_of_small_order(self, n, bareiss_calls):
+        graphs = [Graph.from_edge_mask(n, m) for m in range(mask_population(n))]
+        ranks = exact.walk_ranks(graphs, _stack(graphs))
+        assert bareiss_calls == []  # every rank certified, none from Bareiss
+        assert ranks == _bareiss_ranks(graphs)
+
+    @pytest.mark.parametrize("n,seed", [(7, 71), (8, 81), (8, 82)])
+    def test_seeded_samples(self, n, seed, bareiss_calls):
+        masks = sample_masks(n, 600, seed).tolist()
+        graphs = [Graph.from_edge_mask(n, m) for m in masks]
+        ranks = exact.walk_ranks(graphs, _stack(graphs))
+        assert bareiss_calls == []
+        assert ranks == _bareiss_ranks(graphs)
+
+    def test_failed_certificates_fall_back_to_bareiss(self, monkeypatch, bareiss_calls):
+        # Mod 5 many Krylov minors vanish, so rank_p undercounts and the lifted
+        # identity fails its exact check; those graphs must go to Bareiss.
+        monkeypatch.setattr(exact, "_PRIME", 5)
+        graphs = [Graph.from_edge_mask(6, m) for m in range(0, mask_population(6), 7)]
+        ranks = exact.walk_ranks(graphs, _stack(graphs))
+        assert 0 < len(bareiss_calls) < len(graphs)
+        assert ranks == _bareiss_ranks(graphs)
+
+    @pytest.mark.parametrize("g", [path(12), harmonic_tree(3)], ids=["P12", "T3"])
+    def test_large_orders_skip_the_certificate(self, g, bareiss_calls):
+        assert not exact._certifiable(g.n)
+        assert exact.walk_ranks([g], _stack([g])) == [_BAREISS_WALK(g).rank]
+        assert bareiss_calls == [g]
+
+    def test_certificate_bound_is_order_9(self):
+        assert [n for n in range(1, 20) if exact._certifiable(n)] == list(range(1, 10))
+
+
+def test_harmonic_levels_match_harmonic_ell():
+    for n in range(1, 7):
+        graphs = [Graph.from_edge_mask(n, m) for m in range(mask_population(n))]
+        assert exact.harmonic_levels(_stack(graphs)) == [exact.harmonic_ell(g) for g in graphs]
+    for g in [harmonic_tree(2), harmonic_tree(3), star(4), cycle(7), path(9)]:
+        assert exact.harmonic_levels(_stack([g])) == [exact.harmonic_ell(g)]

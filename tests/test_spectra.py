@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mainspec import spectra
+from mainspec import spectra, sweeps
 from mainspec.analysis import analyze_graph
 from mainspec.graphs import (
     Graph,
@@ -154,15 +154,53 @@ class TestGrouping:
             assert sum(grp.multiplicity for grp in ms.groups) == g.n
 
     def test_ambiguous_grouping_raises(self):
-        evals = np.array([1.0, 1.0 - 2e-7, -1.0])
-        with pytest.raises(AmbiguousGroupingError):
-            build_groups(evals, np.ones(3))
+        evals = np.array([[1.0, 1.0 - 2e-7, -1.0]])
+        with pytest.raises(AmbiguousGroupingError) as err:
+            build_groups(evals, np.ones((1, 3)))
+        assert repr(1.0) in str(err.value) and repr(1.0 - 2e-7) in str(err.value)
 
     def test_clean_split(self):
-        evals = np.array([1.0, 1.0 - 1e-12, 0.0])
-        groups = build_groups(evals, np.array([1.0, 2.0, 3.0]))
+        evals = np.array([[1.0, 1.0 - 1e-12, 0.0]])
+        (groups,) = build_groups(evals, np.array([[1.0, 2.0, 3.0]]))
         assert [g.multiplicity for g in groups] == [2, 1]
         assert groups[0].projection_norm_sq == 3.0
+
+    def test_batched_groups_match_per_row_numpy(self):
+        # Oracle: the per-row grouping written out with np.mean / np.sum.
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            distinct = np.sort(rng.choice(np.arange(-6, 7), size=n))[::-1]
+            jitter = rng.uniform(-1e-9, 1e-9, size=n)  # inside one group tolerance
+            rows.append(distinct + distinct * np.pi / 7 + jitter)
+        rows.append(np.zeros(10))  # one run of 10: numpy's pairwise sum
+        rows.append(np.array([5.0] + [1.0 + k * 1e-10 for k in range(9)]))
+        for evals in rows:
+            evals = np.sort(evals)[::-1]
+            proj_sq = rng.uniform(0.0, 1.0, size=len(evals)) ** 3
+            tau = spectra.GROUP_TOL * max(1.0, float(np.abs(evals).max()))
+            cuts = [0] + [i for i in range(1, len(evals)) if evals[i - 1] - evals[i] > tau]
+            bounds = list(zip(cuts, cuts[1:] + [len(evals)]))
+            want = [(float(np.mean(evals[a:b])), b - a, float(np.sum(proj_sq[a:b])))
+                    for a, b in bounds]
+            (got,) = build_groups(evals[None], proj_sq[None])
+            assert [(g.value.hex(), g.multiplicity, g.projection_norm_sq.hex()) for g in got] == [
+                (v.hex(), m, p.hex()) for v, m, p in want]
+
+    def test_batched_groups_equal_each_row_alone(self):
+        masks = np.arange(0, mask_population(5), 3)
+        evals, evecs, _ = eigen_decompose_batch(sweeps.adjacency_stack(5, masks))
+        proj_sq = evecs.sum(axis=1) ** 2
+        together = build_groups(evals, proj_sq)
+        for row, groups in enumerate(together):
+            assert build_groups(evals[row:row + 1], proj_sq[row:row + 1]) == [groups]
+
+    def test_ambiguous_row_in_a_stack_is_named(self):
+        evals = np.array([[2.0, 0.0, -2.0], [1.0, 1.0 - 2e-7, -1.0]])
+        with pytest.raises(AmbiguousGroupingError) as err:
+            build_groups(evals, np.ones((2, 3)))
+        assert repr(1.0) in str(err.value) and repr(1.0 - 2e-7) in str(err.value)
 
 
 class TestClassification:

@@ -353,3 +353,36 @@ def test_every_graph_checker_on_small_sweep():
             rep = fn(g, analysis=a)
             assert rep.verdict in (HOLDS, NOT_APPLICABLE), (tid, rep)
             assert isinstance(rep, TheoremReport)
+
+
+@pytest.mark.parametrize("check", [check_bipartite_harmonic_nonmain,
+                                   check_balanced_complete_bipartite_shift,
+                                   check_semiregular_main_pair])
+@pytest.mark.parametrize("g", [complete_bipartite(2, 2), cycle(5), path(4),
+                               Graph.from_edge_mask(4, 0b000011)],
+                         ids=["K22", "C5", "P4", "P3+K1"])
+def test_structural_predicates_run_once_per_check(monkeypatch, check, g):
+    # Not-applicable witnesses reuse the predicate that decided applicability.
+    calls = []
+    for name in ("bipartition", "is_bipartite", "is_connected"):
+        real = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name,
+                            lambda h, real=real, name=name: calls.append(name) or real(h))
+    a = analyze_graph(g)
+    report = check(g, analysis=a, co=analyze_graph(g.complement()))
+    assert len(calls) == len(set(calls)), calls
+    assert "bipartition" not in calls or "is_bipartite" not in calls
+    assert report.verdict in (HOLDS, NOT_APPLICABLE)
+
+
+def test_labels_are_cached_per_graph(monkeypatch):
+    calls = []
+    real = theorems.serialize_graph6
+    monkeypatch.setattr(theorems, "serialize_graph6", lambda g: calls.append(g) or real(g))
+    theorems._label.cache_clear()
+    g = path(6)
+    a, co = analyze_graph(g), analyze_graph(g.complement())
+    reports = [check(g, analysis=a, co=co) for check in GRAPH_CHECKERS.values()]
+    assert calls == [g]
+    assert {r.instance for r in reports} == {"EhCG"}
+    assert theorems._label.cache_info().maxsize == 64
