@@ -6,12 +6,12 @@ float route classifies on its own whenever it is confident; gray-zone
 instances are resolved by trusting the exact count.  A confident float count
 that still contradicts the exact rank is a hard error, never papered over.
 ``finish_analyses`` runs everything after the eigensolver over a stack of
-graphs; ``analyze_graph`` is a stack of one, and the sweeps pass whole
-chunks.
+graphs; ``analyze_graph`` is a stack of one, and ``sweeps.analyze_stack``
+passes whole sweep chunks and ``verify``'s family stacks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ class GraphAnalysis:
     s_float: int | None
     used_fallback: bool
     harmonic_level: int | None
-    decomposition: spectra.EigenDecomposition | None = None
 
     @property
     def main_count(self) -> int:
@@ -120,9 +119,7 @@ def finish_analyses(
     return out
 
 
-def analyze_graph(
-    g: Graph, *, keep_decomposition: bool = False, strict: bool = True
-) -> GraphAnalysis:
+def analyze_graph(g: Graph, *, strict: bool = True) -> GraphAnalysis:
     """Run both routes on one graph and reconcile them.
 
     Raises RouteDisagreementError when the confident float count and the exact
@@ -138,8 +135,6 @@ def analyze_graph(
         dec.eigenvalues[None],
         (dec.eigenvectors.sum(axis=0) ** 2)[None],
     )
-    if keep_decomposition:
-        result = replace(result, decomposition=dec)
     if strict and result.s_float is not None and result.s_float != result.rank:
         raise RouteDisagreementError(result.s_float, result.rank)
     return result

@@ -11,8 +11,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from . import sweeps, theorems
 from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph
@@ -241,39 +243,49 @@ def _parse_path_range(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _family_extra_graphs(tid: str, args: argparse.Namespace) -> list[Graph]:
-    """Named-family instances fed to the per-graph checkers on top of the
-    exhaustive sweep (pendant-decorated cycles, harmonic trees, K_{r,r})."""
+def _family_instances(
+    ids: list[str], args: argparse.Namespace
+) -> list[tuple[str, Graph, Callable[..., TheoremReport]]]:
+    """Every named-family instance of the chosen claims as (claim id, graph,
+    check), in report order: the per-graph claims' family extras first, then
+    the family claims.  Each check takes the graph's ``analysis=`` and ``co=``."""
     lo, hi = args.path_range
     pend_p, pend_q = args.pendants
-    extras: list[FamilySpec] = []
-    if tid in ("P21", "C22", "T45"):
-        extras += [
-            FamilySpec("pendant", (q,), base=FamilySpec("cycle", (p,)))
-            for p in range(3, pend_p + 1)
-            for q in range(1, pend_q + 1)
-        ]
-    if tid in ("P21", "C22", "L23", "P24", "P25", "P26", "T45"):
-        extras += [FamilySpec("harmonictree", (ell,))
-                   for ell in range(2, args.harmonictrees + 1)]
-    if tid in ("T37", "T44", "INEQ2", "P34", "P35"):
-        extras += [FamilySpec("completebipartite", (r, r))
-                   for r in range(1, args.krr + 1)]
-    if tid == "T45":
-        extras += [FamilySpec("path", (n,)) for n in range(lo, hi + 1)]
-        extras += [FamilySpec("doublestar", (k, s))
-                   for k in range(1, args.doublestars + 1)
-                   for s in range(k, args.doublestars + 1)]
-    return [build_family(spec) for spec in extras]
+    k_max = args.doublestars
+    paths = [FamilySpec("path", (n,)) for n in range(lo, hi + 1)]
+    stars = [FamilySpec("doublestar", (k, s)) for k in range(1, k_max + 1)
+             for s in range(k, k_max + 1)]
+    pendants = [FamilySpec("pendant", (q,), base=FamilySpec("cycle", (p,)))
+                for p in range(3, pend_p + 1) for q in range(1, pend_q + 1)]
+    trees = [FamilySpec("harmonictree", (ell,)) for ell in range(2, args.harmonictrees + 1)]
+    krr = [FamilySpec("completebipartite", (r, r)) for r in range(1, args.krr + 1)]
+    families = dict.fromkeys(("L23", "P24", "P25", "P26"), trees)
+    families |= dict.fromkeys(("P21", "C22"), pendants + trees)
+    families |= dict.fromkeys(("T37", "T44", "INEQ2", "P34", "P35"), krr)
+    families |= dict.fromkeys(PATH_CHECKERS, paths)
+    families |= {"T45": pendants + trees + paths + stars, "T46": stars}
+    families["COR47"] = [spec for spec in paths if spec.params[0] >= 2] + [
+        FamilySpec("doublestar", (k, k)) for k in range(1, k_max + 1)]
+    out = []
+    for tid in sorted(ids, key=lambda t: t not in GRAPH_CHECKERS):
+        for spec in families.get(tid, ()):
+            g = build_family(spec)
+            if tid in GRAPH_CHECKERS:
+                check = partial(GRAPH_CHECKERS[tid], g)
+            elif tid == "COR47":
+                check = partial(check_complement_second_eigenvalue, spec)
+            else:
+                check = partial(PATH_CHECKERS.get(tid, check_double_star_profile), *spec.params)
+            out.append((tid, g, check))
+    return out
 
 
+@dataclass
 class _Tally:
-    def __init__(self, tid: str) -> None:
-        self.tid = tid
-        self.holds = 0
-        self.fails = 0
-        self.skipped = 0
-        self.failing: list[TheoremReport] = []
+    holds: int = 0
+    fails: int = 0
+    skipped: int = 0
+    failing: list[TheoremReport] = field(default_factory=list)
 
     def add(self, report: TheoremReport) -> None:
         if report.verdict == theorems.HOLDS:
@@ -295,12 +307,16 @@ def _emit_report(report: TheoremReport, as_json: bool) -> None:
         print(json.dumps(report.to_json()))
 
 
-def _run_graph_checkers(
+def _disagrees(a: GraphAnalysis) -> bool:
+    return a.s_float is not None and a.s_float != a.rank
+
+
+def _run_sweep(
     ids: list[str], args: argparse.Namespace, tallies: dict[str, _Tally],
     as_json: bool,
 ) -> bool:
-    """Sweep order-N labeled graphs (plus per-claim named families) through the
-    per-graph checkers.  Returns True if a confident route disagreement shows up."""
+    """Sweep order-N labeled graphs through the per-graph checkers.  Returns
+    True if either analysis of a checked pair disagrees confidently."""
     disagreement = False
     wanted = [tid for tid in ids if tid in GRAPH_CHECKERS]
     if not wanted:
@@ -309,56 +325,32 @@ def _run_graph_checkers(
     masks = None
     if args.sample and sweeps.mask_population(n) > args.sample:
         masks = sweeps.sample_masks(n, args.sample)
-    pair_iter: Iterable[tuple[GraphAnalysis, GraphAnalysis]] = sweeps.sweep(n, masks=masks)
-    for a, co in pair_iter:
+    for a, co in sweeps.sweep(n, masks=masks):
         if args.connected and not is_connected(a.graph):
             continue
         if args.bipartite and not is_bipartite(a.graph):
             continue
-        if a.s_float is not None and a.s_float != a.rank:
-            disagreement = True
+        disagreement |= _disagrees(a) or _disagrees(co)
         for tid in wanted:
             report = GRAPH_CHECKERS[tid](a.graph, analysis=a, co=co)
-            tallies[tid].add(report)
-            _emit_report(report, as_json)
-    for tid in wanted:
-        for g in _family_extra_graphs(tid, args):
-            a = analyze_graph(g, strict=False)
-            if a.s_float is not None and a.s_float != a.rank:
-                disagreement = True
-            report = GRAPH_CHECKERS[tid](g, analysis=a)
             tallies[tid].add(report)
             _emit_report(report, as_json)
     return disagreement
 
 
-def _run_family_checkers(
+def _run_families(
     ids: list[str], args: argparse.Namespace, tallies: dict[str, _Tally],
     as_json: bool,
-) -> None:
-    lo, hi = args.path_range
-    for tid in ids:
-        if tid in PATH_CHECKERS:
-            for n in range(lo, hi + 1):
-                report = PATH_CHECKERS[tid](n)
-                tallies[tid].add(report)
-                _emit_report(report, as_json)
-        elif tid == "T46":
-            for k in range(1, args.doublestars + 1):
-                for s in range(k, args.doublestars + 1):
-                    report = check_double_star_profile(k, s)
-                    tallies[tid].add(report)
-                    _emit_report(report, as_json)
-        elif tid == "COR47":
-            for n in range(max(lo, 2), hi + 1):
-                report = check_complement_second_eigenvalue(FamilySpec("path", (n,)))
-                tallies[tid].add(report)
-                _emit_report(report, as_json)
-            for k in range(1, args.doublestars + 1):
-                report = check_complement_second_eigenvalue(
-                    FamilySpec("doublestar", (k, k)))
-                tallies[tid].add(report)
-                _emit_report(report, as_json)
+) -> bool:
+    """Check every named-family instance, each graph analysed with its
+    complement once.  Returns True if any of those analyses disagrees."""
+    instances = _family_instances(ids, args)
+    found = sweeps.analyze_with_complements(g for _, g, _ in instances)
+    for tid, g, check in instances:
+        report = check(analysis=found[g], co=found[g.complement()])
+        tallies[tid].add(report)
+        _emit_report(report, as_json)
+    return any(_disagrees(a) for a in found.values())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -371,12 +363,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: --exhaustive must be between 1 and {MAX_ENUM_ORDER}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.sample < 0:
+        print("error: --sample must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     ids = list(ALL_IDS) if args.theorem == "all" else [args.theorem]
-    tallies = {tid: _Tally(tid) for tid in ids}
+    tallies = {tid: _Tally() for tid in ids}
 
     try:
-        disagreement = _run_graph_checkers(ids, args, tallies, args.json)
-        _run_family_checkers(ids, args, tallies, args.json)
+        disagreement = _run_sweep(ids, args, tallies, args.json)
+        disagreement |= _run_families(ids, args, tallies, args.json)
     except _NUMERICAL_ERRORS as err:
         print(f"error: numerical check failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -88,9 +88,6 @@ class Graph:
         """Number of edges."""
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -188,15 +185,8 @@ def is_semiregular_bipartite(g: Graph) -> bool:
     Both sides must be non-empty (n >= 2).  Regular bipartite graphs qualify
     under this degree-based definition.
     """
-    if g.n < 2 or not is_connected(g):
-        return False
-    parts = bipartition(g)
-    if parts is None:
-        return False
-    for side in parts:
-        if len({g.degree(v) for v in side}) > 1:
-            return False
-    return True
+    parts = bipartition(g) if g.n >= 2 and is_connected(g) else None
+    return parts is not None and all(len({g.degree(v) for v in side}) == 1 for side in parts)
 
 
 # ---------------------------------------------------------------------------

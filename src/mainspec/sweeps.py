@@ -1,23 +1,24 @@
 """Chunked exhaustive sweeps over all labeled graphs of a fixed order.
 
 The enumeration is an edge-bitmask counter, streamed chunk by chunk: each
-chunk of masks becomes a (B, n, n) adjacency stack and goes through the
-batched Jacobi once.  ``analysis.finish_analyses``, the finish
-``analyze_graph`` uses, then takes the same stack in row blocks of
-``_FINISH_BLOCK`` graphs: grouping, the certified walk ranks and the
-harmonic test each run once per block, and only the records are built per
-graph.  Blocks bound the finish's temporaries: one block of a whole order-6
-chunk took a bare sweep's peak RSS from 104 to 142 MB, 2,048-row blocks
-leave it at 105 MB.
+chunk of masks becomes a (B, n, n) adjacency stack for ``analyze_stack``,
+which runs the batched Jacobi once and then ``analysis.finish_analyses``, the
+finish ``analyze_graph`` uses, in row blocks of ``_FINISH_BLOCK`` graphs:
+grouping, the certified walk ranks and the harmonic test each run once per
+block, and only the records are built per graph.  Blocks bound the finish's
+temporaries: one block of a whole order-6 chunk took a bare sweep's peak RSS
+from 104 to 142 MB, 2,048-row blocks leave it at 105 MB.
 Nearly every complement claim needs both spectra, and the complement of mask
 ``m`` is mask ``full ^ m``: complements already in the chunk are looked up,
 and only the missing ones go through a second batch.  A chunk of an order
 n <= 6 holds the whole population, so every graph is analysed once.
+``analyze_with_complements`` sends ``verify``'s named-family graphs the same
+way: each distinct graph and its complement once, one stack per order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,23 +82,39 @@ def adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
 def _analyses_for_chunk(
     n: int, masks: np.ndarray, hygiene: HygieneTracker | None
 ) -> dict[int, GraphAnalysis]:
-    adj = adjacency_stack(n, masks)
+    graphs = [Graph.from_edge_mask(n, mask) for mask in masks.tolist()]
+    return dict(zip(masks.tolist(), analyze_stack(graphs, adjacency_stack(n, masks), hygiene)))
+
+
+def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray,
+                  hygiene: HygieneTracker | None = None) -> list[GraphAnalysis]:
+    """Analyse equally-sized ``graphs`` from their (B, n, n) adjacency stack:
+    one batched Jacobi, then the finish in ``_FINISH_BLOCK``-row blocks."""
     evals, evecs, batch_hyg = spectra.eigen_decompose_batch(adj)
     if hygiene is not None:
-        hygiene.update(batch_hyg, len(masks))
+        hygiene.update(batch_hyg, len(graphs))
     proj_sq = evecs.sum(axis=1) ** 2
     del evecs
     adj = adj.astype(np.int8)  # 0/1: an eighth of the float stack, kept through the finish
-    keys = masks.tolist()
-    out: dict[int, GraphAnalysis] = {}
-    for lo in range(0, len(keys), _FINISH_BLOCK):
+    out: list[GraphAnalysis] = []
+    for lo in range(0, len(graphs), _FINISH_BLOCK):
         block = slice(lo, lo + _FINISH_BLOCK)
-        graphs = [Graph.from_edge_mask(n, mask) for mask in keys[block]]
-        out.update(zip(keys[block], finish_analyses(
-            graphs, adj[block], evals[block], proj_sq[block])))
+        out += finish_analyses(graphs[block], adj[block], evals[block], proj_sq[block])
     if hygiene is not None:
-        hygiene.fallbacks += sum(a.used_fallback for a in out.values())
+        hygiene.fallbacks += sum(a.used_fallback for a in out)
     return out
+
+
+def analyze_with_complements(graphs: Iterable[Graph]) -> dict[Graph, GraphAnalysis]:
+    """Analyse each distinct graph of ``graphs`` and its complement once, one
+    stack per order."""
+    distinct = dict.fromkeys(h for g in graphs for h in (g, g.complement()))
+    found: dict[Graph, GraphAnalysis] = {}
+    for n in sorted({h.n for h in distinct}):
+        stack = [h for h in distinct if h.n == n]
+        adj = np.stack([h.adjacency_matrix() for h in stack])
+        found.update(zip(stack, analyze_stack(stack, adj)))
+    return found
 
 
 def sweep(

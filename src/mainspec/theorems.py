@@ -24,7 +24,6 @@ from .graphs import (
     double_star,
     is_bipartite,
     is_connected,
-    is_semiregular_bipartite,
     path,
 )
 from .spectra import MAIN_TOL
@@ -405,34 +404,34 @@ def check_balanced_complete_bipartite_shift(
 # ---------------------------------------------------------------------------
 
 
-def check_path_eigenpairs(n: int) -> TheoremReport:
+def check_path_eigenpairs(n: int, *, analysis: GraphAnalysis | None = None,
+                          co: GraphAnalysis | None = None) -> TheoremReport:
     """L41: closed-form eigenpairs of the path verify, match Jacobi, all simple."""
     g = path(n)
     inst = f"path({n})"
-    a = analyze_graph(g, keep_decomposition=True, strict=False)
-    assert a.decomposition is not None
+    a = _ensure(g, analysis)
     adj = g.adjacency_matrix()
     resid_bound = 1e-10 * n
     if len(a.spectrum.groups) != n:
         return TheoremReport("L41", inst, FAILS,
                              {"distinct_groups": len(a.spectrum.groups)}, resid_bound)
-    for j in range(1, n + 1):
+    # n simple groups: their values are the sorted eigenvalues themselves.
+    for j, grp in enumerate(a.spectrum.groups, start=1):
         lam, x = exact.path_eigenpair(n, j)
         resid = float(abs(adj @ x - lam * x).max())
         if resid > resid_bound:
             return TheoremReport("L41", inst, FAILS,
                                  {"j": j, "residual": resid}, resid_bound)
-        if abs(lam - float(a.decomposition.eigenvalues[j - 1])) > TOL_EQ:
+        if abs(lam - grp.value) > TOL_EQ:
             return TheoremReport("L41", inst, FAILS,
-                                 {"j": j, "closed_form": lam,
-                                  "computed": float(a.decomposition.eigenvalues[j - 1])},
-                                 TOL_EQ)
+                                 {"j": j, "closed_form": lam, "computed": grp.value}, TOL_EQ)
     return TheoremReport("L41", inst, HOLDS, {"n": n}, resid_bound)
 
 
-def check_path_parity(n: int) -> TheoremReport:
+def check_path_parity(n: int, *, analysis: GraphAnalysis | None = None,
+                      co: GraphAnalysis | None = None) -> TheoremReport:
     """T42: path eigenvalue j (1-based, descending) is main exactly for odd j."""
-    a = analyze_graph(path(n), strict=False)
+    a = _ensure(path(n), analysis)
     inst = f"path({n})"
     if len(a.spectrum.groups) != n:
         return TheoremReport("T42", inst, FAILS,
@@ -447,9 +446,10 @@ def check_path_parity(n: int) -> TheoremReport:
                          {"n": n, "used_fallback": a.used_fallback})
 
 
-def check_path_count(n: int) -> TheoremReport:
+def check_path_count(n: int, *, analysis: GraphAnalysis | None = None,
+                     co: GraphAnalysis | None = None) -> TheoremReport:
     """C43: paths have ceil(n/2) main eigenvalues; the least is main iff n is odd."""
-    a = analyze_graph(path(n), strict=False)
+    a = _ensure(path(n), analysis)
     inst = f"path({n})"
     expected = (n + 1) // 2
     low_main = a.spectrum.groups[-1].is_main
@@ -481,7 +481,8 @@ def check_semiregular_main_pair(
     bound = lam1 * lam1 * g.n
     slack = TOL_EQ * g.n * (1.0 + lam1 * lam1)
     bound_ok = dv.sum_squares <= bound + slack
-    semireg = is_semiregular_bipartite(g)
+    parts = bipartition(g)  # is_semiregular_bipartite, minus a second is_connected
+    semireg = parts is not None and all(len({g.degree(v) for v in side}) == 1 for side in parts)
     wit: dict[str, Any] = {"sum_squares": dv.sum_squares, "lambda1_sq_n": bound,
                            "semiregular": semireg}
     if not bound_ok:
@@ -526,13 +527,14 @@ def check_rank_count(
     return TheoremReport("T45", inst, HOLDS if ok else FAILS, wit)
 
 
-def check_double_star_profile(k: int, s: int) -> TheoremReport:
+def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis | None = None,
+                              co: GraphAnalysis | None = None) -> TheoremReport:
     """T46: divisor determinant -ks(s-k)^2, quartic spectrum, and the main
     profile: four main eigenvalues when k != s (least included), two when k = s
     (least excluded)."""
     g = double_star(k, s)
     inst = f"doublestar({k},{s})"
-    a = analyze_graph(g, strict=False)
+    a = _ensure(g, analysis)
     det = exact.det_walk_divisor(k, s)
     expected_det = -k * s * (s - k) ** 2
     wit: dict[str, Any] = {"det": det, "expected_det": expected_det}
@@ -574,14 +576,15 @@ def check_double_star_profile(k: int, s: int) -> TheoremReport:
     return TheoremReport("T46", inst, HOLDS if ok else FAILS, wit, TOL_EQ)
 
 
-def check_complement_second_eigenvalue(spec: FamilySpec) -> TheoremReport:
+def check_complement_second_eigenvalue(spec: FamilySpec, *, analysis: GraphAnalysis | None = None,
+                                       co: GraphAnalysis | None = None) -> TheoremReport:
     """COR47: complements of paths carry ceil(n/2) main eigenvalues (balanced
     double stars: two); when the least eigenvalue of G is non-main, also
     lambda_2(comp) = -1 - lambda_min(G)."""
     g = build_family(spec)
     inst = spec.describe()
-    a = analyze_graph(g, strict=False)
-    c = analyze_graph(g.complement(), strict=False)
+    a = _ensure(g, analysis)
+    c = _ensure_co(g, co)
     if spec.kind == "path":
         expected = (spec.params[0] + 1) // 2
     elif spec.kind == "doublestar" and spec.params[0] == spec.params[1]:
@@ -631,7 +634,7 @@ GRAPH_CHECKERS: dict[str, Callable[..., TheoremReport]] = {
     "T45": check_rank_count,
 }
 
-PATH_CHECKERS: dict[str, Callable[[int], TheoremReport]] = {
+PATH_CHECKERS: dict[str, Callable[..., TheoremReport]] = {
     "L41": check_path_eigenpairs,
     "T42": check_path_parity,
     "C43": check_path_count,

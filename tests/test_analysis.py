@@ -118,12 +118,6 @@ def test_double_star_14_15_fallback_consistent():
     assert a.main_count == a.rank == 4
 
 
-def test_keep_decomposition():
-    a = analyze_graph(path(3), keep_decomposition=True)
-    assert a.decomposition is not None
-    assert analyze_graph(path(3)).decomposition is None
-
-
 def test_analyze_pair_orders():
     g = path(4)
     a, c = analyze_graph(g), analyze_graph(g.complement())

@@ -1,12 +1,14 @@
 """CLI behavior: formats, exit codes, JSON stability."""
+import dataclasses
 import io
 import json
 import re
 
 import pytest
 
-from mainspec import cli, spectra
+from mainspec import analysis, cli, spectra, sweeps, theorems
 from mainspec.analysis import RouteDisagreementError
+from mainspec.graphs import FamilySpec, build_family, path
 from mainspec.theorems import TheoremReport
 
 
@@ -197,6 +199,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "P21", "--exhaustive", "99")
         assert code == 2
 
+    def test_negative_sample_exit2(self, capsys):
+        code, out, err = run(capsys, "verify", "T45", "--exhaustive", "4", "--sample", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --sample must be >= 0\n"
+
     def test_unknown_id_exit2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "ZZZ"])
@@ -222,3 +230,68 @@ def test_usage_without_command():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def _disagreeing(a):
+    return dataclasses.replace(a, s_float=a.rank + 1)
+
+
+def test_complement_disagreement_in_sweep_exit3(capsys, monkeypatch):
+    real = sweeps.sweep
+
+    def sweep(n, **kwargs):
+        for a, co in real(n, **kwargs):
+            yield a, _disagreeing(co)
+
+    monkeypatch.setattr(sweeps, "sweep", sweep)
+    code, out, err = run(capsys, "verify", "T45", "--exhaustive", "3")
+    assert code == 3
+    assert "0 fails" in out  # T45 reads G's analysis only, which agrees
+    assert "cross-check disagreement" in err
+
+
+def test_complement_disagreement_in_family_exit3(capsys, monkeypatch):
+    target = path(5).complement()
+    real = sweeps.analyze_stack
+    monkeypatch.setattr(sweeps, "analyze_stack", lambda graphs, adj, hygiene=None: [
+        _disagreeing(a) if a.graph == target else a for a in real(graphs, adj, hygiene)])
+    code, out, err = run(capsys, "verify", "C43", "--paths", "5..5")
+    assert code == 3
+    assert "C43: 1 instances — 1 holds" in out
+    assert "cross-check disagreement" in err
+
+
+def test_verify_analyses_each_family_graph_once(capsys, monkeypatch):
+    stacks = []
+    batch = spectra.eigen_decompose_batch
+
+    def recording(mats):
+        stacks.append(mats.copy())
+        return batch(mats)
+
+    single = []
+    for module in (analysis, theorems, cli):
+        real = module.analyze_graph
+        monkeypatch.setattr(module, "analyze_graph",
+                            lambda g, real=real, **kw: single.append(g) or real(g, **kw))
+    monkeypatch.setattr(spectra, "eigen_decompose_batch", recording)
+    code, _, _ = run(capsys, "verify", "all", "--exhaustive", "3")
+    assert code == 0
+    assert single == []
+    sweep_stack, *family_stacks = stacks
+    assert sweep_stack.shape == (8, 3, 3)  # the order-3 population, complements included
+    orders = [s.shape[1] for s in family_stacks]
+    assert len(orders) == len(set(orders))  # one stack per order
+    # the default families: --paths 2..12, --doublestars 6, --krr 5,
+    # --harmonictrees 3, --pendants 8 3
+    specs = [FamilySpec("path", (n,)) for n in range(2, 13)]
+    specs += [FamilySpec("doublestar", (k, s)) for k in range(1, 7) for s in range(k, 7)]
+    specs += [FamilySpec("completebipartite", (r, r)) for r in range(1, 6)]
+    specs += [FamilySpec("harmonictree", (ell,)) for ell in (2, 3)]
+    specs += [FamilySpec("pendant", (q,), base=FamilySpec("cycle", (p,)))
+              for p in range(3, 9) for q in range(1, 4)]
+    expected = {h.adjacency_matrix().tobytes()
+                for g in map(build_family, specs) for h in (g, g.complement())}
+    rows = [m.tobytes() for s in family_stacks for m in s]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == expected

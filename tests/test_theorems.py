@@ -4,11 +4,12 @@ The claims themselves are theorems, so genuine "fails" verdicts cannot be
 produced by real graphs; the failure paths are exercised with doctored
 analyses where that is meaningful (T45) and otherwise by verdict gating.
 """
+import dataclasses
 import json
 
 import pytest
 
-from mainspec import spectra, theorems
+from mainspec import graphs, spectra, theorems
 from mainspec.analysis import GraphAnalysis, analyze_graph
 from mainspec.graph6 import parse_graph6
 from mainspec.graphs import (
@@ -236,6 +237,16 @@ class TestPathChecks:
     def test_count(self, n):
         assert check_path_count(n).verdict == HOLDS
 
+    def test_eigenpairs_read_the_group_values(self):
+        a = analyze_graph(path(4))
+        groups = list(a.spectrum.groups)
+        off = groups[1]
+        groups[1] = EigenGroup(off.value + 1e-6, 1, off.projection_norm_sq, off.is_main)
+        doctored = dataclasses.replace(a, spectrum=MainSpectrum(tuple(groups)))
+        rep = check_path_eigenpairs(4, analysis=doctored)
+        assert rep.verdict == FAILS
+        assert rep.witnesses["j"] == 2
+
 
 class TestSemiregular:
     def test_star_holds(self):
@@ -344,6 +355,26 @@ class TestClosingCorollary:
         assert rep.verdict == NOT_APPLICABLE
 
 
+@pytest.mark.parametrize("check, args, g", [
+    (check_path_eigenpairs, (6,), path(6)),
+    (check_path_parity, (6,), path(6)),
+    (check_path_count, (5,), path(5)),
+    (check_double_star_profile, (2, 3), double_star(2, 3)),
+    (check_complement_second_eigenvalue, (FamilySpec("path", (4,)),), path(4)),
+], ids=["L41", "T42", "C43", "T46", "COR47"])
+def test_family_checkers_use_given_analyses(monkeypatch, check, args, g):
+    # analysis= and co= mean what they mean for the graph checkers: inputs
+    # that replace the checker's own analyze_graph calls
+    alone = check(*args)
+    a, co = analyze_graph(g, strict=False), analyze_graph(g.complement(), strict=False)
+
+    def forbidden(h, **kwargs):
+        raise AssertionError(f"re-analysed {h}")
+
+    monkeypatch.setattr(theorems, "analyze_graph", forbidden)
+    assert check(*args, analysis=a, co=co) == alone
+
+
 def test_every_graph_checker_on_small_sweep():
     # no checker may crash or fail on any real graph up to order 4
     for mask in range(mask_population(4)):
@@ -358,20 +389,22 @@ def test_every_graph_checker_on_small_sweep():
 @pytest.mark.parametrize("check", [check_bipartite_harmonic_nonmain,
                                    check_balanced_complete_bipartite_shift,
                                    check_semiregular_main_pair])
-@pytest.mark.parametrize("g", [complete_bipartite(2, 2), cycle(5), path(4),
-                               Graph.from_edge_mask(4, 0b000011)],
-                         ids=["K22", "C5", "P4", "P3+K1"])
+@pytest.mark.parametrize("g", [complete_bipartite(2, 2), complete_bipartite(2, 3), cycle(5),
+                               path(4), Graph.from_edge_mask(4, 0b000011)],
+                         ids=["K22", "K23", "C5", "P4", "P3+K1"])
 def test_structural_predicates_run_once_per_check(monkeypatch, check, g):
-    # Not-applicable witnesses reuse the predicate that decided applicability.
+    # Not-applicable witnesses reuse the predicate that decided applicability,
+    # and no predicate of graphs (is_bipartite, is_semiregular_bipartite)
+    # repeats a search the checker already ran.
     calls = []
-    for name in ("bipartition", "is_bipartite", "is_connected"):
-        real = getattr(theorems, name)
-        monkeypatch.setattr(theorems, name,
-                            lambda h, real=real, name=name: calls.append(name) or real(h))
+    for name in ("bipartition", "is_connected"):
+        real = getattr(graphs, name)
+        counted = lambda h, real=real, name=name: calls.append(name) or real(h)
+        monkeypatch.setattr(graphs, name, counted)
+        monkeypatch.setattr(theorems, name, counted)
     a = analyze_graph(g)
     report = check(g, analysis=a, co=analyze_graph(g.complement()))
     assert len(calls) == len(set(calls)), calls
-    assert "bipartition" not in calls or "is_bipartite" not in calls
     assert report.verdict in (HOLDS, NOT_APPLICABLE)
 
 
