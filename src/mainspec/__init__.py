@@ -40,7 +40,6 @@ from .graphs import (
     harmonic_tree,
     is_bipartite,
     is_connected,
-    is_semiregular_bipartite,
     path,
     pendant_decorated,
     star,
@@ -98,7 +97,6 @@ __all__ = [
     "harmonic_tree",
     "is_bipartite",
     "is_connected",
-    "is_semiregular_bipartite",
     "parse_edgelist",
     "parse_graph6",
     "path",

@@ -233,13 +233,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _parse_path_range(raw: str) -> tuple[int, int]:
-    if ".." in raw:
-        lo_s, hi_s = raw.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo, hi = 2, int(raw)
+    bad = ValueError(f"bad path range {raw!r}")
+    try:
+        lo, hi = map(int, raw.split("..", 1)) if ".." in raw else (2, int(raw))
+    except ValueError:
+        raise bad from None
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad path range {raw!r}")
+        raise bad
     return lo, hi
 
 
@@ -363,9 +363,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: --exhaustive must be between 1 and {MAX_ENUM_ORDER}",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.sample < 0:
-        print("error: --sample must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, size in (("--doublestars", args.doublestars), ("--krr", args.krr),
+                       ("--harmonictrees", args.harmonictrees),
+                       ("--pendants", min(args.pendants)), ("--sample", args.sample)):
+        if size < 0:
+            print(f"error: {flag} must be >= 0", file=sys.stderr)
+            return EXIT_USAGE
     ids = list(ALL_IDS) if args.theorem == "all" else [args.theorem]
     tallies = {tid: _Tally() for tid in ids}
 

@@ -4,10 +4,10 @@ Every result here is an exact integer fact, whatever the conditioning of the
 floating spectrum; no float enters.  The analysis pipeline passes stacks of
 graphs (a single graph is a stack of one): their walk ranks come from a mod-p
 Krylov elimination whose dependency is then checked exactly in int64, and
-from fraction-free Bareiss elimination over arbitrary-precision Python
-integers where that certificate does not apply; their harmonic levels come
-from one int64 product.  This module is the cross-check counterpart of
-:mod:`mainspec.spectra`.
+from fraction-free Bareiss elimination, column by column with row swaps
+only, over arbitrary-precision Python integers where that certificate does
+not apply; their harmonic levels come from one int64 product.  This module
+is the cross-check counterpart of :mod:`mainspec.spectra`.
 """
 from __future__ import annotations
 
@@ -44,48 +44,41 @@ def walk_matrix(g: Graph) -> WalkMatrix:
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Fraction-free Bareiss elimination; returns (rank, swap sign, last pivot).
 
-    Pivots are chosen by largest magnitude over the whole remaining submatrix
-    (full pivoting).  Every row or column swap flips the sign, and the Bareiss
-    update keeps every intermediate value an exact integer.  For a square
-    matrix of full rank, sign times the last pivot is the determinant.
+    Columns are taken in order: each pivots on its first non-zero entry at or
+    below the current row, and a column with none is skipped.  Only rows are
+    swapped, each swap flipping the sign.  By Sylvester's identity every
+    intermediate value is a minor of the input, so the divisions are exact
+    whatever the pivots; exact arithmetic gains nothing from a large one, and
+    on a walk matrix, whose column k grows like lambda_1^k, column order
+    builds the early minors from the small columns.  For a square matrix of
+    full rank, sign times the last pivot is the determinant.
     """
     m = [list(map(int, row)) for row in rows]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
     sign = 1
     prev = 1
     r = 0
-    while r < min(nrows, ncols):
-        pi, pj, best = -1, -1, 0
-        for i in range(r, nrows):
-            mi = m[i]
-            for j in range(r, ncols):
-                v = mi[j]
-                if v and abs(v) > best:
-                    pi, pj, best = i, j, abs(v)
+    for c in range(len(m[0]) if m else 0):
+        pi = next((i for i in range(r, nrows) if m[i][c]), -1)
         if pi < 0:
-            break
+            continue
         if pi != r:
             m[pi], m[r] = m[r], m[pi]
             sign = -sign
-        if pj != r:
-            for row in m:
-                row[pj], row[r] = row[r], row[pj]
-            sign = -sign
-        piv = m[r][r]
-        for i in range(r + 1, nrows):
-            mi = m[i]
-            f = mi[r]
-            for j in range(r + 1, ncols):
-                mi[j] = (mi[j] * piv - f * m[r][j]) // prev
-            mi[r] = 0
+        pivot_row = m[r]
+        piv = pivot_row[c]
+        for mi in m[r + 1:]:
+            f = mi[c]
+            for j in range(c + 1, len(mi)):
+                mi[j] = (mi[j] * piv - f * pivot_row[j]) // prev
+            mi[c] = 0
         prev = piv
         r += 1
     return r, sign, prev
 
 
 def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals (row and column swaps do not change it)."""
+    """Rank over the rationals."""
     return _bareiss(rows)[0]
 
 

@@ -179,16 +179,6 @@ def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
 
 
-def is_semiregular_bipartite(g: Graph) -> bool:
-    """Connected, bipartite, and degree-constant within each side.
-
-    Both sides must be non-empty (n >= 2).  Regular bipartite graphs qualify
-    under this degree-based definition.
-    """
-    parts = bipartition(g) if g.n >= 2 and is_connected(g) else None
-    return parts is not None and all(len({g.degree(v) for v in side}) == 1 for side in parts)
-
-
 # ---------------------------------------------------------------------------
 # Named families.  Every builder documents its vertex order; reports and the
 # CLI rely on these labels being stable.

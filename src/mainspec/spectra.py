@@ -62,11 +62,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual_bound: float
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,7 @@ def _rotate(xp: np.ndarray, xq: np.ndarray, c: np.ndarray, s: np.ndarray) -> Non
     xp[...], xq[...] = c * xp - s * xq, s * xp + c * xq
 
 
-def _jacobi_batch(a: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi over a (B, n, n) stack in round-robin order.
 
     A sweep is n-1 steps (n for odd n), and each step rotates its floor(n/2)
@@ -189,7 +184,7 @@ def _jacobi_batch(a: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndar
     pairs = np.arange(0, n - 1, 2)
     stop = 1e-14 * max(1.0, float(np.abs(a).max()))
     iu = np.triu_indices(n, 1)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if float(np.abs(a[:, iu[0], iu[1]]).max()) <= stop:
             return np.diagonal(a, axis1=1, axis2=2).copy(), v
         for _step in range(n - 1 + (n & 1)):
@@ -206,7 +201,7 @@ def _jacobi_batch(a: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndar
             a[:, pairs + 1, pairs] = 0.0
             a = a[:, perm[:, None], perm]
             v = v[:, :, perm]
-    raise ConvergenceError(f"no convergence after {max_sweeps} cyclic sweeps (n={n})")
+    raise ConvergenceError(f"no convergence after {_MAX_SWEEPS} cyclic sweeps (n={n})")
 
 
 def _require(what: str, values: np.ndarray, bounds: np.ndarray | float, n: int) -> None:
@@ -221,8 +216,8 @@ def eigen_decompose(g: Graph) -> EigenDecomposition:
 
     A batch of one through :func:`eigen_decompose_batch`.
     """
-    evals, evecs, hygiene = eigen_decompose_batch(g.adjacency_matrix()[None])
-    return EigenDecomposition(evals[0], evecs[0], hygiene["residual"])
+    evals, evecs, _ = eigen_decompose_batch(g.adjacency_matrix()[None])
+    return EigenDecomposition(evals[0], evecs[0])
 
 
 def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:

@@ -481,7 +481,7 @@ def check_semiregular_main_pair(
     bound = lam1 * lam1 * g.n
     slack = TOL_EQ * g.n * (1.0 + lam1 * lam1)
     bound_ok = dv.sum_squares <= bound + slack
-    parts = bipartition(g)  # is_semiregular_bipartite, minus a second is_connected
+    parts = bipartition(g)
     semireg = parts is not None and all(len({g.degree(v) for v in side}) == 1 for side in parts)
     wit: dict[str, Any] = {"sum_squares": dv.sum_squares, "lambda1_sq_n": bound,
                            "semiregular": semireg}

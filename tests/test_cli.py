@@ -104,6 +104,16 @@ def test_numerical_failure_exit4(capsys, monkeypatch, argv, error):
     assert err == "error: numerical check failed: injected\n"
 
 
+def test_jacobi_sweep_cap_exit4(capsys, monkeypatch):
+    # One sweep cannot diagonalise P_6, so the real raise site is reached.
+    monkeypatch.setattr(spectra, "_MAX_SWEEPS", 1)
+    code, out, err = run(capsys, "analyze", "EhCG")
+    assert code == 4
+    assert out == ""
+    assert err == ("error: numerical check failed: "
+                   "no convergence after 1 cyclic sweeps (n=6)\n")
+
+
 class TestGenerate:
     @pytest.mark.parametrize("argv,expected", [
         (("path", "4"), "Ch"),
@@ -204,6 +214,22 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: --sample must be >= 0\n"
+
+    @pytest.mark.parametrize("raw", ["x", "2..y", "..", "3.5"])
+    def test_non_integer_range_exit2(self, capsys, raw):
+        code, out, err = run(capsys, "verify", "C43", "--paths", raw)
+        assert (code, out, err) == (2, "", f"error: bad path range {raw!r}\n")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("--doublestars", "-2"), "--doublestars"),
+        (("--krr", "-1"), "--krr"),
+        (("--harmonictrees", "-5"), "--harmonictrees"),
+        (("--pendants", "3", "-1"), "--pendants"),
+        (("--pendants", "-3", "1"), "--pendants"),
+    ])
+    def test_negative_family_size_exit2(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", "all", "--exhaustive", "3", *argv)
+        assert (code, out, err) == (2, "", f"error: {flag} must be >= 0\n")
 
     def test_unknown_id_exit2(self, capsys):
         with pytest.raises(SystemExit) as exc:

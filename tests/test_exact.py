@@ -84,6 +84,48 @@ def test_det_matches_fraction_oracle(rows):
     assert exact.exact_det([list(r) for r in rows]) == det.numerator
 
 
+def _factor(rows, cols):
+    return st.lists(st.lists(st.integers(min_value=-5, max_value=5), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+# An r x k times k x c product has rank at most k, so shapes up to 7 x 7 come
+# out rectangular and often rank deficient: whole columns are left without a
+# pivot once the rows below the current one have been cleared.
+low_rank_matrix = st.tuples(*[st.integers(min_value=1, max_value=7)] * 3).flatmap(
+    lambda rkc: st.tuples(_factor(rkc[0], rkc[1]), _factor(rkc[1], rkc[2]))
+).map(lambda ab: [[sum(x * y for x, y in zip(row, col)) for col in zip(*ab[1])]
+                  for row in ab[0]])
+
+
+@settings(max_examples=300)
+@given(low_rank_matrix)
+def test_low_rank_products_match_fraction_oracle(rows):
+    assert exact.exact_rank(rows) == fraction_rank(rows)
+    if len(rows) == len(rows[0]):
+        assert exact.exact_det(rows) == fraction_det(rows)
+
+
+def _gnp(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+
+
+@pytest.mark.parametrize("g", [
+    path(10), path(17), path(24),
+    pendant_decorated(cycle(5), 1), pendant_decorated(cycle(4), 2),
+    pendant_decorated(cycle(8), 2),
+    double_star(4, 4), double_star(5, 9), double_star(11, 11),
+    _gnp(12, 0.3, 1), _gnp(18, 0.3, 2), _gnp(24, 0.5, 3),
+], ids=["P10", "P17", "P24", "C5q1", "C4q2", "C8q2", "T4_4", "T5_9", "T11_11",
+        "G12", "G18", "G24"])
+def test_walk_rank_matches_fraction_oracle(g):
+    for h in (g, g.complement()):
+        w = exact.walk_matrix(h)
+        assert w.rank == fraction_rank(w.entries)
+
+
 def test_rank_rectangular():
     assert exact.exact_rank([[1, 2, 3], [2, 4, 6]]) == 1
     assert exact.exact_rank([[1, 0], [0, 1], [1, 1]]) == 2

@@ -17,7 +17,6 @@ from mainspec.graphs import (
     harmonic_tree,
     is_bipartite,
     is_connected,
-    is_semiregular_bipartite,
     path,
     pendant_decorated,
     star,
@@ -155,22 +154,6 @@ class TestPredicates:
         assert set(left) | set(right) == set(range(g.n))
         for u, v in g.edges():
             assert (u in left) != (v in left)
-
-    def test_semiregular_star(self):
-        assert is_semiregular_bipartite(star(4))
-
-    def test_semiregular_double_star_false(self):
-        # centers land in the same part with degrees 3 and 4
-        assert not is_semiregular_bipartite(double_star(2, 3))
-
-    def test_semiregular_needs_connected(self):
-        assert not is_semiregular_bipartite(Graph.from_edges(4, [(0, 1), (2, 3)]))
-
-    def test_semiregular_odd_cycle_false(self):
-        assert not is_semiregular_bipartite(cycle(5))
-
-    def test_semiregular_unbalanced_complete_bipartite(self):
-        assert is_semiregular_bipartite(complete_bipartite(2, 5))
 
 
 class TestFamilies:

@@ -279,6 +279,26 @@ class TestSemiregular:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert check_semiregular_main_pair(g).verdict == NOT_APPLICABLE
 
+    # T44 decides semi-regularity itself; these pin its witness.
+    def test_semiregular_star(self):
+        assert check_semiregular_main_pair(star(4)).witnesses["semiregular"] is True
+
+    def test_semiregular_double_star_false(self):
+        # centers land in the same part with degrees 3 and 4
+        assert check_semiregular_main_pair(double_star(2, 3)).witnesses["semiregular"] is False
+
+    def test_semiregular_needs_connected(self):
+        rep = check_semiregular_main_pair(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        assert rep.verdict == NOT_APPLICABLE
+        assert rep.witnesses == {"n": 4, "connected": False}
+
+    def test_semiregular_odd_cycle_false(self):
+        assert check_semiregular_main_pair(cycle(5)).witnesses["semiregular"] is False
+
+    def test_semiregular_unbalanced_complete_bipartite(self):
+        rep = check_semiregular_main_pair(complete_bipartite(2, 5))
+        assert rep.witnesses["semiregular"] is True
+
 
 class TestRankCount:
     def test_holds_on_paths(self):
@@ -394,8 +414,8 @@ def test_every_graph_checker_on_small_sweep():
                          ids=["K22", "K23", "C5", "P4", "P3+K1"])
 def test_structural_predicates_run_once_per_check(monkeypatch, check, g):
     # Not-applicable witnesses reuse the predicate that decided applicability,
-    # and no predicate of graphs (is_bipartite, is_semiregular_bipartite)
-    # repeats a search the checker already ran.
+    # and no predicate of graphs (is_bipartite, say) repeats a search the
+    # checker already ran; T44 tests semi-regularity on its own bipartition.
     calls = []
     for name in ("bipartition", "is_connected"):
         real = getattr(graphs, name)
