@@ -32,7 +32,7 @@ class RouteDisagreementError(RuntimeError):
         self.rank = rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphAnalysis:
     """Everything the checkers need about one graph.
 
@@ -74,23 +74,24 @@ class GraphAnalysis:
 
 
 def resolve_spectrum(
-    spectrum: spectra.MainSpectrum, flags: list[bool], gray: list[int], rank: int
+    spectrum: spectra.MainSpectrum, flags: list[bool | None], gray: list[int], rank: int
 ) -> tuple[spectra.MainSpectrum, int | None, bool]:
     """Combine threshold flags with the exact rank; returns (final, s_float, fallback).
 
     No gray groups: the float flags stand, and disagreement with the rank is
-    the caller's business to surface.  Gray groups present: the float count is
-    meaningless, so the exact rank picks how many groups are main.
+    the caller's business to surface; groups that already carry their flags,
+    as ``spectra.build_groups`` makes them, are kept as they are.  Gray
+    groups present: the float count is meaningless, so the exact rank picks
+    how many groups are main.
     """
-    if not gray:
-        classified = spectra.MainSpectrum(
-            tuple(
-                spectra.EigenGroup(g.value, g.multiplicity, g.projection_norm_sq, f)
-                for g, f in zip(spectrum.groups, flags)
-            )
-        )
-        return classified, classified.main_count, False
-    return spectra.resolve_with_rank(spectrum, rank), None, True
+    if gray:
+        return spectra.resolve_with_rank(spectrum, rank), None, True
+    if any(grp.is_main is not flag for grp, flag in zip(spectrum.groups, flags)):
+        spectrum = spectra.MainSpectrum(tuple(
+            spectra.EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq, flag)
+            for grp, flag in zip(spectrum.groups, flags)
+        ))
+    return spectrum, spectrum.main_count, False
 
 
 def finish_analyses(
@@ -100,10 +101,12 @@ def finish_analyses(
 
     ``adj`` is the (B, n, n) adjacency stack of ``graphs``, ``evals`` their
     sorted eigenvalues and ``proj_sq`` the per-eigenvector all-ones
-    projections, one row per graph.  Grouping, walk ranks and the harmonic
-    test run once over the whole stack; then each graph's groups are flagged
-    and reconciled with its exact rank.  A confident disagreement is left in
-    the result (``s_float != rank``) for the caller to act on.
+    projections, one row per graph.  Grouping with the float flags, walk
+    ranks and the harmonic test run once over the whole stack; then each
+    graph's flags are reconciled with its exact rank, and only a graph with
+    a gray group gets its groups rebuilt, by the rank.  A confident
+    disagreement is left in the result (``s_float != rank``) for the caller
+    to act on.
     """
     groups = spectra.build_groups(evals, proj_sq)
     adj = adj.astype(np.int64)
@@ -111,7 +114,8 @@ def finish_analyses(
     levels = exact.harmonic_levels(adj)
     out = []
     for g, grp, rank, level in zip(graphs, groups, ranks, levels):
-        flags, gray = spectra.classify_flags(grp, g.n)
+        flags = [x.is_main for x in grp]
+        gray = [i for i, flag in enumerate(flags) if flag is None]
         resolved, s_float, used_fallback = resolve_spectrum(
             spectra.MainSpectrum(tuple(grp)), flags, gray, rank
         )

@@ -50,6 +50,11 @@ _NUMERICAL_ERRORS = (AmbiguousGroupingError, ConvergenceError, SpectralInvariant
 
 _MAX_FAIL_DETAIL = 20  # failing witnesses printed per claim in table mode
 
+# How long a full sweep of these orders runs: order 6 (32,768 graphs) takes
+# seconds, order 7 has 64 times as many graphs and order 8 8,192 times, so
+# verify says so before it starts.
+_LONG_SWEEPS = {7: "minutes", 8: "hours"}
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -302,11 +307,6 @@ class _Tally:
         return self.holds + self.fails + self.skipped
 
 
-def _emit_report(report: TheoremReport, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_json()))
-
-
 def _disagrees(a: GraphAnalysis) -> bool:
     return a.s_float is not None and a.s_float != a.rank
 
@@ -322,19 +322,25 @@ def _run_sweep(
     if not wanted:
         return False
     n = args.exhaustive
+    population = sweeps.mask_population(n)
     masks = None
-    if args.sample and sweeps.mask_population(n) > args.sample:
+    if args.sample and population > args.sample:
         masks = sweeps.sample_masks(n, args.sample)
+    elif n in _LONG_SWEEPS:
+        print(f"note: --exhaustive {n} sweeps all {population:,} labeled graphs, which "
+              f"takes {_LONG_SWEEPS[n]}; --sample K checks K of them", file=sys.stderr)
+    checks = [(GRAPH_CHECKERS[tid], tallies[tid]) for tid in wanted]
     for a, co in sweeps.sweep(n, masks=masks):
         if args.connected and not is_connected(a.graph):
             continue
         if args.bipartite and not is_bipartite(a.graph):
             continue
         disagreement |= _disagrees(a) or _disagrees(co)
-        for tid in wanted:
-            report = GRAPH_CHECKERS[tid](a.graph, analysis=a, co=co)
-            tallies[tid].add(report)
-            _emit_report(report, as_json)
+        for check, tally in checks:
+            report = check(a.graph, analysis=a, co=co)
+            tally.add(report)
+            if as_json:
+                print(json.dumps(report.to_json()))
     return disagreement
 
 
@@ -349,7 +355,8 @@ def _run_families(
     for tid, g, check in instances:
         report = check(analysis=found[g], co=found[g.complement()])
         tallies[tid].add(report)
-        _emit_report(report, as_json)
+        if as_json:
+            print(json.dumps(report.to_json()))
     return any(_disagrees(a) for a in found.values())
 
 

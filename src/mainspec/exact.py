@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, degree_data, per_graph
 
 
 @dataclass(frozen=True)
@@ -424,6 +424,7 @@ def harmonic_levels(adj: np.ndarray) -> list[int | None]:
     return [e if h else None for e, h in zip(ell.tolist(), harmonic.tolist())]
 
 
+@per_graph
 def pseudo_regular_ratio(g: Graph) -> tuple[int, int] | None:
     """Average-neighbor-degree ratio (p, q) if it is the same at every vertex.
 
@@ -431,18 +432,19 @@ def pseudo_regular_ratio(g: Graph) -> tuple[int, int] | None:
     fraction sum(deg of neighbors)/deg as (numerator, denominator), or None
     if the ratio varies (or some vertex is isolated).
     """
-    degs = g.degrees()
-    if any(d == 0 for d in degs):
+    degs = degree_data(g).degrees
+    if 0 in degs:
         return None
-    nbrs = g.neighbor_lists()
-    ratio: tuple[int, int] | None = None
-    for v in range(g.n):
-        num = sum(degs[w] for w in nbrs[v])
-        den = degs[v]
-        common = math.gcd(num, den)
-        cur = (num // common, den // common)
-        if ratio is None:
-            ratio = cur
-        elif ratio != cur:
+    num0 = den0 = 0
+    for v, row in enumerate(g.rows):
+        num = 0
+        while row:
+            low = row & -row
+            num += degs[low.bit_length() - 1]
+            row ^= low
+        if v == 0:
+            num0, den0 = num, degs[0]
+        elif num * den0 != num0 * degs[v]:
             return None
-    return ratio
+    common = math.gcd(num0, den0)
+    return num0 // common, den0 // common

@@ -15,7 +15,7 @@ those instances against the exact integer route.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,13 +64,14 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenGroup:
     """One numerically-equal eigenvalue cluster.
 
     ``projection_norm_sq`` is ||P j||^2, the squared length of the all-ones
     vector's projection onto the group eigenspace (basis independent).
-    ``is_main`` is None until classification has run.
+    ``is_main`` is None while undecided: before classification, or where the
+    float route abstains because the projection sits in the gray band.
     """
 
     value: float
@@ -79,16 +80,23 @@ class EigenGroup:
     is_main: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MainSpectrum:
+    """Eigenvalue groups, largest first; the main values are collected once."""
+
     groups: tuple[EigenGroup, ...]
+    _main_values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_main_values", tuple(g.value for g in self.groups if g.is_main))
 
     @property
     def main_count(self) -> int:
-        return sum(1 for g in self.groups if g.is_main)
+        return len(self._main_values)
 
     def main_values(self) -> tuple[float, ...]:
-        return tuple(g.value for g in self.groups if g.is_main)
+        return self._main_values
 
     @property
     def classified(self) -> bool:
@@ -257,7 +265,8 @@ def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dic
 
 
 def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup]]:
-    """Cluster each row of a (B, n) stack of sorted eigenvalues; one group list per row.
+    """Cluster and classify each row of a (B, n) stack of sorted eigenvalues;
+    one group list per row.
 
     A gap larger than the row's grouping tolerance starts a new run.  A
     group's value is the mean of its run and its projection the sum of the
@@ -267,6 +276,10 @@ def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup
     runs of 8 or more take numpy's own sum.  Raises AmbiguousGroupingError
     when two neighboring representatives end up closer than 3x the grouping
     tolerance, which would make the clustering order dependent.
+
+    Each group is built once, with the float route's own flag: the
+    ``classify_flags`` threshold at order n, or None inside the gray band,
+    where the caller must fall back on the exact rank.
     """
     B, n = evals.shape
     tau = GROUP_TOL * np.maximum(1.0, np.abs(evals).max(axis=1))
@@ -295,16 +308,34 @@ def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup
             f"group representatives {float(values[b, r])!r} and "
             f"{float(values[b, r + 1])!r} are closer than {3.0 * tau[b]:.3e}"
         )
+    main, gray = _main_flags(proj, n)
+    flags = main.tolist()
+    for b, r in np.argwhere(gray & (np.arange(n) < count[:, None])).tolist():
+        flags[b][r] = None
     return [
-        [EigenGroup(*grp) for grp in zip(v[:k], m[:k], p[:k])]
-        for v, m, p, k in zip(values.tolist(), mult.tolist(), proj.tolist(), count.tolist())
+        [EigenGroup(*grp) for grp in zip(v[:k], m[:k], p[:k], f[:k])]
+        for v, m, p, f, k in zip(values.tolist(), mult.tolist(), proj.tolist(), flags,
+                                 count.tolist())
     ]
 
 
 def group_eigenvalues(d: EigenDecomposition) -> MainSpectrum:
-    """Grouping step only: clusters with projections, no main flags yet."""
+    """Grouping with the float route's own flags; no exact-rank fallback, so
+    gray-band groups stay undecided (None)."""
     proj_sq = d.eigenvectors.sum(axis=0) ** 2
     return MainSpectrum(tuple(build_groups(d.eigenvalues[None], proj_sq[None])[0]))
+
+
+def _main_flags(proj: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold decisions on a (B, k) stack of group projections at order n:
+    (main, gray) boolean arrays.  Column 0 holds the top group, whose
+    eigenspace always meets the all-ones vector: always main, never gray."""
+    tau = MAIN_TOL * n
+    main = proj > tau
+    gray = (GRAY_LO * tau <= proj) & (proj <= GRAY_HI * tau)
+    main[:, 0] = True
+    gray[:, 0] = False
+    return main, gray
 
 
 def classify_flags(
@@ -312,22 +343,12 @@ def classify_flags(
 ) -> tuple[list[bool], list[int]]:
     """Threshold decision per group; returns (flags, gray group indices).
 
-    The top group holds the largest eigenvalue, whose eigenspace always meets
-    the all-ones vector, so it is never demoted and never counts as gray.
+    A projection above MAIN_TOL * n is main; one within [GRAY_LO, GRAY_HI]
+    times that threshold is gray, too close to call.  The top group is never
+    demoted and never counts as gray.
     """
-    tau = MAIN_TOL * n
-    flags: list[bool] = []
-    gray: list[int] = []
-    for idx, grp in enumerate(groups):
-        if idx == 0:
-            flags.append(True)
-            continue
-        if GRAY_LO * tau <= grp.projection_norm_sq <= GRAY_HI * tau:
-            gray.append(idx)
-            flags.append(grp.projection_norm_sq > tau)
-        else:
-            flags.append(grp.projection_norm_sq > tau)
-    return flags, gray
+    main, gray = _main_flags(np.array([[grp.projection_norm_sq for grp in groups]]), n)
+    return main[0].tolist(), np.flatnonzero(gray[0]).tolist()
 
 
 def resolve_with_rank(spectrum: MainSpectrum, rank: int) -> MainSpectrum:

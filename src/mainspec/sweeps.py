@@ -1,7 +1,8 @@
 """Chunked exhaustive sweeps over all labeled graphs of a fixed order.
 
 The enumeration is an edge-bitmask counter, streamed chunk by chunk: each
-chunk of masks becomes a (B, n, n) adjacency stack for ``analyze_stack``,
+chunk of masks becomes a (B, n, n) adjacency stack, its graphs' neighbor
+bitmasks are read off that stack in one step, and it goes to ``analyze_stack``,
 which runs the batched Jacobi once and then ``analysis.finish_analyses``, the
 finish ``analyze_graph`` uses, in row blocks of ``_FINISH_BLOCK`` graphs:
 grouping, the certified walk ranks and the harmonic test each run once per
@@ -82,8 +83,11 @@ def adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
 def _analyses_for_chunk(
     n: int, masks: np.ndarray, hygiene: HygieneTracker | None
 ) -> dict[int, GraphAnalysis]:
-    graphs = [Graph.from_edge_mask(n, mask) for mask in masks.tolist()]
-    return dict(zip(masks.tolist(), analyze_stack(graphs, adjacency_stack(n, masks), hygiene)))
+    adj = adjacency_stack(n, masks)
+    # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
+    graphs = [Graph(n, tuple(rows))
+              for rows in (adj @ 2.0 ** np.arange(n)).astype(np.int64).tolist()]
+    return dict(zip(masks.tolist(), analyze_stack(graphs, adj, hygiene)))
 
 
 def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray,

@@ -4,12 +4,19 @@ Every checker returns a TheoremReport with verdict "holds", "fails" or
 "not-applicable" (hypotheses unmet).  Checkers never assert; failures are
 data, so sweeps can keep going and report totals.  Claim ids are the stable
 tokens used by the CLI; CLAIMS maps them to plain-language statements.
+
+A sweep runs all 16 graph checkers on one graph before the next, so they read
+its structural facts (degrees, connectivity, bipartition, pseudo-regular
+ratio) through the ``per_graph`` functions of :mod:`mainspec.graphs`, each
+computed once per graph, and its main values from the spectrum, collected
+once.  A report holds the graph itself and serialises its graph6 label only
+when ``instance`` is first read, once per graph, so a run that prints only
+failures serialises only those.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable
 
 from . import exact
@@ -25,6 +32,7 @@ from .graphs import (
     is_bipartite,
     is_connected,
     path,
+    per_graph,
 )
 from .spectra import MAIN_TOL
 
@@ -43,13 +51,32 @@ FAILS = "fails"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class TheoremReport:
+    """One verdict on one instance.
+
+    ``subject`` is the graph checked, or a family description such as
+    ``path(6)``; ``instance`` is its label, for a graph its graph6 string.
+    Reports compare by label.
+    """
+
     theorem_id: str
-    instance: str
+    subject: Graph | str
     verdict: str
     witnesses: dict[str, Any] = field(default_factory=dict)
     tolerance: float | None = None
+
+    @property
+    def instance(self) -> str:
+        subject = self.subject
+        return subject if isinstance(subject, str) else _graph6(subject)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TheoremReport):
+            return NotImplemented
+        return (self.theorem_id, self.instance, self.verdict, self.witnesses,
+                self.tolerance) == (other.theorem_id, other.instance, other.verdict,
+                                    other.witnesses, other.tolerance)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -73,10 +100,8 @@ def json_clean(value: Any) -> Any:
     return str(value)
 
 
-@lru_cache(maxsize=64)
-def _label(g: Graph) -> str:
-    """graph6 instance label; cached because a sweep runs every checker on one
-    graph before the next.  Bounded: an order-8 sweep passes 2^28 graphs."""
+@per_graph
+def _graph6(g: Graph) -> str:
     return serialize_graph6(g).decode("ascii")
 
 
@@ -102,9 +127,8 @@ def check_two_main_relation(
 ) -> TheoremReport:
     """P21: with exactly two main groups, the second is a closed form of n, m, sum d^2."""
     a = _ensure(g, analysis)
-    inst = _label(g)
     if a.main_count != 2:
-        return TheoremReport("P21", inst, NOT_APPLICABLE,
+        return TheoremReport("P21", g, NOT_APPLICABLE,
                              {"main_count": a.main_count})
     lam1, lami = a.spectrum.main_values()
     dv = degree_data(g)
@@ -120,7 +144,7 @@ def check_two_main_relation(
         ok = abs(lami - rhs) <= TOL_REL * max(1.0, abs(lami))
         wit["rhs"] = rhs
         wit["form"] = "ratio"
-    return TheoremReport("P21", inst, HOLDS if ok else FAILS, wit, TOL_REL)
+    return TheoremReport("P21", g, HOLDS if ok else FAILS, wit, TOL_REL)
 
 
 def check_zero_main_index(
@@ -128,16 +152,15 @@ def check_zero_main_index(
 ) -> TheoremReport:
     """C22: if the second of exactly two main eigenvalues is 0, lambda_1 = sum d^2 / 2m."""
     a = _ensure(g, analysis)
-    inst = _label(g)
     if a.main_count != 2:
-        return TheoremReport("C22", inst, NOT_APPLICABLE, {"main_count": a.main_count})
+        return TheoremReport("C22", g, NOT_APPLICABLE, {"main_count": a.main_count})
     lam1, lami = a.spectrum.main_values()
     if abs(lami) > TOL_EQ:
-        return TheoremReport("C22", inst, NOT_APPLICABLE, {"lambda_i": lami})
+        return TheoremReport("C22", g, NOT_APPLICABLE, {"lambda_i": lami})
     dv = degree_data(g)
     expected = dv.sum_squares / (2.0 * dv.m)
     ok = abs(lam1 - expected) <= TOL_EQ
-    return TheoremReport("C22", inst, HOLDS if ok else FAILS,
+    return TheoremReport("C22", g, HOLDS if ok else FAILS,
                          {"lambda1": lam1, "expected": expected}, TOL_EQ)
 
 
@@ -151,19 +174,19 @@ def check_bipartite_harmonic_nonmain(
 ) -> TheoremReport:
     """L23: bipartite harmonic with an edge puts -lambda_1 in the spectrum, non-main."""
     a = _ensure(g, analysis)
-    inst = _label(g)
+    m = degree_data(g).m
     bipartite = is_bipartite(g)
-    if not (a.is_harmonic and g.m >= 1 and bipartite):
-        return TheoremReport("L23", inst, NOT_APPLICABLE,
-                             {"harmonic": a.is_harmonic, "m": g.m, "bipartite": bipartite})
+    if not (a.is_harmonic and m >= 1 and bipartite):
+        return TheoremReport("L23", g, NOT_APPLICABLE,
+                             {"harmonic": a.is_harmonic, "m": m, "bipartite": bipartite})
     lam1 = a.lambda_max
     target = -lam1
     grp = next((gr for gr in a.spectrum.groups if abs(gr.value - target) <= TOL_EQ), None)
     if grp is None:
-        return TheoremReport("L23", inst, FAILS,
+        return TheoremReport("L23", g, FAILS,
                              {"lambda1": lam1, "missing": target}, TOL_EQ)
     ok = grp.is_main is False
-    return TheoremReport("L23", inst, HOLDS if ok else FAILS,
+    return TheoremReport("L23", g, HOLDS if ok else FAILS,
                          {"lambda1": lam1, "neg_group_main": grp.is_main,
                           "neg_group_projection": grp.projection_norm_sq}, TOL_EQ)
 
@@ -173,13 +196,12 @@ def check_harmonic_main_membership(
 ) -> TheoremReport:
     """P24: harmonic exactly when every main eigenvalue is 0 or lambda_1."""
     a = _ensure(g, analysis)
-    inst = _label(g)
     lam1 = a.lambda_max
     membership = all(
         abs(v) <= TOL_EQ or abs(v - lam1) <= TOL_EQ for v in a.spectrum.main_values()
     )
     ok = membership == a.is_harmonic
-    return TheoremReport("P24", inst, HOLDS if ok else FAILS,
+    return TheoremReport("P24", g, HOLDS if ok else FAILS,
                          {"harmonic": a.is_harmonic, "level": a.harmonic_level,
                           "mains_in_zero_lambda1": membership,
                           "mains": list(a.spectrum.main_values())}, TOL_EQ)
@@ -190,15 +212,14 @@ def check_harmonic_index_count(
 ) -> TheoremReport:
     """P25: with an edge, harmonic exactly when lambda_1 = sum d^2/2m and <= 2 mains."""
     a = _ensure(g, analysis)
-    inst = _label(g)
-    if g.m < 1:
-        return TheoremReport("P25", inst, NOT_APPLICABLE, {"m": 0})
     dv = degree_data(g)
+    if dv.m < 1:
+        return TheoremReport("P25", g, NOT_APPLICABLE, {"m": 0})
     expected = dv.sum_squares / (2.0 * dv.m)
     index_match = abs(a.lambda_max - expected) <= TOL_EQ
     condition = index_match and a.main_count <= 2
     ok = condition == a.is_harmonic
-    return TheoremReport("P25", inst, HOLDS if ok else FAILS,
+    return TheoremReport("P25", g, HOLDS if ok else FAILS,
                          {"harmonic": a.is_harmonic, "lambda1": a.lambda_max,
                           "sum_sq_over_2m": expected, "main_count": a.main_count},
                          TOL_EQ)
@@ -209,15 +230,14 @@ def check_pseudo_regular(
 ) -> TheoremReport:
     """P26: without isolated vertices, constant average-neighbor-degree == harmonic."""
     a = _ensure(g, analysis)
-    inst = _label(g)
-    if any(d == 0 for d in g.degrees()):
-        return TheoremReport("P26", inst, NOT_APPLICABLE, {"isolated_vertex": True})
+    if 0 in degree_data(g).degrees:
+        return TheoremReport("P26", g, NOT_APPLICABLE, {"isolated_vertex": True})
     ratio = exact.pseudo_regular_ratio(g)
     ok = (ratio is not None) == a.is_harmonic
     if ok and ratio is not None:
         # The constant ratio of a harmonic graph must be the integer level itself.
         ok = ratio == (a.harmonic_level, 1)
-    return TheoremReport("P26", inst, HOLDS if ok else FAILS,
+    return TheoremReport("P26", g, HOLDS if ok else FAILS,
                          {"ratio": None if ratio is None else f"{ratio[0]}/{ratio[1]}",
                           "harmonic": a.is_harmonic, "level": a.harmonic_level})
 
@@ -233,14 +253,13 @@ def check_complement_count(
     """T31: equal main counts, and no main pair of G x comp sums to -1."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    inst = _label(g)
     sep = min(
         (abs(v + w + 1.0) for v in a.spectrum.main_values()
          for w in c.spectrum.main_values()),
         default=math.inf,
     )
     ok = a.main_count == c.main_count and sep > TOL_EQ
-    return TheoremReport("T31", inst, HOLDS if ok else FAILS,
+    return TheoremReport("T31", g, HOLDS if ok else FAILS,
                          {"main_count": a.main_count, "co_main_count": c.main_count,
                           "min_pair_distance": sep}, TOL_EQ)
 
@@ -252,7 +271,6 @@ def check_complement_membership(
     == -1-lambda is an eigenvalue of the complement, for every eigenvalue."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    inst = _label(g)
     tau_main = MAIN_TOL * g.n
     for grp in a.spectrum.groups:
         c1 = (not grp.is_main) or grp.multiplicity > 1
@@ -264,11 +282,11 @@ def check_complement_membership(
             c2 = grp.multiplicity > 1 or grp.projection_norm_sq <= tau_main
         c3 = _has_eigenvalue(c, -1.0 - grp.value)
         if not (c1 == c2 == c3):
-            return TheoremReport("P32", inst, FAILS,
+            return TheoremReport("P32", g, FAILS,
                                  {"value": grp.value, "non_main_or_repeated": c1,
                                   "orthogonal_vector": c2, "shift_in_complement": c3},
                                  TOL_EQ)
-    return TheoremReport("P32", inst, HOLDS, {"groups": len(a.spectrum.groups)}, TOL_EQ)
+    return TheoremReport("P32", g, HOLDS, {"groups": len(a.spectrum.groups)}, TOL_EQ)
 
 
 def check_simple_shifted_nonmain(
@@ -277,7 +295,6 @@ def check_simple_shifted_nonmain(
     """C33: a simple complement eigenvalue of the form -1-lambda is non-main there."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    inst = _label(g)
     applicable = False
     for grp in a.spectrum.groups:
         target = -1.0 - grp.value
@@ -286,13 +303,13 @@ def check_simple_shifted_nonmain(
         if match is not None and match.multiplicity == 1:
             applicable = True
             if match.is_main:
-                return TheoremReport("C33", inst, FAILS,
+                return TheoremReport("C33", g, FAILS,
                                      {"value": grp.value, "shift": match.value,
                                       "shift_projection": match.projection_norm_sq},
                                      TOL_EQ)
     if not applicable:
-        return TheoremReport("C33", inst, NOT_APPLICABLE, {}, TOL_EQ)
-    return TheoremReport("C33", inst, HOLDS, {}, TOL_EQ)
+        return TheoremReport("C33", g, NOT_APPLICABLE, {}, TOL_EQ)
+    return TheoremReport("C33", g, HOLDS, {}, TOL_EQ)
 
 
 def check_complement_bounds(
@@ -301,14 +318,13 @@ def check_complement_bounds(
     """INEQ2: lambda_2(comp) <= -1-lambda_min(G) <= lambda_1(comp)."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    inst = _label(g)
     if g.n < 2:
-        return TheoremReport("INEQ2", inst, NOT_APPLICABLE, {"n": g.n})
+        return TheoremReport("INEQ2", g, NOT_APPLICABLE, {"n": g.n})
     shift = -1.0 - a.lambda_min
     lam1c = c.lambda_max
     lam2c = c.eigenvalue(1)
     ok = lam2c <= shift + TOL_EQ and shift <= lam1c + TOL_EQ
-    return TheoremReport("INEQ2", inst, HOLDS if ok else FAILS,
+    return TheoremReport("INEQ2", g, HOLDS if ok else FAILS,
                          {"lambda2_co": lam2c, "shift": shift, "lambda1_co": lam1c},
                          TOL_EQ)
 
@@ -319,7 +335,6 @@ def check_complement_gap(
     """P34: the complement has no eigenvalue strictly inside (-1-lambda_min, lambda_1(comp))."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    inst = _label(g)
     lo = -1.0 - a.lambda_min
     hi = c.lambda_max
     intruder = next(
@@ -328,7 +343,7 @@ def check_complement_gap(
         None,
     )
     ok = intruder is None
-    return TheoremReport("P34", inst, HOLDS if ok else FAILS,
+    return TheoremReport("P34", g, HOLDS if ok else FAILS,
                          {"window": [lo, hi], "intruder": intruder}, TOL_EQ)
 
 
@@ -339,13 +354,12 @@ def check_top_shift_equality(
     lambda_1(comp) repeated."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    inst = _label(g)
     shift = -1.0 - a.lambda_min
     equal = abs(c.lambda_max - shift) <= TOL_EQ
     low = a.spectrum.groups[-1]
     structural = (low.is_main is False) and c.spectrum.groups[0].multiplicity > 1
     ok = equal == structural
-    return TheoremReport("P35", inst, HOLDS if ok else FAILS,
+    return TheoremReport("P35", g, HOLDS if ok else FAILS,
                          {"lambda1_co": c.lambda_max, "shift": shift,
                           "low_main": low.is_main,
                           "co_top_multiplicity": c.spectrum.groups[0].multiplicity},
@@ -359,9 +373,8 @@ def check_second_shift_equality(
     and repeated, or non-main with lambda_1(comp) simple."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    inst = _label(g)
     if g.n < 2:
-        return TheoremReport("P36", inst, NOT_APPLICABLE, {"n": g.n})
+        return TheoremReport("P36", g, NOT_APPLICABLE, {"n": g.n})
     shift = -1.0 - a.lambda_min
     lam2c = c.eigenvalue(1)
     numeric = abs(lam2c - shift) <= TOL_EQ and lam2c < c.lambda_max - TOL_EQ
@@ -370,7 +383,7 @@ def check_second_shift_equality(
         low.is_main is False and c.spectrum.groups[0].multiplicity == 1
     )
     ok = numeric == structural
-    return TheoremReport("P36", inst, HOLDS if ok else FAILS,
+    return TheoremReport("P36", g, HOLDS if ok else FAILS,
                          {"lambda2_co": lam2c, "shift": shift,
                           "low_main": low.is_main, "low_multiplicity": low.multiplicity,
                           "co_top_multiplicity": c.spectrum.groups[0].multiplicity},
@@ -383,19 +396,19 @@ def check_balanced_complete_bipartite_shift(
     """T37: for connected bipartite G, lambda_1(comp) = -1-lambda_min(G) iff G is
     complete bipartite and balanced."""
     a = _ensure(g, analysis)
-    inst = _label(g)
     connected = is_connected(g)
     parts = bipartition(g)
     if not (connected and parts is not None):
-        return TheoremReport("T37", inst, NOT_APPLICABLE,
+        return TheoremReport("T37", g, NOT_APPLICABLE,
                              {"connected": connected, "bipartite": parts is not None})
     c = _ensure_co(g, co)
     r, s = len(parts[0]), len(parts[1])
-    structural = g.m == r * s and r == s
+    m = degree_data(g).m
+    structural = m == r * s and r == s
     equal = abs(c.lambda_max - (-1.0 - a.lambda_min)) <= TOL_EQ
     ok = equal == structural
-    return TheoremReport("T37", inst, HOLDS if ok else FAILS,
-                         {"parts": [r, s], "m": g.m, "lambda1_co": c.lambda_max,
+    return TheoremReport("T37", g, HOLDS if ok else FAILS,
+                         {"parts": [r, s], "m": m, "lambda1_co": c.lambda_max,
                           "shift": -1.0 - a.lambda_min}, TOL_EQ)
 
 
@@ -472,33 +485,33 @@ def check_semiregular_main_pair(
     equality case.  Connected regular bipartite graphs sit on the definitional
     boundary and are reported not-applicable."""
     a = _ensure(g, analysis)
-    inst = _label(g)
     connected = is_connected(g)
     if g.n < 2 or not connected:
-        return TheoremReport("T44", inst, NOT_APPLICABLE, {"n": g.n, "connected": connected})
+        return TheoremReport("T44", g, NOT_APPLICABLE, {"n": g.n, "connected": connected})
     dv = degree_data(g)
     lam1 = a.lambda_max
     bound = lam1 * lam1 * g.n
     slack = TOL_EQ * g.n * (1.0 + lam1 * lam1)
     bound_ok = dv.sum_squares <= bound + slack
     parts = bipartition(g)
-    semireg = parts is not None and all(len({g.degree(v) for v in side}) == 1 for side in parts)
+    semireg = parts is not None and all(
+        len({dv.degrees[v] for v in side}) == 1 for side in parts)
     wit: dict[str, Any] = {"sum_squares": dv.sum_squares, "lambda1_sq_n": bound,
                            "semiregular": semireg}
     if not bound_ok:
-        return TheoremReport("T44", inst, FAILS, wit | {"clause": "bound"}, TOL_EQ)
+        return TheoremReport("T44", g, FAILS, wit | {"clause": "bound"}, TOL_EQ)
     if semireg:
         # In the semi-regular case the index has the closed form sqrt(sum d^2 / n).
         expected = math.sqrt(dv.sum_squares / g.n)
         if abs(lam1 - expected) > TOL_EQ * (1.0 + lam1):
-            return TheoremReport("T44", inst, FAILS,
+            return TheoremReport("T44", g, FAILS,
                                  wit | {"clause": "index_form", "lambda1": lam1,
                                         "expected": expected}, TOL_EQ)
     regular = len(set(dv.degrees)) == 1
     if semireg and regular:
         # Degree-wise this is semi-regular, but a regular bipartite graph has
         # {lambda_1} alone as main spectrum; the biconditional is out of scope.
-        return TheoremReport("T44", inst, NOT_APPLICABLE,
+        return TheoremReport("T44", g, NOT_APPLICABLE,
                              wit | {"regular_bipartite": True})
     mains = a.spectrum.main_values()
     pair = (
@@ -507,7 +520,7 @@ def check_semiregular_main_pair(
         and abs(mains[1] + lam1) <= TOL_EQ
     )
     ok = pair == semireg
-    return TheoremReport("T44", inst, HOLDS if ok else FAILS,
+    return TheoremReport("T44", g, HOLDS if ok else FAILS,
                          wit | {"mains": list(mains)}, TOL_EQ)
 
 
@@ -516,15 +529,14 @@ def check_rank_count(
 ) -> TheoremReport:
     """T45: the float route's main count equals the exact walk-matrix rank."""
     a = _ensure(g, analysis)
-    inst = _label(g)
     wit = {"rank": a.rank, "s_float": a.s_float, "used_fallback": a.used_fallback}
     if a.s_float is None:
         # Gray zone: the exact rank already decided the count; record that the
         # instance needed the fallback rather than pretending the float route
         # confirmed anything.
-        return TheoremReport("T45", inst, HOLDS, wit)
+        return TheoremReport("T45", g, HOLDS, wit)
     ok = a.s_float == a.rank
-    return TheoremReport("T45", inst, HOLDS if ok else FAILS, wit)
+    return TheoremReport("T45", g, HOLDS if ok else FAILS, wit)
 
 
 def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis | None = None,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from mainspec import analysis, exact, graphs, spectra, sweeps, theorems
+from mainspec.graph6 import serialize_graph6
 from mainspec.theorems import FAILS, HOLDS
 
 N7_SAMPLE = 8192
@@ -78,7 +79,7 @@ def _consume(d: SweepDigest, n: int, masks) -> None:
         for side in (a, co):
             if side.s_float is not None and side.s_float != side.rank:
                 d.disagreements.append(
-                    f"n={n} graph6={theorems._label(side.graph)} "
+                    f"n={n} graph6={serialize_graph6(side.graph).decode()} "
                     f"float={side.s_float} rank={side.rank}"
                 )
             rep = theorems.check_two_main_relation(side.graph, analysis=side)
@@ -90,12 +91,14 @@ def _consume(d: SweepDigest, n: int, masks) -> None:
             if rep.verdict == FAILS:
                 d.fail("harmonic_membership", rep.instance)
         for fn, bucket in _PAIR_CHECKS:
-            if fn(a.graph, analysis=a, co=co).verdict == FAILS:
-                d.fail(bucket, theorems._label(a.graph))
+            rep = fn(a.graph, analysis=a, co=co)
+            if rep.verdict == FAILS:
+                d.fail(bucket, rep.instance)
         if n <= 6:
             d.pairing_checked += 1
-            if theorems.check_complement_count(a.graph, analysis=a, co=co).verdict == FAILS:
-                d.fail("pairing", theorems._label(a.graph))
+            rep = theorems.check_complement_count(a.graph, analysis=a, co=co)
+            if rep.verdict == FAILS:
+                d.fail("pairing", rep.instance)
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,33 @@ from mainspec.graphs import FamilySpec, build_family, path
 from mainspec.theorems import TheoremReport
 
 
+# Per-claim (instances, holds, fails, not-applicable) of
+# `mainspec verify all --exhaustive 5` with the default families.
+VERIFY5_TOTALS = {
+    "P21": (1044, 150, 0, 894),
+    "C22": (1044, 57, 0, 987),
+    "L23": (1026, 42, 0, 984),
+    "P24": (1026, 1026, 0, 0),
+    "P25": (1026, 1025, 0, 1),
+    "P26": (1026, 770, 0, 256),
+    "T31": (1024, 1024, 0, 0),
+    "P32": (1024, 1024, 0, 0),
+    "C33": (1024, 855, 0, 169),
+    "INEQ2": (1029, 1029, 0, 0),
+    "P34": (1029, 1029, 0, 0),
+    "P35": (1029, 1029, 0, 0),
+    "P36": (1024, 1024, 0, 0),
+    "T37": (1029, 200, 0, 829),
+    "L41": (11, 11, 0, 0),
+    "T42": (11, 11, 0, 0),
+    "C43": (11, 11, 0, 0),
+    "T44": (1029, 728, 0, 301),
+    "T45": (1076, 1076, 0, 0),
+    "T46": (21, 21, 0, 0),
+    "COR47": (17, 17, 0, 0),
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -185,6 +212,31 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "T45", "--exhaustive", "4", "--connected")
         assert code == 0
         assert "T45: 90 instances" in out
+
+    def test_order5_totals_are_pinned(self, capsys):
+        code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
+        assert (code, err) == (0, "")
+        got = {m[1]: tuple(map(int, m.groups()[1:])) for m in re.finditer(
+            r"^(\w+): (\d+) instances — (\d+) holds, (\d+) fails, (\d+) not-applicable$",
+            out, re.M)}
+        assert got == VERIFY5_TOTALS
+        assert out.endswith("verified 21 claim(s) over 16580 instance(s): 0 failure(s)\n")
+
+    @pytest.mark.parametrize("argv,note", [
+        (("--exhaustive", "8"), "268,435,456"),
+        (("--exhaustive", "7"), "2,097,152"),
+        (("--exhaustive", "6"), None),
+        (("--exhaustive", "8", "--sample", "16"), None),
+    ])
+    def test_long_sweep_is_announced(self, capsys, monkeypatch, argv, note):
+        monkeypatch.setattr(sweeps, "sweep", lambda n, **kwargs: iter(()))
+        code, _, err = run(capsys, "verify", "P32", *argv)
+        assert code == 0
+        if note is None:
+            assert err == ""
+        else:
+            assert len(err.splitlines()) == 1
+            assert note in err and "--sample K" in err
 
     def test_sampled_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "T45", "--exhaustive", "7",

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,56 @@ class TestPredicates:
         assert set(left) | set(right) == set(range(g.n))
         for u, v in g.edges():
             assert (u in left) != (v in left)
+
+    def test_bipartition_matches_dfs_two_coloring(self):
+        # Reference: depth-first two-coloring, each component from its
+        # smallest vertex with color 0.
+        def dfs_bipartition(g):
+            color = [-1] * g.n
+            for start in range(g.n):
+                if color[start] != -1:
+                    continue
+                color[start] = 0
+                stack = [start]
+                while stack:
+                    u = stack.pop()
+                    for w in g.neighbors(u):
+                        if color[w] == -1:
+                            color[w] = 1 - color[u]
+                            stack.append(w)
+                        elif color[w] == color[u]:
+                            return None
+            return (tuple(v for v in range(g.n) if color[v] == 0),
+                    tuple(v for v in range(g.n) if color[v] == 1))
+
+        for n in range(1, 7):
+            for mask in range(mask_population(n)):
+                g = Graph.from_edge_mask(n, mask)
+                assert bipartition(g) == dfs_bipartition(g), (n, mask)
+
+    def test_facts_are_kept_on_the_graph(self):
+        g = path(5)
+        assert bipartition(g) is bipartition(g)
+        assert degree_data(g) is degree_data(g)
+        assert bipartition(path(5)) is not bipartition(g)  # equal graph, own object
+        assert path(5) == g and hash(path(5)) == hash(g)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symmetry_check_rejects_what_a_pair_walk_rejects(self, n):
+        # Every loop-free row tuple of order n: the set-bit walk in
+        # __post_init__ rejects exactly the tuples with an asymmetric pair.
+        others = [[row for row in range(1 << n) if not row >> i & 1] for i in range(n)]
+        for rows in itertools.product(*others):
+            asymmetric = any((rows[i] >> j & 1) != (rows[j] >> i & 1)
+                             for i, j in triangle_pairs(n))
+            try:
+                Graph(n, rows)
+            except ParameterError as err:
+                assert asymmetric and "not symmetric" in str(err), rows
+            else:
+                assert not asymmetric, rows
 
 
 class TestFamilies:

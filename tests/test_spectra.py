@@ -299,7 +299,10 @@ class TestMainDecomposition:
         assert abs(sum(v * v * c for v, c in md.entries) - sum_sq) < 1e-8
 
     def test_requires_classified(self):
+        # group_eigenvalues sets the float flags; strip them to get groups
+        # that no classification has decided.
         g = path(3)
-        ms = group_eigenvalues(eigen_decompose(g))
+        ms = MainSpectrum(tuple(EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq)
+                                for grp in group_eigenvalues(eigen_decompose(g)).groups))
         with pytest.raises(ValueError):
             decompose_all_ones(g, ms)

@@ -6,10 +6,11 @@ analyses where that is meaningful (T45) and otherwise by verdict gating.
 """
 import dataclasses
 import json
+import sys
 
 import pytest
 
-from mainspec import graphs, spectra, theorems
+from mainspec import exact, graphs, spectra, theorems
 from mainspec.analysis import GraphAnalysis, analyze_graph
 from mainspec.graph6 import parse_graph6
 from mainspec.graphs import (
@@ -406,36 +407,57 @@ def test_every_graph_checker_on_small_sweep():
             assert isinstance(rep, TheoremReport)
 
 
+_FACTS = (graphs.degree_data, graphs.is_connected, graphs.bipartition,
+          exact.pseudo_regular_ratio)
+
+
 @pytest.mark.parametrize("check", [check_bipartite_harmonic_nonmain,
                                    check_balanced_complete_bipartite_shift,
                                    check_semiregular_main_pair])
 @pytest.mark.parametrize("g", [complete_bipartite(2, 2), complete_bipartite(2, 3), cycle(5),
-                               path(4), Graph.from_edge_mask(4, 0b000011)],
-                         ids=["K22", "K23", "C5", "P4", "P3+K1"])
-def test_structural_predicates_run_once_per_check(monkeypatch, check, g):
-    # Not-applicable witnesses reuse the predicate that decided applicability,
-    # and no predicate of graphs (is_bipartite, say) repeats a search the
-    # checker already ran; T44 tests semi-regularity on its own bipartition.
-    calls = []
-    for name in ("bipartition", "is_connected"):
-        real = getattr(graphs, name)
-        counted = lambda h, real=real, name=name: calls.append(name) or real(h)
-        monkeypatch.setattr(graphs, name, counted)
-        monkeypatch.setattr(theorems, name, counted)
-    a = analyze_graph(g)
-    report = check(g, analysis=a, co=analyze_graph(g.complement()))
-    assert len(calls) == len(set(calls)), calls
-    assert report.verdict in (HOLDS, NOT_APPLICABLE)
+                               path(4), Graph.from_edge_mask(4, 0b000011), harmonic_tree(2),
+                               star(1)],
+                         ids=["K22", "K23", "C5", "P4", "P3+K1", "T2", "K1"])
+def test_structural_predicates_run_once_per_check(check, g):
+    # Each fact's body runs at most once per graph object, whichever checker
+    # reads it first (``check``, then verify's filters and all 16 graph
+    # checkers); counted by code object with a profile hook, so no binding
+    # needs patching.
+    g = Graph(g.n, g.rows)  # a fresh object: the parameters are shared by every case
+    bodies = {fact.__wrapped__.__code__: fact.__name__ for fact in _FACTS}
+    a, co = analyze_graph(g), analyze_graph(g.complement())
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            assert frame.f_locals["g"] is g
+            runs.append(bodies[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        first = check(g, analysis=a, co=co)
+        graphs.is_connected(g)
+        graphs.is_bipartite(g)
+        reports = [other(g, analysis=a, co=co) for other in GRAPH_CHECKERS.values()]
+    finally:
+        sys.setprofile(None)
+    assert len(runs) == len(set(runs)), runs
+    assert {"degree_data", "is_connected", "bipartition"} <= set(runs)
+    assert first in reports
+    assert first.verdict in (HOLDS, NOT_APPLICABLE)
 
 
 def test_labels_are_cached_per_graph(monkeypatch):
+    # No report serialises its graph until its label is read; then the 16
+    # reports of one graph share one serialisation.
     calls = []
     real = theorems.serialize_graph6
     monkeypatch.setattr(theorems, "serialize_graph6", lambda g: calls.append(g) or real(g))
-    theorems._label.cache_clear()
     g = path(6)
     a, co = analyze_graph(g), analyze_graph(g.complement())
     reports = [check(g, analysis=a, co=co) for check in GRAPH_CHECKERS.values()]
-    assert calls == [g]
+    assert calls == []
     assert {r.instance for r in reports} == {"EhCG"}
-    assert theorems._label.cache_info().maxsize == 64
+    assert calls == [g]
+    assert reports[0] == TheoremReport(reports[0].theorem_id, "EhCG", reports[0].verdict,
+                                       reports[0].witnesses, reports[0].tolerance)
