@@ -1,7 +1,7 @@
 """mainspec: main eigenvalues of graphs, walk-matrix rank, and complements.
 
 The package computes the main spectrum of a simple undirected graph two ways
-— a dense Jacobi eigendecomposition with all-ones projections, and the exact
+— a dense LAPACK eigendecomposition with all-ones projections, and the exact
 integer rank of the walk matrix — cross-checks them, and bundles checkers for
 a family of claims tying main eigenvalues to degrees, harmonicity, and the
 complement's spectrum.

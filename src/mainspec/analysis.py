@@ -1,6 +1,6 @@
 """Joint float/exact analysis of graphs, one stack at a time.
 
-This is where the two independent routes meet: the Jacobi spectrum with its
+This is where the two independent routes meet: the float spectrum with its
 projection-based main flags, and the exact integer walk-matrix rank.  The
 float route classifies on its own whenever it is confident; gray-zone
 instances are resolved by trusting the exact count.  A confident float count

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 at least one claim failed, 2 usage or parse error,
 3 the floating and exact main-eigenvalue counts disagreed confidently,
-4 a numerical-hygiene check failed (Jacobi did not converge, a decomposition
-missed its bounds, or eigenvalue groups were too close to separate).
+4 a numerical-hygiene check failed (the eigensolver did not converge, a
+decomposition missed its bounds, or eigenvalue groups were too close to
+separate).
 """
 from __future__ import annotations
 

@@ -3,7 +3,7 @@
 The enumeration is an edge-bitmask counter, streamed chunk by chunk: each
 chunk of masks becomes a (B, n, n) adjacency stack, its graphs' neighbor
 bitmasks are read off that stack in one step, and it goes to ``analyze_stack``,
-which runs the batched Jacobi once and then ``analysis.finish_analyses``, the
+which runs the batched eigensolver once and then ``analysis.finish_analyses``, the
 finish ``analyze_graph`` uses, in row blocks of ``_FINISH_BLOCK`` graphs:
 grouping, the certified walk ranks and the harmonic test each run once per
 block, and only the records are built per graph.  Blocks bound the finish's
@@ -93,7 +93,7 @@ def _analyses_for_chunk(
 def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray,
                   hygiene: HygieneTracker | None = None) -> list[GraphAnalysis]:
     """Analyse equally-sized ``graphs`` from their (B, n, n) adjacency stack:
-    one batched Jacobi, then the finish in ``_FINISH_BLOCK``-row blocks."""
+    one batched eigendecomposition, then the finish in ``_FINISH_BLOCK``-row blocks."""
     evals, evecs, batch_hyg = spectra.eigen_decompose_batch(adj)
     if hygiene is not None:
         hygiene.update(batch_hyg, len(graphs))

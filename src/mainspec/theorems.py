@@ -34,7 +34,7 @@ from .graphs import (
     path,
     per_graph,
 )
-from .spectra import MAIN_TOL
+from .spectra import EigenGroup
 
 # Every eigenvalue equality is checked to 1e-8 absolute, whether both values
 # come from one spectrum or from G and its complement; the two-main relation
@@ -113,8 +113,19 @@ def _ensure_co(g: Graph, co: GraphAnalysis | None) -> GraphAnalysis:
     return co if co is not None else analyze_graph(g.complement(), strict=False)
 
 
-def _has_eigenvalue(a: GraphAnalysis, value: float) -> bool:
-    return any(abs(grp.value - value) <= TOL_EQ for grp in a.spectrum.groups)
+def _shift_partners(a: GraphAnalysis, c: GraphAnalysis) -> list[EigenGroup | None]:
+    """For each group of G, the complement group at -1-lambda to TOL_EQ, or None:
+    one merge walk up the complement's groups, as the targets rise.  At most one
+    group can match, since ``build_groups`` keeps values 3 * GROUP_TOL apart."""
+    co = c.spectrum.groups
+    j = len(co) - 1
+    out: list[EigenGroup | None] = []
+    for grp in a.spectrum.groups:
+        target = -1.0 - grp.value
+        while j >= 0 and co[j].value - target < -TOL_EQ:
+            j -= 1
+        out.append(co[j] if j >= 0 and abs(co[j].value - target) <= TOL_EQ else None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +279,18 @@ def check_complement_membership(
     g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """P32: non-main-or-repeated == eigenspace meets the all-ones hyperplane
-    == -1-lambda is an eigenvalue of the complement, for every eigenvalue."""
+    == -1-lambda is an eigenvalue of the complement, for every eigenvalue.
+    A repeated eigenspace always meets the hyperplane and a simple one exactly
+    when it is non-main, so the first two are one resolved flag."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    tau_main = MAIN_TOL * g.n
-    for grp in a.spectrum.groups:
-        c1 = (not grp.is_main) or grp.multiplicity > 1
-        if a.used_fallback:
-            # Projection sat in the gray band; the resolved flag is the
-            # trustworthy reading of "eigenspace meets the hyperplane".
-            c2 = grp.multiplicity > 1 or not grp.is_main
-        else:
-            c2 = grp.multiplicity > 1 or grp.projection_norm_sq <= tau_main
-        c3 = _has_eigenvalue(c, -1.0 - grp.value)
-        if not (c1 == c2 == c3):
+    for grp, partner in zip(a.spectrum.groups, _shift_partners(a, c)):
+        meets = (not grp.is_main) or grp.multiplicity > 1
+        shifted = partner is not None
+        if meets != shifted:
             return TheoremReport("P32", g, FAILS,
-                                 {"value": grp.value, "non_main_or_repeated": c1,
-                                  "orthogonal_vector": c2, "shift_in_complement": c3},
+                                 {"value": grp.value, "non_main_or_repeated": meets,
+                                  "orthogonal_vector": meets, "shift_in_complement": shifted},
                                  TOL_EQ)
     return TheoremReport("P32", g, HOLDS, {"groups": len(a.spectrum.groups)}, TOL_EQ)
 
@@ -296,10 +302,7 @@ def check_simple_shifted_nonmain(
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
     applicable = False
-    for grp in a.spectrum.groups:
-        target = -1.0 - grp.value
-        match = next((cg for cg in c.spectrum.groups if abs(cg.value - target) <= TOL_EQ),
-                     None)
+    for grp, match in zip(a.spectrum.groups, _shift_partners(a, c)):
         if match is not None and match.multiplicity == 1:
             applicable = True
             if match.is_main:
@@ -419,7 +422,7 @@ def check_balanced_complete_bipartite_shift(
 
 def check_path_eigenpairs(n: int, *, analysis: GraphAnalysis | None = None,
                           co: GraphAnalysis | None = None) -> TheoremReport:
-    """L41: closed-form eigenpairs of the path verify, match Jacobi, all simple."""
+    """L41: closed-form eigenpairs of the path verify, match the computed spectrum, all simple."""
     g = path(n)
     inst = f"path({n})"
     a = _ensure(g, analysis)

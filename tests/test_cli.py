@@ -4,6 +4,7 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 
 from mainspec import analysis, cli, spectra, sweeps, theorems
@@ -113,6 +114,18 @@ class TestAnalyze:
         assert code == 3
         assert "2" in err and "3" in err
 
+    def test_tiny_main_projection_in_complement_exit0(self, capsys):
+        # A G(24, 0.3) whose complement has a main eigenvalue with all-ones
+        # projection 3.4e-13, under the main threshold: it must land in the
+        # gray band and go to the exact rank, not be counted non-main with
+        # confidence (23 against walk rank 24, exit 3).
+        label = "WFHX@q?CpObvq?@Hc?@GCCy?WKib@ucq`RSm@TgAAhK`U??"
+        code, out, _ = run(capsys, "analyze", label, "--json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["main_count"]["walk_rank"] == 24
+        assert rec["complement"]["main_count"] == 24
+
 
 NUMERICAL_ERRORS = [spectra.AmbiguousGroupingError, spectra.ConvergenceError,
                     spectra.SpectralInvariantError]
@@ -131,14 +144,17 @@ def test_numerical_failure_exit4(capsys, monkeypatch, argv, error):
     assert err == "error: numerical check failed: injected\n"
 
 
-def test_jacobi_sweep_cap_exit4(capsys, monkeypatch):
-    # One sweep cannot diagonalise P_6, so the real raise site is reached.
-    monkeypatch.setattr(spectra, "_MAX_SWEEPS", 1)
+def test_lapack_failure_exit4(capsys, monkeypatch):
+    # The real raise site: the solver itself reports no convergence.
+    def no_convergence(mats):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     code, out, err = run(capsys, "analyze", "EhCG")
     assert code == 4
     assert out == ""
     assert err == ("error: numerical check failed: "
-                   "no convergence after 1 cyclic sweeps (n=6)\n")
+                   "Eigenvalues did not converge (n=6)\n")
 
 
 class TestGenerate:

@@ -1,7 +1,9 @@
-"""Jacobi eigendecomposition, grouping, and main-eigenvalue classification.
+"""Eigendecomposition, grouping, and main-eigenvalue classification.
 
-numpy.linalg.eigh is used purely as an independent oracle here; the library
-itself never calls it.
+The library takes its spectra from LAPACK (numpy.linalg.eigh).  The oracle
+that does not use LAPACK is exact: the eigenvalue power sums must equal the
+integer closed-walk counts tr(A^k).  The numpy.linalg.eigvalsh comparisons pin
+the order and sign conventions of the decomposition.
 """
 import math
 
@@ -61,6 +63,33 @@ def test_decomposition_reconstructs_matrix(nm):
     assert np.abs(rebuilt - g.adjacency_matrix()).max() < 1e-11
 
 
+def _power_sums_match_walk_counts(g: Graph, evals: np.ndarray) -> None:
+    """sum(lambda^k) == tr(A^k), the number of closed k-walks, for k = 1..n."""
+    a = g.adjacency_matrix().astype(np.int64)  # exact: entries of A^8 stay below 8^8
+    walks = np.eye(g.n, dtype=np.int64)
+    scale = max(1.0, float(np.abs(evals).max()))
+    for k in range(1, g.n + 1):
+        walks = walks @ a
+        closed = int(np.trace(walks))
+        assert abs(float(np.sum(evals ** k)) - closed) <= 1e-12 * g.n * k * scale ** k, (k, g)
+
+
+def test_power_sums_exhaustive_small():
+    for n in range(1, 6):
+        masks = np.arange(mask_population(n))
+        evals, _, _ = eigen_decompose_batch(sweeps.adjacency_stack(n, masks))
+        for mask, row in zip(masks.tolist(), evals):
+            _power_sums_match_walk_counts(Graph.from_edge_mask(n, mask), row)
+
+
+@settings(max_examples=250, deadline=None)
+@given(mask_graphs)
+def test_power_sums_match_walk_counts(nm):
+    n, mask = nm
+    g = Graph.from_edge_mask(n, mask)
+    _power_sums_match_walk_counts(g, eigen_decompose(g).eigenvalues)
+
+
 def test_eigenvalues_sorted_descending():
     for mask in range(mask_population(5)):
         g = Graph.from_edge_mask(5, mask)
@@ -85,12 +114,13 @@ def test_known_path4_spectrum():
 
 
 def test_dense_cycle_complement_converges():
-    # lambda_1 = 41, so the rounding left in a rotated pair's own entries is
-    # above the 1e-14 stop level unless the rotation stores exact zeros there.
-    g = cycle(44).complement()
-    ours = eigen_decompose(g).eigenvalues
-    lapack = np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
-    assert np.abs(ours - lapack).max() < 1e-10
+    # A dense graph with lambda_1 = 41 passes the bounds, which scale with
+    # lambda_max, and matches the closed form: the complement of C_n has
+    # n - 3 and -1 - 2 cos(2 pi j / n) for j = 1..n-1.
+    n = 44
+    ours = eigen_decompose(cycle(n).complement()).eigenvalues
+    closed = [n - 3.0] + [-1.0 - 2.0 * math.cos(2.0 * math.pi * j / n) for j in range(1, n)]
+    assert np.abs(ours - np.sort(closed)[::-1]).max() < 1e-10
 
 
 def test_single_vertex():
@@ -107,17 +137,26 @@ class TestBatch:
         lapack = np.linalg.eigvalsh(mats)[:, ::-1]
         assert np.abs(bvals - lapack).max() < 1e-11
         for i, g in enumerate(graphs):
-            # the same graph alone (a batch of one) and inside the stack
+            # the same graph alone (a batch of one) and inside the stack:
+            # the same floats, bit for bit
             alone = eigen_decompose(g)
-            assert np.abs(bvals[i] - alone.eigenvalues).max() < 1e-11
-            # projections are basis independent, compare those instead of vectors
-            sproj = np.sort(alone.eigenvectors.sum(axis=0) ** 2)
-            bproj = np.sort(bvecs[i].sum(axis=0) ** 2)
-            assert np.abs(sproj - bproj).max() < 1e-9
+            assert np.array_equal(bvals[i], alone.eigenvalues)
+            assert np.array_equal(bvecs[i], alone.eigenvectors)
 
     def test_bound_violation_names_worst_value_and_order(self, monkeypatch):
         monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
         with pytest.raises(spectra.SpectralInvariantError, match=r"eigen residual .* \(n=5\)"):
+            eigen_decompose(path(5))
+
+    def test_nan_from_the_solver_misses_the_bounds(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def nan_eigh(mats):
+            evals, evecs = real_eigh(mats)
+            return np.full_like(evals, np.nan), evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        with pytest.raises(spectra.SpectralInvariantError, match=r"eigen residual nan"):
             eigen_decompose(path(5))
 
     def test_hygiene_keys(self):
