@@ -8,13 +8,9 @@ complement's spectrum.
 """
 from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph
 from .exact import (
-    EquitablePartition,
-    IntPolynomial,
     NotEquitableError,
     WalkMatrix,
-    coarsest_equitable,
     divisor_walk_matrix,
-    divisor_walk_rank,
     exact_det,
     exact_rank,
     verify_equitable,
@@ -51,9 +47,7 @@ from .spectra import (
     EigenGroup,
     MainSpectrum,
     SpectralInvariantError,
-    decompose_all_ones,
     eigen_decompose,
-    group_eigenvalues,
 )
 from .theorems import ALL_IDS, CLAIMS, TheoremReport
 
@@ -67,12 +61,10 @@ __all__ = [
     "EdgeListError",
     "EigenDecomposition",
     "EigenGroup",
-    "EquitablePartition",
     "FamilySpec",
     "Graph",
     "Graph6Error",
     "GraphAnalysis",
-    "IntPolynomial",
     "MainSpectrum",
     "NotEquitableError",
     "ParameterError",
@@ -82,18 +74,14 @@ __all__ = [
     "WalkMatrix",
     "analyze_graph",
     "build_family",
-    "coarsest_equitable",
     "complete",
     "complete_bipartite",
     "cycle",
-    "decompose_all_ones",
     "divisor_walk_matrix",
-    "divisor_walk_rank",
     "double_star",
     "eigen_decompose",
     "exact_det",
     "exact_rank",
-    "group_eigenvalues",
     "harmonic_tree",
     "is_bipartite",
     "is_connected",

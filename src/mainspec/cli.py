@@ -22,12 +22,14 @@ from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph
 from .graph6 import EdgeListError, Graph6Error, parse_edgelist, parse_graph6, serialize_graph6
 from .graphs import (
     MAX_ENUM_ORDER,
+    MAX_ORDER,
     FamilySpec,
     Graph,
     ParameterError,
     build_family,
     is_bipartite,
     is_connected,
+    require_capped,
 )
 from .spectra import AmbiguousGroupingError, ConvergenceError, SpectralInvariantError
 from .theorems import (
@@ -169,6 +171,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except (Graph6Error, EdgeListError, ParameterError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    if g.n > MAX_ORDER:
+        print(f"error: graph has order {g.n}, above the cap of {MAX_ORDER}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         a = analyze_graph(g, strict=True)
         co = analyze_graph(g.complement(), strict=True)
@@ -258,6 +263,13 @@ def _family_instances(
     lo, hi = args.path_range
     pend_p, pend_q = args.pendants
     k_max = args.doublestars
+    # Each family's last instance is its largest: refuse an over-cap one
+    # before listing every instance below it.
+    for largest in (FamilySpec("path", (hi,)), FamilySpec("doublestar", (k_max, k_max)),
+                    FamilySpec("pendant", (pend_q,), base=FamilySpec("cycle", (pend_p,))),
+                    FamilySpec("harmonictree", (args.harmonictrees,)),
+                    FamilySpec("completebipartite", (args.krr, args.krr))):
+        require_capped(largest)
     paths = [FamilySpec("path", (n,)) for n in range(lo, hi + 1)]
     stars = [FamilySpec("doublestar", (k, s)) for k in range(1, k_max + 1)
              for s in range(k, k_max + 1)]
@@ -346,12 +358,11 @@ def _run_sweep(
 
 
 def _run_families(
-    ids: list[str], args: argparse.Namespace, tallies: dict[str, _Tally],
-    as_json: bool,
+    instances: list[tuple[str, Graph, Callable[..., TheoremReport]]],
+    tallies: dict[str, _Tally], as_json: bool,
 ) -> bool:
     """Check every named-family instance, each graph analysed with its
     complement once.  Returns True if any of those analyses disagrees."""
-    instances = _family_instances(ids, args)
     found = sweeps.analyze_with_complements(g for _, g, _ in instances)
     for tid, g, check in instances:
         report = check(analysis=found[g], co=found[g.complement()])
@@ -377,12 +388,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if size < 0:
             print(f"error: {flag} must be >= 0", file=sys.stderr)
             return EXIT_USAGE
+    if args.sample > sweeps.MAX_SAMPLE:
+        print(f"error: --sample must be at most {sweeps.MAX_SAMPLE:,}", file=sys.stderr)
+        return EXIT_USAGE
     ids = list(ALL_IDS) if args.theorem == "all" else [args.theorem]
     tallies = {tid: _Tally() for tid in ids}
+    try:
+        instances = _family_instances(ids, args)
+    except ParameterError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         disagreement = _run_sweep(ids, args, tallies, args.json)
-        disagreement |= _run_families(ids, args, tallies, args.json)
+        disagreement |= _run_families(instances, tallies, args.json)
     except _NUMERICAL_ERRORS as err:
         print(f"error: numerical check failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

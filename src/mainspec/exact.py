@@ -1,4 +1,4 @@
-"""Exact integer route: walk matrices, walk rank, equitable partitions.
+"""Exact integer route: walk matrices, walk rank, divisors of given equitable partitions.
 
 Every result here is an exact integer fact, whatever the conditioning of the
 floating spectrum; no float enters.  The analysis pipeline passes stacks of
@@ -6,8 +6,10 @@ graphs (a single graph is a stack of one): their walk ranks come from a mod-p
 Krylov elimination whose dependency is then checked exactly in int64, and
 from fraction-free Bareiss elimination, column by column with row swaps
 only, over arbitrary-precision Python integers where that certificate does
-not apply; their harmonic levels come from one int64 product.  This module
-is the cross-check counterpart of :mod:`mainspec.spectra`.
+not apply; their harmonic levels come from one int64 product.  An equitable
+partition is checked as given (``verify_equitable``) and yields the divisor
+walk matrix behind T46's determinant.  This module is the cross-check
+counterpart of :mod:`mainspec.spectra`.
 """
 from __future__ import annotations
 
@@ -250,29 +252,6 @@ def verify_equitable(g: Graph, cells: Sequence[Sequence[int]]) -> EquitableParti
     return EquitablePartition(tuple(norm), tuple(quotient))
 
 
-def coarsest_equitable(g: Graph) -> EquitablePartition:
-    """Coarsest equitable partition by iterated neighbor-count refinement.
-
-    Starts from the single-cell partition and splits cells by the vector of
-    neighbor counts into current cells until stable.  Cells are kept sorted by
-    smallest member, so the result is deterministic.
-    """
-    cells: list[tuple[int, ...]] = [tuple(range(g.n))]
-    while True:
-        masks = [sum(1 << v for v in cell) for cell in cells]
-        refined: list[tuple[int, ...]] = []
-        for cell in cells:
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple((g.rows[v] & mask).bit_count() for mask in masks)
-                buckets.setdefault(sig, []).append(v)
-            refined.extend(tuple(vs) for vs in buckets.values())
-        refined.sort(key=lambda cell: cell[0])
-        if len(refined) == len(cells):
-            return verify_equitable(g, cells)
-        cells = refined
-
-
 def divisor_walk_matrix(p: EquitablePartition) -> tuple[tuple[int, ...], ...]:
     """Walk matrix [1, M·1, ..., M^(r-1)·1] of the divisor, exact integers."""
     r = len(p.quotient)
@@ -282,10 +261,6 @@ def divisor_walk_matrix(p: EquitablePartition) -> tuple[tuple[int, ...], ...]:
         col = [sum(p.quotient[i][j] * col[j] for j in range(r)) for i in range(r)]
         cols.append(col)
     return tuple(tuple(cols[c][i] for c in range(r)) for i in range(r))
-
-
-def divisor_walk_rank(p: EquitablePartition) -> int:
-    return exact_rank(divisor_walk_matrix(p))
 
 
 # ---------------------------------------------------------------------------

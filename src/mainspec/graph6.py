@@ -8,7 +8,7 @@ and reports the byte offset of the first problem.
 """
 from __future__ import annotations
 
-from .graphs import Graph, triangle_pairs
+from .graphs import MAX_ORDER, Graph, triangle_pairs
 
 _HEADER = b">>graph6<<"
 
@@ -131,7 +131,11 @@ def serialize_graph6(g: Graph) -> bytes:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Decode the plain text format: first line "n m", then one "u v" per edge."""
+    """Decode the plain text format: first line "n m", then one "u v" per edge.
+
+    The header alone can name any order, so one above MAX_ORDER is refused
+    before anything is built (a graph6 line grows with the order it names).
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise EdgeListError("missing header line", 1)
@@ -144,6 +148,8 @@ def parse_edgelist(text: str) -> Graph:
         raise EdgeListError(f"header must be two integers, got {lines[0]!r}", 1) from None
     if n < 1:
         raise EdgeListError(f"order must be >= 1, got {n}", 1)
+    if n > MAX_ORDER:
+        raise EdgeListError(f"order {n} is above the cap of {MAX_ORDER}", 1)
     if m < 0:
         raise EdgeListError(f"edge count must be >= 0, got {m}", 1)
     edges: list[tuple[int, int]] = []

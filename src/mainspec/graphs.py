@@ -21,6 +21,10 @@ import numpy as np
 # Exhaustive sweeps (``sweeps.sweep``) walk all 2^(n(n-1)/2) labeled graphs;
 # past n = 8 that is no longer a sane thing to offer.
 MAX_ENUM_ORDER = 8
+# Largest order the command line reads or builds.  Past it the Bareiss walk
+# rank dominates: one G(n, 0.3) and its complement take about 11 s to
+# analyse at n = 100 and 61 s at n = 128 (2-core box).
+MAX_ORDER = 100
 
 
 class ParameterError(ValueError):
@@ -92,20 +96,10 @@ class Graph:
                 rows[j] |= 1 << i
         return Graph(n, tuple(rows))
 
-    def edge_mask(self) -> int:
-        mask = 0
-        for bit, (i, j) in enumerate(triangle_pairs(self.n)):
-            if self.rows[i] >> j & 1:
-                mask |= 1 << bit
-        return mask
-
     @property
     def m(self) -> int:
         """Number of edges."""
         return sum(row.bit_count() for row in self.rows) // 2
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.rows)
@@ -344,30 +338,51 @@ class FamilySpec:
             return f"{self.kind}({self.base.describe()},q={inner})"
         return f"{self.kind}({inner})"
 
+    def order(self) -> int:
+        """Order of the graph this spec names, from the parameters alone.
 
+        Raises ParameterError on an unknown kind or a wrong parameter count;
+        parameters outside a family's domain are left to its builder.
+        """
+        kind = self.kind.lower()
+        if kind == "pendant":
+            if self.base is None or len(self.params) != 1:
+                raise ParameterError("pendant spec needs a base family and a single q parameter")
+            return self.base.order() * (self.params[0] + 1)
+        if kind not in _FAMILY_BUILDERS:
+            raise ParameterError(f"unknown family {self.kind!r}")
+        _, arity, order = _FAMILY_BUILDERS[kind]
+        if len(self.params) != arity:
+            raise ParameterError(
+                f"family {self.kind!r} takes {arity} parameter(s), got {len(self.params)}")
+        return order(*self.params)
+
+
+# kind: (builder, parameter count, order from the parameters)
 _FAMILY_BUILDERS = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "star": (star, 1),
-    "complete": (complete, 1),
-    "empty": (empty_graph, 1),
-    "completebipartite": (complete_bipartite, 2),
-    "krs": (complete_bipartite, 2),
-    "doublestar": (double_star, 2),
-    "harmonictree": (harmonic_tree, 1),
+    "path": (path, 1, lambda n: n),
+    "cycle": (cycle, 1, lambda n: n),
+    "star": (star, 1, lambda n: n),
+    "complete": (complete, 1, lambda n: n),
+    "empty": (empty_graph, 1, lambda n: n),
+    "completebipartite": (complete_bipartite, 2, lambda r, s: r + s),
+    "krs": (complete_bipartite, 2, lambda r, s: r + s),
+    "doublestar": (double_star, 2, lambda k, s: 2 + k + s),
+    "harmonictree": (harmonic_tree, 1, lambda ell: ell ** 3 - ell ** 2 + ell + 1),
 }
 
 
+def require_capped(spec: FamilySpec) -> None:
+    """Raise ParameterError if ``spec`` names a graph of order above MAX_ORDER."""
+    order = spec.order()
+    if order > MAX_ORDER:
+        raise ParameterError(f"{spec.describe()} has order {order}, above the cap of {MAX_ORDER}")
+
+
 def build_family(spec: FamilySpec) -> Graph:
-    """Construct the graph an instance spec names; raises ParameterError on bad input."""
-    kind = spec.kind.lower()
-    if kind == "pendant":
-        if spec.base is None or len(spec.params) != 1:
-            raise ParameterError("pendant spec needs a base family and a single q parameter")
+    """Construct the graph an instance spec names; raises ParameterError on bad
+    input, and on an order above MAX_ORDER before building anything."""
+    require_capped(spec)
+    if spec.kind.lower() == "pendant":
         return pendant_decorated(build_family(spec.base), spec.params[0])
-    if kind not in _FAMILY_BUILDERS:
-        raise ParameterError(f"unknown family {spec.kind!r}")
-    builder, arity = _FAMILY_BUILDERS[kind]
-    if len(spec.params) != arity:
-        raise ParameterError(f"family {spec.kind!r} takes {arity} parameter(s), got {len(spec.params)}")
-    return builder(*spec.params)
+    return _FAMILY_BUILDERS[spec.kind.lower()][0](*spec.params)

@@ -9,7 +9,9 @@ to is cross-checked against the exact walk-matrix rank.
 
 Every tolerance in this module scales with the problem: see the constants
 below.  Classification refuses to guess inside its gray zone; callers resolve
-those instances against the exact integer route.
+those instances against the exact integer route.  The main groups carry the
+all-ones vector: their projections ||P j||^2 sum to n, and weighted by lambda
+and lambda^2 to 2m and the degree-square sum.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, degree_data
+from .graphs import Graph
 
 # Tolerance policy (n = order, lam_max = max |eigenvalue|):
 #   orthonormality   |V^T V - I|_max   <= 1e-10 * n
@@ -96,17 +98,6 @@ class MainSpectrum:
 
     def main_values(self) -> tuple[float, ...]:
         return self._main_values
-
-    @property
-    def classified(self) -> bool:
-        return all(g.is_main is not None for g in self.groups)
-
-
-@dataclass(frozen=True)
-class MainDecomposition:
-    """all-ones vector written over the main eigenspaces: (value, ||P j||^2) pairs."""
-
-    entries: tuple[tuple[float, float], ...]
 
 
 def _require(what: str, values: np.ndarray, bounds: np.ndarray | float, n: int) -> None:
@@ -272,29 +263,3 @@ def resolve_with_rank(spectrum: MainSpectrum, rank: int) -> MainSpectrum:
     )
     return MainSpectrum(groups)
 
-
-def decompose_all_ones(g: Graph, spectrum: MainSpectrum) -> MainDecomposition:
-    """Expand the all-ones vector over the main eigenspaces and audit the sums.
-
-    The coefficients must reproduce n, 2m and the degree-square sum; a failure
-    here means the classification and the graph disagree, so it raises rather
-    than returning junk.
-    """
-    if not spectrum.classified:
-        raise ValueError("spectrum must be classified before decomposing")
-    entries = tuple(
-        (grp.value, grp.projection_norm_sq) for grp in spectrum.groups if grp.is_main
-    )
-    dv = degree_data(g)
-    lam1 = spectrum.groups[0].value
-    tol = 1e-6 * g.n * (1.0 + lam1 * lam1)
-    total = sum(c for _, c in entries)
-    first = sum(v * c for v, c in entries)
-    second = sum(v * v * c for v, c in entries)
-    if abs(total - g.n) > tol:
-        raise SpectralInvariantError(f"coefficient sum {total!r} != n={g.n}")
-    if abs(first - 2.0 * dv.m) > tol:
-        raise SpectralInvariantError(f"weighted sum {first!r} != 2m={2 * dv.m}")
-    if abs(second - dv.sum_squares) > tol:
-        raise SpectralInvariantError(f"square-weighted sum {second!r} != {dv.sum_squares}")
-    return MainDecomposition(entries)

@@ -31,6 +31,10 @@ from .graphs import Graph, triangle_pairs
 DEFAULT_CHUNK = 1 << 15
 _FINISH_BLOCK = 1 << 11
 SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
+# Largest sample ``verify --sample`` takes: about 4 minutes of sweep at some
+# 4,000 pairs/s.  Past a fiftieth of the population numpy's sampler without
+# replacement builds the whole population as int64, 2 GiB at order 8.
+MAX_SAMPLE = 1 << 20
 
 
 @dataclass

@@ -135,7 +135,7 @@ def test_resolve_spectrum_disagreement_surfaces():
     # turn this mismatch into RouteDisagreementError
     assert s_float == 1
     assert not used_fallback
-    assert final.classified
+    assert all(grp.is_main is not None for grp in final.groups)
 
 
 def test_strict_flag_difference():

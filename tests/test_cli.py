@@ -9,7 +9,8 @@ import pytest
 
 from mainspec import analysis, cli, spectra, sweeps, theorems
 from mainspec.analysis import RouteDisagreementError
-from mainspec.graphs import FamilySpec, build_family, path
+from mainspec.graph6 import serialize_graph6
+from mainspec.graphs import MAX_ORDER, FamilySpec, Graph, build_family, path
 from mainspec.theorems import TheoremReport
 
 
@@ -318,6 +319,80 @@ class TestVerify:
         _, second, _ = run(capsys, "verify", "C43", "--paths", "2..6", "--json")
         strip = lambda s: [l for l in s.splitlines() if '"summary"' not in l]
         assert strip(first) == strip(second)
+
+
+def _refused(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _forbid(*args, **kwargs):
+    raise AssertionError("an over-cap input got past its cap")
+
+
+class TestCaps:
+    """Inputs over the order or sample cap exit 2 before anything is built,
+    analysed or sampled; each cap itself is accepted."""
+
+    def test_generate_over_order_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(_forbid))
+        code, out, err = run(capsys, "generate", "path", str(MAX_ORDER + 1))
+        _refused(code, out, err)
+        assert f"path({MAX_ORDER + 1}) has order {MAX_ORDER + 1}" in err
+
+    def test_generate_at_order_cap(self, capsys):
+        code, out, _ = run(capsys, "generate", "path", str(MAX_ORDER))
+        assert code == 0
+        assert out.encode() == serialize_graph6(path(MAX_ORDER)) + b"\n"
+
+    def test_analyze_over_order_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "analyze_graph", _forbid)
+        empty = serialize_graph6(Graph(MAX_ORDER + 1, (0,) * (MAX_ORDER + 1)))
+        code, out, err = run(capsys, "analyze", empty.decode())
+        _refused(code, out, err)
+        assert f"order {MAX_ORDER + 1}" in err
+
+    def test_analyze_edgelist_over_order_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(_forbid))
+        code, out, err = run(capsys, "analyze", f"{MAX_ORDER + 1} 0\n", "--format", "edgelist")
+        _refused(code, out, err)
+        assert f"order {MAX_ORDER + 1}" in err
+
+    def test_analyze_at_order_cap(self, capsys):
+        empty = serialize_graph6(Graph(MAX_ORDER, (0,) * MAX_ORDER))
+        code, out, _ = run(capsys, "analyze", empty.decode())
+        assert code == 0
+        assert "main count: 1 (float route) / 1 (walk-matrix rank)" in out
+
+    @pytest.mark.parametrize("argv,largest", [
+        # harmonic tree T_5 has order 5^3 - 5^2 + 5 + 1 = 106
+        (("--harmonictrees", "5"), "harmonictree(5) has order 106"),
+        (("--paths", f"2..{MAX_ORDER + 1}"), f"path({MAX_ORDER + 1})"),
+        (("--doublestars", "50"), "doublestar(50,50) has order 102"),
+        (("--krr", "51"), "completebipartite(51,51) has order 102"),
+        (("--pendants", "51", "1"), "pendant(cycle(51),q=1) has order 102"),
+    ])
+    def test_verify_family_over_order_cap(self, capsys, monkeypatch, argv, largest):
+        # refused before any family graph is built or any sweep runs
+        monkeypatch.setattr(cli, "build_family", _forbid)
+        monkeypatch.setattr(sweeps, "sweep", _forbid)
+        code, out, err = run(capsys, "verify", "T45", *argv)
+        _refused(code, out, err)
+        assert largest in err
+
+    def test_sample_over_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "sample_masks", _forbid)
+        code, out, err = run(capsys, "verify", "P32", "--exhaustive", "8",
+                             "--sample", str(sweeps.MAX_SAMPLE + 1))
+        _refused(code, out, err)
+        assert f"{sweeps.MAX_SAMPLE:,}" in err
+
+    def test_sample_at_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "sample_masks", lambda n, size: np.zeros(0, dtype=np.int64))
+        monkeypatch.setattr(sweeps, "sweep", lambda n, **kwargs: iter(()))
+        code, _, err = run(capsys, "verify", "P32", "--exhaustive", "8",
+                           "--sample", str(sweeps.MAX_SAMPLE))
+        assert (code, err) == (0, "")
 
 
 def test_usage_without_command():

@@ -178,11 +178,14 @@ class TestWalkMatrix:
             assert 1 <= exact.walk_matrix(g).rank <= g.n
 
 
+# Orbit cells of the automorphism group, which are always equitable.
+T23_ORBITS = ((0,), (1,), (2, 3), (4, 5, 6))
+
+
 class TestEquitable:
     def test_orbit_partition_of_double_star(self):
-        g = double_star(2, 3)
-        part = exact.coarsest_equitable(g)
-        assert part.cells == ((0,), (1,), (2, 3), (4, 5, 6))
+        part = exact.verify_equitable(double_star(2, 3), T23_ORBITS)
+        assert part.cells == T23_ORBITS
         assert part.quotient == (
             (0, 1, 2, 0),
             (1, 0, 0, 3),
@@ -191,10 +194,11 @@ class TestEquitable:
         )
 
     def test_verify_accepts_orbits(self):
-        g = double_star(3, 3)
-        part = exact.coarsest_equitable(g)
-        again = exact.verify_equitable(g, part.cells)
-        assert again.quotient == part.quotient
+        # T(3, 3): the two centers swap, so centers and leaves are the orbits;
+        # cells may come unsorted and as sets
+        part = exact.verify_equitable(double_star(3, 3), ({1, 0}, {7, 6, 5, 4, 3, 2}))
+        assert part.cells == ((0, 1), (2, 3, 4, 5, 6, 7))
+        assert part.quotient == ((1, 3), (1, 0))
 
     def test_verify_rejects_uneven_cells(self):
         g = path(4)
@@ -218,13 +222,12 @@ class TestEquitable:
         )
 
     def test_regular_graph_has_trivial_orbit(self):
-        part = exact.coarsest_equitable(cycle(7))
+        part = exact.verify_equitable(cycle(7), (range(7),))
         assert part.cells == (tuple(range(7)),)
         assert part.quotient == ((2,),)
 
     def test_divisor_walk_matrix_double_star(self):
-        g = double_star(2, 3)
-        part = exact.coarsest_equitable(g)
+        part = exact.verify_equitable(double_star(2, 3), T23_ORBITS)
         w = exact.divisor_walk_matrix(part)
         assert w == (
             (1, 3, 6, 12),
@@ -235,11 +238,18 @@ class TestEquitable:
         assert exact.exact_det([list(r) for r in w]) == -6
 
     def test_divisor_rank_equals_walk_rank(self):
-        # the all-ones vector lifts through the partition, so ranks agree
-        for g in [double_star(2, 3), double_star(3, 3), star(5),
-                  harmonic_tree(2), pendant_decorated(cycle(4), 2)]:
-            part = exact.coarsest_equitable(g)
-            assert exact.divisor_walk_rank(part) == exact.walk_matrix(g).rank
+        # the walk matrix is the cell indicator matrix (full column rank)
+        # times the divisor's walk matrix, so the ranks agree
+        cases = [
+            (double_star(2, 3), T23_ORBITS),
+            (double_star(3, 3), ((0,), (1,), (2, 3, 4), (5, 6, 7))),
+            (star(5), ((0,), (1, 2, 3, 4))),
+            (harmonic_tree(2), ((0,), (1, 2, 3), (4, 5, 6))),
+            (pendant_decorated(cycle(4), 2), (range(4), range(4, 12))),
+        ]
+        for g, cells in cases:
+            part = exact.verify_equitable(g, cells)
+            assert exact.exact_rank(exact.divisor_walk_matrix(part)) == exact.walk_matrix(g).rank
 
 
 class TestDoubleStarPolynomials:

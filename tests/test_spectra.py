@@ -28,7 +28,6 @@ from mainspec.spectra import (
     MainSpectrum,
     build_groups,
     classify_flags,
-    decompose_all_ones,
     eigen_decompose,
     eigen_decompose_batch,
     group_eigenvalues,
@@ -326,22 +325,17 @@ class TestResolveWithRank:
 
 
 class TestMainDecomposition:
+    """The all-ones vector over the main eigenspaces: its squared projections
+    reproduce the walk counts n, 2m and the degree-square sum."""
+
     @pytest.mark.parametrize("g", [path(4), star(5), double_star(2, 3), cycle(6)],
                              ids=["P4", "K_1_4", "T23", "C6"])
     def test_moment_identities(self, g):
-        md = decompose_all_ones(g, analyze_graph(g).spectrum)
+        mains = [(grp.value, grp.projection_norm_sq)
+                 for grp in analyze_graph(g).spectrum.groups if grp.is_main]
         n = g.n
         m = g.m
         sum_sq = sum(d * d for d in g.degrees())
-        assert abs(sum(c for _, c in md.entries) - n) < 1e-9
-        assert abs(sum(v * c for v, c in md.entries) - 2 * m) < 1e-9
-        assert abs(sum(v * v * c for v, c in md.entries) - sum_sq) < 1e-8
-
-    def test_requires_classified(self):
-        # group_eigenvalues sets the float flags; strip them to get groups
-        # that no classification has decided.
-        g = path(3)
-        ms = MainSpectrum(tuple(EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq)
-                                for grp in group_eigenvalues(eigen_decompose(g)).groups))
-        with pytest.raises(ValueError):
-            decompose_all_ones(g, ms)
+        assert abs(sum(c for _, c in mains) - n) < 1e-9
+        assert abs(sum(v * c for v, c in mains) - 2 * m) < 1e-9
+        assert abs(sum(v * v * c for v, c in mains) - sum_sq) < 1e-8
