@@ -1,10 +1,9 @@
 """Joint float/exact analysis of graphs, one stack at a time.
 
-This is where the two independent routes meet: the float spectrum with its
-projection-based main flags, and the exact integer walk-matrix rank.  The
-float route classifies on its own whenever it is confident; gray-zone
-instances are resolved by trusting the exact count.  A confident float count
-that still contradicts the exact rank is a hard error, never papered over.
+This is where the two independent routes meet: the float spectrum with the
+main flags ``spectra.build_groups`` gives its groups, and the exact integer
+walk-matrix rank.  Only gray groups are settled by the exact count.  A float
+count that still contradicts the rank is a hard error, never papered over.
 ``finish_analyses`` runs everything after the eigensolver over a stack of
 graphs; ``analyze_graph`` is a stack of one, and ``sweeps.analyze_stack``
 passes whole sweep chunks and ``verify``'s family stacks.
@@ -21,7 +20,7 @@ from .graphs import Graph
 
 
 class RouteDisagreementError(RuntimeError):
-    """Confident float classification contradicts the exact walk-matrix rank."""
+    """The float route's own main count contradicts the exact walk-matrix rank."""
 
     def __init__(self, s_float: int, rank: int):
         super().__init__(
@@ -36,16 +35,27 @@ class RouteDisagreementError(RuntimeError):
 class GraphAnalysis:
     """Everything the checkers need about one graph.
 
-    ``s_float`` is the float route's own count before any fallback (None when
-    classification refused to guess); ``spectrum`` always carries final flags.
+    ``s_float`` is the float route's own main count: None when the exact rank
+    settled the gray groups, the plain threshold count when it cannot (each
+    gray group main iff its projection clears ``MAIN_TOL * n``), else the
+    spectrum's.  ``spectrum`` carries the flags that count stands for.
     """
 
     graph: Graph
     spectrum: spectra.MainSpectrum
     rank: int
     s_float: int | None
-    used_fallback: bool
     harmonic_level: int | None
+
+    @property
+    def used_fallback(self) -> bool:
+        """The exact rank settled the gray groups."""
+        return self.s_float is None
+
+    @property
+    def disagrees(self) -> bool:
+        """The float route's own count contradicts the exact rank."""
+        return self.s_float is not None and self.s_float != self.rank
 
     @property
     def main_count(self) -> int:
@@ -74,24 +84,25 @@ class GraphAnalysis:
 
 
 def resolve_spectrum(
-    spectrum: spectra.MainSpectrum, flags: list[bool | None], gray: list[int], rank: int
+    spectrum: spectra.MainSpectrum, flags: list[bool], gray: list[int], rank: int
 ) -> tuple[spectra.MainSpectrum, int | None, bool]:
-    """Combine threshold flags with the exact rank; returns (final, s_float, fallback).
+    """Settle the gray groups with the exact rank; returns (final, s_float, fallback).
 
-    No gray groups: the float flags stand, and disagreement with the rank is
-    the caller's business to surface; groups that already carry their flags,
-    as ``spectra.build_groups`` makes them, are kept as they are.  Gray
-    groups present: the float count is meaningless, so the exact rank picks
-    how many groups are main.
+    ``spectrum`` carries ``build_groups``' flags, None on the ``gray`` groups,
+    and ``flags`` the plain threshold flags (``spectra.classify_flags``).  A
+    rank the gray groups cannot reach leaves them their threshold flags and
+    s_float the threshold count: a disagreement for the caller to surface.
     """
-    if gray:
+    if not gray:
+        return spectrum, spectrum.main_count, False
+    try:
         return spectra.resolve_with_rank(spectrum, rank), None, True
-    if any(grp.is_main is not flag for grp, flag in zip(spectrum.groups, flags)):
+    except ValueError:
         spectrum = spectra.MainSpectrum(tuple(
             spectra.EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq, flag)
             for grp, flag in zip(spectrum.groups, flags)
         ))
-    return spectrum, spectrum.main_count, False
+        return spectrum, spectrum.main_count, False
 
 
 def finish_analyses(
@@ -102,11 +113,10 @@ def finish_analyses(
     ``adj`` is the (B, n, n) adjacency stack of ``graphs``, ``evals`` their
     sorted eigenvalues and ``proj_sq`` the per-eigenvector all-ones
     projections, one row per graph.  Grouping with the float flags, walk
-    ranks and the harmonic test run once over the whole stack; then each
-    graph's flags are reconciled with its exact rank, and only a graph with
-    a gray group gets its groups rebuilt, by the rank.  A confident
-    disagreement is left in the result (``s_float != rank``) for the caller
-    to act on.
+    ranks and the harmonic test run once over the whole stack; then only a
+    graph with a gray group has those groups settled by its exact rank.  A
+    disagreement is left in the result (``disagrees``) for the caller to act
+    on.
     """
     groups = spectra.build_groups(evals, proj_sq)
     adj = adj.astype(np.int64)
@@ -114,20 +124,19 @@ def finish_analyses(
     levels = exact.harmonic_levels(adj)
     out = []
     for g, grp, rank, level in zip(graphs, groups, ranks, levels):
-        flags = [x.is_main for x in grp]
-        gray = [i for i, flag in enumerate(flags) if flag is None]
-        resolved, s_float, used_fallback = resolve_spectrum(
-            spectra.MainSpectrum(tuple(grp)), flags, gray, rank
-        )
-        out.append(GraphAnalysis(g, resolved, rank, s_float, used_fallback, level))
+        gray = [i for i, x in enumerate(grp) if x.is_main is None]
+        flags = spectra.classify_flags(grp, g.n)[0] if gray else [x.is_main for x in grp]
+        spectrum, s_float, _ = resolve_spectrum(
+            spectra.MainSpectrum(tuple(grp)), flags, gray, rank)
+        out.append(GraphAnalysis(g, spectrum, rank, s_float, level))
     return out
 
 
 def analyze_graph(g: Graph, *, strict: bool = True) -> GraphAnalysis:
     """Run both routes on one graph and reconcile them.
 
-    Raises RouteDisagreementError when the confident float count and the exact
-    rank differ; that situation means a real bug (or a tolerance failure) and
+    Raises RouteDisagreementError when the float count and the exact rank
+    differ; that situation means a real bug (or a tolerance failure) and
     must abort the caller visibly.  ``strict=False`` returns the analysis
     anyway (float flags kept) so that sweep checkers can report the
     disagreement as a finding instead of dying mid-stream.
@@ -139,6 +148,6 @@ def analyze_graph(g: Graph, *, strict: bool = True) -> GraphAnalysis:
         dec.eigenvalues[None],
         (dec.eigenvectors.sum(axis=0) ** 2)[None],
     )
-    if strict and result.s_float is not None and result.s_float != result.rank:
+    if strict and result.disagrees:
         raise RouteDisagreementError(result.s_float, result.rank)
     return result

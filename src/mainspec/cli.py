@@ -1,7 +1,8 @@
 """Command-line front-end: analyze | generate | verify.
 
 Exit codes: 0 success, 1 at least one claim failed, 2 usage or parse error,
-3 the floating and exact main-eigenvalue counts disagreed confidently,
+3 the floating and exact main-eigenvalue counts disagreed (confidently, or
+through gray-band groups the exact rank cannot settle),
 4 a numerical-hygiene check failed (the eigensolver did not converge, a
 decomposition missed its bounds, or eigenvalue groups were too close to
 separate).
@@ -89,23 +90,9 @@ def _parse_graph(text: str, fmt: str) -> Graph:
     return parse_graph6(text.strip())
 
 
-def _window_verdict(shift: float, co: GraphAnalysis) -> str:
-    tol = theorems.TOL_EQ
-    lam1 = co.lambda_max
-    lam2 = co.eigenvalue(1) if co.graph.n >= 2 else None
-    if shift > lam1 + tol or (lam2 is not None and lam2 > shift + tol):
-        return "violated"
-    if abs(shift - lam1) <= tol:
-        return "equals-lambda1"
-    if lam2 is not None and abs(shift - lam2) <= tol:
-        return "equals-lambda2"
-    return "interior"
-
-
 def _analysis_record(g: Graph, a: GraphAnalysis, co: GraphAnalysis,
                      source: str, fmt: str) -> dict[str, Any]:
-    shift = -1.0 - a.lambda_min
-    record: dict[str, Any] = {
+    return {
         "input": {"source": source, "format": fmt},
         "graph": {
             "n": g.n,
@@ -131,12 +118,11 @@ def _analysis_record(g: Graph, a: GraphAnalysis, co: GraphAnalysis,
         "complement": {
             "lambda1": co.lambda_max,
             "lambda2": co.eigenvalue(1) if g.n >= 2 else None,
-            "shift": shift,
+            "shift": -1.0 - a.lambda_min,
             "main_count": co.main_count,
-            "window": _window_verdict(shift, co),
+            "window": theorems.complement_window(a, co),
         },
     }
-    return record
 
 
 def _print_analysis_table(record: dict[str, Any]) -> None:
@@ -320,10 +306,6 @@ class _Tally:
         return self.holds + self.fails + self.skipped
 
 
-def _disagrees(a: GraphAnalysis) -> bool:
-    return a.s_float is not None and a.s_float != a.rank
-
-
 def _run_sweep(
     ids: list[str], args: argparse.Namespace, tallies: dict[str, _Tally],
     as_json: bool,
@@ -348,7 +330,7 @@ def _run_sweep(
             continue
         if args.bipartite and not is_bipartite(a.graph):
             continue
-        disagreement |= _disagrees(a) or _disagrees(co)
+        disagreement |= a.disagrees or co.disagrees
         for check, tally in checks:
             report = check(a.graph, analysis=a, co=co)
             tally.add(report)
@@ -369,7 +351,7 @@ def _run_families(
         tallies[tid].add(report)
         if as_json:
             print(json.dumps(report.to_json()))
-    return any(_disagrees(a) for a in found.values())
+    return any(a.disagrees for a in found.values())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -310,12 +310,6 @@ def double_star_quartic(k: int, s: int) -> IntPolynomial:
     return IntPolynomial((k * s, 0, -(k + s + 1), 0, 1))
 
 
-def double_star_charpoly(k: int, s: int) -> IntPolynomial:
-    """Characteristic polynomial of T(k, s): x^(k+s-2) times the quartic."""
-    quartic = double_star_quartic(k, s)
-    return IntPolynomial((0,) * (k + s - 2) + quartic.coeffs)
-
-
 def double_star_quartic_roots(k: int, s: int) -> tuple[float, float, float, float]:
     """The four real roots of the quartic, ascending.
 

@@ -57,9 +57,8 @@ class Graph:
             raise ParameterError(f"graph order must be >= 1, got {self.n}")
         if len(self.rows) != self.n:
             raise ParameterError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
         for i, row in enumerate(self.rows):
-            if row & ~full:
+            if row >> self.n:
                 raise ParameterError(f"row {i} references vertices >= n")
             if row >> i & 1:
                 raise ParameterError(f"loop at vertex {i}")

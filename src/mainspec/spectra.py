@@ -8,10 +8,11 @@ orthonormality, residual and trace bounds below, and the main count it leads
 to is cross-checked against the exact walk-matrix rank.
 
 Every tolerance in this module scales with the problem: see the constants
-below.  Classification refuses to guess inside its gray zone; callers resolve
-those instances against the exact integer route.  The main groups carry the
-all-ones vector: their projections ||P j||^2 sum to n, and weighted by lambda
-and lambda^2 to 2m and the degree-square sum.
+below.  ``build_groups`` flags each group once, the float route's only main
+verdicts; in its gray zone it refuses to guess (None), and
+``resolve_with_rank`` settles just those groups with the exact rank.  The
+main groups carry the all-ones vector: their projections ||P j||^2 sum to n,
+and weighted by lambda and lambda^2 to 2m and the degree-square sum.
 """
 from __future__ import annotations
 
@@ -244,22 +245,21 @@ def classify_flags(
 
 
 def resolve_with_rank(spectrum: MainSpectrum, rank: int) -> MainSpectrum:
-    """Assign main flags so that exactly ``rank`` groups are main.
+    """Settle the gray groups (``is_main`` None) so that exactly ``rank``
+    groups are main; flagged groups are never flipped.
 
-    The top group is always main; the remaining rank-1 slots go to the groups
-    with the largest projections.  This is the gray-zone fallback: the exact
-    count is trusted, and the float projections only order the candidates.
+    The exact count is trusted, and the float projections only order the gray
+    candidates: the rank minus the confident main count of them, the largest
+    projections first, become main.  Raises ValueError if none can reach it.
     """
-    if rank < 1 or rank > len(spectrum.groups):
-        raise ValueError(f"rank {rank} incompatible with {len(spectrum.groups)} groups")
-    others = sorted(
-        range(1, len(spectrum.groups)),
-        key=lambda i: (-spectrum.groups[i].projection_norm_sq, i),
-    )
-    chosen = {0, *others[: rank - 1]}
-    groups = tuple(
-        EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq, idx in chosen)
+    gray = [i for i, grp in enumerate(spectrum.groups) if grp.is_main is None]
+    free = rank - spectrum.main_count
+    if rank < 1 or not 0 <= free <= len(gray):
+        raise ValueError(f"rank {rank} unreachable from {spectrum.main_count} main "
+                         f"and {len(gray)} gray group(s)")
+    chosen = set(sorted(gray, key=lambda i: (-spectrum.groups[i].projection_norm_sq, i))[:free])
+    return MainSpectrum(tuple(
+        grp if grp.is_main is not None
+        else EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq, idx in chosen)
         for idx, grp in enumerate(spectrum.groups)
-    )
-    return MainSpectrum(groups)
-
+    ))

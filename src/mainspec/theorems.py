@@ -128,6 +128,24 @@ def _shift_partners(a: GraphAnalysis, c: GraphAnalysis) -> list[EigenGroup | Non
     return out
 
 
+def complement_window(a: GraphAnalysis, c: GraphAnalysis) -> str:
+    """Where -1-lambda_min(G) sits against the complement's lambda_1 and
+    lambda_2 (none at order 1), to TOL_EQ: "violated" outside [lambda_2,
+    lambda_1], else "equals-lambda1", "equals-lambda2" or "interior".  The
+    two equalities cannot both hold, since ``build_groups`` keeps distinct
+    values 3 * GROUP_TOL apart."""
+    shift = -1.0 - a.lambda_min
+    lam1 = c.lambda_max
+    lam2 = c.eigenvalue(1) if c.graph.n >= 2 else None
+    if shift > lam1 + TOL_EQ or (lam2 is not None and lam2 > shift + TOL_EQ):
+        return "violated"
+    if abs(shift - lam1) <= TOL_EQ:
+        return "equals-lambda1"
+    if lam2 is not None and abs(shift - lam2) <= TOL_EQ:
+        return "equals-lambda2"
+    return "interior"
+
+
 # ---------------------------------------------------------------------------
 # Two-main-eigenvalue relations.
 # ---------------------------------------------------------------------------
@@ -323,12 +341,10 @@ def check_complement_bounds(
     c = _ensure_co(g, co)
     if g.n < 2:
         return TheoremReport("INEQ2", g, NOT_APPLICABLE, {"n": g.n})
-    shift = -1.0 - a.lambda_min
-    lam1c = c.lambda_max
-    lam2c = c.eigenvalue(1)
-    ok = lam2c <= shift + TOL_EQ and shift <= lam1c + TOL_EQ
+    ok = complement_window(a, c) != "violated"
     return TheoremReport("INEQ2", g, HOLDS if ok else FAILS,
-                         {"lambda2_co": lam2c, "shift": shift, "lambda1_co": lam1c},
+                         {"lambda2_co": c.eigenvalue(1), "shift": -1.0 - a.lambda_min,
+                          "lambda1_co": c.lambda_max},
                          TOL_EQ)
 
 
@@ -357,13 +373,12 @@ def check_top_shift_equality(
     lambda_1(comp) repeated."""
     a = _ensure(g, analysis)
     c = _ensure_co(g, co)
-    shift = -1.0 - a.lambda_min
-    equal = abs(c.lambda_max - shift) <= TOL_EQ
+    equal = complement_window(a, c) == "equals-lambda1"
     low = a.spectrum.groups[-1]
     structural = (low.is_main is False) and c.spectrum.groups[0].multiplicity > 1
     ok = equal == structural
     return TheoremReport("P35", g, HOLDS if ok else FAILS,
-                         {"lambda1_co": c.lambda_max, "shift": shift,
+                         {"lambda1_co": c.lambda_max, "shift": -1.0 - a.lambda_min,
                           "low_main": low.is_main,
                           "co_top_multiplicity": c.spectrum.groups[0].multiplicity},
                          TOL_EQ)
@@ -378,16 +393,14 @@ def check_second_shift_equality(
     c = _ensure_co(g, co)
     if g.n < 2:
         return TheoremReport("P36", g, NOT_APPLICABLE, {"n": g.n})
-    shift = -1.0 - a.lambda_min
-    lam2c = c.eigenvalue(1)
-    numeric = abs(lam2c - shift) <= TOL_EQ and lam2c < c.lambda_max - TOL_EQ
+    numeric = complement_window(a, c) == "equals-lambda2"
     low = a.spectrum.groups[-1]
     structural = (bool(low.is_main) and low.multiplicity > 1) or (
         low.is_main is False and c.spectrum.groups[0].multiplicity == 1
     )
     ok = numeric == structural
     return TheoremReport("P36", g, HOLDS if ok else FAILS,
-                         {"lambda2_co": lam2c, "shift": shift,
+                         {"lambda2_co": c.eigenvalue(1), "shift": -1.0 - a.lambda_min,
                           "low_main": low.is_main, "low_multiplicity": low.multiplicity,
                           "co_top_multiplicity": c.spectrum.groups[0].multiplicity},
                          TOL_EQ)
@@ -408,7 +421,7 @@ def check_balanced_complete_bipartite_shift(
     r, s = len(parts[0]), len(parts[1])
     m = degree_data(g).m
     structural = m == r * s and r == s
-    equal = abs(c.lambda_max - (-1.0 - a.lambda_min)) <= TOL_EQ
+    equal = complement_window(a, c) == "equals-lambda1"
     ok = equal == structural
     return TheoremReport("T37", g, HOLDS if ok else FAILS,
                          {"parts": [r, s], "m": m, "lambda1_co": c.lambda_max,
@@ -532,14 +545,10 @@ def check_rank_count(
 ) -> TheoremReport:
     """T45: the float route's main count equals the exact walk-matrix rank."""
     a = _ensure(g, analysis)
+    # A gray-zone instance the exact rank settled holds, with the fallback on
+    # record rather than pretending the float route confirmed anything.
     wit = {"rank": a.rank, "s_float": a.s_float, "used_fallback": a.used_fallback}
-    if a.s_float is None:
-        # Gray zone: the exact rank already decided the count; record that the
-        # instance needed the fallback rather than pretending the float route
-        # confirmed anything.
-        return TheoremReport("T45", g, HOLDS, wit)
-    ok = a.s_float == a.rank
-    return TheoremReport("T45", g, HOLDS if ok else FAILS, wit)
+    return TheoremReport("T45", g, FAILS if a.disagrees else HOLDS, wit)
 
 
 def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis | None = None,
@@ -559,9 +568,6 @@ def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis | None 
     # The nonzero eigenvalues must be exactly the quartic's four roots, and the
     # zero eigenspace must absorb the remaining k+s-2 dimensions.
     roots = exact.double_star_quartic_roots(k, s)
-    charpoly = exact.double_star_charpoly(k, s)
-    if charpoly.degree != g.n:
-        return TheoremReport("T46", inst, FAILS, wit | {"clause": "charpoly_degree"})
     nonzero = [grp for grp in a.spectrum.groups if abs(grp.value) > TOL_EQ]
     zero_dim = sum(grp.multiplicity for grp in a.spectrum.groups if abs(grp.value) <= TOL_EQ)
     values = sorted(grp.value for grp in nonzero)

@@ -127,15 +127,46 @@ def test_analyze_pair_orders():
 
 def test_resolve_spectrum_disagreement_surfaces():
     spectrum = MainSpectrum((
-        EigenGroup(2.0, 1, 4.0),
-        EigenGroup(-1.0, 1, 1e-30),
+        EigenGroup(2.0, 1, 4.0, True),
+        EigenGroup(-1.0, 1, 1e-30, False),
     ))
     final, s_float, used_fallback = resolve_spectrum(spectrum, [True, False], [], 2)
     # the resolver reports the float count as-is; strict analyze_graph would
     # turn this mismatch into RouteDisagreementError
     assert s_float == 1
     assert not used_fallback
-    assert all(grp.is_main is not None for grp in final.groups)
+    assert final == spectrum
+
+
+def test_resolve_spectrum_unreachable_rank_is_a_disagreement():
+    # One confident main and one gray group cannot make three mains: the gray
+    # group takes its threshold flag and the threshold count stands against
+    # the rank, instead of the confident non-main group being flipped.
+    spectrum = MainSpectrum((
+        EigenGroup(2.0, 1, 4.0, True),
+        EigenGroup(0.5, 1, 1e-3, False),
+        EigenGroup(-1.0, 1, 1e-12, None),
+    ))
+    final, s_float, used_fallback = resolve_spectrum(spectrum, [True, False, True], [2], 3)
+    assert (s_float, used_fallback) == (2, False)
+    assert [g.is_main for g in final.groups] == [True, False, True]
+
+
+# P_39 under these thresholds has 17 confident mains and one gray group
+# (projection 7.0e-4 against MAIN_TOL * n = 3.9e-3) for a walk rank of 20.
+UNREACHABLE_GRAY = {"MAIN_TOL": 1e-4, "GRAY_LO": 0.1, "GRAY_HI": 0.2}
+
+
+def test_unreachable_rank_raises_disagreement(monkeypatch):
+    for name, value in UNREACHABLE_GRAY.items():
+        monkeypatch.setattr(spectra, name, value)
+    with pytest.raises(RouteDisagreementError) as info:
+        analyze_graph(path(39))
+    assert (info.value.s_float, info.value.rank) == (17, 20)
+    a = analyze_graph(path(39), strict=False)
+    assert a.disagrees and not a.used_fallback
+    assert a.s_float == a.main_count == 17
+    assert None not in [g.is_main for g in a.spectrum.groups]
 
 
 def test_strict_flag_difference():

@@ -115,6 +115,18 @@ class TestAnalyze:
         assert code == 3
         assert "2" in err and "3" in err
 
+    def test_unreachable_gray_rank_exit3(self, capsys, monkeypatch):
+        # P_39 with one gray group but three mains short of its walk rank:
+        # a route disagreement, not a re-ranking of the confident groups.
+        for name, value in {"MAIN_TOL": 1e-4, "GRAY_LO": 0.1, "GRAY_HI": 0.2}.items():
+            monkeypatch.setattr(spectra, name, value)
+        label = serialize_graph6(path(39)).decode("ascii")
+        code, out, err = run(capsys, "analyze", label)
+        assert code == 3
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "found 17 main eigenvalues, walk-matrix rank is 20" in err
+
     def test_tiny_main_projection_in_complement_exit0(self, capsys):
         # A G(24, 0.3) whose complement has a main eigenvalue with all-ones
         # projection 3.4e-13, under the main threshold: it must land in the

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,17 @@ class TestGraphType:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ParameterError):
             Graph(0, ())
+
+    def test_row_check_is_linear_in_the_order(self):
+        # Each row is tested by shifting it right by n, not by masking it
+        # with an n-bit complement, so an edgeless order-200,000 graph builds
+        # at once; bit n is still refused.
+        n = 200_000
+        start = time.perf_counter()
+        Graph(n, (0,) * n)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ParameterError, match="row 1 references"):
+            Graph(n, (0, 1 << n) + (0,) * (n - 2))
 
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(ParameterError):

@@ -323,6 +323,19 @@ class TestResolveWithRank:
         with pytest.raises(ValueError):
             resolve_with_rank(self._spectrum(), 5)
 
+    def test_flagged_groups_never_flip(self):
+        # The confident non-main group has the largest projection and the
+        # confident main one the smallest; only the gray group is settled.
+        ms = MainSpectrum((
+            EigenGroup(3.0, 1, 1e-3, True),
+            EigenGroup(1.0, 1, 5.0, False),
+            EigenGroup(-2.0, 1, 0.5, None),
+        ))
+        assert [g.is_main for g in resolve_with_rank(ms, 1).groups] == [True, False, False]
+        assert [g.is_main for g in resolve_with_rank(ms, 2).groups] == [True, False, True]
+        with pytest.raises(ValueError):
+            resolve_with_rank(ms, 3)
+
 
 class TestMainDecomposition:
     """The all-ones vector over the main eigenspaces: its squared projections

@@ -108,7 +108,6 @@ class TestTwoMainRelation:
             )),
             rank=real.rank,
             s_float=2,
-            used_fallback=False,
             harmonic_level=3,
         )
         rep = check_two_main_relation(g, analysis=fake)
@@ -323,7 +322,6 @@ class TestRankCount:
             spectrum=real.spectrum,
             rank=real.rank,
             s_float=real.rank + 1,
-            used_fallback=False,
             harmonic_level=None,
         )
         assert check_rank_count(g, analysis=fake).verdict == FAILS
