@@ -120,7 +120,7 @@ def finish_analyses(
     """
     groups = spectra.build_groups(evals, proj_sq)
     adj = adj.astype(np.int64)
-    ranks = exact.walk_ranks(graphs, adj)
+    ranks = exact.walk_ranks(adj)
     levels = exact.harmonic_levels(adj)
     out = []
     for g, grp, rank, level in zip(graphs, groups, ranks, levels):

@@ -2,20 +2,22 @@
 
 Every result here is an exact integer fact, whatever the conditioning of the
 floating spectrum; no float enters.  The analysis pipeline passes stacks of
-graphs (a single graph is a stack of one): their walk ranks come from a mod-p
-Krylov elimination whose dependency is then checked exactly in int64, and
-from fraction-free Bareiss elimination, column by column with row swaps
-only, over arbitrary-precision Python integers where that certificate does
-not apply; their harmonic levels come from one int64 product.  An equitable
-partition is checked as given (``verify_equitable``) and yields the divisor
-walk matrix behind T46's determinant.  This module is the cross-check
-counterpart of :mod:`mainspec.spectra`.
+graphs (a single graph is a stack of one) to ``walk_ranks``: the Krylov rank
+mod a 31-bit prime bounds each walk rank from below, and a monic dependency,
+lifted over further primes by the Chinese remainder theorem and checked
+exactly, bounds it from above, at every order.  Their harmonic levels come
+from one int64 product.  ``walk_matrix``, ``exact_rank`` and ``exact_det``
+(fraction-free Bareiss elimination over Python integers) are not on that
+route; ``exact_det`` gives T46 its determinant.  An equitable partition is
+checked as given (``verify_equitable``) and yields the divisor walk matrix
+behind that determinant.  This module is the cross-check counterpart of
+:mod:`mainspec.spectra`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -94,99 +96,230 @@ def exact_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Walk ranks of an adjacency stack: a mod-p Krylov certificate.
+# Walk ranks of an adjacency stack: a multi-modular Krylov certificate.
 # ---------------------------------------------------------------------------
 
-_PRIME = (1 << 31) - 1  # residues below 2^31, so a product of two fits in int64
+_FIRST_PRIME = (1 << 31) - 1  # residues below 2^31, so a product of two fits in int64
+_BLOCK_ENTRIES = 1 << 16  # int64 entries of one elimination update's temporary product
 
 
-def _certifiable(n: int) -> bool:
-    """Whether the exact check of an order-n dependency cannot overflow int64.
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 decide every q < 3,215,031,751."""
+    if q < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if q % a == 0:
+            return q == a
+    d, s = q - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
-    Its n+1 terms are coefficients of size at most p//2 times walk counts of
-    size at most max(n-1, 1)^n; with p = 2^31 - 1 this holds for n <= 9.
+
+def _primes() -> Iterator[int]:
+    """The odd primes below 2^31, descending from 2^31 - 1, generated lazily."""
+    return filter(_is_prime, range(_FIRST_PRIME, 2, -2))
+
+
+def _krylov(adj: np.ndarray, p: int | np.ndarray | None = None) -> np.ndarray:
+    """Walk-matrix columns j, Aj, ..., A^(n-1) j of a (B, n, n) stack, as (B, n, n) int64 rows.
+
+    With ``p`` (an int, or one modulus per graph as a (B, 1) array) every
+    entry is reduced mod p after each matvec, which sums at most n residues
+    below 2^31.  Without it the int64 matvecs wrap, so the entries are the
+    walk counts modulo 2^64 exactly.
     """
-    return (n + 1) * (_PRIME // 2) * max(n - 1, 1) ** n < 1 << 63
+    B, n, _ = adj.shape
+    out = np.empty((B, n, n), dtype=np.int64)
+    out[:, 0] = 1
+    for k in range(n - 1):
+        v = np.einsum("bij,bj->bi", adj, out[:, k])
+        out[:, k + 1] = v if p is None else v % p
+    return out
 
 
-def _inverse_mod(x: np.ndarray) -> np.ndarray:
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x^(p-2) mod p elementwise: the inverse of every non-zero residue."""
     out = np.ones_like(x)
-    e = _PRIME - 2
+    e = p - 2
     while e:
         if e & 1:
-            out = out * x % _PRIME
-        x = x * x % _PRIME
+            out = out * x % p
+        x = x * x % p
         e >>= 1
     return out
 
 
-def _krylov_dependency(krylov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First mod-p dependency of each graph's Krylov sequence j, Aj, ..., A^n j.
+def _krylov_dependency(krylov: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """First mod-p dependency of each graph's Krylov sequence j, Aj, ..., A^(n-1) j.
 
-    Eliminates the vectors in order against a basis with unit pivots, keeping
-    each basis row as a combination of Krylov vectors.  Returns (rank_p,
-    coefficients): the first k whose vector reduces to zero, and the monic
-    combination m (m_k = 1, m_i = 0 for i > k) with sum m_i A^i j = 0 mod p,
-    lifted to the symmetric range.
+    ``krylov`` holds the vectors as walk counts or as residues mod p; they
+    are reduced mod p on the way in.  Fraction-free forward elimination
+    mod p: row r, once every earlier row has been subtracted out of it, is
+    either zero or pivots on its first non-zero entry, which is then
+    eliminated from every later row (each scaled by the pivot, so no inverse
+    is needed).  Each row carries the combination of Krylov vectors it
+    stands for.  Returns (rank_p, coefficients): the first k whose vector
+    reduces to zero, n if none does, and for k < n the monic combination m
+    (m_k = 1, m_i = 0 for i > k) with sum m_i A^i j = 0 mod p, entries in
+    [0, p); a full-rank graph's coefficients are 0.
     """
-    B, n1, n = krylov.shape
+    B, n, _ = krylov.shape
     rows = np.arange(B)
-    basis = np.zeros((B, n, n), dtype=np.int64)
-    combos = np.zeros((B, n, n1), dtype=np.int64)
-    pivots = np.zeros((B, n), dtype=np.int64)
-    rank = np.full(B, -1)
-    coeffs = np.zeros((B, n1), dtype=np.int64)
-    for k in range(n1):
-        v = krylov[:, k] % _PRIME
-        c = np.zeros((B, n1), dtype=np.int64)
-        c[:, k] = 1
-        for r in range(k):
-            f = v[rows, pivots[:, r]][:, None]
-            v = (v - f * basis[:, r]) % _PRIME
-            c = (c - f * combos[:, r]) % _PRIME
-        done = (rank < 0) & ~v.any(axis=1)
-        rank[done] = k
-        coeffs[done] = c[done]
-        if (rank >= 0).all():
+    m = np.empty((B, n, 2 * n), dtype=np.int64)
+    np.remainder(krylov, p, out=m[:, :, :n])
+    m[:, :, n:] = np.eye(n, dtype=np.int64)
+    rank = np.full(B, n)
+    step = max(1, _BLOCK_ENTRIES // (B * 2 * n))
+    for r in range(n):
+        row = m[:, r]
+        piv = np.argmax(row[:, :n] != 0, axis=1)
+        pv = row[rows, piv]
+        rank[(rank == n) & (pv == 0)] = r
+        if (rank < n).all():
             break
-        piv = np.argmax(v != 0, axis=1)
-        inv = _inverse_mod(v[rows, piv])[:, None]
-        basis[:, k] = v * inv % _PRIME
-        combos[:, k] = c * inv % _PRIME
-        pivots[:, k] = piv
-    coeffs[coeffs > _PRIME // 2] -= _PRIME
-    return rank, coeffs
+        below = m[:, r + 1:]
+        f = below[rows, :, piv]
+        below *= pv[:, None, None]
+        for lo in range(0, n - r - 1, step):  # row blocks bound the product's size
+            below[:, lo:lo + step] -= f[:, lo:lo + step, None] * row[:, None, :]
+        below %= p
+    k = np.minimum(rank, n - 1)
+    coeffs = m[rows, k, n:] * (rank < n)[:, None]
+    return rank, coeffs * _inverse_mod(coeffs[rows, k], p)[:, None] % p
 
 
-def walk_ranks(graphs: Sequence[Graph], adj: np.ndarray) -> list[int]:
-    """Walk-matrix ranks of ``graphs``, whose (B, n, n) int64 adjacency stack is ``adj``.
+def _dependency_holds(adj: np.ndarray, krylov: np.ndarray, m: Sequence[int]) -> bool:
+    """Whether sum_i m_i A^i j = 0 exactly for one graph (``adj`` (n, n)).
 
-    For n <= 9 every rank is certified from both sides.  Lower bound: the
-    vectors j, ..., A^(k-1) j before the first one that reduces to zero mod p
-    are independent mod p, so some k x k minor of the walk matrix is non-zero
-    mod p, hence non-zero: rank >= k.  Upper bound: the lifted dependency
-    A^k j = -sum_{i<k} m_i A^i j, checked exactly, makes the span of
-    j, ..., A^(k-1) j invariant under A, so every later column lies in it:
-    rank <= k.  A graph whose check fails (rank_p falls short of the rank
-    because p divides every minor that shows it, or a true coefficient lies
-    outside the symmetric range) and every graph of order n > 9, where the
-    check could overflow int64, gets Bareiss on ``walk_matrix(g)``.
+    ``krylov`` is the graph's wrapping Krylov sequence (exact mod 2^64).  A
+    length-i walk count is at most Delta^i (Delta the maximum degree), so
+    every entry of the sum is at most S = sum_i |m_i| Delta^i in size.  It
+    is checked mod 2^64 and then mod as many primes as it takes for the
+    moduli's product to exceed 2S: an integer that all of them divide and
+    that is smaller than their product in size is 0.
+    """
+    n = len(adj)
+    delta = int(adj.sum(axis=1).max())
+    bound = 2 * sum(abs(c) * delta ** i for i, c in enumerate(m))
+    wrapped = np.array([(c + (1 << 63)) % (1 << 64) - (1 << 63) for c in m], dtype=np.int64)
+    if (wrapped[:, None] * krylov[:len(m)]).sum(axis=0).any():
+        return False
+    checks, modulus = [], 1 << 64
+    for q in _primes():
+        if modulus > bound:
+            break
+        checks.append(q)
+        modulus *= q
+    if not checks:
+        return True
+    qs = np.array(checks)[:, None]
+    kq = _krylov(np.broadcast_to(adj, (len(checks), n, n)), qs)
+    acc = np.zeros((len(checks), n), dtype=np.int64)
+    for i, c in enumerate(m):
+        acc = (acc + np.array([c % q for q in checks])[:, None] * kq[:, i]) % qs
+    return not acc.any()
+
+
+def _fits_int64_check(coeffs: np.ndarray, krylov: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """:func:`_dependency_holds` on a stack, where 2^64 alone covers the bound.
+
+    True where the sum, wrapping in int64 and so exact mod 2^64, is zero and
+    2S < 2^64.  ``coeffs`` are below 2^31 in size.  S comes from Horner's
+    rule in int64, saturating at ``cap`` so that no step overflows; a
+    saturated S is only known to be large, and that graph is left to the
+    per-graph check.
+    """
+    zero = ~np.einsum("bk,bkv->bv", coeffs, krylov).any(axis=1)
+    cap = ((1 << 63) - (1 << 31)) // max(int(delta.max(initial=0)), 1)
+    s = np.zeros(len(coeffs), dtype=np.int64)
+    for c in np.abs(coeffs).T[::-1]:
+        s = np.minimum(s * delta + c, cap)
+    return zero & (s < cap)
+
+
+def walk_ranks(adj: np.ndarray) -> list[int]:
+    """Walk-matrix ranks of a (B, n, n) int64 adjacency stack, each one certified.
+
+    The rank of W = [j, Aj, ..., A^(n-1) j] is the first k for which A^k j
+    lies in the span of j, ..., A^(k-1) j, since from there on that span is
+    invariant under A.  Every rank is bounded from both sides.
+
+    Lower bound.  Mod a prime p, let rank_p be the first k for which A^k j
+    depends on the vectors before it (``_krylov_dependency``).  Those k
+    vectors are independent mod p, so some k x k minor of W is non-zero mod
+    p, hence non-zero: rank >= rank_p.  rank_p = n settles the rank.
+
+    Upper bound, when rank_p = k < n.  The monic dependency found mod p is
+    lifted by the Chinese remainder theorem, in the symmetric range, over
+    the primes that give the same k.  A prime with a higher rank_p restarts
+    the lift at its k; one with a lower rank_p divides a minor that shows
+    rank >= k, so it is skipped.  A lifted m with sum m_i A^i j = 0 exactly
+    (``_dependency_holds``) makes the span of j, ..., A^(k-1) j invariant
+    under A: rank <= k.  A candidate that fails the check is never
+    certified; the graph takes another prime.
+
+    Termination.  Let r be the rank and D a non-zero r x r minor of W.  No
+    prime has rank_p > r, and every prime that does not divide D, which is
+    all but finitely many, has rank_p = r; mod such a prime the monic
+    dependency is the integer one, m*, reduced.  So after finitely many
+    primes the lift sits at k = r and only takes primes that agree with m*;
+    once their product exceeds 2 max |m*_i| it returns m*, which passes.
+
+    The primes are 31-bit, descending from 2^31 - 1 (``_primes``).  The
+    first one runs on the whole stack, its candidates checked in int64
+    (``_fits_int64_check``) wherever 2^64 alone covers the check's bound,
+    as it does at every n <= 9; only the rest go graph by graph.
     """
     B, n, _ = adj.shape
-    ranks = np.full(B, -1)
-    if _certifiable(n):
-        krylov = np.empty((B, n + 1, n), dtype=np.int64)
-        krylov[:, 0] = 1
-        for k in range(n):
-            krylov[:, k + 1] = np.einsum("bij,bj->bi", adj, krylov[:, k])
-        rank_p, coeffs = _krylov_dependency(krylov)
-        exact_zero = ~np.einsum("bk,bkv->bv", coeffs, krylov).any(axis=1)
-        ranks[exact_zero] = rank_p[exact_zero]
-    out = ranks.tolist()
-    for b in np.flatnonzero(ranks < 0).tolist():
-        out[b] = walk_matrix(graphs[b]).rank
-    return out
+    krylov = _krylov(adj)
+    delta = adj.sum(axis=2).max(axis=1)
+    unwrapped = int(delta.max(initial=0)) ** (n - 1) < 1 << 63  # every walk count below 2^63
+
+    def dependencies(idx, p):
+        return _krylov_dependency(krylov[idx] if unwrapped else _krylov(adj[idx], p), p)
+
+    primes = _primes()
+    p = next(primes)
+    rank_p, coeffs = dependencies(slice(None), p)
+    sym = np.where(2 * coeffs > p, coeffs - p, coeffs)
+    ranks = np.where((rank_p == n) | _fits_int64_check(sym, krylov, delta), rank_p, -1)
+    idx = np.flatnonzero(ranks < 0)
+    rank_p, coeffs = rank_p[idx], coeffs[idx]
+    # graph -> (k, modulus, lifted coefficients in [0, modulus))
+    lifts = dict.fromkeys(idx.tolist(), (-1, 1, []))
+    while True:
+        for b, k, c in zip(idx.tolist(), rank_p.tolist(), coeffs.tolist()):
+            k0, mod, m = lifts[b]
+            if k < k0:
+                continue
+            if k > k0:
+                mod, m = p, c[:k + 1]
+            else:
+                inv = pow(mod, -1, p)
+                m = [x + mod * ((y - x) * inv % p) for x, y in zip(m, c)]
+                mod *= p
+            lifts[b] = k, mod, m
+            if k == n or _dependency_holds(adj[b], krylov[b],
+                                           [x - mod if 2 * x > mod else x for x in m]):
+                ranks[b] = k
+                del lifts[b]
+        if not lifts:
+            return ranks.tolist()
+        p = next(primes)
+        idx = np.array(list(lifts))
+        rank_p, coeffs = dependencies(idx, p)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ import numpy as np
 # Exhaustive sweeps (``sweeps.sweep``) walk all 2^(n(n-1)/2) labeled graphs;
 # past n = 8 that is no longer a sane thing to offer.
 MAX_ENUM_ORDER = 8
-# Largest order the command line reads or builds.  Past it the Bareiss walk
-# rank dominates: one G(n, 0.3) and its complement take about 11 s to
-# analyse at n = 100 and 61 s at n = 128 (2-core box).
-MAX_ORDER = 100
+# Largest order the command line reads or builds.  At it, ``analyze --json``
+# on a G(200, 0.3) or G(200, 0.5) and its complement takes 0.4-0.6 s, and on
+# the twin blow-up of a G(100, 0.3) (walk rank 100, nine lifting primes)
+# 1.2-1.8 s; at order 250 that blow-up takes 3.9 s (2-core box).
+MAX_ORDER = 200
 
 
 class ParameterError(ValueError):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mainspec import spectra, sweeps
+from mainspec import exact, spectra, sweeps
 from mainspec.analysis import (
     GraphAnalysis,
     RouteDisagreementError,
@@ -218,3 +218,20 @@ def test_sweep_streams_masks_chunk_by_chunk(monkeypatch):
     a, co = next(sweep(8))
     assert a.graph == Graph.from_edge_mask(8, 0)
     assert co.graph == complete(8)
+
+
+def test_pipeline_never_reaches_bareiss(monkeypatch):
+    calls = []
+    for name in ("walk_matrix", "exact_rank"):
+        monkeypatch.setattr(exact, name, lambda *args, _name=name: calls.append(_name))
+    rng = np.random.default_rng(10)
+    g200 = Graph.from_edges(200, [(i, j) for i in range(200) for j in range(i + 1, 200)
+                                  if rng.random() < 0.3])
+    for g in (path(10), harmonic_tree(3), double_star(60, 70),
+              pendant_decorated(cycle(50), 3), path(200), g200):
+        for h in (g, g.complement()):
+            assert analyze_graph(h).rank <= h.n
+    masks = sweeps.sample_masks(8, 512, 8)
+    graphs = [Graph.from_edge_mask(8, m) for m in masks.tolist()]
+    assert len(sweeps.analyze_stack(graphs, sweeps.adjacency_stack(8, masks))) == 512
+    assert calls == []

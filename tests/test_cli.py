@@ -377,12 +377,12 @@ class TestCaps:
         assert "main count: 1 (float route) / 1 (walk-matrix rank)" in out
 
     @pytest.mark.parametrize("argv,largest", [
-        # harmonic tree T_5 has order 5^3 - 5^2 + 5 + 1 = 106
-        (("--harmonictrees", "5"), "harmonictree(5) has order 106"),
+        # harmonic tree T_7 has order 7^3 - 7^2 + 7 + 1 = 302
+        (("--harmonictrees", "7"), "harmonictree(7) has order 302"),
         (("--paths", f"2..{MAX_ORDER + 1}"), f"path({MAX_ORDER + 1})"),
-        (("--doublestars", "50"), "doublestar(50,50) has order 102"),
-        (("--krr", "51"), "completebipartite(51,51) has order 102"),
-        (("--pendants", "51", "1"), "pendant(cycle(51),q=1) has order 102"),
+        (("--doublestars", "100"), "doublestar(100,100) has order 202"),
+        (("--krr", "101"), "completebipartite(101,101) has order 202"),
+        (("--pendants", "101", "1"), "pendant(cycle(101),q=1) has order 202"),
     ])
     def test_verify_family_over_order_cap(self, capsys, monkeypatch, argv, largest):
         # refused before any family graph is built or any sweep runs

@@ -1,6 +1,7 @@
 """Exact integer route: walk matrices, Bareiss elimination, divisors,
 double-star polynomials.  Rank and determinant are cross-checked against a
 plain Fraction-based Gaussian elimination oracle."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from mainspec import exact
 from mainspec.graphs import (
+    MAX_ORDER,
     Graph,
     complete,
+    complete_bipartite,
     cycle,
     double_star,
     harmonic_tree,
@@ -349,7 +352,7 @@ class TestPseudoRegular:
 
 
 
-_BAREISS_WALK = exact.walk_matrix  # the per-graph route, kept before any monkeypatch
+_BAREISS_WALK = exact.walk_matrix  # the Bareiss oracle, kept before any monkeypatch
 
 
 def _stack(graphs):
@@ -360,24 +363,53 @@ def _bareiss_ranks(graphs):
     return [_BAREISS_WALK(g).rank for g in graphs]
 
 
+def _twin_blowup(g):
+    """Each vertex doubled by a non-adjacent twin: walk rows repeat, so the
+    walk rank is that of ``g``."""
+    n = g.n
+    return Graph.from_edges(2 * n, [(u + s * n, v + t * n) for u, v in g.edges()
+                                    for s in (0, 1) for t in (0, 1)])
+
+
+def _certified_dependency(monkeypatch, g):
+    """The dependency walk_ranks certifies for ``g`` (rank below the order)."""
+    passed = []
+    holds = exact._dependency_holds
+
+    def keep(adj, krylov, m):
+        ok = holds(adj, krylov, m)
+        if ok:
+            passed.append(list(m))
+        return ok
+
+    monkeypatch.setattr(exact, "_dependency_holds", keep)
+    monkeypatch.setattr(exact, "_fits_int64_check",
+                        lambda coeffs, krylov, delta: np.zeros(len(coeffs), dtype=bool))
+    (rank,) = exact.walk_ranks(_stack([g]))
+    monkeypatch.undo()
+    assert len(passed) == 1 and len(passed[0]) == rank + 1
+    return passed[0]
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Names of the Bareiss-route functions called while the fixture is live."""
+    calls = []
+    for name in ("walk_matrix", "exact_rank"):
+        def spy(*args, _name=name, _original=getattr(exact, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(exact, name, spy)
+    return calls
+
+
 class TestWalkRanks:
-    """Batched walk ranks: mod-p Krylov certificate, Bareiss where it cannot apply."""
-
-    @pytest.fixture
-    def bareiss_calls(self, monkeypatch):
-        calls = []
-
-        def counting(g):
-            calls.append(g)
-            return _BAREISS_WALK(g)
-
-        monkeypatch.setattr(exact, "walk_matrix", counting)
-        return calls
+    """Batched walk ranks: mod-p Krylov lower bound, CRT-lifted certified dependency."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_graph_of_small_order(self, n, bareiss_calls):
         graphs = [Graph.from_edge_mask(n, m) for m in range(mask_population(n))]
-        ranks = exact.walk_ranks(graphs, _stack(graphs))
+        ranks = exact.walk_ranks(_stack(graphs))
         assert bareiss_calls == []  # every rank certified, none from Bareiss
         assert ranks == _bareiss_ranks(graphs)
 
@@ -385,27 +417,104 @@ class TestWalkRanks:
     def test_seeded_samples(self, n, seed, bareiss_calls):
         masks = sample_masks(n, 600, seed).tolist()
         graphs = [Graph.from_edge_mask(n, m) for m in masks]
-        ranks = exact.walk_ranks(graphs, _stack(graphs))
+        ranks = exact.walk_ranks(_stack(graphs))
         assert bareiss_calls == []
         assert ranks == _bareiss_ranks(graphs)
 
-    def test_failed_certificates_fall_back_to_bareiss(self, monkeypatch, bareiss_calls):
-        # Mod 5 many Krylov minors vanish, so rank_p undercounts and the lifted
-        # identity fails its exact check; those graphs must go to Bareiss.
-        monkeypatch.setattr(exact, "_PRIME", 5)
+    def test_later_primes_settle_what_a_bad_first_prime_cannot(self, monkeypatch,
+                                                               bareiss_calls):
+        # Mod 5 many Krylov minors vanish, so rank_p undercounts, and the
+        # dependency mod 5 rarely lifts to the integer one; those graphs must
+        # be settled by the primes after it.
+        primes = exact._primes
+        monkeypatch.setattr(exact, "_primes", lambda: itertools.chain([5], primes()))
+        moduli = []
+        dependency = exact._krylov_dependency
+
+        def counting(krylov, p):
+            moduli.append(p)
+            return dependency(krylov, p)
+
+        monkeypatch.setattr(exact, "_krylov_dependency", counting)
         graphs = [Graph.from_edge_mask(6, m) for m in range(0, mask_population(6), 7)]
-        ranks = exact.walk_ranks(graphs, _stack(graphs))
-        assert 0 < len(bareiss_calls) < len(graphs)
+        ranks = exact.walk_ranks(_stack(graphs))
+        assert bareiss_calls == []
+        assert moduli[0] == 5 and len(moduli) > 1
         assert ranks == _bareiss_ranks(graphs)
 
-    @pytest.mark.parametrize("g", [path(12), harmonic_tree(3)], ids=["P12", "T3"])
-    def test_large_orders_skip_the_certificate(self, g, bareiss_calls):
-        assert not exact._certifiable(g.n)
-        assert exact.walk_ranks([g], _stack([g])) == [_BAREISS_WALK(g).rank]
-        assert bareiss_calls == [g]
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=10, max_value=24), st.floats(min_value=0.05, max_value=0.95),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_random_graphs_past_order_9(self, n, p, seed):
+        g = _gnp(n, p, seed)
+        graphs = [g, g.complement()]
+        ranks = exact.walk_ranks(_stack(graphs))
+        assert ranks == [fraction_rank(_BAREISS_WALK(h).entries) for h in graphs]
 
-    def test_certificate_bound_is_order_9(self):
-        assert [n for n in range(1, 20) if exact._certifiable(n)] == list(range(1, 10))
+    @pytest.mark.parametrize("g,rank", [
+        (complete_bipartite(7, 7), 1), (complete_bipartite(100, 100), 1),
+        (double_star(6, 6), 2), (double_star(99, 99), 2),
+        (path(12), 6), (path(64), 32), (path(199), 100), (path(200), 100),
+        (pendant_decorated(cycle(12), 2), 2), (pendant_decorated(cycle(50), 3), 2),
+        (harmonic_tree(3), 2),
+    ], ids=["K7_7", "K100_100", "T6_6", "T99_99", "P12", "P64", "P199", "P200",
+            "C12q2", "C50q3", "T3"])
+    def test_known_deficient_ranks(self, g, rank, bareiss_calls):
+        assert exact.walk_ranks(_stack([g])) == [rank]
+        assert bareiss_calls == []
+
+    @pytest.mark.parametrize("order", [20, 60, 200])
+    def test_twin_blowups(self, order, bareiss_calls):
+        base = _gnp(order // 2, 0.3, order)
+        (want,) = exact.walk_ranks(_stack([base]))
+        assert exact.walk_ranks(_stack([_twin_blowup(base)])) == [want]
+        assert bareiss_calls == []
+        if order <= 60:
+            assert want == _bareiss_ranks([base])[0]
+        else:
+            assert want == order // 2  # G(100, 0.3) here is of full rank
+
+    @pytest.mark.parametrize("g", [path(12), double_star(20, 20), path(200)],
+                             ids=["P12", "T20_20", "P200"])
+    def test_tampered_lift_is_not_certified(self, monkeypatch, g):
+        m = _certified_dependency(monkeypatch, g)
+        adj = g.adjacency_matrix().astype(np.int64)
+        krylov = exact._krylov(adj[None])[0]
+        assert exact._dependency_holds(adj, krylov, m)
+        for i in {0, len(m) // 2, len(m) - 2}:
+            tampered = list(m)
+            tampered[i] += 1
+            assert not exact._dependency_holds(adj, krylov, tampered)
+
+    def test_path_200_needs_check_primes(self, monkeypatch):
+        # its dependency is too large for the 2^64 check to cover alone
+        m = _certified_dependency(monkeypatch, path(200))
+        assert 2 * sum(abs(c) * 2 ** i for i, c in enumerate(m)) >= 1 << 64
+
+    def test_mod_p_matvec_at_max_order_fits_int64(self):
+        # The worst matvec sums MAX_ORDER - 1 residues just below p, so every
+        # column of K_n's Krylov sequence mod p must be exact.
+        n, p = MAX_ORDER, exact._FIRST_PRIME
+        assert n * (p - 1) < 1 << 63 and 2 * (p - 1) ** 2 < 1 << 63
+        krylov = exact._krylov(_stack([complete(n)]), p)[0]
+        for i, col in enumerate(krylov[: 8]):
+            assert (col == pow(n - 1, i, p)).all()
+        assert (krylov[-1] == pow(n - 1, n - 1, p)).all()
+
+    def test_wrapping_krylov_is_exact_mod_2_64(self):
+        g = _gnp(60, 0.5, 6)
+        krylov = exact._krylov(_stack([g]))[0]
+        walks = _BAREISS_WALK(g).entries
+        for i in (0, 1, 20, 59):
+            assert [int(x) % (1 << 64) for x in krylov[i]] == [row[i] % (1 << 64) for row in walks]
+
+    def test_primes_descend_from_2_31_minus_1(self):
+        def trial(q):
+            return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+        assert list(itertools.islice(exact._primes(), 5)) == [
+            q for q in range(2 ** 31 - 1, 2 ** 31 - 200, -1) if trial(q)][:5]
+        assert [q for q in range(3000) if exact._is_prime(q)] == list(filter(trial, range(3000)))
 
 
 def test_harmonic_levels_match_harmonic_ell():
