@@ -124,10 +124,12 @@ def finish_analyses(
     levels = exact.harmonic_levels(adj)
     out = []
     for g, grp, rank, level in zip(graphs, groups, ranks, levels):
+        spectrum = spectra.MainSpectrum(tuple(grp))
+        s_float: int | None = spectrum.main_count
         gray = [i for i, x in enumerate(grp) if x.is_main is None]
-        flags = spectra.classify_flags(grp, g.n)[0] if gray else [x.is_main for x in grp]
-        spectrum, s_float, _ = resolve_spectrum(
-            spectra.MainSpectrum(tuple(grp)), flags, gray, rank)
+        if gray:
+            spectrum, s_float, _ = resolve_spectrum(
+                spectrum, spectra.classify_flags(grp, g.n)[0], gray, rank)
         out.append(GraphAnalysis(g, spectrum, rank, s_float, level))
     return out
 

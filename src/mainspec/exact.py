@@ -132,18 +132,20 @@ def _primes() -> Iterator[int]:
     return filter(_is_prime, range(_FIRST_PRIME, 2, -2))
 
 
-def _krylov(adj: np.ndarray, p: int | np.ndarray | None = None) -> np.ndarray:
-    """Walk-matrix columns j, Aj, ..., A^(n-1) j of a (B, n, n) stack, as (B, n, n) int64 rows.
+def _krylov(adj: np.ndarray, p: int | np.ndarray | None = None,
+            length: int | None = None) -> np.ndarray:
+    """Walk-matrix columns j, Aj, ..., A^(K-1) j of a (B, n, n) stack, as (B, K, n) int64 rows.
 
-    With ``p`` (an int, or one modulus per graph as a (B, 1) array) every
-    entry is reduced mod p after each matvec, which sums at most n residues
-    below 2^31.  Without it the int64 matvecs wrap, so the entries are the
-    walk counts modulo 2^64 exactly.
+    K is ``length``, n by default.  With ``p`` (an int, or one modulus per
+    graph as a (B, 1) array) every entry is reduced mod p after each matvec,
+    which sums at most n residues below 2^31.  Without it the int64 matvecs
+    wrap, so the entries are the walk counts modulo 2^64 exactly.
     """
     B, n, _ = adj.shape
-    out = np.empty((B, n, n), dtype=np.int64)
+    length = n if length is None else length
+    out = np.empty((B, length, n), dtype=np.int64)
     out[:, 0] = 1
-    for k in range(n - 1):
+    for k in range(length - 1):
         v = np.einsum("bij,bj->bi", adj, out[:, k])
         out[:, k + 1] = v if p is None else v % p
     return out
@@ -162,41 +164,42 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _krylov_dependency(krylov: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """First mod-p dependency of each graph's Krylov sequence j, Aj, ..., A^(n-1) j.
+    """First mod-p dependency of each graph's Krylov vectors j, Aj, ..., A^(K-1) j.
 
-    ``krylov`` holds the vectors as walk counts or as residues mod p; they
-    are reduced mod p on the way in.  Fraction-free forward elimination
-    mod p: row r, once every earlier row has been subtracted out of it, is
-    either zero or pivots on its first non-zero entry, which is then
-    eliminated from every later row (each scaled by the pivot, so no inverse
-    is needed).  Each row carries the combination of Krylov vectors it
-    stands for.  Returns (rank_p, coefficients): the first k whose vector
-    reduces to zero, n if none does, and for k < n the monic combination m
-    (m_k = 1, m_i = 0 for i > k) with sum m_i A^i j = 0 mod p, entries in
-    [0, p); a full-rank graph's coefficients are 0.
+    ``krylov`` is a (B, K, n) stack, K <= n, holding the vectors as walk
+    counts or as residues mod p; they are reduced mod p on the way in.
+    Fraction-free forward elimination mod p: row r, once every earlier row
+    has been subtracted out of it, is either zero or pivots on its first
+    non-zero entry, which is then eliminated from every later row (each
+    scaled by the pivot, so no inverse is needed).  Each row carries the
+    combination of Krylov vectors it stands for.  Returns (rank_p,
+    coefficients): the first k whose vector reduces to zero, K if none does,
+    and for k < K the monic combination m of length K (m_k = 1, m_i = 0 for
+    i > k) with sum m_i A^i j = 0 mod p, entries in [0, p); a graph with no
+    dependency among its K vectors gets coefficients 0.
     """
-    B, n, _ = krylov.shape
+    B, K, n = krylov.shape
     rows = np.arange(B)
-    m = np.empty((B, n, 2 * n), dtype=np.int64)
+    m = np.empty((B, K, n + K), dtype=np.int64)
     np.remainder(krylov, p, out=m[:, :, :n])
-    m[:, :, n:] = np.eye(n, dtype=np.int64)
-    rank = np.full(B, n)
-    step = max(1, _BLOCK_ENTRIES // (B * 2 * n))
-    for r in range(n):
+    m[:, :, n:] = np.eye(K, dtype=np.int64)
+    rank = np.full(B, K)
+    step = max(1, _BLOCK_ENTRIES // (B * (n + K)))
+    for r in range(K):
         row = m[:, r]
         piv = np.argmax(row[:, :n] != 0, axis=1)
         pv = row[rows, piv]
-        rank[(rank == n) & (pv == 0)] = r
-        if (rank < n).all():
+        rank[(rank == K) & (pv == 0)] = r
+        if (rank < K).all():
             break
         below = m[:, r + 1:]
         f = below[rows, :, piv]
         below *= pv[:, None, None]
-        for lo in range(0, n - r - 1, step):  # row blocks bound the product's size
+        for lo in range(0, K - r - 1, step):  # row blocks bound the product's size
             below[:, lo:lo + step] -= f[:, lo:lo + step, None] * row[:, None, :]
         below %= p
-    k = np.minimum(rank, n - 1)
-    coeffs = m[rows, k, n:] * (rank < n)[:, None]
+    k = np.minimum(rank, K - 1)
+    coeffs = m[rows, k, n:] * (rank < K)[:, None]
     return rank, coeffs * _inverse_mod(coeffs[rows, k], p)[:, None] % p
 
 
@@ -278,29 +281,42 @@ def walk_ranks(adj: np.ndarray) -> list[int]:
     once their product exceeds 2 max |m*_i| it returns m*, which passes.
 
     The primes are 31-bit, descending from 2^31 - 1 (``_primes``).  The
-    first one runs on the whole stack, its candidates checked in int64
-    (``_fits_int64_check``) wherever 2^64 alone covers the check's bound,
-    as it does at every n <= 9; only the rest go graph by graph.
+    first one runs on the whole stack.  Only the graphs it leaves short
+    (rank_p < n) need the wrapping sequence, exact mod 2^64, that the checks
+    read.  When every walk count is below 2^63, as at every n <= 9, that
+    sequence is the one the prime reduces, so the stack builds its Krylov
+    sequence once; otherwise it is built for the short graphs alone, and
+    not at all when none is short.  Their candidates are checked in int64
+    (``_fits_int64_check``) wherever 2^64 alone covers the check's bound;
+    only the rest go graph by graph.  A lift sitting at k needs from a later
+    prime only whether j, ..., A^k j are dependent, so that prime gets the
+    first k + 1 Krylov vectors; a prime that finds them independent has a
+    higher rank_p and is redone over all n.
     """
     B, n, _ = adj.shape
-    krylov = _krylov(adj)
     delta = adj.sum(axis=2).max(axis=1)
     unwrapped = int(delta.max(initial=0)) ** (n - 1) < 1 << 63  # every walk count below 2^63
+    krylov = _krylov(adj) if unwrapped else None
 
-    def dependencies(idx, p):
-        return _krylov_dependency(krylov[idx] if unwrapped else _krylov(adj[idx], p), p)
+    def dependencies(idx, p, length=n):
+        return _krylov_dependency(krylov[idx, :length] if unwrapped
+                                  else _krylov(adj[idx], p, length), p)
 
     primes = _primes()
     p = next(primes)
-    rank_p, coeffs = dependencies(slice(None), p)
-    sym = np.where(2 * coeffs > p, coeffs - p, coeffs)
-    ranks = np.where((rank_p == n) | _fits_int64_check(sym, krylov, delta), rank_p, -1)
-    idx = np.flatnonzero(ranks < 0)
-    rank_p, coeffs = rank_p[idx], coeffs[idx]
+    ranks, coeffs = dependencies(slice(None), p)
+    idx = np.flatnonzero(ranks < n)
+    if not idx.size:
+        return ranks.tolist()
+    wrapping = krylov[idx] if unwrapped else _krylov(adj[idx])
+    sym = np.where(2 * coeffs[idx] > p, coeffs[idx] - p, coeffs[idx])
+    unsettled = ~_fits_int64_check(sym, wrapping, delta[idx])
+    idx, wrapping = idx[unsettled], dict(zip(idx[unsettled].tolist(), wrapping[unsettled]))
+    rank_p, coeffs = ranks[idx], coeffs[idx].tolist()
     # graph -> (k, modulus, lifted coefficients in [0, modulus))
     lifts = dict.fromkeys(idx.tolist(), (-1, 1, []))
     while True:
-        for b, k, c in zip(idx.tolist(), rank_p.tolist(), coeffs.tolist()):
+        for b, k, c in zip(idx.tolist(), rank_p.tolist(), coeffs):
             k0, mod, m = lifts[b]
             if k < k0:
                 continue
@@ -311,7 +327,7 @@ def walk_ranks(adj: np.ndarray) -> list[int]:
                 m = [x + mod * ((y - x) * inv % p) for x, y in zip(m, c)]
                 mod *= p
             lifts[b] = k, mod, m
-            if k == n or _dependency_holds(adj[b], krylov[b],
+            if k == n or _dependency_holds(adj[b], wrapping[b],
                                            [x - mod if 2 * x > mod else x for x in m]):
                 ranks[b] = k
                 del lifts[b]
@@ -319,7 +335,15 @@ def walk_ranks(adj: np.ndarray) -> list[int]:
             return ranks.tolist()
         p = next(primes)
         idx = np.array(list(lifts))
-        rank_p, coeffs = dependencies(idx, p)
+        length = max(k for k, _, _ in lifts.values()) + 1
+        rank_p, coeffs = dependencies(idx, p, length)
+        coeffs = coeffs.tolist()
+        higher = np.flatnonzero((rank_p == length) & (length < n))
+        if higher.size:
+            higher_rank, higher_coeffs = dependencies(idx[higher], p)
+            rank_p[higher] = higher_rank
+            for i, c in zip(higher.tolist(), higher_coeffs.tolist()):
+                coeffs[i] = c
 
 
 # ---------------------------------------------------------------------------

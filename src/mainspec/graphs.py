@@ -22,9 +22,10 @@ import numpy as np
 # past n = 8 that is no longer a sane thing to offer.
 MAX_ENUM_ORDER = 8
 # Largest order the command line reads or builds.  At it, ``analyze --json``
-# on a G(200, 0.3) or G(200, 0.5) and its complement takes 0.4-0.6 s, and on
+# on a G(200, 0.3) or G(200, 0.5) and its complement takes 0.4-0.5 s, and on
 # the twin blow-up of a G(100, 0.3) (walk rank 100, nine lifting primes)
-# 1.2-1.8 s; at order 250 that blow-up takes 3.9 s (2-core box).
+# 1.0-1.3 s, start-up included; at order 250 analysing that blow-up and its
+# complement takes 1.8-2.0 s (2-core x86_64 box).
 MAX_ORDER = 200
 
 
@@ -114,13 +115,12 @@ class Graph:
         return [(i, j) for i, j in triangle_pairs(self.n) if self.rows[i] >> j & 1]
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for i in range(self.n):
-            row = self.rows[i]
-            for j in range(self.n):
-                if row >> j & 1:
-                    a[i, j] = 1.0
-        return a
+        """0/1 float64 matrix; row i's bit j, read little-endian, is entry (i, j)."""
+        width = (self.n + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width),
+                             axis=1, count=self.n, bitorder="little")
+        return bits.astype(np.float64)
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1

@@ -136,10 +136,10 @@ def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dic
     evecs = evecs[:, :, ::-1]
 
     lam_max = np.abs(evals).max(axis=1) if n else np.zeros(B)
-    gram = np.einsum("bij,bik->bjk", evecs, evecs) - np.eye(n)
+    gram = evecs.transpose(0, 2, 1) @ evecs - np.eye(n)
     orth = np.abs(gram).reshape(B, -1).max(axis=1)
     _require("orthonormality defect", orth, ORTHONORMALITY_TOL * n, n)
-    resid = np.abs(np.einsum("bij,bjk->bik", mats, evecs) - evecs * evals[:, None, :])
+    resid = np.abs(mats @ evecs - evecs * evals[:, None, :])
     resid = resid.reshape(B, -1).max(axis=1)
     _require("eigen residual", resid, RESIDUAL_TOL * (1.0 + lam_max) * n, n)
     drift = np.abs(evals.sum(axis=1) - np.trace(mats, axis1=1, axis2=2))
@@ -163,12 +163,15 @@ def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup
 
     A gap larger than the row's grouping tolerance starts a new run.  A
     group's value is the mean of its run and its projection the sum of the
-    run's per-eigenvector projections.  Sums add left to right from 0.0,
-    which is how numpy sums fewer than 8 values, so each group matches
-    ``evals[a:b].mean()`` and ``proj_sq[a:b].sum()`` bit for bit; the rare
-    runs of 8 or more take numpy's own sum.  Raises AmbiguousGroupingError
-    when two neighboring representatives end up closer than 3x the grouping
-    tolerance, which would make the clustering order dependent.
+    run's per-eigenvector projections.  Each (row, run) pair is one slot of
+    the flattened stack, and one ``np.bincount`` per quantity sums every
+    slot at once.  bincount adds in index order from 0.0, so each run is
+    summed left to right, which is how numpy sums fewer than 8 values: each
+    group matches ``evals[a:b].mean()`` and ``proj_sq[a:b].sum()`` bit for
+    bit.  The rare runs of 8 or more take numpy's own sum.  Raises
+    AmbiguousGroupingError when two neighboring representatives end up
+    closer than 3x the grouping tolerance, which would make the clustering
+    order dependent.
 
     Each group is built once, with the float route's own flag: the
     ``classify_flags`` threshold at order n, or None inside the gray band,
@@ -179,14 +182,10 @@ def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup
     starts = np.ones((B, n), dtype=bool)
     starts[:, 1:] = evals[:, :-1] - evals[:, 1:] > tau[:, None]
     run = np.cumsum(starts, axis=1) - 1
-    rows = np.arange(B)
-    sums = np.zeros((B, n))
-    proj = np.zeros((B, n))
-    mult = np.zeros((B, n), dtype=np.int64)
-    for i in range(n):
-        sums[rows, run[:, i]] += evals[:, i]
-        proj[rows, run[:, i]] += proj_sq[:, i]
-        mult[rows, run[:, i]] += 1
+    slot = (run + n * np.arange(B)[:, None]).ravel()
+    sums = np.bincount(slot, evals.ravel(), B * n).reshape(B, n)
+    proj = np.bincount(slot, proj_sq.ravel(), B * n).reshape(B, n)
+    mult = np.bincount(slot, minlength=B * n).reshape(B, n)
     for b, r in zip(*np.nonzero(mult >= 8)):
         a = int(np.argmax(run[b] == r))
         sums[b, r] = evals[b, a:a + mult[b, r]].sum()

@@ -403,6 +403,20 @@ def bareiss_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def dependency_lengths(monkeypatch):
+    """Krylov vectors per graph that each ``_krylov_dependency`` call receives."""
+    lengths = []
+    dependency = exact._krylov_dependency
+
+    def spy(krylov, p):
+        lengths.append(krylov.shape[1])
+        return dependency(krylov, p)
+
+    monkeypatch.setattr(exact, "_krylov_dependency", spy)
+    return lengths
+
+
 class TestWalkRanks:
     """Batched walk ranks: mod-p Krylov lower bound, CRT-lifted certified dependency."""
 
@@ -441,6 +455,49 @@ class TestWalkRanks:
         assert bareiss_calls == []
         assert moduli[0] == 5 and len(moduli) > 1
         assert ranks == _bareiss_ranks(graphs)
+
+    def test_a_prime_above_the_lift_is_redone_over_all_vectors(self, monkeypatch,
+                                                                dependency_lengths):
+        # K_1,3 plus two isolated vertices: A j = (3, 1, 1, 1, 0, 0) is dependent
+        # on j mod 3 only, so the lift starts at k = 2 and the next prime, given
+        # k + 1 = 3 vectors, finds them independent and must redo all six.
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3)])
+        primes = exact._primes
+        monkeypatch.setattr(exact, "_primes", lambda: itertools.chain([3], primes()))
+        assert exact.walk_ranks(_stack([g])) == [3] == _bareiss_ranks([g])
+        assert dependency_lengths == [6, 3, 6]
+
+    def test_lifting_primes_get_k_plus_one_vectors(self, dependency_lengths):
+        assert exact.walk_ranks(_stack([path(200)])) == [100]
+        assert dependency_lengths[0] == 200 and len(dependency_lengths) > 1
+        assert dependency_lengths[1:] == [101] * (len(dependency_lengths) - 1)
+
+    def test_overflowing_stack_of_full_and_short_ranks(self):
+        base = _gnp(10, 0.5, 10)
+        graphs = [_gnp(20, 0.5, seed) for seed in range(4)]
+        graphs += [complete_bipartite(10, 10), _twin_blowup(base)]
+        adj = _stack(graphs)
+        assert int(adj.sum(axis=2).max()) ** 19 >= 1 << 63  # walk counts overflow int64
+        want = [fraction_rank(_BAREISS_WALK(h).entries) for h in graphs]
+        assert want[:4] == [20] * 4 and want[4] == 1 and want[5] < 20
+        assert exact.walk_ranks(adj) == want
+
+    def test_full_rank_overflowing_stack_skips_the_wrapping_sequence(self, monkeypatch):
+        moduli, checks = [], []
+        krylov, fits = exact._krylov, exact._fits_int64_check
+
+        def krylov_spy(adj, p=None, length=None):
+            moduli.append(p)
+            return krylov(adj, p, length)
+
+        def fits_spy(*args):
+            checks.append(args)
+            return fits(*args)
+
+        monkeypatch.setattr(exact, "_krylov", krylov_spy)
+        monkeypatch.setattr(exact, "_fits_int64_check", fits_spy)
+        assert exact.walk_ranks(_stack([_gnp(20, 0.5, seed) for seed in range(4)])) == [20] * 4
+        assert moduli == [exact._FIRST_PRIME] and checks == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=10, max_value=24), st.floats(min_value=0.05, max_value=0.95),

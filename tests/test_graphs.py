@@ -1,6 +1,8 @@
 import itertools
+import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,25 @@ class TestGraphType:
         a = double_star(2, 3).adjacency_matrix()
         assert (a == a.T).all()
         assert a.trace() == 0
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 15, 16, 17, 63, 64, 65, 200])
+    def test_adjacency_matrix_matches_the_double_loop(self, n):
+        # orders on both sides of each byte boundary of the packed rows
+        def by_loops(g):
+            a = np.zeros((g.n, g.n))
+            for i in range(g.n):
+                for j in range(g.n):
+                    if g.rows[i] >> j & 1:
+                        a[i, j] = 1.0
+            return a
+
+        rng = random.Random(n)
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                     if rng.random() < p])
+            a = g.adjacency_matrix()
+            assert a.dtype == np.float64
+            assert np.array_equal(a, by_loops(g))
 
     def test_triangle_pairs_column_major(self):
         # (0,1), (0,2), (1,2), (0,3), ... — the graph6 bit order.
