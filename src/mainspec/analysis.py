@@ -134,14 +134,13 @@ def finish_analyses(
     return out
 
 
-def analyze_graph(g: Graph, *, strict: bool = True) -> GraphAnalysis:
+def analyze_graph(g: Graph) -> GraphAnalysis:
     """Run both routes on one graph and reconcile them.
 
     Raises RouteDisagreementError when the float count and the exact rank
     differ; that situation means a real bug (or a tolerance failure) and
-    must abort the caller visibly.  ``strict=False`` returns the analysis
-    anyway (float flags kept) so that sweep checkers can report the
-    disagreement as a finding instead of dying mid-stream.
+    must abort the caller visibly.  A caller that needs the disagreement as
+    data takes its analyses from ``sweeps.analyze_stack`` instead.
     """
     dec = spectra.eigen_decompose(g)
     (result,) = finish_analyses(
@@ -150,6 +149,6 @@ def analyze_graph(g: Graph, *, strict: bool = True) -> GraphAnalysis:
         dec.eigenvalues[None],
         (dec.eigenvectors.sum(axis=0) ** 2)[None],
     )
-    if strict and result.disagrees:
+    if result.disagrees:
         raise RouteDisagreementError(result.s_float, result.rank)
     return result

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 at least one claim failed, 2 usage or parse error,
 through gray-band groups the exact rank cannot settle),
 4 a numerical-hygiene check failed (the eigensolver did not converge, a
 decomposition missed its bounds, or eigenvalue groups were too close to
-separate).
+separate), 5 stdout was closed before all output was written (for example
+by ``| head``; the rest of the output is dropped, nothing is printed).
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph
 from .graph6 import EdgeListError, Graph6Error, parse_edgelist, parse_graph6, serialize_graph6
 from .graphs import (
     MAX_ENUM_ORDER,
-    MAX_ORDER,
     FamilySpec,
     Graph,
     ParameterError,
@@ -35,7 +35,6 @@ from .graphs import (
 from .spectra import AmbiguousGroupingError, ConvergenceError, SpectralInvariantError
 from .theorems import (
     ALL_IDS,
-    CLAIMS,
     FAILS,
     GRAPH_CHECKERS,
     PATH_CHECKERS,
@@ -49,6 +48,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DISAGREE = 3
 EXIT_NUMERICAL = 4
+EXIT_CLOSED_STDOUT = 5
 
 _NUMERICAL_ERRORS = (AmbiguousGroupingError, ConvergenceError, SpectralInvariantError)
 
@@ -157,12 +157,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except (Graph6Error, EdgeListError, ParameterError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if g.n > MAX_ORDER:
-        print(f"error: graph has order {g.n}, above the cap of {MAX_ORDER}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        a = analyze_graph(g, strict=True)
-        co = analyze_graph(g.complement(), strict=True)
+        a = analyze_graph(g)
+        co = analyze_graph(g.complement())
     except RouteDisagreementError as err:
         print(f"error: cross-check disagreement: float route found {err.s_float} "
               f"main eigenvalues, walk-matrix rank is {err.rank}", file=sys.stderr)
@@ -483,7 +480,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit drops what is still buffered without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

@@ -481,15 +481,12 @@ def double_star_quartic_roots(k: int, s: int) -> tuple[float, float, float, floa
     return (-r_hi, -r_lo, r_lo, r_hi)
 
 
-def det_walk_divisor(k: int, s: int) -> int:
+def det_walk_divisor(g: Graph, k: int, s: int) -> int:
     """Exact determinant of the divisor walk matrix of T(k, s)'s 4-cell partition.
 
-    Computed from the partition {center 0}, {center 1}, {leaves of 0},
-    {leaves of 1}; zero exactly when k = s.
+    Computed on ``g``, the double star T(k, s), from the partition {center 0},
+    {center 1}, {leaves of 0}, {leaves of 1}; zero exactly when k = s.
     """
-    from .graphs import double_star
-
-    g = double_star(k, s)
     cells = [(0,), (1,), tuple(range(2, 2 + k)), tuple(range(2 + k, 2 + k + s))]
     return exact_det(divisor_walk_matrix(verify_equitable(g, cells)))
 

@@ -39,7 +39,11 @@ def _to_bytes(data: str | bytes) -> bytes:
 
 
 def parse_graph6(data: str | bytes) -> Graph:
-    """Decode one graph6 line (optional '>>graph6<<' prefix and trailing newline allowed)."""
+    """Decode one graph6 line (optional '>>graph6<<' prefix and trailing newline allowed).
+
+    An order above MAX_ORDER is refused on its size header, before the
+    payload is read.
+    """
     raw = _to_bytes(data)
     if raw.startswith(_HEADER):
         raw = raw[len(_HEADER):]
@@ -48,6 +52,8 @@ def parse_graph6(data: str | bytes) -> Graph:
         raise Graph6Error("empty input", 0)
 
     n, pos = _parse_order(raw)
+    if n > MAX_ORDER:
+        raise Graph6Error(f"order {n} is above the cap of {MAX_ORDER}", 0)
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
     actual = len(raw) - pos
@@ -133,8 +139,7 @@ def serialize_graph6(g: Graph) -> bytes:
 def parse_edgelist(text: str) -> Graph:
     """Decode the plain text format: first line "n m", then one "u v" per edge.
 
-    The header alone can name any order, so one above MAX_ORDER is refused
-    before anything is built (a graph6 line grows with the order it names).
+    An order above MAX_ORDER is refused on the header, before anything is built.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():

@@ -5,6 +5,14 @@ Every checker returns a TheoremReport with verdict "holds", "fails" or
 data, so sweeps can keep going and report totals.  Claim ids are the stable
 tokens used by the CLI; CLAIMS maps them to plain-language statements.
 
+Checkers make no analyses of their own: each takes the analysis of its graph
+as ``analysis=`` and, where it reads the complement's, that one as ``co=``
+(checkers that do not read it ignore it).  Both come from the pipeline
+``verify`` uses::
+
+    found = sweeps.analyze_with_complements([g])
+    check_complement_count(g, analysis=found[g], co=found[g.complement()])
+
 A sweep runs all 16 graph checkers on one graph before the next, so they read
 its structural facts (degrees, connectivity, bipartition, pseudo-regular
 ratio) through the ``per_graph`` functions of :mod:`mainspec.graphs`, each
@@ -20,18 +28,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import exact
-from .analysis import GraphAnalysis, analyze_graph
+from .analysis import GraphAnalysis
+from .analysis import analyze_graph  # noqa: F401  (bound here for perfbench's span tracer)
 from .graph6 import serialize_graph6
 from .graphs import (
     FamilySpec,
     Graph,
     bipartition,
-    build_family,
     degree_data,
-    double_star,
     is_bipartite,
     is_connected,
-    path,
     per_graph,
 )
 from .spectra import EigenGroup
@@ -105,14 +111,6 @@ def _graph6(g: Graph) -> str:
     return serialize_graph6(g).decode("ascii")
 
 
-def _ensure(g: Graph, analysis: GraphAnalysis | None) -> GraphAnalysis:
-    return analysis if analysis is not None else analyze_graph(g, strict=False)
-
-
-def _ensure_co(g: Graph, co: GraphAnalysis | None) -> GraphAnalysis:
-    return co if co is not None else analyze_graph(g.complement(), strict=False)
-
-
 def _shift_partners(a: GraphAnalysis, c: GraphAnalysis) -> list[EigenGroup | None]:
     """For each group of G, the complement group at -1-lambda to TOL_EQ, or None:
     one merge walk up the complement's groups, as the targets rise.  At most one
@@ -152,14 +150,13 @@ def complement_window(a: GraphAnalysis, c: GraphAnalysis) -> str:
 
 
 def check_two_main_relation(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """P21: with exactly two main groups, the second is a closed form of n, m, sum d^2."""
-    a = _ensure(g, analysis)
-    if a.main_count != 2:
+    if analysis.main_count != 2:
         return TheoremReport("P21", g, NOT_APPLICABLE,
-                             {"main_count": a.main_count})
-    lam1, lami = a.spectrum.main_values()
+                             {"main_count": analysis.main_count})
+    lam1, lami = analysis.spectrum.main_values()
     dv = degree_data(g)
     denom = 2.0 * dv.m - g.n * lam1
     wit: dict[str, Any] = {"lambda1": lam1, "lambda_i": lami, "m": dv.m,
@@ -177,13 +174,12 @@ def check_two_main_relation(
 
 
 def check_zero_main_index(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """C22: if the second of exactly two main eigenvalues is 0, lambda_1 = sum d^2 / 2m."""
-    a = _ensure(g, analysis)
-    if a.main_count != 2:
-        return TheoremReport("C22", g, NOT_APPLICABLE, {"main_count": a.main_count})
-    lam1, lami = a.spectrum.main_values()
+    if analysis.main_count != 2:
+        return TheoremReport("C22", g, NOT_APPLICABLE, {"main_count": analysis.main_count})
+    lam1, lami = analysis.spectrum.main_values()
     if abs(lami) > TOL_EQ:
         return TheoremReport("C22", g, NOT_APPLICABLE, {"lambda_i": lami})
     dv = degree_data(g)
@@ -199,18 +195,17 @@ def check_zero_main_index(
 
 
 def check_bipartite_harmonic_nonmain(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """L23: bipartite harmonic with an edge puts -lambda_1 in the spectrum, non-main."""
-    a = _ensure(g, analysis)
     m = degree_data(g).m
     bipartite = is_bipartite(g)
-    if not (a.is_harmonic and m >= 1 and bipartite):
+    if not (analysis.is_harmonic and m >= 1 and bipartite):
         return TheoremReport("L23", g, NOT_APPLICABLE,
-                             {"harmonic": a.is_harmonic, "m": m, "bipartite": bipartite})
-    lam1 = a.lambda_max
+                             {"harmonic": analysis.is_harmonic, "m": m, "bipartite": bipartite})
+    lam1 = analysis.lambda_max
     target = -lam1
-    grp = next((gr for gr in a.spectrum.groups if abs(gr.value - target) <= TOL_EQ), None)
+    grp = next((gr for gr in analysis.spectrum.groups if abs(gr.value - target) <= TOL_EQ), None)
     if grp is None:
         return TheoremReport("L23", g, FAILS,
                              {"lambda1": lam1, "missing": target}, TOL_EQ)
@@ -221,54 +216,51 @@ def check_bipartite_harmonic_nonmain(
 
 
 def check_harmonic_main_membership(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """P24: harmonic exactly when every main eigenvalue is 0 or lambda_1."""
-    a = _ensure(g, analysis)
-    lam1 = a.lambda_max
+    lam1 = analysis.lambda_max
     membership = all(
-        abs(v) <= TOL_EQ or abs(v - lam1) <= TOL_EQ for v in a.spectrum.main_values()
+        abs(v) <= TOL_EQ or abs(v - lam1) <= TOL_EQ for v in analysis.spectrum.main_values()
     )
-    ok = membership == a.is_harmonic
+    ok = membership == analysis.is_harmonic
     return TheoremReport("P24", g, HOLDS if ok else FAILS,
-                         {"harmonic": a.is_harmonic, "level": a.harmonic_level,
+                         {"harmonic": analysis.is_harmonic, "level": analysis.harmonic_level,
                           "mains_in_zero_lambda1": membership,
-                          "mains": list(a.spectrum.main_values())}, TOL_EQ)
+                          "mains": list(analysis.spectrum.main_values())}, TOL_EQ)
 
 
 def check_harmonic_index_count(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """P25: with an edge, harmonic exactly when lambda_1 = sum d^2/2m and <= 2 mains."""
-    a = _ensure(g, analysis)
     dv = degree_data(g)
     if dv.m < 1:
         return TheoremReport("P25", g, NOT_APPLICABLE, {"m": 0})
     expected = dv.sum_squares / (2.0 * dv.m)
-    index_match = abs(a.lambda_max - expected) <= TOL_EQ
-    condition = index_match and a.main_count <= 2
-    ok = condition == a.is_harmonic
+    index_match = abs(analysis.lambda_max - expected) <= TOL_EQ
+    condition = index_match and analysis.main_count <= 2
+    ok = condition == analysis.is_harmonic
     return TheoremReport("P25", g, HOLDS if ok else FAILS,
-                         {"harmonic": a.is_harmonic, "lambda1": a.lambda_max,
-                          "sum_sq_over_2m": expected, "main_count": a.main_count},
+                         {"harmonic": analysis.is_harmonic, "lambda1": analysis.lambda_max,
+                          "sum_sq_over_2m": expected, "main_count": analysis.main_count},
                          TOL_EQ)
 
 
 def check_pseudo_regular(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """P26: without isolated vertices, constant average-neighbor-degree == harmonic."""
-    a = _ensure(g, analysis)
     if 0 in degree_data(g).degrees:
         return TheoremReport("P26", g, NOT_APPLICABLE, {"isolated_vertex": True})
     ratio = exact.pseudo_regular_ratio(g)
-    ok = (ratio is not None) == a.is_harmonic
+    ok = (ratio is not None) == analysis.is_harmonic
     if ok and ratio is not None:
         # The constant ratio of a harmonic graph must be the integer level itself.
-        ok = ratio == (a.harmonic_level, 1)
+        ok = ratio == (analysis.harmonic_level, 1)
     return TheoremReport("P26", g, HOLDS if ok else FAILS,
                          {"ratio": None if ratio is None else f"{ratio[0]}/{ratio[1]}",
-                          "harmonic": a.is_harmonic, "level": a.harmonic_level})
+                          "harmonic": analysis.is_harmonic, "level": analysis.harmonic_level})
 
 
 # ---------------------------------------------------------------------------
@@ -277,32 +269,28 @@ def check_pseudo_regular(
 
 
 def check_complement_count(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """T31: equal main counts, and no main pair of G x comp sums to -1."""
-    a = _ensure(g, analysis)
-    c = _ensure_co(g, co)
     sep = min(
-        (abs(v + w + 1.0) for v in a.spectrum.main_values()
-         for w in c.spectrum.main_values()),
+        (abs(v + w + 1.0) for v in analysis.spectrum.main_values()
+         for w in co.spectrum.main_values()),
         default=math.inf,
     )
-    ok = a.main_count == c.main_count and sep > TOL_EQ
+    ok = analysis.main_count == co.main_count and sep > TOL_EQ
     return TheoremReport("T31", g, HOLDS if ok else FAILS,
-                         {"main_count": a.main_count, "co_main_count": c.main_count,
+                         {"main_count": analysis.main_count, "co_main_count": co.main_count,
                           "min_pair_distance": sep}, TOL_EQ)
 
 
 def check_complement_membership(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """P32: non-main-or-repeated == eigenspace meets the all-ones hyperplane
     == -1-lambda is an eigenvalue of the complement, for every eigenvalue.
     A repeated eigenspace always meets the hyperplane and a simple one exactly
     when it is non-main, so the first two are one resolved flag."""
-    a = _ensure(g, analysis)
-    c = _ensure_co(g, co)
-    for grp, partner in zip(a.spectrum.groups, _shift_partners(a, c)):
+    for grp, partner in zip(analysis.spectrum.groups, _shift_partners(analysis, co)):
         meets = (not grp.is_main) or grp.multiplicity > 1
         shifted = partner is not None
         if meets != shifted:
@@ -310,17 +298,15 @@ def check_complement_membership(
                                  {"value": grp.value, "non_main_or_repeated": meets,
                                   "orthogonal_vector": meets, "shift_in_complement": shifted},
                                  TOL_EQ)
-    return TheoremReport("P32", g, HOLDS, {"groups": len(a.spectrum.groups)}, TOL_EQ)
+    return TheoremReport("P32", g, HOLDS, {"groups": len(analysis.spectrum.groups)}, TOL_EQ)
 
 
 def check_simple_shifted_nonmain(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """C33: a simple complement eigenvalue of the form -1-lambda is non-main there."""
-    a = _ensure(g, analysis)
-    c = _ensure_co(g, co)
     applicable = False
-    for grp, match in zip(a.spectrum.groups, _shift_partners(a, c)):
+    for grp, match in zip(analysis.spectrum.groups, _shift_partners(analysis, co)):
         if match is not None and match.multiplicity == 1:
             applicable = True
             if match.is_main:
@@ -334,30 +320,26 @@ def check_simple_shifted_nonmain(
 
 
 def check_complement_bounds(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """INEQ2: lambda_2(comp) <= -1-lambda_min(G) <= lambda_1(comp)."""
-    a = _ensure(g, analysis)
-    c = _ensure_co(g, co)
     if g.n < 2:
         return TheoremReport("INEQ2", g, NOT_APPLICABLE, {"n": g.n})
-    ok = complement_window(a, c) != "violated"
+    ok = complement_window(analysis, co) != "violated"
     return TheoremReport("INEQ2", g, HOLDS if ok else FAILS,
-                         {"lambda2_co": c.eigenvalue(1), "shift": -1.0 - a.lambda_min,
-                          "lambda1_co": c.lambda_max},
+                         {"lambda2_co": co.eigenvalue(1), "shift": -1.0 - analysis.lambda_min,
+                          "lambda1_co": co.lambda_max},
                          TOL_EQ)
 
 
 def check_complement_gap(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """P34: the complement has no eigenvalue strictly inside (-1-lambda_min, lambda_1(comp))."""
-    a = _ensure(g, analysis)
-    c = _ensure_co(g, co)
-    lo = -1.0 - a.lambda_min
-    hi = c.lambda_max
+    lo = -1.0 - analysis.lambda_min
+    hi = co.lambda_max
     intruder = next(
-        (grp.value for grp in c.spectrum.groups
+        (grp.value for grp in co.spectrum.groups
          if lo + TOL_EQ < grp.value < hi - TOL_EQ),
         None,
     )
@@ -367,65 +349,59 @@ def check_complement_gap(
 
 
 def check_top_shift_equality(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """P35: lambda_1(comp) = -1-lambda_min(G) iff lambda_min non-main and
     lambda_1(comp) repeated."""
-    a = _ensure(g, analysis)
-    c = _ensure_co(g, co)
-    equal = complement_window(a, c) == "equals-lambda1"
-    low = a.spectrum.groups[-1]
-    structural = (low.is_main is False) and c.spectrum.groups[0].multiplicity > 1
+    equal = complement_window(analysis, co) == "equals-lambda1"
+    low = analysis.spectrum.groups[-1]
+    structural = (low.is_main is False) and co.spectrum.groups[0].multiplicity > 1
     ok = equal == structural
     return TheoremReport("P35", g, HOLDS if ok else FAILS,
-                         {"lambda1_co": c.lambda_max, "shift": -1.0 - a.lambda_min,
+                         {"lambda1_co": co.lambda_max, "shift": -1.0 - analysis.lambda_min,
                           "low_main": low.is_main,
-                          "co_top_multiplicity": c.spectrum.groups[0].multiplicity},
+                          "co_top_multiplicity": co.spectrum.groups[0].multiplicity},
                          TOL_EQ)
 
 
 def check_second_shift_equality(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """P36: lambda_2(comp) = -1-lambda_min < lambda_1(comp) iff lambda_min is main
     and repeated, or non-main with lambda_1(comp) simple."""
-    a = _ensure(g, analysis)
-    c = _ensure_co(g, co)
     if g.n < 2:
         return TheoremReport("P36", g, NOT_APPLICABLE, {"n": g.n})
-    numeric = complement_window(a, c) == "equals-lambda2"
-    low = a.spectrum.groups[-1]
+    numeric = complement_window(analysis, co) == "equals-lambda2"
+    low = analysis.spectrum.groups[-1]
     structural = (bool(low.is_main) and low.multiplicity > 1) or (
-        low.is_main is False and c.spectrum.groups[0].multiplicity == 1
+        low.is_main is False and co.spectrum.groups[0].multiplicity == 1
     )
     ok = numeric == structural
     return TheoremReport("P36", g, HOLDS if ok else FAILS,
-                         {"lambda2_co": c.eigenvalue(1), "shift": -1.0 - a.lambda_min,
+                         {"lambda2_co": co.eigenvalue(1), "shift": -1.0 - analysis.lambda_min,
                           "low_main": low.is_main, "low_multiplicity": low.multiplicity,
-                          "co_top_multiplicity": c.spectrum.groups[0].multiplicity},
+                          "co_top_multiplicity": co.spectrum.groups[0].multiplicity},
                          TOL_EQ)
 
 
 def check_balanced_complete_bipartite_shift(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """T37: for connected bipartite G, lambda_1(comp) = -1-lambda_min(G) iff G is
     complete bipartite and balanced."""
-    a = _ensure(g, analysis)
     connected = is_connected(g)
     parts = bipartition(g)
     if not (connected and parts is not None):
         return TheoremReport("T37", g, NOT_APPLICABLE,
                              {"connected": connected, "bipartite": parts is not None})
-    c = _ensure_co(g, co)
     r, s = len(parts[0]), len(parts[1])
     m = degree_data(g).m
     structural = m == r * s and r == s
-    equal = complement_window(a, c) == "equals-lambda1"
+    equal = complement_window(analysis, co) == "equals-lambda1"
     ok = equal == structural
     return TheoremReport("T37", g, HOLDS if ok else FAILS,
-                         {"parts": [r, s], "m": m, "lambda1_co": c.lambda_max,
-                          "shift": -1.0 - a.lambda_min}, TOL_EQ)
+                         {"parts": [r, s], "m": m, "lambda1_co": co.lambda_max,
+                          "shift": -1.0 - analysis.lambda_min}, TOL_EQ)
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +409,17 @@ def check_balanced_complete_bipartite_shift(
 # ---------------------------------------------------------------------------
 
 
-def check_path_eigenpairs(n: int, *, analysis: GraphAnalysis | None = None,
+def check_path_eigenpairs(n: int, *, analysis: GraphAnalysis,
                           co: GraphAnalysis | None = None) -> TheoremReport:
     """L41: closed-form eigenpairs of the path verify, match the computed spectrum, all simple."""
-    g = path(n)
     inst = f"path({n})"
-    a = _ensure(g, analysis)
-    adj = g.adjacency_matrix()
+    adj = analysis.graph.adjacency_matrix()
     resid_bound = 1e-10 * n
-    if len(a.spectrum.groups) != n:
+    if len(analysis.spectrum.groups) != n:
         return TheoremReport("L41", inst, FAILS,
-                             {"distinct_groups": len(a.spectrum.groups)}, resid_bound)
+                             {"distinct_groups": len(analysis.spectrum.groups)}, resid_bound)
     # n simple groups: their values are the sorted eigenvalues themselves.
-    for j, grp in enumerate(a.spectrum.groups, start=1):
+    for j, grp in enumerate(analysis.spectrum.groups, start=1):
         lam, x = exact.path_eigenpair(n, j)
         resid = float(abs(adj @ x - lam * x).max())
         if resid > resid_bound:
@@ -457,34 +431,32 @@ def check_path_eigenpairs(n: int, *, analysis: GraphAnalysis | None = None,
     return TheoremReport("L41", inst, HOLDS, {"n": n}, resid_bound)
 
 
-def check_path_parity(n: int, *, analysis: GraphAnalysis | None = None,
+def check_path_parity(n: int, *, analysis: GraphAnalysis,
                       co: GraphAnalysis | None = None) -> TheoremReport:
     """T42: path eigenvalue j (1-based, descending) is main exactly for odd j."""
-    a = _ensure(path(n), analysis)
     inst = f"path({n})"
-    if len(a.spectrum.groups) != n:
+    if len(analysis.spectrum.groups) != n:
         return TheoremReport("T42", inst, FAILS,
-                             {"distinct_groups": len(a.spectrum.groups)})
-    for idx, grp in enumerate(a.spectrum.groups):
+                             {"distinct_groups": len(analysis.spectrum.groups)})
+    for idx, grp in enumerate(analysis.spectrum.groups):
         j = idx + 1
         if grp.is_main != (j % 2 == 1):
             return TheoremReport("T42", inst, FAILS,
                                  {"j": j, "value": grp.value, "is_main": grp.is_main,
                                   "projection": grp.projection_norm_sq})
     return TheoremReport("T42", inst, HOLDS,
-                         {"n": n, "used_fallback": a.used_fallback})
+                         {"n": n, "used_fallback": analysis.used_fallback})
 
 
-def check_path_count(n: int, *, analysis: GraphAnalysis | None = None,
+def check_path_count(n: int, *, analysis: GraphAnalysis,
                      co: GraphAnalysis | None = None) -> TheoremReport:
     """C43: paths have ceil(n/2) main eigenvalues; the least is main iff n is odd."""
-    a = _ensure(path(n), analysis)
     inst = f"path({n})"
     expected = (n + 1) // 2
-    low_main = a.spectrum.groups[-1].is_main
-    ok = a.main_count == expected and low_main == (n % 2 == 1)
+    low_main = analysis.spectrum.groups[-1].is_main
+    ok = analysis.main_count == expected and low_main == (n % 2 == 1)
     return TheoremReport("C43", inst, HOLDS if ok else FAILS,
-                         {"main_count": a.main_count, "expected": expected,
+                         {"main_count": analysis.main_count, "expected": expected,
                           "low_main": low_main})
 
 
@@ -494,18 +466,17 @@ def check_path_count(n: int, *, analysis: GraphAnalysis | None = None,
 
 
 def check_semiregular_main_pair(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """T44: connected G is semi-regular bipartite iff its main eigenvalues are
     exactly {lambda_1, -lambda_1}; plus the degree-square bound with its
     equality case.  Connected regular bipartite graphs sit on the definitional
     boundary and are reported not-applicable."""
-    a = _ensure(g, analysis)
     connected = is_connected(g)
     if g.n < 2 or not connected:
         return TheoremReport("T44", g, NOT_APPLICABLE, {"n": g.n, "connected": connected})
     dv = degree_data(g)
-    lam1 = a.lambda_max
+    lam1 = analysis.lambda_max
     bound = lam1 * lam1 * g.n
     slack = TOL_EQ * g.n * (1.0 + lam1 * lam1)
     bound_ok = dv.sum_squares <= bound + slack
@@ -529,9 +500,9 @@ def check_semiregular_main_pair(
         # {lambda_1} alone as main spectrum; the biconditional is out of scope.
         return TheoremReport("T44", g, NOT_APPLICABLE,
                              wit | {"regular_bipartite": True})
-    mains = a.spectrum.main_values()
+    mains = analysis.spectrum.main_values()
     pair = (
-        a.main_count == 2
+        analysis.main_count == 2
         and abs(mains[0] - lam1) <= TOL_EQ
         and abs(mains[1] + lam1) <= TOL_EQ
     )
@@ -541,25 +512,23 @@ def check_semiregular_main_pair(
 
 
 def check_rank_count(
-    g: Graph, *, analysis: GraphAnalysis | None = None, co: GraphAnalysis | None = None
+    g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """T45: the float route's main count equals the exact walk-matrix rank."""
-    a = _ensure(g, analysis)
     # A gray-zone instance the exact rank settled holds, with the fallback on
     # record rather than pretending the float route confirmed anything.
-    wit = {"rank": a.rank, "s_float": a.s_float, "used_fallback": a.used_fallback}
-    return TheoremReport("T45", g, FAILS if a.disagrees else HOLDS, wit)
+    wit = {"rank": analysis.rank, "s_float": analysis.s_float,
+           "used_fallback": analysis.used_fallback}
+    return TheoremReport("T45", g, FAILS if analysis.disagrees else HOLDS, wit)
 
 
-def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis | None = None,
+def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis,
                               co: GraphAnalysis | None = None) -> TheoremReport:
     """T46: divisor determinant -ks(s-k)^2, quartic spectrum, and the main
     profile: four main eigenvalues when k != s (least included), two when k = s
     (least excluded)."""
-    g = double_star(k, s)
     inst = f"doublestar({k},{s})"
-    a = _ensure(g, analysis)
-    det = exact.det_walk_divisor(k, s)
+    det = exact.det_walk_divisor(analysis.graph, k, s)
     expected_det = -k * s * (s - k) ** 2
     wit: dict[str, Any] = {"det": det, "expected_det": expected_det}
     if det != expected_det:
@@ -568,8 +537,9 @@ def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis | None 
     # The nonzero eigenvalues must be exactly the quartic's four roots, and the
     # zero eigenspace must absorb the remaining k+s-2 dimensions.
     roots = exact.double_star_quartic_roots(k, s)
-    nonzero = [grp for grp in a.spectrum.groups if abs(grp.value) > TOL_EQ]
-    zero_dim = sum(grp.multiplicity for grp in a.spectrum.groups if abs(grp.value) <= TOL_EQ)
+    nonzero = [grp for grp in analysis.spectrum.groups if abs(grp.value) > TOL_EQ]
+    zero_dim = sum(grp.multiplicity for grp in analysis.spectrum.groups
+                   if abs(grp.value) <= TOL_EQ)
     values = sorted(grp.value for grp in nonzero)
     wit["nonzero"] = values
     if len(nonzero) != 4 or any(grp.multiplicity != 1 for grp in nonzero):
@@ -582,30 +552,27 @@ def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis | None 
         return TheoremReport("T46", inst, FAILS, wit | {"clause": "zero_multiplicity",
                                                         "zero_dim": zero_dim})
 
-    low_main = a.spectrum.groups[-1].is_main
-    wit |= {"main_count": a.main_count, "low_main": low_main,
-            "mains": list(a.spectrum.main_values())}
+    low_main = analysis.spectrum.groups[-1].is_main
+    wit |= {"main_count": analysis.main_count, "low_main": low_main,
+            "mains": list(analysis.spectrum.main_values())}
     if k != s:
-        mains = sorted(a.spectrum.main_values())
+        mains = sorted(analysis.spectrum.main_values())
         ok = (
-            a.main_count == 4
+            analysis.main_count == 4
             and bool(low_main)
             and all(abs(v - r) <= TOL_EQ for v, r in zip(mains, roots))
         )
     else:
-        ok = a.main_count == 2 and low_main is False
+        ok = analysis.main_count == 2 and low_main is False
     return TheoremReport("T46", inst, HOLDS if ok else FAILS, wit, TOL_EQ)
 
 
-def check_complement_second_eigenvalue(spec: FamilySpec, *, analysis: GraphAnalysis | None = None,
-                                       co: GraphAnalysis | None = None) -> TheoremReport:
+def check_complement_second_eigenvalue(spec: FamilySpec, *, analysis: GraphAnalysis,
+                                       co: GraphAnalysis) -> TheoremReport:
     """COR47: complements of paths carry ceil(n/2) main eigenvalues (balanced
     double stars: two); when the least eigenvalue of G is non-main, also
     lambda_2(comp) = -1 - lambda_min(G)."""
-    g = build_family(spec)
     inst = spec.describe()
-    a = _ensure(g, analysis)
-    c = _ensure_co(g, co)
     if spec.kind == "path":
         expected = (spec.params[0] + 1) // 2
     elif spec.kind == "doublestar" and spec.params[0] == spec.params[1]:
@@ -613,18 +580,16 @@ def check_complement_second_eigenvalue(spec: FamilySpec, *, analysis: GraphAnaly
     else:
         return TheoremReport("COR47", inst, NOT_APPLICABLE,
                              {"reason": "only paths and balanced double stars"})
-    wit: dict[str, Any] = {"co_main_count": c.main_count, "expected": expected}
-    if c.main_count != expected:
+    wit: dict[str, Any] = {"co_main_count": co.main_count, "expected": expected}
+    if co.main_count != expected:
         return TheoremReport("COR47", inst, FAILS, wit)
-    low = a.spectrum.groups[-1]
-    if low.is_main:
+    if analysis.spectrum.groups[-1].is_main or analysis.graph.n < 2:
         # Least eigenvalue main and simple: the second-eigenvalue clause has no
-        # derivation here (and indeed fails on odd paths), so it is skipped.
+        # derivation here (and indeed fails on odd paths), so it is skipped;
+        # at order 1 there is no second eigenvalue to compare.
         return TheoremReport("COR47", inst, HOLDS, wit | {"equality_checked": False})
-    if g.n < 2:
-        return TheoremReport("COR47", inst, HOLDS, wit | {"equality_checked": False})
-    shift = -1.0 - a.lambda_min
-    lam2c = c.eigenvalue(1)
+    shift = -1.0 - analysis.lambda_min
+    lam2c = co.eigenvalue(1)
     ok = abs(lam2c - shift) <= TOL_EQ
     return TheoremReport("COR47", inst, HOLDS if ok else FAILS,
                          wit | {"equality_checked": True, "lambda2_co": lam2c,

@@ -4,7 +4,6 @@ import pytest
 
 from mainspec import exact, spectra, sweeps
 from mainspec.analysis import (
-    GraphAnalysis,
     RouteDisagreementError,
     analyze_graph,
     resolve_spectrum,
@@ -163,24 +162,13 @@ def test_unreachable_rank_raises_disagreement(monkeypatch):
     with pytest.raises(RouteDisagreementError) as info:
         analyze_graph(path(39))
     assert (info.value.s_float, info.value.rank) == (17, 20)
-    a = analyze_graph(path(39), strict=False)
+    assert "walk-matrix rank is 20" in str(info.value)
+    # The stacked route returns the same analysis as data, for a sweep to report.
+    g = path(39)
+    a = sweeps.analyze_with_complements([g])[g]
     assert a.disagrees and not a.used_fallback
     assert a.s_float == a.main_count == 17
     assert None not in [g.is_main for g in a.spectrum.groups]
-
-
-def test_strict_flag_difference():
-    fake = MainSpectrum((
-        EigenGroup(2.0, 1, 4.0),
-        EigenGroup(-1.0, 1, 1e-30),
-    ))
-    err = RouteDisagreementError(1, 2)
-    assert err.s_float == 1 and err.rank == 2
-    assert "walk-matrix rank" in str(err)
-    # analyze_graph(strict=False) never raises on real graphs here; exercised
-    # end to end by the sweeps.
-    a = analyze_graph(path(5), strict=False)
-    assert isinstance(a, GraphAnalysis)
 
 
 def test_sweep_matches_analyze_graph():

@@ -2,7 +2,10 @@
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -405,6 +408,22 @@ class TestCaps:
         code, _, err = run(capsys, "verify", "P32", "--exhaustive", "8",
                            "--sample", str(sweeps.MAX_SAMPLE))
         assert (code, err) == (0, "")
+
+
+def test_closed_stdout_exit5_without_traceback():
+    # `verify ... --json | head -1`: the reader leaves after one line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mainspec", "verify", "all", "--exhaustive", "5", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path_env))
+    try:
+        assert proc.stdout.readline().startswith(b'{"theorem_id": ')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b"")
 
 
 def test_usage_without_command():

@@ -258,7 +258,7 @@ class TestEquitable:
 class TestDoubleStarPolynomials:
     @pytest.mark.parametrize("k,s", [(1, 1), (2, 3), (3, 3), (5, 2), (15, 14)])
     def test_det_closed_form(self, k, s):
-        assert exact.det_walk_divisor(k, s) == -k * s * (s - k) ** 2
+        assert exact.det_walk_divisor(double_star(k, s), k, s) == -k * s * (s - k) ** 2
 
     def test_quartic_coefficients(self):
         q = exact.double_star_quartic(2, 3)

@@ -13,6 +13,7 @@ from mainspec.graph6 import (
     serialize_graph6,
 )
 from mainspec.graphs import (
+    MAX_ORDER,
     Graph,
     complete,
     complete_bipartite,
@@ -130,6 +131,13 @@ class TestGraph6Errors:
     def test_order_zero_rejected(self):
         with pytest.raises(Graph6Error):
             parse_graph6(b"?")
+
+    def test_order_over_cap_refused_on_header(self):
+        # "~?mw" names order 3000 and carries no payload: the cap is reported
+        # from the header alone, before the payload length is looked at
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(b"~?mw")
+        assert str(exc.value) == f"order 3000 is above the cap of {MAX_ORDER} (byte offset 0)"
 
 
 class TestEdgeList:
