@@ -4,6 +4,7 @@ import pytest
 
 from mainspec import exact, spectra, sweeps
 from mainspec.analysis import (
+    GraphAnalysis,
     RouteDisagreementError,
     analyze_graph,
     resolve_spectrum,
@@ -169,6 +170,18 @@ def test_unreachable_rank_raises_disagreement(monkeypatch):
     assert a.disagrees and not a.used_fallback
     assert a.s_float == a.main_count == 17
     assert None not in [g.is_main for g in a.spectrum.groups]
+
+
+def test_strict_flag_difference():
+    # analyze_graph is always strict now: it raises on a route disagreement and
+    # returns a plain analysis when the routes agree; the stacked route returns
+    # a disagreement as data instead (test_unreachable_rank_raises_disagreement).
+    err = RouteDisagreementError(1, 2)
+    assert err.s_float == 1 and err.rank == 2
+    assert "walk-matrix rank" in str(err)
+    a = analyze_graph(path(5))
+    assert isinstance(a, GraphAnalysis)
+    assert not a.disagrees and a.s_float == a.rank
 
 
 def test_sweep_matches_analyze_graph():
