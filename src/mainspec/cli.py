@@ -16,8 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import sweeps, theorems
 from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph
@@ -241,8 +240,8 @@ def _family_instances(
     ids: list[str], args: argparse.Namespace
 ) -> list[tuple[str, Graph, Callable[..., TheoremReport]]]:
     """Every named-family instance of the chosen claims as (claim id, graph,
-    check), in report order: the per-graph claims' family extras first, then
-    the family claims.  Each check takes the graph's ``analysis=`` and ``co=``."""
+    checker), in report order: the per-graph claims' family extras first, then
+    the family claims.  Each distinct spec is built once."""
     lo, hi = args.path_range
     pend_p, pend_q = args.pendants
     k_max = args.doublestars
@@ -267,18 +266,12 @@ def _family_instances(
     families |= {"T45": pendants + trees + paths + stars, "T46": stars}
     families["COR47"] = [spec for spec in paths if spec.params[0] >= 2] + [
         FamilySpec("doublestar", (k, k)) for k in range(1, k_max + 1)]
-    out = []
-    for tid in sorted(ids, key=lambda t: t not in GRAPH_CHECKERS):
-        for spec in families.get(tid, ()):
-            g = build_family(spec)
-            if tid in GRAPH_CHECKERS:
-                check = partial(GRAPH_CHECKERS[tid], g)
-            elif tid == "COR47":
-                check = partial(check_complement_second_eigenvalue, spec)
-            else:
-                check = partial(PATH_CHECKERS.get(tid, check_double_star_profile), *spec.params)
-            out.append((tid, g, check))
-    return out
+    checkers = GRAPH_CHECKERS | PATH_CHECKERS | {
+        "T46": check_double_star_profile, "COR47": check_complement_second_eigenvalue}
+    listed = [(tid, spec) for tid in sorted(ids, key=lambda t: t not in GRAPH_CHECKERS)
+              for spec in families.get(tid, ())]
+    built = {spec: build_family(spec) for spec in dict.fromkeys(spec for _, spec in listed)}
+    return [(tid, built[spec], checkers[tid]) for tid, spec in listed]
 
 
 @dataclass
@@ -303,16 +296,17 @@ class _Tally:
         return self.holds + self.fails + self.skipped
 
 
-def _run_sweep(
-    ids: list[str], args: argparse.Namespace, tallies: dict[str, _Tally],
-    as_json: bool,
-) -> bool:
-    """Sweep order-N labeled graphs through the per-graph checkers.  Returns
-    True if either analysis of a checked pair disagrees confidently."""
-    disagreement = False
-    wanted = [tid for tid in ids if tid in GRAPH_CHECKERS]
-    if not wanted:
-        return False
+# (analysis, complement analysis, the checkers to run on that graph with their tallies)
+_Pair = tuple[GraphAnalysis, GraphAnalysis, list[tuple[Callable[..., TheoremReport], _Tally]]]
+
+
+def _sweep_pairs(ids: list[str], args: argparse.Namespace,
+                 tallies: dict[str, _Tally]) -> Iterator[_Pair]:
+    """Every order-N labeled graph the filters keep, with the chosen claims'
+    graph checkers."""
+    checks = [(GRAPH_CHECKERS[tid], tallies[tid]) for tid in ids if tid in GRAPH_CHECKERS]
+    if not checks:
+        return
     n = args.exhaustive
     population = sweeps.mask_population(n)
     masks = None
@@ -321,12 +315,29 @@ def _run_sweep(
     elif n in _LONG_SWEEPS:
         print(f"note: --exhaustive {n} sweeps all {population:,} labeled graphs, which "
               f"takes {_LONG_SWEEPS[n]}; --sample K checks K of them", file=sys.stderr)
-    checks = [(GRAPH_CHECKERS[tid], tallies[tid]) for tid in wanted]
     for a, co in sweeps.sweep(n, masks=masks):
         if args.connected and not is_connected(a.graph):
             continue
         if args.bipartite and not is_bipartite(a.graph):
             continue
+        yield a, co, checks
+
+
+def _family_pairs(instances: list[tuple[str, Graph, Callable[..., TheoremReport]]],
+                  tallies: dict[str, _Tally]) -> Iterator[_Pair]:
+    """Every named-family instance with its one checker; all the graphs are
+    analysed, each with its complement once, before the first is checked."""
+    found = sweeps.analyze_with_complements(g for _, g, _ in instances)
+    for tid, g, check in instances:
+        a, co = found[g]
+        yield a, co, [(check, tallies[tid])]
+
+
+def _check_pairs(pairs: Iterable[_Pair], as_json: bool) -> bool:
+    """Run each graph's checkers, tally the reports and, for ``--json``, print
+    them.  Returns True if either analysis of a checked pair disagrees."""
+    disagreement = False
+    for a, co, checks in pairs:
         disagreement |= a.disagrees or co.disagrees
         for check, tally in checks:
             report = check(a.graph, analysis=a, co=co)
@@ -334,21 +345,6 @@ def _run_sweep(
             if as_json:
                 print(json.dumps(report.to_json()))
     return disagreement
-
-
-def _run_families(
-    instances: list[tuple[str, Graph, Callable[..., TheoremReport]]],
-    tallies: dict[str, _Tally], as_json: bool,
-) -> bool:
-    """Check every named-family instance, each graph analysed with its
-    complement once.  Returns True if any of those analyses disagrees."""
-    found = sweeps.analyze_with_complements(g for _, g, _ in instances)
-    for tid, g, check in instances:
-        report = check(analysis=found[g], co=found[g.complement()])
-        tallies[tid].add(report)
-        if as_json:
-            print(json.dumps(report.to_json()))
-    return any(a.disagrees for a in found.values())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -379,8 +375,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        disagreement = _run_sweep(ids, args, tallies, args.json)
-        disagreement |= _run_families(instances, tallies, args.json)
+        disagreement = _check_pairs(_sweep_pairs(ids, args, tallies), args.json)
+        disagreement |= _check_pairs(_family_pairs(instances, tallies), args.json)
     except _NUMERICAL_ERRORS as err:
         print(f"error: numerical check failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -425,50 +425,9 @@ def divisor_walk_matrix(p: EquitablePartition) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Monic polynomial with integer coefficients, ascending by degree."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        parts: list[str] = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            term = "x" if e == 1 else f"x^{e}" if e else ""
-            mag = "" if abs(c) == 1 and e else str(abs(c))
-            if not parts:
-                parts.append(("-" if c < 0 else "") + mag + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + mag + term)
-        return " ".join(parts) if parts else "0"
-
-
-def double_star_quartic(k: int, s: int) -> IntPolynomial:
-    """x^4 - (k+s+1) x^2 + k s: the factor carrying T(k, s)'s nonzero eigenvalues."""
-    if k < 1 or s < 1:
-        raise ValueError(f"double star needs k, s >= 1, got ({k}, {s})")
-    return IntPolynomial((k * s, 0, -(k + s + 1), 0, 1))
-
-
 def double_star_quartic_roots(k: int, s: int) -> tuple[float, float, float, float]:
-    """The four real roots of the quartic, ascending.
+    """The four real roots of x^4 - (k+s+1) x^2 + k s, the factor carrying
+    T(k, s)'s nonzero eigenvalues, ascending.
 
     Substituting y = x^2 gives y^2 - (k+s+1) y + k s, whose two positive roots
     produce the symmetric pairs +-sqrt(y).

@@ -232,11 +232,16 @@ def is_bipartite(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _path_rows(n: int) -> tuple[int, ...]:
+    """Neighbor bitmasks of the path 0-1-...-(n-1): bits i-1 and i+1 of row i, within n."""
+    return tuple((1 << i >> 1 | 1 << i + 1) & ((1 << n) - 1) for i in range(n))
+
+
 def path(n: int) -> Graph:
     """Path on vertices 0-1-...-(n-1)."""
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, _path_rows(n))
 
 
 def cycle(n: int) -> Graph:
@@ -272,15 +277,18 @@ def complete_bipartite(r: int, s: int) -> Graph:
     return Graph.from_edges(r + s, [(a, r + b) for a in range(r) for b in range(s)])
 
 
+def _double_star_rows(k: int, s: int) -> tuple[int, ...]:
+    """Neighbor bitmasks of T(k, s) as ``double_star`` lays it out."""
+    leaves0, leaves1 = ((1 << k) - 1) << 2, ((1 << s) - 1) << 2 + k
+    return (leaves0 | 0b10, leaves1 | 0b01) + (0b01,) * k + (0b10,) * s
+
+
 def double_star(k: int, s: int) -> Graph:
     """Double star T(k, s): centers 0 and 1 joined by an edge, with k leaves
     2..k+1 on center 0 and s leaves k+2..k+s+1 on center 1."""
     if k < 1 or s < 1:
         raise ParameterError(f"double star needs k, s >= 1, got ({k}, {s})")
-    edges = [(0, 1)]
-    edges += [(0, 2 + t) for t in range(k)]
-    edges += [(1, 2 + k + t) for t in range(s)]
-    return Graph.from_edges(2 + k + s, edges)
+    return Graph(2 + k + s, _double_star_rows(k, s))
 
 
 def harmonic_tree(ell: int) -> Graph:
@@ -370,6 +378,18 @@ _FAMILY_BUILDERS = {
     "doublestar": (double_star, 2, lambda k, s: 2 + k + s),
     "harmonictree": (harmonic_tree, 1, lambda ell: ell ** 3 - ell ** 2 + ell + 1),
 }
+
+
+@per_graph
+def family_of(g: Graph) -> FamilySpec | None:
+    """The ``path`` or ``doublestar`` spec whose builder gives exactly ``g``'s
+    rows, or None: a relabelled path or double star is not one."""
+    if g.rows == _path_rows(g.n):  # every order-1 graph stops here
+        return FamilySpec("path", (g.n,))
+    k, s = g.rows[0].bit_count() - 1, g.rows[1].bit_count() - 1
+    if min(k, s) >= 1 and g.rows == _double_star_rows(k, s):
+        return FamilySpec("doublestar", (k, s))
+    return None
 
 
 def require_capped(spec: FamilySpec) -> None:

@@ -14,7 +14,7 @@ Nearly every complement claim needs both spectra, and the complement of mask
 and only the missing ones go through a second batch.  A chunk of an order
 n <= 6 holds the whole population, so every graph is analysed once.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
-way: each distinct graph and its complement once, one stack per order.
+way and returns the (analysis, complement analysis) pair the sweep yields.
 """
 from __future__ import annotations
 
@@ -113,16 +113,19 @@ def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray,
     return out
 
 
-def analyze_with_complements(graphs: Iterable[Graph]) -> dict[Graph, GraphAnalysis]:
-    """Analyse each distinct graph of ``graphs`` and its complement once, one
-    stack per order."""
-    distinct = dict.fromkeys(h for g in graphs for h in (g, g.complement()))
+def analyze_with_complements(
+    graphs: Iterable[Graph],
+) -> dict[Graph, tuple[GraphAnalysis, GraphAnalysis]]:
+    """``{g: (analysis, complement analysis)}`` for each distinct graph of ``graphs``:
+    each complement built once, each distinct graph analysed once, one stack per order."""
+    complements = {g: g.complement() for g in dict.fromkeys(graphs)}
+    distinct = dict.fromkeys(h for pair in complements.items() for h in pair)
     found: dict[Graph, GraphAnalysis] = {}
     for n in sorted({h.n for h in distinct}):
         stack = [h for h in distinct if h.n == n]
         adj = np.stack([h.adjacency_matrix() for h in stack])
         found.update(zip(stack, analyze_stack(stack, adj)))
-    return found
+    return {g: (found[g], found[c]) for g, c in complements.items()}
 
 
 def sweep(

@@ -5,13 +5,17 @@ Every checker returns a TheoremReport with verdict "holds", "fails" or
 data, so sweeps can keep going and report totals.  Claim ids are the stable
 tokens used by the CLI; CLAIMS maps them to plain-language statements.
 
-Checkers make no analyses of their own: each takes the analysis of its graph
-as ``analysis=`` and, where it reads the complement's, that one as ``co=``
-(checkers that do not read it ignore it).  Both come from the pipeline
-``verify`` uses::
+Every checker has one call shape, ``check(g, *, analysis, co)``, and makes no
+analyses of its own: it takes the analysis of its graph as ``analysis=`` and,
+where it reads the complement's, that one as ``co=`` (checkers that do not
+read it ignore it).  Both come from the pipeline ``verify`` uses::
 
-    found = sweeps.analyze_with_complements([g])
-    check_complement_count(g, analysis=found[g], co=found[g.complement()])
+    a, co = sweeps.analyze_with_complements([g])[g]
+    check_complement_count(g, analysis=a, co=co)
+
+The family checkers (L41, T42, C43, T46, COR47) read their instance, labelled
+``path(n)`` or ``doublestar(k,s)``, from ``graphs.family_of(g)``; any other
+graph, a relabelled one included, is not-applicable under its own label.
 
 A sweep runs all 16 graph checkers on one graph before the next, so they read
 its structural facts (degrees, connectivity, bipartition, pseudo-regular
@@ -32,10 +36,10 @@ from .analysis import GraphAnalysis
 from .analysis import analyze_graph  # noqa: F401  (bound here for perfbench's span tracer)
 from .graph6 import serialize_graph6
 from .graphs import (
-    FamilySpec,
     Graph,
     bipartition,
     degree_data,
+    family_of,
     is_bipartite,
     is_connected,
     per_graph,
@@ -48,7 +52,11 @@ from .spectra import EigenGroup
 # their complements (LAPACK eigvalsh) backs the pairing lambda(G) = -1 - mu:
 # exact pairs sit within 9.6e-15 and the closest non-pair is 4.05e-7 (80,640
 # graphs, e.g. GM\aE?), so no distance lies in [1e-11, 1e-7].  Non-pairs sit
-# farther apart at lower orders (1.6e-5 at 7, 1.4e-3 at 6); sweeps stop at 8.
+# farther apart at lower orders (1.6e-5 at 7, 1.4e-3 at 6).  No scan backs it
+# past order 8, yet it also decides the complement claims on verify's family
+# graphs (up to order 200) and ``analyze``'s window.  Order 9 already defeats
+# it: HvG[upG's only true pair is at 0 (gcd(P_G(x), P_comp(-1-x)) = x), but a
+# main non-pair 9.8e-9 apart makes T31, P32 and C33 report FAILS on it.
 TOL_EQ = 1e-8
 TOL_REL = 1e-6
 
@@ -409,11 +417,13 @@ def check_balanced_complete_bipartite_shift(
 # ---------------------------------------------------------------------------
 
 
-def check_path_eigenpairs(n: int, *, analysis: GraphAnalysis,
+def check_path_eigenpairs(g: Graph, *, analysis: GraphAnalysis,
                           co: GraphAnalysis | None = None) -> TheoremReport:
     """L41: closed-form eigenpairs of the path verify, match the computed spectrum, all simple."""
-    inst = f"path({n})"
-    adj = analysis.graph.adjacency_matrix()
+    if (spec := family_of(g)) is None or spec.kind != "path":
+        return TheoremReport("L41", g, NOT_APPLICABLE, {"reason": "not path(n)"})
+    inst, (n,) = spec.describe(), spec.params
+    adj = g.adjacency_matrix()
     resid_bound = 1e-10 * n
     if len(analysis.spectrum.groups) != n:
         return TheoremReport("L41", inst, FAILS,
@@ -431,10 +441,12 @@ def check_path_eigenpairs(n: int, *, analysis: GraphAnalysis,
     return TheoremReport("L41", inst, HOLDS, {"n": n}, resid_bound)
 
 
-def check_path_parity(n: int, *, analysis: GraphAnalysis,
+def check_path_parity(g: Graph, *, analysis: GraphAnalysis,
                       co: GraphAnalysis | None = None) -> TheoremReport:
     """T42: path eigenvalue j (1-based, descending) is main exactly for odd j."""
-    inst = f"path({n})"
+    if (spec := family_of(g)) is None or spec.kind != "path":
+        return TheoremReport("T42", g, NOT_APPLICABLE, {"reason": "not path(n)"})
+    inst, (n,) = spec.describe(), spec.params
     if len(analysis.spectrum.groups) != n:
         return TheoremReport("T42", inst, FAILS,
                              {"distinct_groups": len(analysis.spectrum.groups)})
@@ -448,10 +460,12 @@ def check_path_parity(n: int, *, analysis: GraphAnalysis,
                          {"n": n, "used_fallback": analysis.used_fallback})
 
 
-def check_path_count(n: int, *, analysis: GraphAnalysis,
+def check_path_count(g: Graph, *, analysis: GraphAnalysis,
                      co: GraphAnalysis | None = None) -> TheoremReport:
     """C43: paths have ceil(n/2) main eigenvalues; the least is main iff n is odd."""
-    inst = f"path({n})"
+    if (spec := family_of(g)) is None or spec.kind != "path":
+        return TheoremReport("C43", g, NOT_APPLICABLE, {"reason": "not path(n)"})
+    inst, (n,) = spec.describe(), spec.params
     expected = (n + 1) // 2
     low_main = analysis.spectrum.groups[-1].is_main
     ok = analysis.main_count == expected and low_main == (n % 2 == 1)
@@ -522,13 +536,15 @@ def check_rank_count(
     return TheoremReport("T45", g, FAILS if analysis.disagrees else HOLDS, wit)
 
 
-def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis,
+def check_double_star_profile(g: Graph, *, analysis: GraphAnalysis,
                               co: GraphAnalysis | None = None) -> TheoremReport:
     """T46: divisor determinant -ks(s-k)^2, quartic spectrum, and the main
     profile: four main eigenvalues when k != s (least included), two when k = s
     (least excluded)."""
-    inst = f"doublestar({k},{s})"
-    det = exact.det_walk_divisor(analysis.graph, k, s)
+    if (spec := family_of(g)) is None or spec.kind != "doublestar":
+        return TheoremReport("T46", g, NOT_APPLICABLE, {"reason": "not doublestar(k,s)"})
+    inst, (k, s) = spec.describe(), spec.params
+    det = exact.det_walk_divisor(g, k, s)
     expected_det = -k * s * (s - k) ** 2
     wit: dict[str, Any] = {"det": det, "expected_det": expected_det}
     if det != expected_det:
@@ -567,23 +583,21 @@ def check_double_star_profile(k: int, s: int, *, analysis: GraphAnalysis,
     return TheoremReport("T46", inst, HOLDS if ok else FAILS, wit, TOL_EQ)
 
 
-def check_complement_second_eigenvalue(spec: FamilySpec, *, analysis: GraphAnalysis,
+def check_complement_second_eigenvalue(g: Graph, *, analysis: GraphAnalysis,
                                        co: GraphAnalysis) -> TheoremReport:
     """COR47: complements of paths carry ceil(n/2) main eigenvalues (balanced
     double stars: two); when the least eigenvalue of G is non-main, also
     lambda_2(comp) = -1 - lambda_min(G)."""
-    inst = spec.describe()
-    if spec.kind == "path":
-        expected = (spec.params[0] + 1) // 2
-    elif spec.kind == "doublestar" and spec.params[0] == spec.params[1]:
-        expected = 2
-    else:
+    spec = family_of(g)
+    inst = g if spec is None else spec.describe()
+    if spec is None or (spec.kind == "doublestar" and spec.params[0] != spec.params[1]):
         return TheoremReport("COR47", inst, NOT_APPLICABLE,
                              {"reason": "only paths and balanced double stars"})
+    expected = (g.n + 1) // 2 if spec.kind == "path" else 2
     wit: dict[str, Any] = {"co_main_count": co.main_count, "expected": expected}
     if co.main_count != expected:
         return TheoremReport("COR47", inst, FAILS, wit)
-    if analysis.spectrum.groups[-1].is_main or analysis.graph.n < 2:
+    if analysis.spectrum.groups[-1].is_main or g.n < 2:
         # Least eigenvalue main and simple: the second-eigenvalue clause has no
         # derivation here (and indeed fails on odd paths), so it is skipped;
         # at order 1 there is no second eigenvalue to compare.

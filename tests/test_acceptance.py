@@ -136,15 +136,15 @@ def test_criterion_1_route_agreement(digest: SweepDigest) -> None:
 def test_criterion_2_path_main_structure() -> None:
     """Paths n=2..40: closed-form eigenpairs, odd-index mains, ceil(n/2) count."""
     bad = []
-    paths = {n: graphs.path(n) for n in range(2, 41)}
-    found = sweeps.analyze_with_complements(paths.values())
-    for n, g in paths.items():
+    paths = [graphs.path(n) for n in range(2, 41)]
+    found = sweeps.analyze_with_complements(paths)
+    for g in paths:
         for fn in (
             theorems.check_path_eigenpairs,
             theorems.check_path_parity,
             theorems.check_path_count,
         ):
-            rep = fn(n, analysis=found[g])
+            rep = fn(g, analysis=found[g][0])
             if rep.verdict != HOLDS:
                 bad.append((rep.theorem_id, rep.instance, rep.witnesses))
     assert not bad, bad
@@ -154,10 +154,10 @@ def test_criterion_2_path_main_structure() -> None:
 def test_criterion_3_double_star_profiles() -> None:
     """Double stars 1<=k,s<=15: exact determinant, quartic mains, counts 4 / 2."""
     bad = []
-    stars = {(k, s): graphs.double_star(k, s) for k in range(1, 16) for s in range(1, 16)}
-    found = sweeps.analyze_with_complements(stars.values())
-    for (k, s), g in stars.items():
-        rep = theorems.check_double_star_profile(k, s, analysis=found[g])
+    stars = [graphs.double_star(k, s) for k in range(1, 16) for s in range(1, 16)]
+    found = sweeps.analyze_with_complements(stars)
+    for g in stars:
+        rep = theorems.check_double_star_profile(g, analysis=found[g][0])
         if rep.verdict != HOLDS:
             bad.append((rep.instance, rep.witnesses))
     assert not bad, bad

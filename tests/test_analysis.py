@@ -166,7 +166,7 @@ def test_unreachable_rank_raises_disagreement(monkeypatch):
     assert "walk-matrix rank is 20" in str(info.value)
     # The stacked route returns the same analysis as data, for a sweep to report.
     g = path(39)
-    a = sweeps.analyze_with_complements([g])[g]
+    a, _ = sweeps.analyze_with_complements([g])[g]
     assert a.disagrees and not a.used_fallback
     assert a.s_float == a.main_count == 17
     assert None not in [g.is_main for g in a.spectrum.groups]

@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 from mainspec import cli
 from mainspec.graphs import (
     MAX_ENUM_ORDER,
+    FamilySpec,
     Graph,
     ParameterError,
     bipartition,
+    build_family,
     complete,
     complete_bipartite,
     cycle,
     degree_data,
     double_star,
     empty_graph,
+    family_of,
     harmonic_tree,
     is_bipartite,
     is_connected,
@@ -276,6 +279,18 @@ class TestFamilies:
     def test_double_star_degrees(self):
         g = double_star(2, 3)
         assert sorted(g.degrees(), reverse=True) == [4, 3, 1, 1, 1, 1, 1]
+
+    def test_family_of_names_exactly_the_builders_layout(self):
+        assert path(4).edges() == [(0, 1), (1, 2), (2, 3)]
+        assert double_star(2, 3).edges() == [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)]
+        specs = [FamilySpec("path", (n,)) for n in range(1, 9)]
+        specs += [FamilySpec("doublestar", (k, s)) for k in range(1, 5) for s in range(1, 5)]
+        for spec in specs:
+            assert family_of(build_family(spec)) == spec
+        relabelled = [Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3)]),
+                      Graph.from_edges(5, [(2, 3), (2, 0), (3, 1), (3, 4)])]
+        for g in [cycle(5), star(5), complete(3), empty_graph(4), *relabelled]:
+            assert family_of(g) is None
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
     def test_harmonic_tree_degree_multiset(self, ell):
