@@ -460,7 +460,7 @@ def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
         raise ValueError(f"eigenpair index must satisfy 1 <= j <= n, got j={j}, n={n}")
     theta = j * math.pi / (n + 1)
     lam = 2.0 * math.cos(theta)
-    x = np.array([math.sin(i * theta) for i in range(1, n + 1)], dtype=np.float64)
+    x = np.sin(np.arange(1, n + 1) * theta)
     return lam, x
 
 

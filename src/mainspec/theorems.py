@@ -24,6 +24,12 @@ computed once per graph, and its main values from the spectrum, collected
 once.  A report holds the graph itself and serialises its graph6 label only
 when ``instance`` is first read, once per graph, so a run that prints only
 failures serialises only those.
+
+Every eigenvalue equality a claim tests, whether against its own spectrum
+(0, -lambda_1, sum d^2 / 2m, a closed form) or against the complement's
+(-1-lambda), is decided by one function, ``locate``.  Three comparisons
+follow other rules: T31's distance over all main pairs, T44's relative slack
+and index bound, and P21's ``TOL_REL``.
 """
 from __future__ import annotations
 
@@ -46,17 +52,19 @@ from .graphs import (
 )
 from .spectra import EigenGroup
 
-# Every eigenvalue equality is checked to 1e-8 absolute, whether both values
-# come from one spectrum or from G and its complement; the two-main relation
-# to 1e-6 relative.  A scan of all 268,435,456 labeled order-8 graphs against
-# their complements (LAPACK eigvalsh) backs the pairing lambda(G) = -1 - mu:
-# exact pairs sit within 9.6e-15 and the closest non-pair is 4.05e-7 (80,640
-# graphs, e.g. GM\aE?), so no distance lies in [1e-11, 1e-7].  Non-pairs sit
-# farther apart at lower orders (1.6e-5 at 7, 1.4e-3 at 6).  No scan backs it
-# past order 8, yet it also decides the complement claims on verify's family
-# graphs (up to order 200) and ``analyze``'s window.  Order 9 already defeats
-# it: HvG[upG's only true pair is at 0 (gcd(P_G(x), P_comp(-1-x)) = x), but a
-# main non-pair 9.8e-9 apart makes T31, P32 and C33 report FAILS on it.
+# Every eigenvalue equality is decided by ``locate`` to 1e-8 absolute, whether
+# both values come from one spectrum or from G and its complement; T31's main
+# pair distance and T44's slack and index bound scale the same 1e-8, and the
+# two-main relation (P21) takes 1e-6 relative.  A scan of all 268,435,456
+# labeled order-8 graphs against their complements (LAPACK eigvalsh) backs
+# the pairing lambda(G) = -1 - mu: exact pairs sit within 9.6e-15 and the
+# closest non-pair is 4.05e-7 (80,640 graphs, e.g. GM\aE?), so no distance
+# lies in [1e-11, 1e-7].  Non-pairs sit farther apart at lower orders (1.6e-5
+# at 7, 1.4e-3 at 6).  No scan backs it past order 8, yet it also decides the
+# complement claims on verify's family graphs (up to order 200) and
+# ``analyze``'s window.  Order 9 already defeats it: HvG[upG's only true pair
+# is at 0 (gcd(P_G(x), P_comp(-1-x)) = x), but a main non-pair 9.8e-9 apart
+# makes T31, P32 and C33 report FAILS on it.
 TOL_EQ = 1e-8
 TOL_REL = 1e-6
 
@@ -119,37 +127,30 @@ def _graph6(g: Graph) -> str:
     return serialize_graph6(g).decode("ascii")
 
 
-def _shift_partners(a: GraphAnalysis, c: GraphAnalysis) -> list[EigenGroup | None]:
-    """For each group of G, the complement group at -1-lambda to TOL_EQ, or None:
-    one merge walk up the complement's groups, as the targets rise.  At most one
-    group can match, since ``build_groups`` keeps values 3 * GROUP_TOL apart."""
-    co = c.spectrum.groups
-    j = len(co) - 1
-    out: list[EigenGroup | None] = []
+def locate(a: GraphAnalysis, x: float) -> tuple[int, EigenGroup | None]:
+    """Where x sits in a's spectrum, to TOL_EQ: how many eigenvalues, counted
+    with multiplicity, lie above x + TOL_EQ, and the group equal to x, or None.
+    One scan from the top, stopping at the first group at or below x + TOL_EQ;
+    at most one group can equal x, since ``build_groups`` keeps values
+    3 * GROUP_TOL apart."""
+    above = 0
     for grp in a.spectrum.groups:
-        target = -1.0 - grp.value
-        while j >= 0 and co[j].value - target < -TOL_EQ:
-            j -= 1
-        out.append(co[j] if j >= 0 and abs(co[j].value - target) <= TOL_EQ else None)
-    return out
+        if grp.value <= x + TOL_EQ:
+            return above, grp if abs(grp.value - x) <= TOL_EQ else None
+        above += grp.multiplicity
+    return above, None
 
 
 def complement_window(a: GraphAnalysis, c: GraphAnalysis) -> str:
     """Where -1-lambda_min(G) sits against the complement's lambda_1 and
-    lambda_2 (none at order 1), to TOL_EQ: "violated" outside [lambda_2,
-    lambda_1], else "equals-lambda1", "equals-lambda2" or "interior".  The
-    two equalities cannot both hold, since ``build_groups`` keeps distinct
-    values 3 * GROUP_TOL apart."""
-    shift = -1.0 - a.lambda_min
-    lam1 = c.lambda_max
-    lam2 = c.eigenvalue(1) if c.graph.n >= 2 else None
-    if shift > lam1 + TOL_EQ or (lam2 is not None and lam2 > shift + TOL_EQ):
+    lambda_2 (none at order 1): "violated" outside [lambda_2, lambda_1], else
+    "equals-lambda1", "equals-lambda2" or "interior"."""
+    above, grp = locate(c, -1.0 - a.lambda_min)
+    if above >= 2 or (above == 0 and grp is None):
         return "violated"
-    if abs(shift - lam1) <= TOL_EQ:
-        return "equals-lambda1"
-    if lam2 is not None and abs(shift - lam2) <= TOL_EQ:
-        return "equals-lambda2"
-    return "interior"
+    if grp is None:
+        return "interior"
+    return "equals-lambda1" if above == 0 else "equals-lambda2"
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +189,13 @@ def check_zero_main_index(
     if analysis.main_count != 2:
         return TheoremReport("C22", g, NOT_APPLICABLE, {"main_count": analysis.main_count})
     lam1, lami = analysis.spectrum.main_values()
-    if abs(lami) > TOL_EQ:
+    _, zero = locate(analysis, 0.0)
+    if zero is None or not zero.is_main:
+        # With two main groups, lambda_1 > 0 is the other one.
         return TheoremReport("C22", g, NOT_APPLICABLE, {"lambda_i": lami})
     dv = degree_data(g)
     expected = dv.sum_squares / (2.0 * dv.m)
-    ok = abs(lam1 - expected) <= TOL_EQ
+    ok = locate(analysis, expected)[1] is analysis.spectrum.groups[0]
     return TheoremReport("C22", g, HOLDS if ok else FAILS,
                          {"lambda1": lam1, "expected": expected}, TOL_EQ)
 
@@ -212,11 +215,10 @@ def check_bipartite_harmonic_nonmain(
         return TheoremReport("L23", g, NOT_APPLICABLE,
                              {"harmonic": analysis.is_harmonic, "m": m, "bipartite": bipartite})
     lam1 = analysis.lambda_max
-    target = -lam1
-    grp = next((gr for gr in analysis.spectrum.groups if abs(gr.value - target) <= TOL_EQ), None)
+    _, grp = locate(analysis, -lam1)
     if grp is None:
         return TheoremReport("L23", g, FAILS,
-                             {"lambda1": lam1, "missing": target}, TOL_EQ)
+                             {"lambda1": lam1, "missing": -lam1}, TOL_EQ)
     ok = grp.is_main is False
     return TheoremReport("L23", g, HOLDS if ok else FAILS,
                          {"lambda1": lam1, "neg_group_main": grp.is_main,
@@ -227,10 +229,10 @@ def check_harmonic_main_membership(
     g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """P24: harmonic exactly when every main eigenvalue is 0 or lambda_1."""
-    lam1 = analysis.lambda_max
-    membership = all(
-        abs(v) <= TOL_EQ or abs(v - lam1) <= TOL_EQ for v in analysis.spectrum.main_values()
-    )
+    top = analysis.spectrum.groups[0]
+    _, zero = locate(analysis, 0.0)
+    membership = all(grp is top or grp is zero
+                     for grp in analysis.spectrum.groups if grp.is_main)
     ok = membership == analysis.is_harmonic
     return TheoremReport("P24", g, HOLDS if ok else FAILS,
                          {"harmonic": analysis.is_harmonic, "level": analysis.harmonic_level,
@@ -246,7 +248,7 @@ def check_harmonic_index_count(
     if dv.m < 1:
         return TheoremReport("P25", g, NOT_APPLICABLE, {"m": 0})
     expected = dv.sum_squares / (2.0 * dv.m)
-    index_match = abs(analysis.lambda_max - expected) <= TOL_EQ
+    index_match = locate(analysis, expected)[1] is analysis.spectrum.groups[0]
     condition = index_match and analysis.main_count <= 2
     ok = condition == analysis.is_harmonic
     return TheoremReport("P25", g, HOLDS if ok else FAILS,
@@ -298,9 +300,9 @@ def check_complement_membership(
     == -1-lambda is an eigenvalue of the complement, for every eigenvalue.
     A repeated eigenspace always meets the hyperplane and a simple one exactly
     when it is non-main, so the first two are one resolved flag."""
-    for grp, partner in zip(analysis.spectrum.groups, _shift_partners(analysis, co)):
+    for grp in analysis.spectrum.groups:
         meets = (not grp.is_main) or grp.multiplicity > 1
-        shifted = partner is not None
+        shifted = locate(co, -1.0 - grp.value)[1] is not None
         if meets != shifted:
             return TheoremReport("P32", g, FAILS,
                                  {"value": grp.value, "non_main_or_repeated": meets,
@@ -314,7 +316,8 @@ def check_simple_shifted_nonmain(
 ) -> TheoremReport:
     """C33: a simple complement eigenvalue of the form -1-lambda is non-main there."""
     applicable = False
-    for grp, match in zip(analysis.spectrum.groups, _shift_partners(analysis, co)):
+    for grp in analysis.spectrum.groups:
+        _, match = locate(co, -1.0 - grp.value)
         if match is not None and match.multiplicity == 1:
             applicable = True
             if match.is_main:
@@ -345,15 +348,13 @@ def check_complement_gap(
 ) -> TheoremReport:
     """P34: the complement has no eigenvalue strictly inside (-1-lambda_min, lambda_1(comp))."""
     lo = -1.0 - analysis.lambda_min
-    hi = co.lambda_max
-    intruder = next(
-        (grp.value for grp in co.spectrum.groups
-         if lo + TOL_EQ < grp.value < hi - TOL_EQ),
-        None,
-    )
-    ok = intruder is None
+    groups = co.spectrum.groups
+    # Any eigenvalue above lo outside the top group intrudes; the largest
+    # intruder is the second group.
+    ok = locate(co, lo)[0] <= groups[0].multiplicity
     return TheoremReport("P34", g, HOLDS if ok else FAILS,
-                         {"window": [lo, hi], "intruder": intruder}, TOL_EQ)
+                         {"window": [lo, co.lambda_max],
+                          "intruder": None if ok else groups[1].value}, TOL_EQ)
 
 
 def check_top_shift_equality(
@@ -435,7 +436,7 @@ def check_path_eigenpairs(g: Graph, *, analysis: GraphAnalysis,
         if resid > resid_bound:
             return TheoremReport("L41", inst, FAILS,
                                  {"j": j, "residual": resid}, resid_bound)
-        if abs(lam - grp.value) > TOL_EQ:
+        if locate(analysis, lam)[1] is not grp:
             return TheoremReport("L41", inst, FAILS,
                                  {"j": j, "closed_form": lam, "computed": grp.value}, TOL_EQ)
     return TheoremReport("L41", inst, HOLDS, {"n": n}, resid_bound)
@@ -515,11 +516,8 @@ def check_semiregular_main_pair(
         return TheoremReport("T44", g, NOT_APPLICABLE,
                              wit | {"regular_bipartite": True})
     mains = analysis.spectrum.main_values()
-    pair = (
-        analysis.main_count == 2
-        and abs(mains[0] - lam1) <= TOL_EQ
-        and abs(mains[1] + lam1) <= TOL_EQ
-    )
+    _, neg = locate(analysis, -lam1)
+    pair = neg is not None and mains == (lam1, neg.value)
     ok = pair == semireg
     return TheoremReport("T44", g, HOLDS if ok else FAILS,
                          wit | {"mains": list(mains)}, TOL_EQ)
@@ -553,14 +551,13 @@ def check_double_star_profile(g: Graph, *, analysis: GraphAnalysis,
     # The nonzero eigenvalues must be exactly the quartic's four roots, and the
     # zero eigenspace must absorb the remaining k+s-2 dimensions.
     roots = exact.double_star_quartic_roots(k, s)
-    nonzero = [grp for grp in analysis.spectrum.groups if abs(grp.value) > TOL_EQ]
-    zero_dim = sum(grp.multiplicity for grp in analysis.spectrum.groups
-                   if abs(grp.value) <= TOL_EQ)
-    values = sorted(grp.value for grp in nonzero)
-    wit["nonzero"] = values
+    _, zero = locate(analysis, 0.0)
+    nonzero = [grp for grp in reversed(analysis.spectrum.groups) if grp is not zero]
+    zero_dim = 0 if zero is None else zero.multiplicity
+    wit["nonzero"] = [grp.value for grp in nonzero]
     if len(nonzero) != 4 or any(grp.multiplicity != 1 for grp in nonzero):
         return TheoremReport("T46", inst, FAILS, wit | {"clause": "nonzero_count"})
-    if any(abs(v - r) > TOL_EQ for v, r in zip(values, roots)):
+    if any(locate(analysis, r)[1] is not grp for grp, r in zip(nonzero, roots)):
         return TheoremReport("T46", inst, FAILS,
                              wit | {"clause": "quartic_roots", "roots": list(roots)},
                              TOL_EQ)
@@ -572,12 +569,8 @@ def check_double_star_profile(g: Graph, *, analysis: GraphAnalysis,
     wit |= {"main_count": analysis.main_count, "low_main": low_main,
             "mains": list(analysis.spectrum.main_values())}
     if k != s:
-        mains = sorted(analysis.spectrum.main_values())
-        ok = (
-            analysis.main_count == 4
-            and bool(low_main)
-            and all(abs(v - r) <= TOL_EQ for v, r in zip(mains, roots))
-        )
+        # The least eigenvalue is nonzero[0], the least root.
+        ok = analysis.main_count == 4 and all(grp.is_main for grp in nonzero)
     else:
         ok = analysis.main_count == 2 and low_main is False
     return TheoremReport("T46", inst, HOLDS if ok else FAILS, wit, TOL_EQ)
@@ -603,10 +596,11 @@ def check_complement_second_eigenvalue(g: Graph, *, analysis: GraphAnalysis,
         # at order 1 there is no second eigenvalue to compare.
         return TheoremReport("COR47", inst, HOLDS, wit | {"equality_checked": False})
     shift = -1.0 - analysis.lambda_min
-    lam2c = co.eigenvalue(1)
-    ok = abs(lam2c - shift) <= TOL_EQ
+    above, grp = locate(co, shift)
+    # lambda_2(comp) is eigenvalue index 1: the located group must cover it.
+    ok = grp is not None and above <= 1 < above + grp.multiplicity
     return TheoremReport("COR47", inst, HOLDS if ok else FAILS,
-                         wit | {"equality_checked": True, "lambda2_co": lam2c,
+                         wit | {"equality_checked": True, "lambda2_co": co.eigenvalue(1),
                                 "shift": shift},
                          TOL_EQ)
 

@@ -2,7 +2,8 @@
 
 The claims themselves are theorems, so genuine "fails" verdicts cannot be
 produced by real graphs; the failure paths are exercised with doctored
-analyses where that is meaningful (T45) and otherwise by verdict gating.
+analyses where that is meaningful (T45, and one group moved off an equality
+a claim tests) and otherwise by verdict gating.
 Every analysis a checker reads here comes from the route ``verify`` uses,
 ``sweeps.analyze_with_complements`` (see ``checked``).
 """
@@ -28,7 +29,7 @@ from mainspec.graphs import (
     star,
 )
 from mainspec.spectra import EigenGroup, MainSpectrum
-from mainspec.sweeps import analyze_with_complements, sweep
+from mainspec.sweeps import analyze_with_complements, sample_masks, sweep
 from mainspec.theorems import (
     ALL_IDS,
     CLAIMS,
@@ -59,6 +60,8 @@ from mainspec.theorems import (
     check_top_shift_equality,
     check_two_main_relation,
     check_zero_main_index,
+    complement_window,
+    locate,
 )
 
 
@@ -86,6 +89,50 @@ def test_report_json_shape():
 def test_json_clean_rounds_floats():
     cleaned = theorems.json_clean({"x": 0.1234567890123456789, "t": (1, 2.0)})
     assert cleaned == {"x": 0.123456789012, "t": [1, 2.0]}
+
+
+def scan_all_groups(a: GraphAnalysis, x: float) -> tuple[int, EigenGroup | None]:
+    """``locate``'s answer from every group: the multiplicity above
+    x + TOL_EQ, and the one group within TOL_EQ of x."""
+    tol = theorems.TOL_EQ
+    above = sum(grp.multiplicity for grp in a.spectrum.groups if grp.value > x + tol)
+    equal = [grp for grp in a.spectrum.groups if abs(grp.value - x) <= tol]
+    assert len(equal) <= 1
+    return above, (equal[0] if equal else None)
+
+
+def test_locate_matches_a_scan_of_every_group():
+    pairs = [pair for n in range(1, 6) for pair in sweep(n)]
+    pairs += sweep(8, masks=sample_masks(8, 2048))
+    g = parse_graph6("HvG[upG")
+    pairs.append(analyze_with_complements([g])[g])
+    for a, co in pairs:
+        for own, other in ((a, co), (co, a)):
+            lam1 = own.lambda_max
+            for x in (0.0, lam1, -lam1, *(-1.0 - grp.value for grp in other.spectrum.groups)):
+                above, grp = locate(own, x)
+                want_above, want = scan_all_groups(own, x)
+                assert above == want_above and grp is want, (own.graph, x)
+
+
+def test_locate_k1_shift_is_interior():
+    # The order-1 complement has no lambda_2: -1 - 0 lies below its only eigenvalue.
+    g = Graph.from_edge_mask(1, 0)
+    a, co = analyze_with_complements([g])[g]
+    assert locate(co, -1.0 - a.lambda_min) == (1, None)
+    assert complement_window(a, co) == "interior"
+
+
+def test_locate_k33_shift_is_the_repeated_top():
+    # comp(K_{3,3}) = 2 K_3: lambda_1 = lambda_2 = 2 = -1 - (-3).
+    g = complete_bipartite(3, 3)
+    a, co = analyze_with_complements([g])[g]
+    above, grp = locate(co, -1.0 - a.lambda_min)
+    assert above == 0 and grp.multiplicity == 2
+    assert complement_window(a, co) == "equals-lambda1"
+    # COR47's lambda_2 equality: the located group covers eigenvalue index 1.
+    assert above <= 1 < above + grp.multiplicity
+    assert grp.value == co.eigenvalue(1)
 
 
 class TestTwoMainRelation:
@@ -251,13 +298,40 @@ class TestPathChecks:
     def test_eigenpairs_read_the_group_values(self):
         g = path(4)
         a, _ = analyze_with_complements([g])[g]
-        groups = list(a.spectrum.groups)
-        off = groups[1]
-        groups[1] = EigenGroup(off.value + 1e-6, 1, off.projection_norm_sq, off.is_main)
-        doctored = dataclasses.replace(a, spectrum=MainSpectrum(tuple(groups)))
-        rep = check_path_eigenpairs(g, analysis=doctored)
+        rep = check_path_eigenpairs(g, analysis=moved(a, 1))
         assert rep.verdict == FAILS
         assert rep.witnesses["j"] == 2
+
+
+def moved(a: GraphAnalysis, index: int) -> GraphAnalysis:
+    """``a`` with group ``index`` moved up by 1e-6: off every equality at
+    TOL_EQ, yet well inside the grouping gap."""
+    groups = list(a.spectrum.groups)
+    groups[index] = dataclasses.replace(groups[index], value=groups[index].value + 1e-6)
+    return dataclasses.replace(a, spectrum=MainSpectrum(tuple(groups)))
+
+
+@pytest.mark.parametrize("check, g, side, index, witness", [
+    # harmonic_tree(2): 2, 1 (x2), 0, -1 (x2), -2
+    (check_bipartite_harmonic_nonmain, harmonic_tree(2), "analysis", 4,
+     {"missing": pytest.approx(-2.0)}),
+    (check_harmonic_main_membership, harmonic_tree(2), "analysis", 2,
+     {"mains_in_zero_lambda1": False}),
+    # star(6): sqrt(5), 0 (x4), -sqrt(5)
+    (check_semiregular_main_pair, star(6), "analysis", 2, {"semiregular": True}),
+    # doublestar(2,3): the four quartic roots around a triple 0; move the least
+    (check_double_star_profile, double_star(2, 3), "analysis", 4, {"clause": "quartic_roots"}),
+    # path(4) is self-complementary: its complement's lambda_2 is group 1
+    (check_complement_second_eigenvalue, path(4), "co", 1, {"equality_checked": True}),
+], ids=["L23", "P24", "T44", "T46", "COR47"])
+def test_moved_equalities_fail(check, g, side, index, witness):
+    # A group moved off the value a claim equates it with fails the claim.
+    a, co = analyze_with_complements([g])[g]
+    pair = {"analysis": a, "co": co}
+    pair[side] = moved(pair[side], index)
+    rep = check(g, **pair)
+    assert rep.verdict == FAILS
+    assert {key: rep.witnesses[key] for key in witness} == witness
 
 
 class TestSemiregular:
