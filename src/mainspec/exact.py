@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, degree_data, per_graph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -504,29 +504,3 @@ def harmonic_levels(adj: np.ndarray) -> list[int | None]:
     ell = ad[rows, pivot] // np.maximum(d[rows, pivot], 1)
     harmonic = (ad == ell[:, None] * d).all(axis=1)
     return [e if h else None for e, h in zip(ell.tolist(), harmonic.tolist())]
-
-
-@per_graph
-def pseudo_regular_ratio(g: Graph) -> tuple[int, int] | None:
-    """Average-neighbor-degree ratio (p, q) if it is the same at every vertex.
-
-    Defined only for graphs without isolated vertices; returns the reduced
-    fraction sum(deg of neighbors)/deg as (numerator, denominator), or None
-    if the ratio varies (or some vertex is isolated).
-    """
-    degs = degree_data(g).degrees
-    if 0 in degs:
-        return None
-    num0 = den0 = 0
-    for v, row in enumerate(g.rows):
-        num = 0
-        while row:
-            low = row & -row
-            num += degs[low.bit_length() - 1]
-            row ^= low
-        if v == 0:
-            num0, den0 = num, degs[0]
-        elif num * den0 != num0 * degs[v]:
-            return None
-    common = math.gcd(num0, den0)
-    return num0 // common, den0 // common

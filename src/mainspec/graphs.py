@@ -4,14 +4,22 @@ Vertices are always 0..n-1 and graphs are simple and undirected.  Adjacency is
 stored as one neighbor bitmask per vertex: equality and hashing are cheap, and
 complement / enumeration reduce to integer bit operations.
 
-Structural facts (``degree_data``, ``is_connected``, ``bipartition``, and
-``exact.pseudo_regular_ratio``) are ``per_graph`` functions: each is computed
-on its first call for a graph object and kept on that graph, so the claim
-checkers and the sweep filters that read one fact of the same graph share a
-single computation, and code that never asks pays nothing.
+Structural facts (``degree_data``, ``is_connected``, ``bipartition`` and
+``pseudo_regular_ratio``) are ``per_graph`` functions: each is computed on its
+first call for a graph object and kept on that graph, so the claim checkers
+and the sweep filters that read one fact of the same graph share a single
+computation, and code that never asks pays nothing.  Sweeps take another road
+to the same memos: ``stack_graphs`` checks a whole (B, n) stack of neighbor
+bitmasks at once and builds its graphs without the per-graph symmetry walk,
+and ``fill_stack_facts`` computes all four facts for a stack of graphs in
+vectorised passes and stores them where the ``per_graph`` functions look, so
+no fact body runs while a sweep is checked.  Family, parsed and hand-built graphs keep the
+lazy per-graph route, which is also the reference the stack path is tested
+against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, Sequence, TypeVar
@@ -123,8 +131,22 @@ class Graph:
         return bits.astype(np.float64)
 
     def complement(self) -> "Graph":
+        # The complement of a valid graph is valid: no symmetry walk.
         full = (1 << self.n) - 1
-        return Graph(self.n, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(self.rows)))
+        return _trusted(self.n, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(self.rows)))
+
+
+def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
+    """A ``Graph`` on rows already known to be valid, built without ``__post_init__``."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)  # as the dataclass __init__ does, not through __dict__
+    object.__setattr__(g, "rows", rows)
+    return g
+
+
+def _memo_key(fact: Callable[[Graph], object]) -> str:
+    """Instance-dict key under which ``per_graph`` keeps ``fact``'s value."""
+    return "_" + fact.__name__
 
 
 def per_graph(fact: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
@@ -134,7 +156,7 @@ def per_graph(fact: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
     kept in that graph's instance dict (a frozen dataclass still has one), so
     it lives as long as the graph and stays out of equality and hashing.
     """
-    key = "_" + fact.__name__
+    key = _memo_key(fact)
 
     @wraps(fact)
     def cached(g: Graph) -> _T:
@@ -224,6 +246,122 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 
 def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
+
+
+@per_graph
+def pseudo_regular_ratio(g: Graph) -> tuple[int, int] | None:
+    """Average-neighbor-degree ratio (p, q) if it is the same at every vertex.
+
+    Defined only for graphs without isolated vertices; returns the reduced
+    fraction sum(deg of neighbors)/deg as (numerator, denominator), or None
+    if the ratio varies (or some vertex is isolated).
+    """
+    degs = degree_data(g).degrees
+    if 0 in degs:
+        return None
+    num0 = den0 = 0
+    for v, row in enumerate(g.rows):
+        num = 0
+        while row:
+            low = row & -row
+            num += degs[low.bit_length() - 1]
+            row ^= low
+        if v == 0:
+            num0, den0 = num, degs[0]
+        elif num * den0 != num0 * degs[v]:
+            return None
+    common = math.gcd(num0, den0)
+    return num0 // common, den0 // common
+
+
+# ---------------------------------------------------------------------------
+# Stacks: a sweep chunk's graphs and their facts, from its (B, n) rows.
+# ---------------------------------------------------------------------------
+
+
+def stack_graphs(rows: np.ndarray) -> list[Graph]:
+    """The graphs of a (B, n) int64 stack of neighbor bitmasks, checked as a whole.
+
+    One vectorised pass makes ``Graph.__post_init__``'s checks for every row
+    (no bit >= n, no loop, bit j of row i equal to bit i of row j) and raises
+    ParameterError at the first bad graph; the graphs are then built without
+    the per-graph walk.
+    """
+    count, n = rows.shape
+    if not 1 <= n <= 62:
+        raise ParameterError(f"a row stack holds orders 1..62, got {n}")
+    octets = rows.astype("<i8", copy=False).view(np.uint8).reshape(count, n, 8)
+    bits = np.unpackbits(octets, axis=2, count=n, bitorder="little")  # (B, n, n) adjacency
+    for bad, message in (
+            ((rows >> n) != 0, "row {1} references vertices >= n"),
+            (np.diagonal(bits, axis1=1, axis2=2) != 0, "loop at vertex {1}"),
+            (bits != bits.transpose(0, 2, 1), "adjacency not symmetric at ({1}, {2})")):
+        if bad.any():
+            where = np.argwhere(bad)[0].tolist()
+            raise ParameterError(f"stack graph {where[0]}: " + message.format(*where))
+    return [_trusted(n, tuple(r)) for r in rows.tolist()]
+
+
+def fill_stack_facts(graphs: Sequence[Graph]) -> None:
+    """Store ``degree_data``, ``is_connected``, ``bipartition`` and
+    ``pseudo_regular_ratio`` on each of ``graphs``, all of one order n <= 62.
+
+    The graphs' rows become one (B, n) int64 array.  Degrees and sum d^2 come
+    from popcounts, the pseudo-regular ratio from the neighbor-degree sums
+    reduced by ``np.gcd``; connectivity and bipartition from ``bipartition``'s
+    bitmask BFS run on every graph at once over the array's columns, giving
+    the same sides in the same order.
+    """
+    rows = np.array([g.rows for g in graphs], dtype=np.int64)
+    count, n = rows.shape
+    full = (1 << n) - 1
+    degs = np.zeros_like(rows)
+    for j in range(n):
+        degs += rows >> j & 1
+    nbr_sums = np.zeros_like(rows)
+    for j in range(n):
+        nbr_sums += (rows >> j & 1) * degs[:, j, None]
+    # BFS: each step colors one layer of every graph not yet done, and a graph
+    # whose layer runs dry starts its next component at its smallest unseen
+    # vertex, so a graph is done after at most n steps.  A graph with an odd
+    # cycle keeps walking, so its components still count.
+    idx = np.arange(count)
+    shifts = np.arange(n, dtype=np.int64)
+    seen = np.zeros(count, dtype=np.int64)
+    layer = np.zeros(count, dtype=np.int64)
+    color = np.zeros(count, dtype=np.intp)
+    sides = np.zeros((2, count), dtype=np.int64)
+    components = np.zeros(count, dtype=np.int64)
+    odd = np.zeros(count, dtype=bool)
+    while True:
+        start = (layer == 0) & (seen != full)
+        layer = np.where(start, ~seen & (seen + 1), layer)
+        if not layer.any():
+            break
+        color[start] = 0
+        components += start
+        sides[color, idx] |= layer
+        seen |= layer
+        in_layer = ((layer[:, None] >> shifts) & 1).astype(bool)
+        reach = np.bitwise_or.reduce(np.where(in_layer, rows, 0), axis=1)
+        odd |= (reach & sides[color, idx]) != 0
+        layer = reach & ~seen
+        color ^= 1
+    masks, slot = np.unique(sides, return_inverse=True)
+    parts = [tuple(_bits(mask)) for mask in masks.tolist()]
+    slot = slot.reshape(2, count)
+    # Pseudo-regular: every vertex has the ratio of vertex 0, sum of neighbor degrees / degree.
+    num0, den0 = nbr_sums[:, 0], degs[:, 0]
+    regular = (degs > 0).all(axis=1) & (nbr_sums * den0[:, None] == num0[:, None] * degs).all(axis=1)
+    common = np.maximum(np.gcd(num0, den0), 1)
+    keys = [_memo_key(f) for f in (degree_data, is_connected, bipartition, pseudo_regular_ratio)]
+    for g, d, sq, conn, two, s0, s1, reg, p, q in zip(
+            graphs, degs.tolist(), (degs * degs).sum(axis=1).tolist(), (components == 1).tolist(),
+            (~odd).tolist(), slot[0].tolist(), slot[1].tolist(), regular.tolist(),
+            (num0 // common).tolist(), (den0 // common).tolist()):
+        g.__dict__.update(zip(keys, (
+            DegreeVector(tuple(d), sum(d) // 2, sq), conn,
+            (parts[s0], parts[s1]) if two else None, (p, q) if reg else None)))
 
 
 # ---------------------------------------------------------------------------

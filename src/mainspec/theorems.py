@@ -19,8 +19,10 @@ graph, a relabelled one included, is not-applicable under its own label.
 
 A sweep runs all 16 graph checkers on one graph before the next, so they read
 its structural facts (degrees, connectivity, bipartition, pseudo-regular
-ratio) through the ``per_graph`` functions of :mod:`mainspec.graphs`, each
-computed once per graph, and its main values from the spectrum, collected
+ratio) through the ``per_graph`` functions of :mod:`mainspec.graphs`, and its
+main values from the spectrum, collected once.  A sweep's graphs come with
+those facts already stored, computed for the whole chunk from its stack
+(``graphs.fill_stack_facts``); any other graph computes each on first read,
 once.  A report holds the graph itself and serialises its graph6 label only
 when ``instance`` is first read, once per graph, so a run that prints only
 failures serialises only those.
@@ -49,6 +51,7 @@ from .graphs import (
     is_bipartite,
     is_connected,
     per_graph,
+    pseudo_regular_ratio,
 )
 from .spectra import EigenGroup
 
@@ -263,7 +266,7 @@ def check_pseudo_regular(
     """P26: without isolated vertices, constant average-neighbor-degree == harmonic."""
     if 0 in degree_data(g).degrees:
         return TheoremReport("P26", g, NOT_APPLICABLE, {"isolated_vertex": True})
-    ratio = exact.pseudo_regular_ratio(g)
+    ratio = pseudo_regular_ratio(g)
     ok = (ratio is not None) == analysis.is_harmonic
     if ok and ratio is not None:
         # The constant ratio of a harmonic graph must be the integer level itself.

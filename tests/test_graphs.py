@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import numpy as np
@@ -27,10 +28,12 @@ from mainspec.graphs import (
     is_connected,
     path,
     pendant_decorated,
+    pseudo_regular_ratio,
+    stack_graphs,
     star,
     triangle_pairs,
 )
-from mainspec.sweeps import mask_population
+from mainspec.sweeps import mask_population, sample_masks, sweep
 
 # Frozen labeled-graph counts (total, connected) up to n = 5.
 ENUM_COUNTS = {1: (1, 1), 2: (2, 1), 3: (8, 4), 4: (64, 38), 5: (1024, 728)}
@@ -247,6 +250,72 @@ class TestConstruction:
                 assert asymmetric and "not symmetric" in str(err), rows
             else:
                 assert not asymmetric, rows
+
+
+_FACTS = (degree_data, is_connected, bipartition, pseudo_regular_ratio)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None),
+                                           (5, None), (6, None), (8, 8192)])
+    def test_sweep_facts_match_the_per_graph_functions(self, n, sample):
+        # Every graph a sweep yields, its complement included (a second batch
+        # for the order-8 sample), is the graph of its mask and carries the
+        # facts the lazy per-graph functions compute on a fresh copy of it.
+        masks = np.arange(mask_population(n)) if sample is None else sample_masks(n, sample)
+        full = mask_population(n) - 1
+        swept = {id(h): (h, mask)  # an exhaustive sweep yields each graph twice
+                 for (a, co), m in zip(sweep(n, masks=masks), masks.tolist())
+                 for h, mask in ((a.graph, m), (co.graph, full ^ m))}
+        bodies = {fact.__wrapped__.__code__ for fact in _FACTS}
+        ran = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in bodies:
+                ran.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            stacked = [(h, mask, tuple(fact(h) for fact in _FACTS)) for h, mask in swept.values()]
+        finally:
+            sys.setprofile(None)
+        assert ran == []
+        for h, mask, facts in stacked:
+            ref = Graph.from_edge_mask(n, mask)
+            assert h == ref and hash(h) == hash(ref) and h.rows == ref.rows
+            assert facts == tuple(fact(ref) for fact in _FACTS), (n, mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_check_accepts_what_the_constructor_accepts(self, n):
+        others = [[row for row in range(1 << n) if not row >> i & 1] for i in range(n)]
+        valid = []
+        for rows in itertools.product(*others):
+            try:
+                valid.append(Graph(n, rows))
+            except ParameterError:
+                with pytest.raises(ParameterError):
+                    stack_graphs(np.array([rows], dtype=np.int64))
+        assert stack_graphs(np.array([g.rows for g in valid], dtype=np.int64)) == valid
+
+    @pytest.mark.parametrize("vertex, flip, message", [
+        (3, 1 << 3, "stack graph 5: loop at vertex 3"),
+        (1, 1 << 4, "stack graph 5: adjacency not symmetric at (1, 4)"),
+        (2, 1 << 6, "stack graph 5: row 2 references vertices >= n"),
+    ], ids=["loop", "asymmetric", "bit-past-n"])
+    def test_stack_check_rejects_a_bad_row(self, vertex, flip, message):
+        rows = np.array([Graph.from_edge_mask(6, m).rows for m in range(0, 32768, 997)],
+                        dtype=np.int64)
+        rows[5, vertex] ^= flip
+        with pytest.raises(ParameterError) as err:
+            stack_graphs(rows)
+        assert str(err.value) == message
+
+    def test_complement_rows_pass_the_constructor(self):
+        # ``complement`` skips the checks; the constructor accepts its rows.
+        for n in range(1, 6):
+            for mask in range(mask_population(n)):
+                c = Graph.from_edge_mask(n, mask).complement()
+                assert Graph(n, c.rows) == c == Graph.from_edge_mask(n, mask_population(n) - 1 ^ mask)
 
 
 class TestFamilies:

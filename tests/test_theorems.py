@@ -14,7 +14,7 @@ from typing import Callable
 
 import pytest
 
-from mainspec import exact, graphs, spectra, theorems
+from mainspec import graphs, spectra, theorems
 from mainspec.analysis import GraphAnalysis
 from mainspec.graph6 import parse_graph6, serialize_graph6
 from mainspec.graphs import (
@@ -525,7 +525,7 @@ def test_every_graph_checker_on_small_sweep():
 
 
 _FACTS = (graphs.degree_data, graphs.is_connected, graphs.bipartition,
-          exact.pseudo_regular_ratio)
+          graphs.pseudo_regular_ratio)
 
 
 @pytest.mark.parametrize("check", [check_bipartite_harmonic_nonmain,
@@ -562,6 +562,31 @@ def test_structural_predicates_run_once_per_check(check, g):
     assert {"degree_data", "is_connected", "bipartition"} <= set(runs)
     assert first in reports
     assert first.verdict in (HOLDS, NOT_APPLICABLE)
+
+
+@pytest.mark.parametrize("n, masks", [(5, None), (7, sample_masks(7, 256))],
+                         ids=["exhaustive-5", "sampled-7"])
+def test_checking_a_sweep_pair_runs_no_fact_body(n, masks):
+    # A sweep stores every graph's facts from its chunk's stack, so neither
+    # verify's filters nor any of the 16 graph checkers computes one.
+    bodies = {fact.__wrapped__.__code__: fact.__name__ for fact in _FACTS}
+    pairs = list(sweep(n, masks=masks))
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            runs.append(bodies[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        for a, co in pairs:
+            graphs.is_connected(a.graph)
+            graphs.is_bipartite(a.graph)
+            for check in GRAPH_CHECKERS.values():
+                check(a.graph, analysis=a, co=co)
+    finally:
+        sys.setprofile(None)
+    assert runs == []
 
 
 def test_labels_are_cached_per_graph(monkeypatch):
