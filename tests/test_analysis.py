@@ -1,4 +1,8 @@
 """The two-route reconciliation layer."""
+import gc
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,7 @@ from mainspec.graphs import (
     pendant_decorated,
     star,
 )
-from mainspec.spectra import EigenGroup, MainSpectrum
+from mainspec.spectra import EigenGroup, MainSpectrum, SpectralInvariantError
 from mainspec.sweeps import mask_population, sweep
 
 
@@ -219,6 +223,73 @@ def test_sweep_streams_masks_chunk_by_chunk(monkeypatch):
     a, co = next(sweep(8))
     assert a.graph == Graph.from_edge_mask(8, 0)
     assert co.graph == complete(8)
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_no_collection_starts_inside_a_chunk_build(collector_state):
+    # Every record a chunk builds stays alive until its pairs are yielded,
+    # so a collection started while one is built could reclaim none of them.
+    chunk_code = inspect.unwrap(sweeps._analyses_for_chunk).__code__
+    started = []
+
+    def hook(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not chunk_code:
+            frame = frame.f_back
+        if frame is not None:
+            started.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        assert len(list(sweep(5))) == mask_population(5)
+    finally:
+        gc.callbacks.remove(hook)
+    assert started == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_sweep_leaves_the_collector_as_it_found_it(collector_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    assert len(list(sweep(4))) == mask_population(4)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_chunk_that_raises_restores_the_collector(collector_state, monkeypatch, enabled):
+    def fail(mats):
+        raise SpectralInvariantError("injected")
+
+    monkeypatch.setattr(spectra, "eigen_decompose_batch", fail)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(SpectralInvariantError, match="injected"):
+        next(sweep(4))
+    assert gc.isenabled() is enabled
+
+
+def test_the_collector_runs_between_chunks(collector_state, monkeypatch):
+    # The sweep's consumer runs the claim checkers; it must do so with the
+    # collector on, before, between and after the chunk builds.
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    gc.enable()
+    pairs = sweep(5)
+    next(pairs)
+    assert gc.isenabled()
+    for _ in range(256):
+        a, _ = next(pairs)
+    assert a.graph == Graph.from_edge_mask(5, 256)
+    assert gc.isenabled()
+    pairs.close()
+    assert gc.isenabled()
 
 
 def test_pipeline_never_reaches_bareiss(monkeypatch):

@@ -426,6 +426,38 @@ def test_closed_stdout_exit5_without_traceback():
     assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b"")
 
 
+def test_the_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # One process, one parser: every call must print what it prints in a
+    # process of its own, whatever the calls before it set or failed on.
+    calls = [
+        ["verify", "P32", "--exhaustive", "4", "--json"],
+        ["verify", "P32", "--exhaustive", "4"],
+        ["analyze", "4 3\n0 1\n1 2\n2 3", "--format", "edgelist"],
+        ["analyze", "Cl"],
+        ["verify", "P32", "--exhaustive", "four"],
+        ["verify", "C43", "--paths", "3..5"],
+    ]
+    scrub = lambda s: re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', s)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "mainspec", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        fresh.append((proc.returncode, scrub(proc.stdout), proc.stderr))
+    shared = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        shared.append((code, scrub(out), err))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0]
+    assert shared == fresh
+
+
 def test_usage_without_command():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
