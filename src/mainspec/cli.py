@@ -6,18 +6,28 @@ through gray-band groups the exact rank cannot settle),
 4 a numerical-hygiene check failed (the eigensolver did not converge, a
 decomposition missed its bounds, or eigenvalue groups were too close to
 separate), 5 stdout was closed before all output was written (for example
-by ``| head``; the rest of the output is dropped, nothing is printed).
+by ``| head``; the rest of the output is dropped, nothing is printed),
+6 a process checking a share of ``verify``'s sweep ended without sending
+back its result (it was killed, or failed outside the checks).
 """
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
+import math
 import os
+import pickle
+import signal
 import sys
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import sweeps, theorems
 from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph
@@ -49,10 +59,17 @@ EXIT_USAGE = 2
 EXIT_DISAGREE = 3
 EXIT_NUMERICAL = 4
 EXIT_CLOSED_STDOUT = 5
+EXIT_WORKER_LOST = 6
 
 _NUMERICAL_ERRORS = (AmbiguousGroupingError, ConvergenceError, SpectralInvariantError)
 
 _MAX_FAIL_DETAIL = 20  # failing witnesses printed per claim in table mode
+
+# Smallest table-mode sweep split across CPUs.  A split costs about 20 ms of
+# CPU (the fork, copy-on-write faults, pickling, reaping) and a swept graph
+# 100-180 us, so 2,048 graphs are some ten times the split's cost; the default
+# --exhaustive 4 (64 graphs) and order 5 (1,024) stay in one process.
+_MIN_SPLIT = 2048
 
 # How long a full sweep of these orders runs: order 6 (32,768 graphs) takes
 # seconds, order 7 has 64 times as many graphs and order 8 8,192 times, so
@@ -280,48 +297,72 @@ class _Tally:
     holds: int = 0
     fails: int = 0
     skipped: int = 0
-    failing: list[TheoremReport] = field(default_factory=list)
+    # (key, report) of the failing instances with the smallest keys, in key
+    # order: a swept graph's key is its edge mask, and family instances, all
+    # keyed inf, follow the sweep in the order they are checked.
+    failing: list[tuple[float, TheoremReport]] = field(default_factory=list)
 
-    def add(self, report: TheoremReport) -> None:
+    def add(self, report: TheoremReport, key: float) -> None:
         if report.verdict == theorems.HOLDS:
             self.holds += 1
         elif report.verdict == FAILS:
             self.fails += 1
-            if len(self.failing) < _MAX_FAIL_DETAIL:
-                self.failing.append(report)
+            self._keep(key, report)
         else:
             self.skipped += 1
+
+    def _keep(self, key: float, report: TheoremReport) -> None:
+        failing = self.failing
+        if len(failing) < _MAX_FAIL_DETAIL or key < failing[-1][0]:
+            bisect.insort(failing, (key, report), key=itemgetter(0))
+            del failing[_MAX_FAIL_DETAIL:]
+
+    def merge(self, other: _Tally) -> None:
+        """Add the tally of another share of the same sweep."""
+        self.holds += other.holds
+        self.fails += other.fails
+        self.skipped += other.skipped
+        for key, report in other.failing:
+            self._keep(key, report)
 
     @property
     def total(self) -> int:
         return self.holds + self.fails + self.skipped
 
 
-# (analysis, complement analysis, the checkers to run on that graph with their tallies)
-_Pair = tuple[GraphAnalysis, GraphAnalysis, list[tuple[Callable[..., TheoremReport], _Tally]]]
+_Checks = list[tuple[Callable[..., TheoremReport], _Tally]]
+# (key, analysis, complement analysis, the checkers to run on that graph with their tallies)
+_Pair = tuple[float, GraphAnalysis, GraphAnalysis, _Checks]
 
 
-def _sweep_pairs(ids: list[str], args: argparse.Namespace,
-                 tallies: dict[str, _Tally]) -> Iterator[_Pair]:
-    """Every order-N labeled graph the filters keep, with the chosen claims'
-    graph checkers."""
-    checks = [(GRAPH_CHECKERS[tid], tallies[tid]) for tid in ids if tid in GRAPH_CHECKERS]
-    if not checks:
-        return
+class _WorkerLost(Exception):
+    """A process checking a share of the sweep ended without sending its result."""
+
+
+def _selected_masks(args: argparse.Namespace) -> np.ndarray | None:
+    """The sweep's sample, or None for all labeled graphs of the order."""
     n = args.exhaustive
     population = sweeps.mask_population(n)
-    masks = None
     if args.sample and population > args.sample:
-        masks = sweeps.sample_masks(n, args.sample)
-    elif n in _LONG_SWEEPS:
+        return sweeps.sample_masks(n, args.sample)
+    if n in _LONG_SWEEPS:
         print(f"note: --exhaustive {n} sweeps all {population:,} labeled graphs, which "
               f"takes {_LONG_SWEEPS[n]}; --sample K checks K of them", file=sys.stderr)
-    for a, co in sweeps.sweep(n, masks=masks):
-        if args.connected and not is_connected(a.graph):
-            continue
-        if args.bipartite and not is_bipartite(a.graph):
-            continue
-        yield a, co, checks
+    return None
+
+
+def _sweep_pairs(n: int, chunks: Iterable[np.ndarray | None], checks: _Checks,
+                 args: argparse.Namespace) -> Iterator[_Pair]:
+    """Every order-n labeled graph of ``chunks`` the filters keep, keyed by its
+    mask, with the chosen claims' graph checkers."""
+    for masks in chunks:
+        keys = range(sweeps.mask_population(n)) if masks is None else masks.flat
+        for key, (a, co) in zip(keys, sweeps.sweep(n, masks=masks)):
+            if args.connected and not is_connected(a.graph):
+                continue
+            if args.bipartite and not is_bipartite(a.graph):
+                continue
+            yield key, a, co, checks
 
 
 def _family_pairs(instances: list[tuple[str, Graph, Callable[..., TheoremReport]]],
@@ -331,20 +372,125 @@ def _family_pairs(instances: list[tuple[str, Graph, Callable[..., TheoremReport]
     found = sweeps.analyze_with_complements(g for _, g, _ in instances)
     for tid, g, check in instances:
         a, co = found[g]
-        yield a, co, [(check, tallies[tid])]
+        yield math.inf, a, co, [(check, tallies[tid])]
 
 
 def _check_pairs(pairs: Iterable[_Pair], as_json: bool) -> bool:
     """Run each graph's checkers, tally the reports and, for ``--json``, print
     them.  Returns True if either analysis of a checked pair disagrees."""
     disagreement = False
-    for a, co, checks in pairs:
+    for key, a, co, checks in pairs:
         disagreement |= a.disagrees or co.disagrees
         for check, tally in checks:
             report = check(a.graph, analysis=a, co=co)
-            tally.add(report)
+            tally.add(report, key)
             if as_json:
                 print(json.dumps(report.to_json()))
+    return disagreement
+
+
+class _Worker:
+    """A forked process that runs ``job`` and pipes its result back."""
+
+    def __init__(self, job: Callable[[], Any]) -> None:
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns when a process with more than one thread forks;
+            # the others here are OpenBLAS's pool, which stops around a fork.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read)
+            _serve(write, job)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def result(self) -> Any:
+        """Wait for the worker's result; the worker is reaped."""
+        data = self.pipe.read()
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        try:
+            return pickle.loads(data)
+        except Exception:  # nothing was sent, or it was cut short
+            code = os.waitstatus_to_exitcode(status)
+            how = (f"killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exit status {code}")
+            raise _WorkerLost(f"a sweep worker ended without a result ({how})") from None
+
+    def stop(self) -> None:
+        """Kill and reap the worker, unless ``result`` already has."""
+        self.pipe.close()
+        if self.pid:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+            self.pid = 0
+
+
+def _serve(write: int, job: Callable[[], Any]) -> None:
+    """The forked worker's whole life: send ``job``'s result and exit.
+
+    It never returns, prints or flushes the buffers it shares with its parent,
+    whatever ``job`` raises, Ctrl-C included."""
+    status = 1
+    try:
+        try:
+            result = job()
+        except Exception as err:  # a numerical error is re-raised by the parent
+            result = err if isinstance(err, _NUMERICAL_ERRORS) else _WorkerLost(
+                f"a sweep worker ended without a result ({type(err).__name__}: {err})")
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _check_sweep(ids: list[str], args: argparse.Namespace,
+                 tallies: dict[str, _Tally]) -> bool:
+    """Check the sweep's graphs with the chosen claims' graph checkers.
+
+    In table mode the selection is split into one share per usable CPU
+    (``sweeps.shares``): this process checks the first, a forked worker each
+    other, and their tallies are merged by mask, so the output is the one a
+    single share gives.  Returns True if a checked pair disagrees."""
+    checks = [(GRAPH_CHECKERS[tid], tallies[tid]) for tid in ids if tid in GRAPH_CHECKERS]
+    if not checks:
+        return False
+    n = args.exhaustive
+    masks = _selected_masks(args)
+    if args.json:  # the per-instance stream is printed in mask order, by this process
+        return _check_pairs(_sweep_pairs(n, [masks], checks, args), True)
+    size = sweeps.mask_population(n) if masks is None else len(masks)
+    cpus = 1
+    if sys.platform == "linux" and size >= _MIN_SPLIT:
+        cpus = len(os.sched_getaffinity(0))
+    first, *rest = sweeps.shares(n, cpus, masks)
+
+    def job(share: Iterator[np.ndarray]) -> tuple[list[_Tally], bool]:
+        disagreement = _check_pairs(_sweep_pairs(n, share, checks, args), False)
+        return [tally for _, tally in checks], disagreement
+
+    workers: list[_Worker] = []
+    try:
+        for share in rest:  # before any chunk is built, so each worker starts small
+            workers.append(_Worker(functools.partial(job, share)))
+        disagreement = job(first)[1]
+        for worker in workers:  # in share order, so the first share to fail decides
+            result = worker.result()
+            if isinstance(result, Exception):
+                raise result
+            shared, flag = result
+            for (_, tally), other in zip(checks, shared):
+                tally.merge(other)
+            disagreement |= flag
+    finally:
+        for worker in workers:
+            worker.stop()
     return disagreement
 
 
@@ -376,11 +522,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        disagreement = _check_pairs(_sweep_pairs(ids, args, tallies), args.json)
+        disagreement = _check_sweep(ids, args, tallies)
         disagreement |= _check_pairs(_family_pairs(instances, tallies), args.json)
     except _NUMERICAL_ERRORS as err:
         print(f"error: numerical check failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except _WorkerLost as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_WORKER_LOST
 
     failures = sum(t.fails for t in tallies.values())
     instances = sum(t.total for t in tallies.values())
@@ -397,7 +546,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             t = tallies[tid]
             print(f"{tid}: {t.total} instances — {t.holds} holds, {t.fails} fails, "
                   f"{t.skipped} not-applicable")
-            for report in t.failing:
+            for _, report in t.failing:
                 wit = json.dumps(theorems.json_clean(report.witnesses))
                 print(f"  FAIL {report.instance}: {wit}")
             if t.fails > len(t.failing):

@@ -18,8 +18,15 @@ an order-6 chunk's RSS about 5 MB higher, and holding the chunk's rows array
 through the analysis raised ``verify all --exhaustive 6``'s peak by 1.5 MB.
 Nearly every complement claim needs both spectra, and the complement of mask
 ``m`` is mask ``full ^ m``: complements already in the chunk are looked up,
-and only the missing ones go through a second batch.  A chunk of an order
-n <= 6 holds the whole population, so every graph is analysed once.
+and only the missing ones go through a second batch.  That batch's graphs
+only ever serve as a complement, whose facts no checker or filter reads, so
+their facts are left to the lazy per-graph route.  A chunk of an order
+n <= 6 holds the whole population, so every graph is analysed once.  A chunk
+is dropped before the next one is built, so a sweep holds one at a time.
+``shares`` splits a selection for ``verify``'s processes, one share per
+usable CPU: a sample into contiguous slices, the full population into
+ranges of masks with the top edge bit clear, each chunk built with its
+complements, so that no graph needs the second batch at any order.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
 way and returns the (analysis, complement analysis) pair the sweep yields.
 
@@ -53,8 +60,9 @@ DEFAULT_CHUNK = 1 << 15
 _FINISH_BLOCK = 1 << 11
 SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
 # Largest sample ``verify --sample`` takes: about 3 minutes of sweep at some
-# 6,000 pairs/s (``verify all --exhaustive 8 --sample 131072`` takes 22 s on a
-# 2-core x86_64 box).  Past a fiftieth of the population numpy's sampler
+# 5,000-6,000 pairs/s in one process, half that split over two CPUs
+# (``verify all --exhaustive 8 --sample 131072`` takes 22-27 s in one process
+# and 14.5 s in two on a 2-core x86_64 box).  Past a fiftieth of the population numpy's sampler
 # without replacement builds the whole population as int64, 2 GiB at order 8.
 MAX_SAMPLE = 1 << 20
 
@@ -95,6 +103,34 @@ def sample_masks(n: int, size: int, seed: int = SAMPLE_SEED) -> np.ndarray:
     return picks.astype(np.int64)
 
 
+def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator[np.ndarray]]:
+    """Split a sweep's selection into at most ``count`` shares, one per process.
+
+    A share is an iterator of mask arrays, each to be swept by
+    ``sweep(n, masks=...)``.  A sample ``masks`` is cut into contiguous slices
+    of its sorted order.  The full population is cut into ranges of
+    representative masks, those with the top edge bit clear, and each comes
+    with its complements ``full ^ m``: every chunk is closed under complement,
+    so no graph goes through a complement batch.  Chunks are built as the
+    share is swept, so order 8 never holds its 2^28 masks at once.
+    """
+    if masks is not None:
+        count = max(1, min(count, len(masks)))
+        return [iter((part,)) for part in np.array_split(masks, count)]
+    reps = max(mask_population(n) // 2, 1)  # order 1's one mask is its own complement
+    count = max(1, min(count, reps))
+    return [_closed_chunks(n, reps * i // count, reps * (i + 1) // count) for i in range(count)]
+
+
+def _closed_chunks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Representative masks ``lo..hi-1`` and their complements, ``DEFAULT_CHUNK`` at a time."""
+    full = mask_population(n) - 1
+    step = max(DEFAULT_CHUNK // 2, 1)
+    for start in range(lo, hi, step):
+        reps = np.arange(start, min(start + step, hi), dtype=np.int64)
+        yield reps if full == 0 else np.concatenate([reps, full ^ reps])
+
+
 def adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
     pairs = triangle_pairs(n)
     ii = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
@@ -124,15 +160,16 @@ def _collection_paused() -> Iterator[None]:
 
 @_collection_paused()
 def _analyses_for_chunk(
-    n: int, masks: np.ndarray, hygiene: HygieneTracker | None
+    n: int, masks: np.ndarray, hygiene: HygieneTracker | None, *, facts: bool = True
 ) -> dict[int, GraphAnalysis]:
     adj = adjacency_stack(n, masks)
     # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
     graphs = stack_graphs((adj @ 2.0 ** np.arange(n)).astype(np.int64))
     analyses = analyze_stack(graphs, adj, hygiene)
     del adj  # the float stack goes before the facts come, so they add nothing to the peak
-    for lo in range(0, len(graphs), _FINISH_BLOCK):
-        fill_stack_facts(graphs[lo:lo + _FINISH_BLOCK])
+    if facts:
+        for lo in range(0, len(graphs), _FINISH_BLOCK):
+            fill_stack_facts(graphs[lo:lo + _FINISH_BLOCK])
     return dict(zip(masks.tolist(), analyses))
 
 
@@ -190,6 +227,8 @@ def sweep(
         found = _analyses_for_chunk(n, part, hygiene)
         missing = np.setdiff1d(full ^ part, part)
         if len(missing):
-            found |= _analyses_for_chunk(n, missing, hygiene)
+            # Only ever yielded as the complement, whose facts nothing reads.
+            found |= _analyses_for_chunk(n, missing, hygiene, facts=False)
         for mask in part.tolist():
             yield found[mask], found[full ^ mask]
+        del found  # the next chunk's build must not find this one alive

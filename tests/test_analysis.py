@@ -2,6 +2,7 @@
 import gc
 import inspect
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -223,6 +224,29 @@ def test_sweep_streams_masks_chunk_by_chunk(monkeypatch):
     a, co = next(sweep(8))
     assert a.graph == Graph.from_edge_mask(8, 0)
     assert co.graph == complete(8)
+
+
+def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
+    # A multi-chunk sweep holds one chunk of records at a time: the first
+    # chunk's graphs are gone when the second chunk's build starts.
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    real = sweeps._analyses_for_chunk
+    first = []
+    alive = []
+
+    def build(*args, **kwargs):
+        alive.append(first[0]() is not None if first else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "_analyses_for_chunk", build)
+    pairs = sweep(5)
+    a, _ = next(pairs)
+    first.append(weakref.ref(a.graph))
+    del a
+    for _ in pairs:
+        pass
+    # each order-5 chunk is built with its complement batch: 4 chunks, 8 builds
+    assert alive == [None, None] + [False] * 6
 
 
 @pytest.fixture

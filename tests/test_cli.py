@@ -527,3 +527,160 @@ def test_verify_analyses_each_family_graph_once(capsys, monkeypatch):
     rows = [m.tobytes() for s in family_stacks for m in s]
     assert len(rows) == len(set(rows))
     assert set(rows) == expected
+
+
+class TestSplitSweep:
+    """Table-mode verify splits its sweep into one share per usable CPU; the
+    output is the one a single share gives, and no worker outlives a run."""
+
+    @pytest.fixture(autouse=True)
+    def small_split(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MIN_SPLIT", 1)  # fork at any order
+        self.forks = 0
+        fork = os.fork
+
+        def counting():
+            self.forks += 1
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @staticmethod
+    def no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def both(self, capsys, monkeypatch, *argv):
+        """(code, out, err) with one CPU, then with three."""
+        self.cpus(monkeypatch, 1)
+        single = run(capsys, *argv)
+        assert self.forks == 0
+        self.cpus(monkeypatch, 3)
+        split = run(capsys, *argv)
+        self.no_children()
+        return single, split
+
+    @pytest.mark.parametrize("argv, forks", [
+        (("--exhaustive", "5"), 2),
+        (("--exhaustive", "5", "--connected", "--bipartite"), 2),
+        (("--exhaustive", "7", "--sample", "2048"), 2),
+        (("--exhaustive", "2"), 0),  # one representative mask: one share
+        (("--exhaustive", "1"), 0),  # mask 0 is its own complement
+    ])
+    def test_shares_print_what_one_share_prints(self, capsys, monkeypatch, argv, forks):
+        single, split = self.both(capsys, monkeypatch, "verify", "all", *argv)
+        assert single == split
+        assert single[0] == 0
+        assert self.forks == forks
+
+    def test_failures_are_reported_by_mask(self, capsys, monkeypatch):
+        # The claim fails in every share, only on graphs with the top edge
+        # (3, 4): the complement half of each chunk, swept in descending mask
+        # order.  The witnesses printed are those of the 20 smallest masks.
+        def failing(g):
+            return g.rows[4] >> 3 & 1 and g.m % 3 == 1
+
+        def fails(g, *, analysis, co):
+            verdict = theorems.FAILS if failing(g) else theorems.HOLDS
+            return TheoremReport("P32", g, verdict, {"m": g.m})
+
+        monkeypatch.setitem(theorems.GRAPH_CHECKERS, "P32", fails)
+        single, split = self.both(capsys, monkeypatch, "verify", "P32", "--exhaustive", "5")
+        assert single == split
+        code, out, _ = split
+        graphs = [Graph.from_edge_mask(5, m) for m in range(sweeps.mask_population(5))]
+        failed = [g for g in graphs if failing(g)]
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == (f"P32: 1024 instances — {1024 - len(failed)} holds, "
+                            f"{len(failed)} fails, 0 not-applicable")
+        assert lines[1:21] == [f'  FAIL {serialize_graph6(g).decode()}: {{"m": {g.m}}}'
+                               for g in failed[:20]]
+        assert lines[21] == f"  ... and {len(failed) - 20} more failures"
+
+    def in_worker(self, monkeypatch, action):
+        """Make ``sweeps.sweep`` run ``action`` in the workers, not in this process."""
+        parent = os.getpid()
+        real = sweeps.sweep
+
+        def sweep(n, **kwargs):
+            for a, co in real(n, **kwargs):
+                if os.getpid() != parent:
+                    a, co = action(a, co)
+                yield a, co
+
+        monkeypatch.setattr(sweeps, "sweep", sweep)
+
+    def test_numerical_error_in_a_worker_exit4(self, capsys, monkeypatch):
+        def fail(a, co):
+            raise spectra.SpectralInvariantError("injected")
+
+        self.in_worker(monkeypatch, fail)
+        self.cpus(monkeypatch, 2)
+        code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
+        self.no_children()
+        assert (code, out, err) == (cli.EXIT_NUMERICAL, "",
+                                    "error: numerical check failed: injected\n")
+
+    def test_disagreement_in_a_worker_exit3(self, capsys, monkeypatch):
+        self.in_worker(monkeypatch, lambda a, co: (a, _disagreeing(co)))
+        self.cpus(monkeypatch, 2)
+        code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
+        self.no_children()
+        assert code == cli.EXIT_DISAGREE
+        assert out.endswith("verified 21 claim(s) over 16580 instance(s): 0 failure(s)\n")
+        assert err == ("error: cross-check disagreement between float route and "
+                       "walk-matrix rank\n")
+
+    def test_a_worker_that_exits_without_a_result_exit6(self, capsys, monkeypatch):
+        self.in_worker(monkeypatch, lambda a, co: os._exit(3))
+        self.cpus(monkeypatch, 3)
+        code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
+        self.no_children()
+        assert (code, out) == (cli.EXIT_WORKER_LOST, "")
+        assert err == "error: a sweep worker ended without a result (exit status 3)\n"
+
+    def test_a_worker_that_fails_outside_the_checks_exit6(self, capsys, monkeypatch):
+        def fail(a, co):
+            raise KeyError("injected")
+
+        self.in_worker(monkeypatch, fail)
+        self.cpus(monkeypatch, 2)
+        code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
+        self.no_children()
+        assert (code, out) == (cli.EXIT_WORKER_LOST, "")
+        assert err == "error: a sweep worker ended without a result (KeyError: 'injected')\n"
+
+    def test_workers_are_reaped_when_this_process_is_interrupted(self, capsys, monkeypatch):
+        parent = os.getpid()
+        real = sweeps.sweep
+
+        def sweep(n, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            yield from real(n, **kwargs)
+
+        monkeypatch.setattr(sweeps, "sweep", sweep)
+        self.cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["verify", "all", "--exhaustive", "5"])
+        assert self.forks == 2
+        self.no_children()
+
+    @pytest.mark.parametrize("argv, cpus", [
+        (("--exhaustive", "5", "--json"), 2),
+        (("--exhaustive", "7", "--sample", "2048", "--json"), 2),
+        (("--exhaustive", "5"), 1),
+    ])
+    def test_json_and_one_cpu_never_fork(self, capsys, monkeypatch, argv, cpus):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.cpus(monkeypatch, cpus)
+        code, _, err = run(capsys, "verify", "all", *argv)
+        assert (code, err) == (0, "")

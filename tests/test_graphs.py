@@ -14,6 +14,7 @@ from mainspec.graphs import (
     FamilySpec,
     Graph,
     ParameterError,
+    _memo_key,
     bipartition,
     build_family,
     complete,
@@ -23,6 +24,7 @@ from mainspec.graphs import (
     double_star,
     empty_graph,
     family_of,
+    fill_stack_facts,
     harmonic_tree,
     is_bipartite,
     is_connected,
@@ -260,9 +262,12 @@ class TestStacks:
                                            (5, None), (6, None), (8, 8192)])
     def test_sweep_facts_match_the_per_graph_functions(self, n, sample):
         # Every graph a sweep yields, its complement included (a second batch
-        # for the order-8 sample), is the graph of its mask and carries the
-        # facts the lazy per-graph functions compute on a fresh copy of it.
+        # for the order-8 sample), is the graph of its mask and has the facts
+        # the lazy per-graph functions compute on a fresh copy of it.  The
+        # selected masks' graphs carry them, so no fact body runs for them;
+        # the complement batch's graphs compute theirs when asked.
         masks = np.arange(mask_population(n)) if sample is None else sample_masks(n, sample)
+        selected = set(masks.tolist())
         full = mask_population(n) - 1
         swept = {id(h): (h, mask)  # an exhaustive sweep yields each graph twice
                  for (a, co), m in zip(sweep(n, masks=masks), masks.tolist())
@@ -276,14 +281,38 @@ class TestStacks:
 
         sys.setprofile(profile)
         try:
-            stacked = [(h, mask, tuple(fact(h) for fact in _FACTS)) for h, mask in swept.values()]
+            stacked = [(h, mask, tuple(fact(h) for fact in _FACTS))
+                       for h, mask in swept.values() if mask in selected]
         finally:
             sys.setprofile(None)
         assert ran == []
-        for h, mask, facts in stacked:
+        lazy = [(h, mask, tuple(fact(h) for fact in _FACTS))
+                for h, mask in swept.values() if mask not in selected]
+        assert (lazy == []) is (sample is None)
+        for h, mask, facts in stacked + lazy:
             ref = Graph.from_edge_mask(n, mask)
             assert h == ref and hash(h) == hash(ref) and h.rows == ref.rows
             assert facts == tuple(fact(ref) for fact in _FACTS), (n, mask)
+
+    def test_complement_batch_graphs_have_no_stored_facts(self):
+        # A sampled sweep's complement batch only ever serves as ``co``, whose
+        # facts no checker or filter reads: none are stored, and one read
+        # lazily is what the stack path gives for the same graph.
+        n = 7
+        masks = sample_masks(n, 256)
+        selected = set(masks.tolist())
+        full = mask_population(n) - 1
+        keys = [_memo_key(fact) for fact in _FACTS]
+        batch = [(co.graph, full ^ m) for (_, co), m in zip(sweep(n, masks=masks), masks.tolist())
+                 if full ^ m not in selected]
+        assert len(batch) > 200
+        for h, mask in batch:
+            assert not any(key in h.__dict__ for key in keys), mask
+        refs = [Graph.from_edge_mask(n, mask) for _, mask in batch]
+        fill_stack_facts(refs)
+        for (h, mask), ref in zip(batch, refs):
+            assert all(key in ref.__dict__ for key in keys)
+            assert tuple(fact(h) for fact in _FACTS) == tuple(fact(ref) for fact in _FACTS), mask
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stack_check_accepts_what_the_constructor_accepts(self, n):
