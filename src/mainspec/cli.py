@@ -351,13 +351,12 @@ def _selected_masks(args: argparse.Namespace) -> np.ndarray | None:
     return None
 
 
-def _sweep_pairs(n: int, chunks: Iterable[np.ndarray | None], checks: _Checks,
+def _sweep_pairs(n: int, chunks: Iterable[np.ndarray], checks: _Checks,
                  args: argparse.Namespace) -> Iterator[_Pair]:
     """Every order-n labeled graph of ``chunks`` the filters keep, keyed by its
     mask, with the chosen claims' graph checkers."""
     for masks in chunks:
-        keys = range(sweeps.mask_population(n)) if masks is None else masks.flat
-        for key, (a, co) in zip(keys, sweeps.sweep(n, masks=masks)):
+        for key, (a, co) in zip(masks.flat, sweeps.sweep(n, masks=masks)):
             if args.connected and not is_connected(a.graph):
                 continue
             if args.bipartite and not is_bipartite(a.graph):
@@ -454,25 +453,24 @@ def _check_sweep(ids: list[str], args: argparse.Namespace,
                  tallies: dict[str, _Tally]) -> bool:
     """Check the sweep's graphs with the chosen claims' graph checkers.
 
-    In table mode the selection is split into one share per usable CPU
-    (``sweeps.shares``): this process checks the first, a forked worker each
-    other, and their tallies are merged by mask, so the output is the one a
-    single share gives.  Returns True if a checked pair disagrees."""
+    The selection is split into shares (``sweeps.shares``), in table mode one
+    per usable CPU: this process checks the first, a forked worker each other,
+    and their tallies are merged by mask, so the output is the one a single
+    share gives.  ``--json`` prints its one share's chunks as they come, each
+    in mask order.  Returns True if a checked pair disagrees."""
     checks = [(GRAPH_CHECKERS[tid], tallies[tid]) for tid in ids if tid in GRAPH_CHECKERS]
     if not checks:
         return False
     n = args.exhaustive
     masks = _selected_masks(args)
-    if args.json:  # the per-instance stream is printed in mask order, by this process
-        return _check_pairs(_sweep_pairs(n, [masks], checks, args), True)
     size = sweeps.mask_population(n) if masks is None else len(masks)
     cpus = 1
-    if sys.platform == "linux" and size >= _MIN_SPLIT:
+    if not args.json and sys.platform == "linux" and size >= _MIN_SPLIT:
         cpus = len(os.sched_getaffinity(0))
     first, *rest = sweeps.shares(n, cpus, masks)
 
     def job(share: Iterator[np.ndarray]) -> tuple[list[_Tally], bool]:
-        disagreement = _check_pairs(_sweep_pairs(n, share, checks, args), False)
+        disagreement = _check_pairs(_sweep_pairs(n, share, checks, args), args.json)
         return [tally for _, tally in checks], disagreement
 
     workers: list[_Worker] = []

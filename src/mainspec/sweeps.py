@@ -17,16 +17,15 @@ them and compute none.  Filled in one 32,768-graph block instead, they left
 an order-6 chunk's RSS about 5 MB higher, and holding the chunk's rows array
 through the analysis raised ``verify all --exhaustive 6``'s peak by 1.5 MB.
 Nearly every complement claim needs both spectra, and the complement of mask
-``m`` is mask ``full ^ m``: complements already in the chunk are looked up,
-and only the missing ones go through a second batch.  That batch's graphs
-only ever serve as a complement, whose facts no checker or filter reads, so
-their facts are left to the lazy per-graph route.  A chunk of an order
-n <= 6 holds the whole population, so every graph is analysed once.  A chunk
-is dropped before the next one is built, so a sweep holds one at a time.
-``shares`` splits a selection for ``verify``'s processes, one share per
-usable CPU: a sample into contiguous slices, the full population into
-ranges of masks with the top edge bit clear, each chunk built with its
-complements, so that no graph needs the second batch at any order.
+``m`` is mask ``full ^ m``.  The full population is swept in complement-closed
+chunks, masks with the top edge bit clear and their complements, so every
+graph is analysed once at every order; only a sample's missing complements go
+through a second batch, whose graphs only ever serve as a complement: no
+checker or filter reads their facts, so those are left to the lazy per-graph
+route.  A chunk is dropped before the next one is built, so a sweep holds one
+at a time.  ``shares`` splits a selection for ``verify``'s processes, one
+share per usable CPU: a sample into contiguous slices, the full population
+into ranges of those representative masks.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
 way and returns the (analysis, complement analysis) pair the sweep yields.
 
@@ -123,12 +122,13 @@ def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator
 
 
 def _closed_chunks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Representative masks ``lo..hi-1`` and their complements, ``DEFAULT_CHUNK`` at a time."""
+    """Representative masks ``lo..hi-1`` and their complements, ``DEFAULT_CHUNK``
+    at a time, each chunk in mask order: below order 7 the one chunk is ``all_masks``."""
     full = mask_population(n) - 1
     step = max(DEFAULT_CHUNK // 2, 1)
     for start in range(lo, hi, step):
         reps = np.arange(start, min(start + step, hi), dtype=np.int64)
-        yield reps if full == 0 else np.concatenate([reps, full ^ reps])
+        yield reps if full == 0 else np.concatenate([reps, full ^ reps[::-1]])
 
 
 def adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
@@ -215,15 +215,14 @@ def sweep(
 ) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
     """Yield (analysis, complement analysis) for every selected labeled graph.
 
-    ``masks=None`` streams the full population in mask order, one chunk of
-    ``DEFAULT_CHUNK`` masks at a time; otherwise pairs follow ``masks``.
+    ``masks=None`` streams the full population in ``shares(n, 1)``'s
+    complement-closed chunks, each in mask order; otherwise pairs follow
+    ``masks`` in chunks of ``DEFAULT_CHUNK``.
     """
-    pop = mask_population(n)
-    full = pop - 1
-    total = pop if masks is None else len(masks)
-    for lo in range(0, total, DEFAULT_CHUNK):
-        hi = min(lo + DEFAULT_CHUNK, total)
-        part = np.arange(lo, hi, dtype=np.int64) if masks is None else masks[lo:hi]
+    full = mask_population(n) - 1
+    chunks = (shares(n, 1)[0] if masks is None else
+              (masks[lo:lo + DEFAULT_CHUNK] for lo in range(0, len(masks), DEFAULT_CHUNK)))
+    for part in chunks:
         found = _analyses_for_chunk(n, part, hygiene)
         missing = np.setdiff1d(full ^ part, part)
         if len(missing):

@@ -1,13 +1,16 @@
 """The two-route reconciliation layer."""
+import contextlib
 import gc
 import inspect
+import io
 import sys
 import weakref
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
-from mainspec import exact, spectra, sweeps
+from mainspec import cli, exact, spectra, sweeps
 from mainspec.analysis import (
     GraphAnalysis,
     RouteDisagreementError,
@@ -215,6 +218,73 @@ def test_exhaustive_sweep_analyses_each_graph_once(monkeypatch):
     assert all(co.graph == a.graph.complement() for a, co in pairs)
 
 
+def _verify_json_pairs(n):
+    """The (analysis, complement analysis) pairs ``verify all --exhaustive n
+    --json`` checks, as its sweep yields them."""
+    pairs = []
+    real = sweeps.sweep
+
+    def recording(n, **kwargs):
+        for pair in real(n, **kwargs):
+            pairs.append(pair)
+            yield pair
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(sweeps, "sweep", recording)
+        assert cli.main(["verify", "all", "--exhaustive", str(n), "--json"]) == 0
+    return pairs
+
+
+@pytest.mark.parametrize("route", [lambda n: list(sweep(n)), _verify_json_pairs],
+                         ids=["sweep", "verify-json"])
+def test_a_multi_chunk_population_sweep_analyses_each_graph_once(monkeypatch, route):
+    # Every chunk of a population sweep holds its complements, so no graph
+    # goes through a second, complement batch, whatever the chunk size.
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    swept = []  # graphs sent to the eigensolver by the sweep's chunk builds
+    building = []
+    chunk = sweeps._analyses_for_chunk
+    batch = spectra.eigen_decompose_batch
+
+    def build(*args, **kwargs):
+        building.append(True)
+        try:
+            return chunk(*args, **kwargs)
+        finally:
+            building.pop()
+
+    def recording(mats):
+        if building:
+            swept.append(len(mats))
+        return batch(mats)
+
+    monkeypatch.setattr(sweeps, "_analyses_for_chunk", build)
+    monkeypatch.setattr(spectra, "eigen_decompose_batch", recording)
+    pairs = route(5)
+    assert sum(swept) == mask_population(5) == 1024
+    assert Counter(a.graph for a, _ in pairs) == Counter(
+        Graph.from_edge_mask(5, m) for m in range(mask_population(5)))
+    assert all(co.graph == a.graph.complement() for a, co in pairs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_small_population_is_one_chunk_in_mask_order(n):
+    assert np.array_equal(np.concatenate(list(sweeps.shares(n, 1)[0])),
+                          np.arange(mask_population(n)))
+
+
+def test_closed_chunks_are_sorted_and_partition_the_population(monkeypatch):
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 1 << 10)
+    full = mask_population(7) - 1
+    for count in (1, 3):
+        chunks = [c for share in sweeps.shares(7, count) for c in share]
+        for c in chunks:
+            assert np.all(np.diff(c) > 0)
+            assert np.array_equal(np.sort(full ^ c), c)
+        assert np.array_equal(np.sort(np.concatenate(chunks)),
+                              np.arange(mask_population(7)))
+
+
 def test_sweep_streams_masks_chunk_by_chunk(monkeypatch):
     def no_population(n):
         raise AssertionError("the whole mask population was materialised")
@@ -242,11 +312,12 @@ def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
     pairs = sweep(5)
     a, _ = next(pairs)
     first.append(weakref.ref(a.graph))
-    del a
-    for _ in pairs:
-        pass
-    # each order-5 chunk is built with its complement batch: 4 chunks, 8 builds
-    assert alive == [None, None] + [False] * 6
+    del a, _
+    # Each pair is dropped as it comes: a chunk's last pair is the complement
+    # of its first, so a consumer holding it would keep mask 0's graph alive.
+    deque(pairs, maxlen=0)
+    # four complement-closed order-5 chunks, each built once
+    assert alive == [None] + [False] * 3
 
 
 @pytest.fixture
@@ -310,7 +381,9 @@ def test_the_collector_runs_between_chunks(collector_state, monkeypatch):
     assert gc.isenabled()
     for _ in range(256):
         a, _ = next(pairs)
-    assert a.graph == Graph.from_edge_mask(5, 256)
+    # the second closed chunk's first mask: the first chunk is masks 0..127
+    # and their complements
+    assert a.graph == Graph.from_edge_mask(5, 128)
     assert gc.isenabled()
     pairs.close()
     assert gc.isenabled()

@@ -579,8 +579,8 @@ class TestSplitSweep:
 
     def test_failures_are_reported_by_mask(self, capsys, monkeypatch):
         # The claim fails in every share, only on graphs with the top edge
-        # (3, 4): the complement half of each chunk, swept in descending mask
-        # order.  The witnesses printed are those of the 20 smallest masks.
+        # (3, 4): the complement half of each chunk, swept after its
+        # representatives.  The witnesses printed are those of the 20 smallest masks.
         def failing(g):
             return g.rows[4] >> 3 & 1 and g.m % 3 == 1
 
