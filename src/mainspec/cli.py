@@ -34,6 +34,7 @@ from .analysis import GraphAnalysis, RouteDisagreementError, analyze_graph
 from .graph6 import EdgeListError, Graph6Error, parse_edgelist, parse_graph6, serialize_graph6
 from .graphs import (
     MAX_ENUM_ORDER,
+    MAX_ORDER,
     FamilySpec,
     Graph,
     ParameterError,
@@ -71,6 +72,13 @@ _MAX_FAIL_DETAIL = 20  # failing witnesses printed per claim in table mode
 # --exhaustive 4 (64 graphs) and order 5 (1,024) stay in one process.
 _MIN_SPLIT = 2048
 
+# Most characters ``analyze`` reads from stdin or a file.  The longest
+# well-formed input at MAX_ORDER is K_200 as an edge list: 137,320 characters
+# as ``serialize_edgelist`` writes it, 157,221 with CRLF line ends (its graph6
+# line is 3,322); 2^18 leaves room for padding, and a longer or endless stream
+# is refused after one read of this size.
+MAX_INPUT = 1 << 18
+
 # How long a full sweep of these orders runs: order 6 (32,768 graphs) takes
 # seconds, order 7 has 64 times as many graphs and order 8 8,192 times, so
 # verify says so before it starts.
@@ -92,13 +100,20 @@ def _timestamp() -> str:
 
 def _read_input(raw: str) -> tuple[str, str]:
     """Resolve the INPUT argument: '-' reads stdin, an existing path reads the
-    file, anything else is taken literally.  Returns (text, source)."""
+    file, anything else is taken literally.  Returns (text, source); raises
+    ValueError on a stream or file longer than MAX_INPUT, after reading at
+    most one character more."""
     if raw == "-":
-        return sys.stdin.read(), "stdin"
-    if os.path.isfile(raw):
+        text, source = sys.stdin.read(MAX_INPUT + 1), "stdin"
+    elif os.path.isfile(raw):
         with open(raw, "r", encoding="ascii") as fh:
-            return fh.read(), raw
-    return raw, "literal"
+            text, source = fh.read(MAX_INPUT + 1), raw
+    else:
+        return raw, "literal"
+    if len(text) > MAX_INPUT:
+        raise ValueError(f"{source} holds more than {MAX_INPUT:,} characters, "
+                         f"more than any graph of order <= {MAX_ORDER} needs")
+    return text, source
 
 
 def _parse_graph(text: str, fmt: str) -> Graph:

@@ -4,18 +4,19 @@ Vertices are always 0..n-1 and graphs are simple and undirected.  Adjacency is
 stored as one neighbor bitmask per vertex: equality and hashing are cheap, and
 complement / enumeration reduce to integer bit operations.
 
-Structural facts (``degree_data``, ``is_connected``, ``bipartition`` and
-``pseudo_regular_ratio``) are ``per_graph`` functions: each is computed on its
-first call for a graph object and kept on that graph, so the claim checkers
-and the sweep filters that read one fact of the same graph share a single
-computation, and code that never asks pays nothing.  Sweeps take another road
-to the same memos: ``stack_graphs`` checks a whole (B, n) stack of neighbor
-bitmasks at once and builds its graphs without the per-graph symmetry walk,
-and ``fill_stack_facts`` computes all four facts for a stack of graphs in
-vectorised passes and stores them where the ``per_graph`` functions look, so
-no fact body runs while a sweep is checked.  Family, parsed and hand-built graphs keep the
-lazy per-graph route, which is also the reference the stack path is tested
-against.
+A graph's structural facts (degrees, m, sum d^2, connectivity, the
+two-coloring and the pseudo-regular ratio) are one ``Facts`` record, read
+through the ``per_graph`` function ``facts``: it is computed on the first
+read for a graph object, from one bitmask breadth-first walk, and kept on
+that graph, so the claim checkers and the sweep filters share it, and code
+that never asks pays nothing.  ``is_connected`` and ``is_bipartite`` read
+it.  Sweeps take another road to the same record: ``stack_graphs`` checks a
+whole (B, n) stack of neighbor bitmasks at once and builds its graphs without
+the per-graph symmetry walk, and ``fill_stack_facts`` computes the records of
+a stack of graphs in vectorised passes and stores each where ``facts`` looks,
+so no fact body runs while a sweep is checked.  Family, parsed and hand-built
+graphs, and every graph above order 62, keep the lazy route, which is also
+the reference the stack path is tested against.
 """
 from __future__ import annotations
 
@@ -144,19 +145,15 @@ def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
     return g
 
 
-def _memo_key(fact: Callable[[Graph], object]) -> str:
-    """Instance-dict key under which ``per_graph`` keeps ``fact``'s value."""
-    return "_" + fact.__name__
-
-
 def per_graph(fact: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
     """Memoise a structural fact on the graph object it describes.
 
     The body runs on the first call for each ``Graph`` object; its value is
-    kept in that graph's instance dict (a frozen dataclass still has one), so
-    it lives as long as the graph and stays out of equality and hashing.
+    kept in that graph's instance dict under ``"_" + fact.__name__`` (a frozen
+    dataclass still has one), so it lives as long as the graph and stays out
+    of equality and hashing.
     """
-    key = _memo_key(fact)
+    key = "_" + fact.__name__
 
     @wraps(fact)
     def cached(g: Graph) -> _T:
@@ -168,23 +165,6 @@ def per_graph(fact: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
             return value
 
     return cached
-
-
-@dataclass(frozen=True, slots=True)
-class DegreeVector:
-    """Degree sequence with its two standard aggregates."""
-
-    degrees: tuple[int, ...]
-    m: int
-    sum_squares: int
-
-
-@per_graph
-def degree_data(g: Graph) -> DegreeVector:
-    degs = g.degrees()
-    total = sum(degs)
-    assert total % 2 == 0
-    return DegreeVector(degs, total // 2, sum(d * d for d in degs))
 
 
 def _neighborhood(g: Graph, vertices: int) -> int:
@@ -207,71 +187,75 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@per_graph
-def is_connected(g: Graph) -> bool:
-    seen = frontier = 1
-    while frontier:
-        frontier = _neighborhood(g, frontier) & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+@dataclass(frozen=True, slots=True)
+class Facts:
+    """The structural facts the claims and ``verify``'s filters read off a graph.
 
-
-@per_graph
-def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two-color the graph; returns (side0, side1) or None if an odd cycle exists.
-
-    Breadth-first over bitmasks, one component at a time from its smallest
-    vertex, which gets color 0; BFS layers alternate colors.  An edge inside
-    a layer closes an odd cycle.  A vertex's color is the parity of its
-    distance from its component's smallest vertex, so the output is
-    deterministic, and for connected graphs the bipartition is unique up to
-    swapping sides.
+    ``sides`` is the two-coloring (side 0, side 1), each ascending, in which
+    every component's smallest vertex has color 0 and a vertex's color is the
+    parity of its distance from it; for a connected graph that is the
+    bipartition, unique up to swapping sides.  It is None if an odd cycle
+    exists.  ``ratio`` is the average-neighbor-degree ratio, the reduced
+    fraction sum(deg of neighbors)/deg as (numerator, denominator), if it is
+    the same at every vertex; None if it varies or some vertex is isolated.
     """
+
+    degrees: tuple[int, ...]
+    m: int
+    sum_squares: int
+    connected: bool
+    sides: tuple[tuple[int, ...], tuple[int, ...]] | None
+    ratio: tuple[int, int] | None
+
+
+@per_graph
+def facts(g: Graph) -> Facts:
+    """``g``'s structural facts, from one bitmask breadth-first walk.
+
+    The walk starts each component at its smallest unseen vertex with color 0
+    and alternates colors by layer; an edge inside a layer closes an odd
+    cycle, and the walk goes on to count the components.  The neighbor-degree
+    sums take one popcount per degree class and vertex, and stop at the first
+    vertex whose ratio differs from vertex 0's.
+    """
+    degs = g.degrees()
     full = (1 << g.n) - 1
     sides = [0, 0]
-    seen = 0
+    seen = components = clash = 0
     while seen != full:
         layer = ~seen & (seen + 1)  # the smallest vertex not yet colored
+        components += 1
         color = 0
         while layer:
             sides[color] |= layer
             seen |= layer
             reach = _neighborhood(g, layer)
-            if reach & sides[color]:
-                return None
+            clash |= reach & sides[color]
             layer = reach & ~seen
             color ^= 1
-    return tuple(_bits(sides[0])), tuple(_bits(sides[1]))
+    ratio = None
+    if 0 not in degs:
+        classes: dict[int, int] = {}  # degree: bitmask of the vertices of that degree
+        for v, d in enumerate(degs):
+            classes[d] = classes.get(d, 0) | 1 << v
+
+        def neighbor_degrees(row: int) -> int:
+            return sum(c * (row & cls).bit_count() for c, cls in classes.items())
+
+        num0, den0 = neighbor_degrees(g.rows[0]), degs[0]
+        if all(neighbor_degrees(row) * den0 == num0 * d for row, d in zip(g.rows, degs)):
+            common = math.gcd(num0, den0)
+            ratio = num0 // common, den0 // common
+    return Facts(degs, sum(degs) // 2, sum(d * d for d in degs), components == 1,
+                 None if clash else (tuple(_bits(sides[0])), tuple(_bits(sides[1]))), ratio)
+
+
+def is_connected(g: Graph) -> bool:
+    return facts(g).connected
 
 
 def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
-
-
-@per_graph
-def pseudo_regular_ratio(g: Graph) -> tuple[int, int] | None:
-    """Average-neighbor-degree ratio (p, q) if it is the same at every vertex.
-
-    Defined only for graphs without isolated vertices; returns the reduced
-    fraction sum(deg of neighbors)/deg as (numerator, denominator), or None
-    if the ratio varies (or some vertex is isolated).
-    """
-    degs = degree_data(g).degrees
-    if 0 in degs:
-        return None
-    num0 = den0 = 0
-    for v, row in enumerate(g.rows):
-        num = 0
-        while row:
-            low = row & -row
-            num += degs[low.bit_length() - 1]
-            row ^= low
-        if v == 0:
-            num0, den0 = num, degs[0]
-        elif num * den0 != num0 * degs[v]:
-            return None
-    common = math.gcd(num0, den0)
-    return num0 // common, den0 // common
+    return facts(g).sides is not None
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +287,11 @@ def stack_graphs(rows: np.ndarray) -> list[Graph]:
 
 
 def fill_stack_facts(graphs: Sequence[Graph]) -> None:
-    """Store ``degree_data``, ``is_connected``, ``bipartition`` and
-    ``pseudo_regular_ratio`` on each of ``graphs``, all of one order n <= 62.
+    """Store the ``facts`` record of each of ``graphs``, all of one order n <= 62.
 
     The graphs' rows become one (B, n) int64 array.  Degrees and sum d^2 come
     from popcounts, the pseudo-regular ratio from the neighbor-degree sums
-    reduced by ``np.gcd``; connectivity and bipartition from ``bipartition``'s
+    reduced by ``np.gcd``; connectivity and the sides from ``facts``'s
     bitmask BFS run on every graph at once over the array's columns, giving
     the same sides in the same order.
     """
@@ -354,14 +337,13 @@ def fill_stack_facts(graphs: Sequence[Graph]) -> None:
     num0, den0 = nbr_sums[:, 0], degs[:, 0]
     regular = (degs > 0).all(axis=1) & (nbr_sums * den0[:, None] == num0[:, None] * degs).all(axis=1)
     common = np.maximum(np.gcd(num0, den0), 1)
-    keys = [_memo_key(f) for f in (degree_data, is_connected, bipartition, pseudo_regular_ratio)]
     for g, d, sq, conn, two, s0, s1, reg, p, q in zip(
             graphs, degs.tolist(), (degs * degs).sum(axis=1).tolist(), (components == 1).tolist(),
             (~odd).tolist(), slot[0].tolist(), slot[1].tolist(), regular.tolist(),
             (num0 // common).tolist(), (den0 // common).tolist()):
-        g.__dict__.update(zip(keys, (
-            DegreeVector(tuple(d), sum(d) // 2, sq), conn,
-            (parts[s0], parts[s1]) if two else None, (p, q) if reg else None)))
+        g.__dict__["_facts"] = Facts(  # where ``facts`` keeps its record
+            tuple(d), sum(d) // 2, sq, conn, (parts[s0], parts[s1]) if two else None,
+            (p, q) if reg else None)
 
 
 # ---------------------------------------------------------------------------

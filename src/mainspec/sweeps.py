@@ -11,11 +11,12 @@ block, and only the records are built per graph.  Blocks bound the finish's
 temporaries: one block of a whole order-6 chunk took a bare sweep's peak RSS
 from 104 to 142 MB, 2,048-row blocks leave it at 105 MB.
 Once a chunk is analysed and its float stack dropped, ``graphs.fill_stack_facts``
-stores every graph's degrees, connectivity, bipartition and pseudo-regular
-ratio, computed from its rows in the same blocks, so the claim checkers read
-them and compute none.  Filled in one 32,768-graph block instead, they left
-an order-6 chunk's RSS about 5 MB higher, and holding the chunk's rows array
-through the analysis raised ``verify all --exhaustive 6``'s peak by 1.5 MB.
+stores every graph's ``graphs.facts`` record (degrees, connectivity,
+two-coloring, pseudo-regular ratio), computed from its rows in the same
+blocks, so the claim checkers read it and compute none.  Filled in one
+32,768-graph block instead, the facts left an order-6 chunk's RSS about 5 MB
+higher, and holding the chunk's rows array through the analysis raised
+``verify all --exhaustive 6``'s peak by 1.5 MB.
 Nearly every complement claim needs both spectra, and the complement of mask
 ``m`` is mask ``full ^ m``.  The full population is swept in complement-closed
 chunks, masks with the top edge bit clear and their complements, so every
@@ -30,10 +31,11 @@ into ranges of those representative masks.
 way and returns the (analysis, complement analysis) pair the sweep yields.
 
 A chunk is built with automatic cyclic collection paused
-(``_collection_paused``).  It makes about 11 tracked objects per graph (the
-``Graph`` and its dict, degrees, analysis, spectrum, groups), and all of them
-stay alive until the chunk's pairs are yielded, so a collection during the
-build can reclaim none of them; each one walks every live record.  Unpaused,
+(``_collection_paused``).  It makes about 15 tracked objects per graph at
+order 6 (the ``Graph`` and its dict, its ``graphs.Facts`` record, analysis,
+spectrum, 5.5 groups on average, and tuples), and all of them stay alive
+until the chunk's pairs are yielded, so a collection during the build can
+reclaim none of them; each one walks every live record.  Unpaused,
 ``verify all --exhaustive 6`` started 898 generation-0, 82 generation-1 and 7
 full collections inside its chunk builds, 0.48 s of a 4.1 s run that
 reclaimed 384 objects in all (2-core x86_64, Python 3.11); paused, none start

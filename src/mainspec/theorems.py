@@ -18,11 +18,11 @@ The family checkers (L41, T42, C43, T46, COR47) read their instance, labelled
 graph, a relabelled one included, is not-applicable under its own label.
 
 A sweep runs all 16 graph checkers on one graph before the next, so they read
-its structural facts (degrees, connectivity, bipartition, pseudo-regular
-ratio) through the ``per_graph`` functions of :mod:`mainspec.graphs`, and its
-main values from the spectrum, collected once.  A sweep's graphs come with
-those facts already stored, computed for the whole chunk from its stack
-(``graphs.fill_stack_facts``); any other graph computes each on first read,
+its structural facts (degrees, m, sum d^2, connectivity, the two-coloring,
+the pseudo-regular ratio) from its one ``graphs.facts`` record, and its main
+values from the spectrum, collected once.  A sweep's graphs come with that
+record already stored, computed for the whole chunk from its stack
+(``graphs.fill_stack_facts``); any other graph computes it on first read,
 once.  A report holds the graph itself and serialises its graph6 label only
 when ``instance`` is first read, once per graph, so a run that prints only
 failures serialises only those.
@@ -43,16 +43,7 @@ from . import exact
 from .analysis import GraphAnalysis
 from .analysis import analyze_graph  # noqa: F401  (bound here for perfbench's span tracer)
 from .graph6 import serialize_graph6
-from .graphs import (
-    Graph,
-    bipartition,
-    degree_data,
-    family_of,
-    is_bipartite,
-    is_connected,
-    per_graph,
-    pseudo_regular_ratio,
-)
+from .graphs import Graph, facts, family_of, per_graph
 from .spectra import EigenGroup
 
 # Every eigenvalue equality is decided by ``locate`` to 1e-8 absolute, whether
@@ -169,16 +160,16 @@ def check_two_main_relation(
         return TheoremReport("P21", g, NOT_APPLICABLE,
                              {"main_count": analysis.main_count})
     lam1, lami = analysis.spectrum.main_values()
-    dv = degree_data(g)
-    denom = 2.0 * dv.m - g.n * lam1
-    wit: dict[str, Any] = {"lambda1": lam1, "lambda_i": lami, "m": dv.m,
-                           "sum_squares": dv.sum_squares}
+    gf = facts(g)
+    denom = 2.0 * gf.m - g.n * lam1
+    wit: dict[str, Any] = {"lambda1": lam1, "lambda_i": lami, "m": gf.m,
+                           "sum_squares": gf.sum_squares}
     if abs(denom) <= 1e-9 * g.n * (1.0 + abs(lam1)):
         # Degenerate denominator: the relation collapses to lam1^2 = sum d^2 / n.
-        ok = abs(lam1 * lam1 - dv.sum_squares / g.n) <= TOL_REL * max(1.0, lam1 * lam1)
+        ok = abs(lam1 * lam1 - gf.sum_squares / g.n) <= TOL_REL * max(1.0, lam1 * lam1)
         wit["form"] = "lambda1_squared"
     else:
-        rhs = (dv.sum_squares - 2.0 * dv.m * lam1) / denom
+        rhs = (gf.sum_squares - 2.0 * gf.m * lam1) / denom
         ok = abs(lami - rhs) <= TOL_REL * max(1.0, abs(lami))
         wit["rhs"] = rhs
         wit["form"] = "ratio"
@@ -196,8 +187,8 @@ def check_zero_main_index(
     if zero is None or not zero.is_main:
         # With two main groups, lambda_1 > 0 is the other one.
         return TheoremReport("C22", g, NOT_APPLICABLE, {"lambda_i": lami})
-    dv = degree_data(g)
-    expected = dv.sum_squares / (2.0 * dv.m)
+    gf = facts(g)
+    expected = gf.sum_squares / (2.0 * gf.m)
     ok = locate(analysis, expected)[1] is analysis.spectrum.groups[0]
     return TheoremReport("C22", g, HOLDS if ok else FAILS,
                          {"lambda1": lam1, "expected": expected}, TOL_EQ)
@@ -212,8 +203,8 @@ def check_bipartite_harmonic_nonmain(
     g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """L23: bipartite harmonic with an edge puts -lambda_1 in the spectrum, non-main."""
-    m = degree_data(g).m
-    bipartite = is_bipartite(g)
+    gf = facts(g)
+    m, bipartite = gf.m, gf.sides is not None
     if not (analysis.is_harmonic and m >= 1 and bipartite):
         return TheoremReport("L23", g, NOT_APPLICABLE,
                              {"harmonic": analysis.is_harmonic, "m": m, "bipartite": bipartite})
@@ -247,10 +238,10 @@ def check_harmonic_index_count(
     g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """P25: with an edge, harmonic exactly when lambda_1 = sum d^2/2m and <= 2 mains."""
-    dv = degree_data(g)
-    if dv.m < 1:
+    gf = facts(g)
+    if gf.m < 1:
         return TheoremReport("P25", g, NOT_APPLICABLE, {"m": 0})
-    expected = dv.sum_squares / (2.0 * dv.m)
+    expected = gf.sum_squares / (2.0 * gf.m)
     index_match = locate(analysis, expected)[1] is analysis.spectrum.groups[0]
     condition = index_match and analysis.main_count <= 2
     ok = condition == analysis.is_harmonic
@@ -264,9 +255,10 @@ def check_pseudo_regular(
     g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis | None = None
 ) -> TheoremReport:
     """P26: without isolated vertices, constant average-neighbor-degree == harmonic."""
-    if 0 in degree_data(g).degrees:
+    gf = facts(g)
+    if 0 in gf.degrees:
         return TheoremReport("P26", g, NOT_APPLICABLE, {"isolated_vertex": True})
-    ratio = pseudo_regular_ratio(g)
+    ratio = gf.ratio
     ok = (ratio is not None) == analysis.is_harmonic
     if ok and ratio is not None:
         # The constant ratio of a harmonic graph must be the integer level itself.
@@ -401,18 +393,16 @@ def check_balanced_complete_bipartite_shift(
 ) -> TheoremReport:
     """T37: for connected bipartite G, lambda_1(comp) = -1-lambda_min(G) iff G is
     complete bipartite and balanced."""
-    connected = is_connected(g)
-    parts = bipartition(g)
-    if not (connected and parts is not None):
+    gf = facts(g)
+    if not (gf.connected and gf.sides is not None):
         return TheoremReport("T37", g, NOT_APPLICABLE,
-                             {"connected": connected, "bipartite": parts is not None})
-    r, s = len(parts[0]), len(parts[1])
-    m = degree_data(g).m
-    structural = m == r * s and r == s
+                             {"connected": gf.connected, "bipartite": gf.sides is not None})
+    r, s = len(gf.sides[0]), len(gf.sides[1])
+    structural = gf.m == r * s and r == s
     equal = complement_window(analysis, co) == "equals-lambda1"
     ok = equal == structural
     return TheoremReport("T37", g, HOLDS if ok else FAILS,
-                         {"parts": [r, s], "m": m, "lambda1_co": co.lambda_max,
+                         {"parts": [r, s], "m": gf.m, "lambda1_co": co.lambda_max,
                           "shift": -1.0 - analysis.lambda_min}, TOL_EQ)
 
 
@@ -490,29 +480,27 @@ def check_semiregular_main_pair(
     exactly {lambda_1, -lambda_1}; plus the degree-square bound with its
     equality case.  Connected regular bipartite graphs sit on the definitional
     boundary and are reported not-applicable."""
-    connected = is_connected(g)
-    if g.n < 2 or not connected:
-        return TheoremReport("T44", g, NOT_APPLICABLE, {"n": g.n, "connected": connected})
-    dv = degree_data(g)
+    gf = facts(g)
+    if g.n < 2 or not gf.connected:
+        return TheoremReport("T44", g, NOT_APPLICABLE, {"n": g.n, "connected": gf.connected})
     lam1 = analysis.lambda_max
     bound = lam1 * lam1 * g.n
     slack = TOL_EQ * g.n * (1.0 + lam1 * lam1)
-    bound_ok = dv.sum_squares <= bound + slack
-    parts = bipartition(g)
-    semireg = parts is not None and all(
-        len({dv.degrees[v] for v in side}) == 1 for side in parts)
-    wit: dict[str, Any] = {"sum_squares": dv.sum_squares, "lambda1_sq_n": bound,
+    bound_ok = gf.sum_squares <= bound + slack
+    semireg = gf.sides is not None and all(
+        len({gf.degrees[v] for v in side}) == 1 for side in gf.sides)
+    wit: dict[str, Any] = {"sum_squares": gf.sum_squares, "lambda1_sq_n": bound,
                            "semiregular": semireg}
     if not bound_ok:
         return TheoremReport("T44", g, FAILS, wit | {"clause": "bound"}, TOL_EQ)
     if semireg:
         # In the semi-regular case the index has the closed form sqrt(sum d^2 / n).
-        expected = math.sqrt(dv.sum_squares / g.n)
+        expected = math.sqrt(gf.sum_squares / g.n)
         if abs(lam1 - expected) > TOL_EQ * (1.0 + lam1):
             return TheoremReport("T44", g, FAILS,
                                  wit | {"clause": "index_form", "lambda1": lam1,
                                         "expected": expected}, TOL_EQ)
-    regular = len(set(dv.degrees)) == 1
+    regular = len(set(gf.degrees)) == 1
     if semireg and regular:
         # Degree-wise this is semi-regular, but a regular bipartite graph has
         # {lambda_1} alone as main spectrum; the biconditional is out of scope.
@@ -637,12 +625,6 @@ PATH_CHECKERS: dict[str, Callable[..., TheoremReport]] = {
     "C43": check_path_count,
 }
 
-ALL_IDS = (
-    "P21", "C22", "L23", "P24", "P25", "P26",
-    "T31", "P32", "C33", "INEQ2", "P34", "P35", "P36", "T37",
-    "L41", "T42", "C43", "T44", "T45", "T46", "COR47",
-)
-
 CLAIMS: dict[str, str] = {
     "P21": "With exactly two main eigenvalues, the second equals "
            "(sum d^2 - 2m*lam1) / (2m - n*lam1) (or lam1^2 = sum d^2 / n when the "
@@ -689,3 +671,5 @@ CLAIMS: dict[str, str] = {
              "main eigenvalues, and lam2(comp) = -1-lam_min(G) whenever the "
              "least eigenvalue is non-main.",
 }
+
+ALL_IDS = tuple(CLAIMS)

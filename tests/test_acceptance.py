@@ -228,7 +228,7 @@ def test_criterion_7_harmonic_characterization(digest: SweepDigest) -> None:
         g = graphs.harmonic_tree(ell)
         assert exact.harmonic_ell(g) == ell, f"T({ell}) level"
         lam1 = float(spectra.eigen_decompose(g).eigenvalues[0])
-        dd = graphs.degree_data(g)
+        dd = graphs.facts(g)
         assert abs(lam1 - dd.sum_squares / (2.0 * dd.m)) <= 1e-8, (ell, lam1)
     _announce(
         7,

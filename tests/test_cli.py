@@ -12,8 +12,8 @@ import pytest
 
 from mainspec import analysis, cli, spectra, sweeps, theorems
 from mainspec.analysis import RouteDisagreementError
-from mainspec.graph6 import serialize_graph6
-from mainspec.graphs import MAX_ORDER, FamilySpec, Graph, build_family, path
+from mainspec.graph6 import serialize_edgelist, serialize_graph6
+from mainspec.graphs import MAX_ORDER, FamilySpec, Graph, build_family, complete, path
 from mainspec.theorems import TheoremReport
 
 
@@ -346,8 +346,8 @@ def _forbid(*args, **kwargs):
 
 
 class TestCaps:
-    """Inputs over the order or sample cap exit 2 before anything is built,
-    analysed or sampled; each cap itself is accepted."""
+    """Inputs over the order, input-length or sample cap exit 2 before anything
+    is built, analysed or sampled; each cap itself is accepted."""
 
     def test_generate_over_order_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(Graph, "from_edges", staticmethod(_forbid))
@@ -378,6 +378,36 @@ class TestCaps:
         code, out, _ = run(capsys, "analyze", empty.decode())
         assert code == 0
         assert "main count: 1 (float route) / 1 (walk-matrix rank)" in out
+
+    def test_analyze_over_input_cap(self, capsys, monkeypatch, tmp_path):
+        # An endless stdin and an over-cap file are refused after one read of
+        # at most MAX_INPUT + 1 characters, before anything is parsed.
+        class Endless:
+            def read(self, size=-1):
+                assert 0 <= size <= cli.MAX_INPUT + 1, size
+                return "y\n" * size
+
+        monkeypatch.setattr(cli, "_parse_graph", _forbid)
+        monkeypatch.setattr("sys.stdin", Endless())
+        code, out, err = run(capsys, "analyze", "-")
+        _refused(code, out, err)
+        assert f"stdin holds more than {cli.MAX_INPUT:,} characters" in err
+        big = tmp_path / "big.g6"
+        big.write_text("?" * (cli.MAX_INPUT + 1))
+        code, out, err = run(capsys, "analyze", str(big))
+        _refused(code, out, err)
+        assert f"holds more than {cli.MAX_INPUT:,} characters" in err
+
+    def test_analyze_at_input_cap(self, capsys, tmp_path):
+        # The longest well-formed input at the order cap, K_200 as a CRLF
+        # edge list, fits under the input cap and is analysed.
+        text = serialize_edgelist(complete(MAX_ORDER)).replace("\n", "\r\n")
+        assert len(text) <= cli.MAX_INPUT
+        k = tmp_path / "k200.txt"
+        k.write_bytes(text.encode("ascii"))
+        code, out, _ = run(capsys, "analyze", str(k), "--format", "edgelist")
+        assert code == 0
+        assert f"n={MAX_ORDER} m={MAX_ORDER * (MAX_ORDER - 1) // 2}" in out
 
     @pytest.mark.parametrize("argv,largest", [
         # harmonic tree T_7 has order 7^3 - 7^2 + 7 + 1 = 302

@@ -18,10 +18,10 @@ from mainspec.graphs import (
     complete_bipartite,
     cycle,
     double_star,
+    facts,
     harmonic_tree,
     path,
     pendant_decorated,
-    pseudo_regular_ratio,
     star,
 )
 from mainspec.sweeps import mask_population, sample_masks
@@ -320,21 +320,21 @@ class TestHarmonicDetector:
 
 class TestPseudoRegular:
     def test_none_with_isolated_vertex(self):
-        assert pseudo_regular_ratio(Graph.from_edge_mask(3, 1)) is None
+        assert facts(Graph.from_edge_mask(3, 1)).ratio is None
 
     def test_regular(self):
-        assert pseudo_regular_ratio(cycle(5)) == (2, 1)
+        assert facts(cycle(5)).ratio == (2, 1)
 
     def test_star_has_no_constant_ratio(self):
-        assert pseudo_regular_ratio(star(4)) is None
+        assert facts(star(4)).ratio is None
 
     def test_fractional_ratio(self):
         # K_{1,2} with an extra edge: triangle — regular, ratio 2
-        assert pseudo_regular_ratio(complete(3)) == (2, 1)
+        assert facts(complete(3)).ratio == (2, 1)
 
     @pytest.mark.parametrize("ell", [2, 3])
     def test_harmonic_tree_ratio_is_level(self, ell):
-        assert pseudo_regular_ratio(harmonic_tree(ell)) == (ell, 1)
+        assert facts(harmonic_tree(ell)).ratio == (ell, 1)
 
 
 

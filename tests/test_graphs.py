@@ -2,7 +2,9 @@ import itertools
 import random
 import sys
 import time
+from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +16,14 @@ from mainspec.graphs import (
     FamilySpec,
     Graph,
     ParameterError,
-    _memo_key,
-    bipartition,
+    Facts,
     build_family,
     complete,
     complete_bipartite,
     cycle,
-    degree_data,
     double_star,
     empty_graph,
+    facts,
     family_of,
     fill_stack_facts,
     harmonic_tree,
@@ -30,7 +31,6 @@ from mainspec.graphs import (
     is_connected,
     path,
     pendant_decorated,
-    pseudo_regular_ratio,
     stack_graphs,
     star,
     triangle_pairs,
@@ -175,9 +175,10 @@ def test_handshake(nm):
 def test_degree_data_consistent(nm):
     n, mask = nm
     g = Graph.from_edge_mask(n, mask)
-    dv = degree_data(g)
-    assert dv.m == g.m
-    assert dv.sum_squares == sum(d * d for d in g.degrees())
+    gf = facts(g)
+    assert gf.degrees == g.degrees()
+    assert gf.m == g.m
+    assert gf.sum_squares == sum(d * d for d in g.degrees())
 
 
 class TestPredicates:
@@ -196,7 +197,7 @@ class TestPredicates:
 
     def test_bipartition_is_valid(self):
         g = double_star(2, 3)
-        parts = bipartition(g)
+        parts = facts(g).sides
         assert parts is not None
         left, right = parts
         assert set(left) | set(right) == set(range(g.n))
@@ -227,14 +228,62 @@ class TestPredicates:
         for n in range(1, 7):
             for mask in range(mask_population(n)):
                 g = Graph.from_edge_mask(n, mask)
-                assert bipartition(g) == dfs_bipartition(g), (n, mask)
+                assert facts(g).sides == dfs_bipartition(g), (n, mask)
 
     def test_facts_are_kept_on_the_graph(self):
         g = path(5)
-        assert bipartition(g) is bipartition(g)
-        assert degree_data(g) is degree_data(g)
-        assert bipartition(path(5)) is not bipartition(g)  # equal graph, own object
+        assert facts(g) is facts(g)
+        assert facts(path(5)) is not facts(g)  # equal graph, own object
         assert path(5) == g and hash(path(5)) == hash(g)
+
+
+def _gnp(n, p, seed):
+    return nx.gnp_random_graph(n, p, seed=seed)
+
+
+def _nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+# Above order 62 the lazy route is the only one.  The seeds give a connected
+# graph with odd cycles, disconnected graphs with and without odd cycles, and
+# forests of 22 to 104 components; the families add two-colorings with a
+# constant ratio (K_{100,100}, harmonic_tree(5), two disjoint harmonic_tree(4))
+# and without one.
+_LARGE = {
+    "G(63,.5)": _gnp(63, 0.5, 1), "G(63,.02)": _gnp(63, 0.02, 0),
+    "G(100,.02)": _gnp(100, 0.02, 2), "G(100,.012)": _gnp(100, 0.012, 2),
+    "G(200,.3)": _gnp(200, 0.3, 4), "G(200,.004)": _gnp(200, 0.004, 3),
+    "K100,100": _nx(complete_bipartite(100, 100)), "P200": _nx(path(200)),
+    "T5": _nx(harmonic_tree(5)), "C40+4": _nx(pendant_decorated(cycle(40), 4)),
+    "2T4": nx.disjoint_union(_nx(harmonic_tree(4)), _nx(harmonic_tree(4))),
+}
+
+
+@pytest.mark.parametrize("G", _LARGE.values(), ids=_LARGE.keys())
+def test_lazy_facts_above_the_stack_order_match_networkx(G):
+    n = G.number_of_nodes()
+    assert n >= 63
+    f = facts(Graph.from_edges(n, list(G.edges())))
+    degrees = tuple(d for _, d in sorted(G.degree()))
+    assert (f.degrees, f.m, f.sum_squares) == (degrees, G.number_of_edges(),
+                                               sum(d * d for d in degrees))
+    assert f.connected == nx.is_connected(G)
+    if not nx.is_bipartite(G):
+        assert f.sides is None
+    else:
+        side0, side1 = f.sides
+        assert list(side0) == sorted(side0) and list(side1) == sorted(side1)
+        assert sorted(side0 + side1) == list(range(n))
+        assert all((u in side0) != (v in side0) for u, v in G.edges())
+        assert all(min(comp) in side0 for comp in nx.connected_components(G))
+    ratios = {Fraction(sum(G.degree(w) for w in G[v]), G.degree(v)) if G.degree(v) else None
+              for v in G}
+    ratio = ratios.pop() if len(ratios) == 1 else None
+    assert f.ratio == (None if ratio is None else (ratio.numerator, ratio.denominator))
 
 
 class TestConstruction:
@@ -254,17 +303,14 @@ class TestConstruction:
                 assert not asymmetric, rows
 
 
-_FACTS = (degree_data, is_connected, bipartition, pseudo_regular_ratio)
-
-
 class TestStacks:
     @pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None),
                                            (5, None), (6, None), (8, 8192)])
     def test_sweep_facts_match_the_per_graph_functions(self, n, sample):
         # Every graph a sweep yields, its complement included (a second batch
         # for the order-8 sample), is the graph of its mask and has the facts
-        # the lazy per-graph functions compute on a fresh copy of it.  The
-        # selected masks' graphs carry them, so no fact body runs for them;
+        # record the lazy route computes on a fresh copy of it.  The selected
+        # masks' graphs carry it, so the record's body runs for none of them;
         # the complement batch's graphs compute theirs when asked.
         masks = np.arange(mask_population(n)) if sample is None else sample_masks(n, sample)
         selected = set(masks.tolist())
@@ -272,27 +318,25 @@ class TestStacks:
         swept = {id(h): (h, mask)  # an exhaustive sweep yields each graph twice
                  for (a, co), m in zip(sweep(n, masks=masks), masks.tolist())
                  for h, mask in ((a.graph, m), (co.graph, full ^ m))}
-        bodies = {fact.__wrapped__.__code__ for fact in _FACTS}
+        body = facts.__wrapped__.__code__
         ran = []
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code in bodies:
+            if event == "call" and frame.f_code is body:
                 ran.append(frame.f_code.co_name)
 
         sys.setprofile(profile)
         try:
-            stacked = [(h, mask, tuple(fact(h) for fact in _FACTS))
-                       for h, mask in swept.values() if mask in selected]
+            stacked = [(h, mask, facts(h)) for h, mask in swept.values() if mask in selected]
         finally:
             sys.setprofile(None)
         assert ran == []
-        lazy = [(h, mask, tuple(fact(h) for fact in _FACTS))
-                for h, mask in swept.values() if mask not in selected]
+        lazy = [(h, mask, facts(h)) for h, mask in swept.values() if mask not in selected]
         assert (lazy == []) is (sample is None)
-        for h, mask, facts in stacked + lazy:
+        for h, mask, record in stacked + lazy:
             ref = Graph.from_edge_mask(n, mask)
             assert h == ref and hash(h) == hash(ref) and h.rows == ref.rows
-            assert facts == tuple(fact(ref) for fact in _FACTS), (n, mask)
+            assert record == facts(ref), (n, mask)
 
     def test_complement_batch_graphs_have_no_stored_facts(self):
         # A sampled sweep's complement batch only ever serves as ``co``, whose
@@ -302,17 +346,20 @@ class TestStacks:
         masks = sample_masks(n, 256)
         selected = set(masks.tolist())
         full = mask_population(n) - 1
-        keys = [_memo_key(fact) for fact in _FACTS]
+
+        def stored(h):
+            return [v for v in h.__dict__.values() if isinstance(v, Facts)]
+
         batch = [(co.graph, full ^ m) for (_, co), m in zip(sweep(n, masks=masks), masks.tolist())
                  if full ^ m not in selected]
         assert len(batch) > 200
         for h, mask in batch:
-            assert not any(key in h.__dict__ for key in keys), mask
+            assert stored(h) == [], mask
         refs = [Graph.from_edge_mask(n, mask) for _, mask in batch]
         fill_stack_facts(refs)
         for (h, mask), ref in zip(batch, refs):
-            assert all(key in ref.__dict__ for key in keys)
-            assert tuple(fact(h) for fact in _FACTS) == tuple(fact(ref) for fact in _FACTS), mask
+            assert stored(ref) == [facts(ref)]
+            assert facts(h) == facts(ref), mask
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stack_check_accepts_what_the_constructor_accepts(self, n):

@@ -32,7 +32,6 @@ from mainspec.spectra import EigenGroup, MainSpectrum
 from mainspec.sweeps import analyze_with_complements, sample_masks, sweep
 from mainspec.theorems import (
     ALL_IDS,
-    CLAIMS,
     FAILS,
     GRAPH_CHECKERS,
     HOLDS,
@@ -73,7 +72,6 @@ def checked(check: Callable[..., TheoremReport], g: Graph) -> TheoremReport:
 
 
 def test_registry_covers_all_ids():
-    assert set(CLAIMS) == set(ALL_IDS)
     covered = set(GRAPH_CHECKERS) | set(PATH_CHECKERS) | {"T46", "COR47"}
     assert covered == set(ALL_IDS)
 
@@ -524,10 +522,6 @@ def test_every_graph_checker_on_small_sweep():
             assert isinstance(rep, TheoremReport)
 
 
-_FACTS = (graphs.degree_data, graphs.is_connected, graphs.bipartition,
-          graphs.pseudo_regular_ratio)
-
-
 @pytest.mark.parametrize("check", [check_bipartite_harmonic_nonmain,
                                    check_balanced_complete_bipartite_shift,
                                    check_semiregular_main_pair])
@@ -536,19 +530,19 @@ _FACTS = (graphs.degree_data, graphs.is_connected, graphs.bipartition,
                                star(1)],
                          ids=["K22", "K23", "C5", "P4", "P3+K1", "T2", "K1"])
 def test_structural_predicates_run_once_per_check(check, g):
-    # Each fact's body runs at most once per graph object, whichever checker
+    # The facts record's body runs once per graph object, whichever checker
     # reads it first (``check``, then verify's filters and all 16 graph
     # checkers); counted by code object with a profile hook, so no binding
     # needs patching.
     g = Graph(g.n, g.rows)  # a fresh object: the parameters are shared by every case
-    bodies = {fact.__wrapped__.__code__: fact.__name__ for fact in _FACTS}
+    body = graphs.facts.__wrapped__.__code__
     a, co = analyze_with_complements([g])[g]
     runs = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in bodies:
+        if event == "call" and frame.f_code is body:
             assert frame.f_locals["g"] is g
-            runs.append(bodies[frame.f_code])
+            runs.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
     try:
@@ -558,8 +552,7 @@ def test_structural_predicates_run_once_per_check(check, g):
         reports = [other(g, analysis=a, co=co) for other in GRAPH_CHECKERS.values()]
     finally:
         sys.setprofile(None)
-    assert len(runs) == len(set(runs)), runs
-    assert {"degree_data", "is_connected", "bipartition"} <= set(runs)
+    assert runs == ["facts"], runs
     assert first in reports
     assert first.verdict in (HOLDS, NOT_APPLICABLE)
 
@@ -567,15 +560,15 @@ def test_structural_predicates_run_once_per_check(check, g):
 @pytest.mark.parametrize("n, masks", [(5, None), (7, sample_masks(7, 256))],
                          ids=["exhaustive-5", "sampled-7"])
 def test_checking_a_sweep_pair_runs_no_fact_body(n, masks):
-    # A sweep stores every graph's facts from its chunk's stack, so neither
-    # verify's filters nor any of the 16 graph checkers computes one.
-    bodies = {fact.__wrapped__.__code__: fact.__name__ for fact in _FACTS}
+    # A sweep stores every graph's facts record from its chunk's stack, so
+    # neither verify's filters nor any of the 16 graph checkers computes one.
+    body = graphs.facts.__wrapped__.__code__
     pairs = list(sweep(n, masks=masks))
     runs = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in bodies:
-            runs.append(bodies[frame.f_code])
+        if event == "call" and frame.f_code is body:
+            runs.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
     try:
