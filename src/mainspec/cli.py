@@ -152,7 +152,7 @@ def _analysis_record(g: Graph, a: GraphAnalysis, co: GraphAnalysis,
             "lambda2": co.eigenvalue(1) if g.n >= 2 else None,
             "shift": -1.0 - a.lambda_min,
             "main_count": co.main_count,
-            "window": theorems.complement_window(a, co),
+            "window": theorems.complement_window(a, co) if g.n >= 2 else None,
         },
     }
 
@@ -179,7 +179,7 @@ def _print_analysis_table(record: dict[str, Any]) -> None:
     lam2 = "n/a" if c["lambda2"] is None else _fmt(c["lambda2"])
     print(f"complement: lambda1={_fmt(c['lambda1'])} lambda2={lam2} "
           f"-1-lambda_min={_fmt(c['shift'])} mains={c['main_count']} "
-          f"[{c['window']}]")
+          f"[{c['window'] or 'n/a'}]")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -24,9 +24,13 @@ graph is analysed once at every order; only a sample's missing complements go
 through a second batch, whose graphs only ever serve as a complement: no
 checker or filter reads their facts, so those are left to the lazy per-graph
 route.  A chunk is dropped before the next one is built, so a sweep holds one
-at a time.  ``shares`` splits a selection for ``verify``'s processes, one
-share per usable CPU: a sample into contiguous slices, the full population
-into ranges of those representative masks.
+at a time.  ``shares`` cuts every selection into chunks, and splits it for
+``verify``'s processes, one share per usable CPU: a sample into contiguous
+slices, the full population into ranges of those representative masks; a
+sweep is one share.
+Every decomposition either passes ``spectra``'s orthonormality, residual and
+trace bounds or raises, so a sweep keeps no hygiene record of its own; the
+per-batch maxima are read where ``spectra.eigen_decompose_batch`` returns them.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
 way and returns the (analysis, complement analysis) pair the sweep yields.
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -66,23 +69,6 @@ SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
 # and 14.5 s in two on a 2-core x86_64 box).  Past a fiftieth of the population numpy's sampler
 # without replacement builds the whole population as int64, 2 GiB at order 8.
 MAX_SAMPLE = 1 << 20
-
-
-@dataclass
-class HygieneTracker:
-    """Worst numerical-hygiene values seen across a sweep."""
-
-    orthonormality: float = 0.0
-    residual: float = 0.0
-    trace_drift: float = 0.0
-    graphs: int = 0
-    fallbacks: int = 0
-
-    def update(self, batch_hygiene: dict[str, float], count: int) -> None:
-        self.orthonormality = max(self.orthonormality, batch_hygiene["orthonormality"])
-        self.residual = max(self.residual, batch_hygiene["residual"])
-        self.trace_drift = max(self.trace_drift, batch_hygiene["trace_drift"])
-        self.graphs += count
 
 
 def mask_population(n: int) -> int:
@@ -108,19 +94,27 @@ def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator
     """Split a sweep's selection into at most ``count`` shares, one per process.
 
     A share is an iterator of mask arrays, each to be swept by
-    ``sweep(n, masks=...)``.  A sample ``masks`` is cut into contiguous slices
-    of its sorted order.  The full population is cut into ranges of
-    representative masks, those with the top edge bit clear, and each comes
-    with its complements ``full ^ m``: every chunk is closed under complement,
-    so no graph goes through a complement batch.  Chunks are built as the
-    share is swept, so order 8 never holds its 2^28 masks at once.
+    ``sweep(n, masks=...)`` and none longer than ``DEFAULT_CHUNK``: this is
+    where every sweep's chunks are cut.  A sample ``masks`` is cut into
+    contiguous slices of its sorted order, each in chunks.  The full
+    population is cut into ranges of representative masks, those with the
+    top edge bit clear, and each comes with its complements ``full ^ m``:
+    every chunk is closed under complement, so no graph goes through a
+    complement batch.  Chunks are built as the share is swept, so order 8
+    never holds its 2^28 masks at once.
     """
     if masks is not None:
         count = max(1, min(count, len(masks)))
-        return [iter((part,)) for part in np.array_split(masks, count)]
+        return [_slices(part) for part in np.array_split(masks, count)]
     reps = max(mask_population(n) // 2, 1)  # order 1's one mask is its own complement
     count = max(1, min(count, reps))
     return [_closed_chunks(n, reps * i // count, reps * (i + 1) // count) for i in range(count)]
+
+
+def _slices(masks: np.ndarray) -> Iterator[np.ndarray]:
+    """``masks`` ``DEFAULT_CHUNK`` at a time, in their order."""
+    for lo in range(0, len(masks), DEFAULT_CHUNK):
+        yield masks[lo:lo + DEFAULT_CHUNK]
 
 
 def _closed_chunks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -161,13 +155,12 @@ def _collection_paused() -> Iterator[None]:
 
 
 @_collection_paused()
-def _analyses_for_chunk(
-    n: int, masks: np.ndarray, hygiene: HygieneTracker | None, *, facts: bool = True
-) -> dict[int, GraphAnalysis]:
+def _analyses_for_chunk(n: int, masks: np.ndarray, *,
+                        facts: bool = True) -> dict[int, GraphAnalysis]:
     adj = adjacency_stack(n, masks)
     # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
     graphs = stack_graphs((adj @ 2.0 ** np.arange(n)).astype(np.int64))
-    analyses = analyze_stack(graphs, adj, hygiene)
+    analyses = analyze_stack(graphs, adj)
     del adj  # the float stack goes before the facts come, so they add nothing to the peak
     if facts:
         for lo in range(0, len(graphs), _FINISH_BLOCK):
@@ -175,13 +168,11 @@ def _analyses_for_chunk(
     return dict(zip(masks.tolist(), analyses))
 
 
-def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray,
-                  hygiene: HygieneTracker | None = None) -> list[GraphAnalysis]:
+def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray) -> list[GraphAnalysis]:
     """Analyse equally-sized ``graphs`` from their (B, n, n) adjacency stack:
-    one batched eigendecomposition, then the finish in ``_FINISH_BLOCK``-row blocks."""
-    evals, evecs, batch_hyg = spectra.eigen_decompose_batch(adj)
-    if hygiene is not None:
-        hygiene.update(batch_hyg, len(graphs))
+    one batched eigendecomposition, which raises on any graph that misses a
+    hygiene bound, then the finish in ``_FINISH_BLOCK``-row blocks."""
+    evals, evecs, _ = spectra.eigen_decompose_batch(adj)
     proj_sq = evecs.sum(axis=1) ** 2
     del evecs
     adj = adj.astype(np.int8)  # 0/1: an eighth of the float stack, kept through the finish
@@ -189,8 +180,6 @@ def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray,
     for lo in range(0, len(graphs), _FINISH_BLOCK):
         block = slice(lo, lo + _FINISH_BLOCK)
         out += finish_analyses(graphs[block], adj[block], evals[block], proj_sq[block])
-    if hygiene is not None:
-        hygiene.fallbacks += sum(a.used_fallback for a in out)
     return out
 
 
@@ -209,27 +198,23 @@ def analyze_with_complements(
     return {g: (found[g], found[c]) for g, c in complements.items()}
 
 
-def sweep(
-    n: int,
-    *,
-    masks: np.ndarray | None = None,
-    hygiene: HygieneTracker | None = None,
-) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
-    """Yield (analysis, complement analysis) for every selected labeled graph.
+def sweep(n: int, *,
+          masks: np.ndarray | None = None) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
+    """Yield (analysis, complement analysis) for every selected labeled graph,
+    chunk by chunk of ``shares(n, 1, masks)``'s one share.
 
-    ``masks=None`` streams the full population in ``shares(n, 1)``'s
-    complement-closed chunks, each in mask order; otherwise pairs follow
-    ``masks`` in chunks of ``DEFAULT_CHUNK``.
+    ``masks=None`` streams the full population in complement-closed chunks,
+    each in mask order; otherwise pairs follow ``masks`` in chunks of
+    ``DEFAULT_CHUNK``, each with a batch of its missing complements.  Every
+    decomposition passes ``spectra``'s hygiene bounds or raises.
     """
     full = mask_population(n) - 1
-    chunks = (shares(n, 1)[0] if masks is None else
-              (masks[lo:lo + DEFAULT_CHUNK] for lo in range(0, len(masks), DEFAULT_CHUNK)))
-    for part in chunks:
-        found = _analyses_for_chunk(n, part, hygiene)
+    for part in shares(n, 1, masks)[0]:
+        found = _analyses_for_chunk(n, part)
         missing = np.setdiff1d(full ^ part, part)
         if len(missing):
             # Only ever yielded as the complement, whose facts nothing reads.
-            found |= _analyses_for_chunk(n, missing, hygiene, facts=False)
+            found |= _analyses_for_chunk(n, missing, facts=False)
         for mask in part.tolist():
             yield found[mask], found[full ^ mask]
         del found  # the next chunk's build must not find this one alive

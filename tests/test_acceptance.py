@@ -2,7 +2,11 @@
 
 The graph sweeps share a module fixture.  By default orders 1..6 run
 exhaustively and order 7 is covered by a fixed deterministic sample of
-8192 edge masks (seed baked into ``sweeps.sample_masks``).  Setting
+8192 edge masks (seed baked into ``sweeps.sample_masks``).  The fixture
+records numerical hygiene where it is made: it wraps
+``spectra.eigen_decompose_batch`` for each batch's worst values and the
+graphs decomposed, and ``sweeps.analyze_stack`` for the gray-zone fallbacks
+among the analyses it returns.  Setting
 ``MAINSPEC_EXHAUSTIVE=7`` replaces the sample with the full 2**21 order-7
 population; that run takes several minutes and is meant for one-off full
 verification, not the regular suite.
@@ -25,6 +29,7 @@ from mainspec.theorems import FAILS, HOLDS
 
 N7_SAMPLE = 8192
 N6_POPULATION = sum(sweeps.mask_population(n) for n in range(1, 7))  # 33867
+N7_MISSING_COMPLEMENTS = 8152  # complements of the order-7 sample that it lacks
 
 
 def _announce(num: int, detail: str) -> None:
@@ -50,7 +55,9 @@ class SweepDigest:
     eq1_holds: int = 0
     seconds_n6: float = 0.0
     seconds_n7: float = 0.0
-    hygiene: sweeps.HygieneTracker = field(default_factory=sweeps.HygieneTracker)
+    decompositions: int = 0
+    worst: dict[str, float] = field(default_factory=dict)  # hygiene maxima by name
+    fallbacks: int = 0
     disagreements: list[str] = field(default_factory=list)
     failures: dict[str, list[str]] = field(default_factory=dict)
 
@@ -72,7 +79,7 @@ _PAIR_CHECKS = (
 
 
 def _consume(d: SweepDigest, n: int, masks) -> None:
-    for a, co in sweeps.sweep(n, masks=masks, hygiene=d.hygiene):
+    for a, co in sweeps.sweep(n, masks=masks):
         d.pairs += 1
         if n <= 6:
             d.pairs_n6 += 1
@@ -101,6 +108,27 @@ def _consume(d: SweepDigest, n: int, masks) -> None:
                 d.fail("pairing", rep.instance)
 
 
+def _record_hygiene(d: SweepDigest, mp: pytest.MonkeyPatch) -> None:
+    """Record every batch's hygiene maxima and graph count, and the analyses'
+    gray-zone fallbacks, into ``d``; both names are looked up at call time."""
+    decompose, analyze_stack = spectra.eigen_decompose_batch, sweeps.analyze_stack
+
+    def recording_decompose(mats):
+        evals, evecs, worst = decompose(mats)
+        d.decompositions += len(mats)
+        for name, value in worst.items():
+            d.worst[name] = max(d.worst.get(name, 0.0), value)
+        return evals, evecs, worst
+
+    def recording_analyze_stack(graphs, adj):
+        out = analyze_stack(graphs, adj)
+        d.fallbacks += sum(a.used_fallback for a in out)
+        return out
+
+    mp.setattr(spectra, "eigen_decompose_batch", recording_decompose)
+    mp.setattr(sweeps, "analyze_stack", recording_analyze_stack)
+
+
 @pytest.fixture(scope="module")
 def digest() -> SweepDigest:
     full7 = _full_order7()
@@ -110,13 +138,15 @@ def digest() -> SweepDigest:
         else f"orders 1-6 exhaustive + {N7_SAMPLE} sampled order-7 graphs"
     )
     d = SweepDigest(mode=mode)
-    t0 = time.perf_counter()
-    for n in range(1, 7):
-        _consume(d, n, None)
-    d.seconds_n6 = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _consume(d, 7, None if full7 else sweeps.sample_masks(7, N7_SAMPLE))
-    d.seconds_n7 = time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as mp:
+        _record_hygiene(d, mp)
+        t0 = time.perf_counter()
+        for n in range(1, 7):
+            _consume(d, n, None)
+        d.seconds_n6 = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        _consume(d, 7, None if full7 else sweeps.sample_masks(7, N7_SAMPLE))
+        d.seconds_n7 = time.perf_counter() - t0
     return d
 
 
@@ -127,8 +157,8 @@ def test_criterion_1_route_agreement(digest: SweepDigest) -> None:
     assert digest.seconds_n6 < 60.0, f"order<=6 block took {digest.seconds_n6:.1f}s"
     _announce(
         1,
-        f"{digest.hygiene.graphs} analyses ({digest.mode}), 0 route disagreements, "
-        f"{digest.hygiene.fallbacks} gray-zone fallbacks, "
+        f"{digest.decompositions} analyses ({digest.mode}), 0 route disagreements, "
+        f"{digest.fallbacks} gray-zone fallbacks, "
         f"order<=6 block {digest.seconds_n6:.1f}s",
     )
 
@@ -250,14 +280,17 @@ def test_criterion_8_complement_main_count_pairing(digest: SweepDigest) -> None:
 
 def test_criterion_9_numerical_hygiene(digest: SweepDigest) -> None:
     """Worst orthonormality / residual / trace drift stay inside declared bounds."""
-    hy = digest.hygiene
+    # Every graph the sweep made was decomposed, and recorded, exactly once.
+    n7 = sweeps.mask_population(7) if _full_order7() else N7_SAMPLE + N7_MISSING_COMPLEMENTS
+    assert digest.decompositions == N6_POPULATION + n7  # 50211 with the sample
+    worst = digest.worst
     n_max, lam_cap = 7, 6.0
-    assert hy.orthonormality <= spectra.ORTHONORMALITY_TOL * n_max
-    assert hy.residual <= spectra.RESIDUAL_TOL * (1.0 + lam_cap) * n_max
-    assert hy.trace_drift <= spectra.TRACE_TOL * n_max * lam_cap
+    assert worst["orthonormality"] <= spectra.ORTHONORMALITY_TOL * n_max
+    assert worst["residual"] <= spectra.RESIDUAL_TOL * (1.0 + lam_cap) * n_max
+    assert worst["trace_drift"] <= spectra.TRACE_TOL * n_max * lam_cap
     _announce(
         9,
-        f"worst hygiene over {hy.graphs} decompositions: "
-        f"orthonormality {hy.orthonormality:.2e}, residual {hy.residual:.2e}, "
-        f"trace drift {hy.trace_drift:.2e}",
+        f"worst hygiene over {digest.decompositions} decompositions: "
+        f"orthonormality {worst['orthonormality']:.2e}, residual {worst['residual']:.2e}, "
+        f"trace drift {worst['trace_drift']:.2e}",
     )

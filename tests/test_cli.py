@@ -102,6 +102,18 @@ class TestAnalyze:
         assert rec["complement"]["window"] == "equals-lambda2"
         assert "generated_at" in rec
 
+    def test_order1_has_no_complement_window(self, capsys):
+        # The complement of K_1 has no lambda_2 to place -1-lambda_min against.
+        code, out, _ = run(capsys, "analyze", "@", "--json")
+        assert code == 0
+        rec = json.loads(out)["complement"]
+        assert (rec["lambda2"], rec["window"]) == (None, None)
+        code, out, _ = run(capsys, "analyze", "@")
+        assert code == 0
+        assert "complement: lambda1=0 lambda2=n/a -1-lambda_min=-1 mains=1 [n/a]" in out
+        _, out, _ = run(capsys, "analyze", "A_", "--json")  # K_2: its complement has a lambda_2
+        assert json.loads(out)["complement"]["window"] == "equals-lambda1"
+
     def test_json_bytes_stable_modulo_timestamp(self, capsys):
         _, first, _ = run(capsys, "analyze", "FsPA?", "--json")
         _, second, _ = run(capsys, "analyze", "FsPA?", "--json")
@@ -515,8 +527,8 @@ def test_complement_disagreement_in_sweep_exit3(capsys, monkeypatch):
 def test_complement_disagreement_in_family_exit3(capsys, monkeypatch):
     target = path(5).complement()
     real = sweeps.analyze_stack
-    monkeypatch.setattr(sweeps, "analyze_stack", lambda graphs, adj, hygiene=None: [
-        _disagreeing(a) if a.graph == target else a for a in real(graphs, adj, hygiene)])
+    monkeypatch.setattr(sweeps, "analyze_stack", lambda graphs, adj: [
+        _disagreeing(a) if a.graph == target else a for a in real(graphs, adj)])
     code, out, err = run(capsys, "verify", "C43", "--paths", "5..5")
     assert code == 3
     assert "C43: 1 instances — 1 holds" in out

@@ -447,6 +447,32 @@ class TestFamilies:
         assert is_connected(g)
         assert g.m == g.n - 1  # a tree
 
+    def test_builders_rows_are_their_documented_edges(self):
+        # The builders write rows in closed form and skip the constructor's
+        # checks; each must equal ``Graph.from_edges`` of the edges it documents.
+        def tree_edges(ell):
+            h = ell * ell - ell + 1
+            return 1 + h * ell, [(0, v) for v in range(1, h + 1)] + [
+                (v, h + 1 + (v - 1) * (ell - 1) + t) for v in range(1, h + 1) for t in range(ell - 1)]
+
+        cases = [(path(n), n, [(i, i + 1) for i in range(n - 1)]) for n in range(1, 30)]
+        cases += [(cycle(n), n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 30)]
+        cases += [(complete(n), n, triangle_pairs(n)) for n in range(1, 30)]
+        cases += [(empty_graph(n), n, []) for n in range(1, 30)]
+        cases += [(star(n), n, [(0, v) for v in range(1, n)]) for n in range(1, 30)]
+        cases += [(complete_bipartite(r, s), r + s, [(a, r + b) for a in range(r) for b in range(s)])
+                  for r in range(1, 12) for s in range(1, 12)]
+        cases += [(double_star(k, s), 2 + k + s, [(0, 1)] + [(0, 2 + t) for t in range(k)]
+                   + [(1, 2 + k + t) for t in range(s)]) for k in range(1, 12) for s in range(1, 12)]
+        cases += [(harmonic_tree(ell), *tree_edges(ell)) for ell in range(2, 7)]
+        bases = [cycle(3), cycle(8), complete(1), complete(2), complete(6), complete_bipartite(3, 3)]
+        cases += [(pendant_decorated(base, q), base.n * (q + 1), base.edges() + [
+                   (v, base.n + v * q + t) for v in range(base.n) for t in range(q)])
+                  for base in bases for q in range(1, 6)]
+        for g, n, edges in cases:
+            want = Graph.from_edges(n, edges)
+            assert (g.n, g.rows) == (want.n, want.rows), (g, want)
+
     def test_pendant_order(self):
         g = pendant_decorated(cycle(5), 2)
         assert g.n == 15
