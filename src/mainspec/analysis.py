@@ -10,8 +10,7 @@ passes whole sweep chunks and ``verify``'s family stacks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,9 +30,8 @@ class RouteDisagreementError(RuntimeError):
         self.rank = rank
 
 
-@dataclass(frozen=True, slots=True)
-class GraphAnalysis:
-    """Everything the checkers need about one graph.
+class GraphAnalysis(NamedTuple):
+    """Everything the checkers need about one graph, as a named tuple.
 
     ``s_float`` is the float route's own main count: None when the exact rank
     settled the gray groups, the plain threshold count when it cannot (each
@@ -99,9 +97,7 @@ def resolve_spectrum(
         return spectra.resolve_with_rank(spectrum, rank), None, True
     except ValueError:
         spectrum = spectra.MainSpectrum(tuple(
-            spectra.EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq, flag)
-            for grp, flag in zip(spectrum.groups, flags)
-        ))
+            grp._replace(is_main=flag) for grp, flag in zip(spectrum.groups, flags)))
         return spectrum, spectrum.main_count, False
 
 
@@ -124,7 +120,7 @@ def finish_analyses(
     levels = exact.harmonic_levels(adj)
     out = []
     for g, grp, rank, level in zip(graphs, groups, ranks, levels):
-        spectrum = spectra.MainSpectrum(tuple(grp))
+        spectrum = spectra.MainSpectrum(grp)
         s_float: int | None = spectrum.main_count
         gray = [i for i, x in enumerate(grp) if x.is_main is None]
         if gray:

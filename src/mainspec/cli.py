@@ -220,18 +220,13 @@ def _parse_family_tokens(tokens: Sequence[str]) -> FamilySpec:
     rest = list(tokens[1:])
     if kind == "pendant":
         # pendant BASE P... [q] Q — the literal 'q' separator is optional.
-        if rest and rest[-2:-1] == ["q"]:
-            q_tokens = rest[-1:]
-            rest = rest[:-2]
-        elif rest:
-            q_tokens = rest[-1:]
-            rest = rest[:-1]
-        else:
+        base_tokens = rest[:-2] if rest[-2:-1] == ["q"] else rest[:-1]
+        if not base_tokens:
             raise ParameterError("pendant needs a base family and a pendant count")
-        base = _parse_family_tokens(rest)
+        base = _parse_family_tokens(base_tokens)
         if base.kind == "pendant":
             raise ParameterError("pendant decorations do not nest")
-        return FamilySpec("pendant", (_as_int(q_tokens[0]),), base=base)
+        return FamilySpec("pendant", (_as_int(rest[-1]),), base=base)
     return FamilySpec(kind, tuple(_as_int(t) for t in rest))
 
 

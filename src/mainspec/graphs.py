@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -187,9 +187,9 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Facts:
-    """The structural facts the claims and ``verify``'s filters read off a graph.
+class Facts(NamedTuple):
+    """The structural facts the claims and ``verify``'s filters read off a
+    graph, as a named tuple.
 
     ``sides`` is the two-coloring (side 0, side 1), each ascending, in which
     every component's smallest vertex has color 0 and a vertex's color is the

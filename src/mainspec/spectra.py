@@ -17,6 +17,8 @@ and weighted by lambda and lambda^2 to 2m and the degree-square sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +68,8 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class EigenGroup:
-    """One numerically-equal eigenvalue cluster.
+class EigenGroup(NamedTuple):
+    """One numerically-equal eigenvalue cluster, as a named tuple.
 
     ``projection_norm_sq`` is ||P j||^2, the squared length of the all-ones
     vector's projection onto the group eigenspace (basis independent).
@@ -157,9 +158,9 @@ def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dic
 # ---------------------------------------------------------------------------
 
 
-def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup]]:
+def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[tuple[EigenGroup, ...]]:
     """Cluster and classify each row of a (B, n) stack of sorted eigenvalues;
-    one group list per row.
+    one tuple of ``EigenGroup`` named tuples per row.
 
     A gap larger than the row's grouping tolerance starts a new run.  A
     group's value is the mean of its run and its projection the sum of the
@@ -175,7 +176,10 @@ def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup
 
     Each group is built once, with the float route's own flag: the
     ``classify_flags`` threshold at order n, or None inside the gray band,
-    where the caller must fall back on the exact rank.
+    where the caller must fall back on the exact rank.  The groups are made
+    by ``tuple.__new__`` over the zipped columns, skipping the named tuple's
+    Python-level ``__new__``; a row's tuple becomes its ``MainSpectrum``'s
+    ``groups`` as it is.
     """
     B, n = evals.shape
     tau = GROUP_TOL * np.maximum(1.0, np.abs(evals).max(axis=1))
@@ -204,8 +208,9 @@ def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[list[EigenGroup
     flags = main.tolist()
     for b, r in np.argwhere(gray & (np.arange(n) < count[:, None])).tolist():
         flags[b][r] = None
+    make = partial(tuple.__new__, EigenGroup)
     return [
-        [EigenGroup(*grp) for grp in zip(v[:k], m[:k], p[:k], f[:k])]
+        tuple(map(make, zip(v[:k], m[:k], p[:k], f[:k])))
         for v, m, p, f, k in zip(values.tolist(), mult.tolist(), proj.tolist(), flags,
                                  count.tolist())
     ]
@@ -215,7 +220,7 @@ def group_eigenvalues(d: EigenDecomposition) -> MainSpectrum:
     """Grouping with the float route's own flags; no exact-rank fallback, so
     gray-band groups stay undecided (None)."""
     proj_sq = d.eigenvectors.sum(axis=0) ** 2
-    return MainSpectrum(tuple(build_groups(d.eigenvalues[None], proj_sq[None])[0]))
+    return MainSpectrum(build_groups(d.eigenvalues[None], proj_sq[None])[0])
 
 
 def _main_flags(proj: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +263,6 @@ def resolve_with_rank(spectrum: MainSpectrum, rank: int) -> MainSpectrum:
                          f"and {len(gray)} gray group(s)")
     chosen = set(sorted(gray, key=lambda i: (-spectrum.groups[i].projection_norm_sq, i))[:free])
     return MainSpectrum(tuple(
-        grp if grp.is_main is not None
-        else EigenGroup(grp.value, grp.multiplicity, grp.projection_norm_sq, idx in chosen)
+        grp if grp.is_main is not None else grp._replace(is_main=idx in chosen)
         for idx, grp in enumerate(spectrum.groups)
     ))

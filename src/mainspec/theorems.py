@@ -273,15 +273,35 @@ def check_pseudo_regular(
 # ---------------------------------------------------------------------------
 
 
+def _min_pair_distance(values: tuple[float, ...], co_values: tuple[float, ...]) -> float:
+    """min |v + w + 1| over v in ``values`` and w in ``co_values``, both
+    non-increasing; inf if either is empty.
+
+    One merge walk from the smallest v and the largest w: while v + w + 1 > 0
+    it steps to the next smaller w, else to the next larger v.  Rounded float
+    addition is monotone in each operand, so a w left behind sums above 0 with
+    every v still ahead, and a v left behind sums at or below 0 with every w
+    still ahead, each no closer than the pair it left; the walk meets the
+    all-pairs minimum, bit for bit.
+    """
+    best = math.inf
+    i, j, last = len(values) - 1, 0, len(co_values)
+    while i >= 0 and j < last:
+        d = values[i] + co_values[j] + 1.0
+        if abs(d) < best:
+            best = abs(d)
+        if d > 0:
+            j += 1
+        else:
+            i -= 1
+    return best
+
+
 def check_complement_count(
     g: Graph, *, analysis: GraphAnalysis, co: GraphAnalysis
 ) -> TheoremReport:
     """T31: equal main counts, and no main pair of G x comp sums to -1."""
-    sep = min(
-        (abs(v + w + 1.0) for v in analysis.spectrum.main_values()
-         for w in co.spectrum.main_values()),
-        default=math.inf,
-    )
+    sep = _min_pair_distance(analysis.spectrum.main_values(), co.spectrum.main_values())
     ok = analysis.main_count == co.main_count and sep > TOL_EQ
     return TheoremReport("T31", g, HOLDS if ok else FAILS,
                          {"main_count": analysis.main_count, "co_main_count": co.main_count,

@@ -19,10 +19,12 @@ from mainspec.analysis import (
 )
 from mainspec.graph6 import parse_graph6
 from mainspec.graphs import (
+    Facts,
     Graph,
     complete,
     cycle,
     double_star,
+    facts,
     harmonic_tree,
     path,
     pendant_decorated,
@@ -404,3 +406,68 @@ def test_pipeline_never_reaches_bareiss(monkeypatch):
     graphs = [Graph.from_edge_mask(8, m) for m in masks.tolist()]
     assert len(sweeps.analyze_stack(graphs, sweeps.adjacency_stack(8, masks))) == 512
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The per-graph records are immutable, hashable named tuples.
+# ---------------------------------------------------------------------------
+
+
+def _records():
+    g = path(3)
+    spectrum = MainSpectrum((EigenGroup(2 ** 0.5, 1, 2.9, True), EigenGroup(0.0, 1, 0.0, False),
+                             EigenGroup(-(2 ** 0.5), 1, 0.1, True)))
+    return [spectrum.groups[0], GraphAnalysis(g, spectrum, 2, 2, None), facts(g)]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["EigenGroup", "GraphAnalysis", "Facts"])
+def test_a_record_field_cannot_be_assigned(index):
+    record = _records()[index]
+    hash(record)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("index, name", [(0, "value"), (1, "rank"), (2, "m")],
+                         ids=["EigenGroup", "GraphAnalysis", "Facts"])
+def test_replace_leaves_the_record_unchanged(index, name):
+    record, same = _records()[index], _records()[index]
+    changed = record._replace(**{name: getattr(record, name) + 1})
+    assert type(changed) is type(record)
+    assert changed is not record and changed != record
+    assert getattr(changed, name) == getattr(record, name) + 1
+    assert record == same
+
+
+def _eigen_group_by_keyword(grp):
+    return EigenGroup(value=grp.value, multiplicity=grp.multiplicity,
+                      projection_norm_sq=grp.projection_norm_sq, is_main=grp.is_main)
+
+
+def test_build_groups_makes_exact_eigen_groups():
+    rng = np.random.default_rng(5)
+    adj = sweeps.adjacency_stack(6, rng.choice(mask_population(6), 64, replace=False))
+    evals, evecs, _ = spectra.eigen_decompose_batch(adj)
+    rows = spectra.build_groups(evals, evecs.sum(axis=1) ** 2)
+    assert len(rows) == 64
+    for row in rows:
+        assert type(row) is tuple
+        for grp in row:
+            assert type(grp) is EigenGroup
+            assert grp == _eigen_group_by_keyword(grp)
+
+
+def test_sweep_records_have_exact_types_and_equal_keyword_builds():
+    for a, co in sweep(4):
+        for x in (a, co):
+            assert type(x) is GraphAnalysis
+            assert x == GraphAnalysis(graph=x.graph, spectrum=x.spectrum, rank=x.rank,
+                                      s_float=x.s_float, harmonic_level=x.harmonic_level)
+            for grp in x.spectrum.groups:
+                assert type(grp) is EigenGroup
+                assert grp == _eigen_group_by_keyword(grp)
+        f = facts(a.graph)
+        assert type(f) is Facts
+        assert f == Facts(degrees=f.degrees, m=f.m, sum_squares=f.sum_squares,
+                          connected=f.connected, sides=f.sides, ratio=f.ratio)

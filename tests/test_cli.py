@@ -1,5 +1,4 @@
 """CLI behavior: formats, exit codes, JSON stability."""
-import dataclasses
 import io
 import json
 import os
@@ -221,6 +220,12 @@ class TestGenerate:
     def test_non_integer_exit2(self, capsys):
         code, _, err = run(capsys, "generate", "path", "four")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("pendant", "cycle"), ("pendant", "3")])
+    def test_pendant_without_base_or_count_exit2(self, capsys, argv):
+        code, _, err = run(capsys, "generate", *argv)
+        assert code == 2
+        assert err == "error: pendant needs a base family and a pendant count\n"
 
     def test_pendant_irregular_base_exit2(self, capsys):
         code, _, err = run(capsys, "generate", "pendant", "path", "4", "2")
@@ -507,7 +512,7 @@ def test_usage_without_command():
 
 
 def _disagreeing(a):
-    return dataclasses.replace(a, s_float=a.rank + 1)
+    return a._replace(s_float=a.rank + 1)
 
 
 def test_complement_disagreement_in_sweep_exit3(capsys, monkeypatch):

@@ -7,12 +7,14 @@ a claim tests) and otherwise by verdict gating.
 Every analysis a checker reads here comes from the route ``verify`` uses,
 ``sweeps.analyze_with_complements`` (see ``checked``).
 """
-import dataclasses
 import json
+import math
 import sys
 from typing import Callable
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mainspec import graphs, spectra, theorems
 from mainspec.analysis import GraphAnalysis
@@ -226,11 +228,41 @@ class TestHarmonicCharacterizations:
         assert checked(check_pseudo_regular, g).verdict == NOT_APPLICABLE
 
 
+def all_pairs_distance(values, co_values):
+    """T31's distance by brute force: min |v + w + 1| over every main pair."""
+    return min((abs(v + w + 1.0) for v in values for w in co_values), default=math.inf)
+
+
+# Non-increasing main values, up to 9 a side; the sampled ones make exact -1
+# pairs and ties likely.
+_MAIN_VALUES = st.lists(
+    st.one_of(st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+              st.floats(-10.0, 10.0, allow_nan=False)),
+    max_size=9,
+).map(lambda vs: tuple(sorted(vs, reverse=True)))
+
+
 class TestComplementClaims:
     def test_count_pairing(self):
         rep = checked(check_complement_count, path(4))
         assert rep.verdict == HOLDS
         assert rep.witnesses["min_pair_distance"] > 1e-6
+
+    @given(_MAIN_VALUES, _MAIN_VALUES)
+    @example((), ())
+    @example((), (1.0,))
+    @example((2.0, 0.0), (-1.0, -3.0))  # an exact -1 pair: 0 + (-1) + 1 == 0
+    @example((1.0, 0.0), (-1.0, -2.0))  # two pairs tie at 0
+    @example((1.0, 1.0, -1.0), (0.5, 0.5, -0.5))  # repeated values
+    def test_pair_distance_walk_matches_all_pairs(self, values, co_values):
+        got = theorems._min_pair_distance(values, co_values)
+        assert got == all_pairs_distance(values, co_values)
+
+    def test_pair_distance_of_every_order_5_pair(self):
+        for a, co in sweep(5):
+            rep = check_complement_count(a.graph, analysis=a, co=co)
+            want = all_pairs_distance(a.spectrum.main_values(), co.spectrum.main_values())
+            assert rep.witnesses["min_pair_distance"] == want
 
     def test_membership_three_way(self):
         for g in [path(4), complete(4), cycle(4), double_star(2, 3)]:
@@ -305,8 +337,8 @@ def moved(a: GraphAnalysis, index: int) -> GraphAnalysis:
     """``a`` with group ``index`` moved up by 1e-6: off every equality at
     TOL_EQ, yet well inside the grouping gap."""
     groups = list(a.spectrum.groups)
-    groups[index] = dataclasses.replace(groups[index], value=groups[index].value + 1e-6)
-    return dataclasses.replace(a, spectrum=MainSpectrum(tuple(groups)))
+    groups[index] = groups[index]._replace(value=groups[index].value + 1e-6)
+    return a._replace(spectrum=MainSpectrum(tuple(groups)))
 
 
 @pytest.mark.parametrize("check, g, side, index, witness", [
