@@ -8,7 +8,8 @@ decomposition missed its bounds, or eigenvalue groups were too close to
 separate), 5 stdout was closed before all output was written (for example
 by ``| head``; the rest of the output is dropped, nothing is printed),
 6 a process checking a share of ``verify``'s sweep ended without sending
-back its result (it was killed, or failed outside the checks).
+back its result (it was killed, or failed outside the checks),
+130 interrupted (SIGINT, as by Ctrl-C; every worker is reaped first).
 """
 from __future__ import annotations
 
@@ -61,6 +62,7 @@ EXIT_DISAGREE = 3
 EXIT_NUMERICAL = 4
 EXIT_CLOSED_STDOUT = 5
 EXIT_WORKER_LOST = 6
+EXIT_INTERRUPTED = 130
 
 _NUMERICAL_ERRORS = (AmbiguousGroupingError, ConvergenceError, SpectralInvariantError)
 
@@ -643,6 +645,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # interpreter exit drops what is still buffered without a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return code
 
 

@@ -29,9 +29,10 @@ failures serialises only those.
 
 Every eigenvalue equality a claim tests, whether against its own spectrum
 (0, -lambda_1, sum d^2 / 2m, a closed form) or against the complement's
-(-1-lambda), is decided by one function, ``locate``.  Three comparisons
-follow other rules: T31's distance over all main pairs, T44's relative slack
-and index bound, and P21's ``TOL_REL``.
+(-1-lambda, looked up once per pair and group by ``shifted``), is decided by
+one function, ``locate``.  Three comparisons follow other rules: T31's
+distance over all main pairs, T44's relative slack and index bound, and P21's
+``TOL_REL``.
 """
 from __future__ import annotations
 
@@ -135,11 +136,26 @@ def locate(a: GraphAnalysis, x: float) -> tuple[int, EigenGroup | None]:
     return above, None
 
 
+_last_shifted: tuple[Any, Any, tuple] = (None, None, ())  # (a, co, shifted(a, co))
+
+
+def shifted(a: GraphAnalysis, co: GraphAnalysis) -> tuple[tuple[int, EigenGroup | None], ...]:
+    """``locate(co, -1 - lambda)`` for each group of a, largest first, so the
+    last is -1-lambda_min's.  The last pair's answer is kept, keyed on both
+    analyses by identity: all the checkers of one pair share its lookups."""
+    global _last_shifted
+    last_a, last_co, found = _last_shifted
+    if last_a is not a or last_co is not co:
+        found = tuple(locate(co, -1.0 - grp.value) for grp in a.spectrum.groups)
+        _last_shifted = (a, co, found)
+    return found
+
+
 def complement_window(a: GraphAnalysis, c: GraphAnalysis) -> str:
     """Where -1-lambda_min(G) sits against the complement's lambda_1 and
     lambda_2 (none at order 1): "violated" outside [lambda_2, lambda_1], else
     "equals-lambda1", "equals-lambda2" or "interior"."""
-    above, grp = locate(c, -1.0 - a.lambda_min)
+    above, grp = shifted(a, c)[-1]
     if above >= 2 or (above == 0 and grp is None):
         return "violated"
     if grp is None:
@@ -315,13 +331,13 @@ def check_complement_membership(
     == -1-lambda is an eigenvalue of the complement, for every eigenvalue.
     A repeated eigenspace always meets the hyperplane and a simple one exactly
     when it is non-main, so the first two are one resolved flag."""
-    for grp in analysis.spectrum.groups:
+    for grp, (_, match) in zip(analysis.spectrum.groups, shifted(analysis, co)):
         meets = (not grp.is_main) or grp.multiplicity > 1
-        shifted = locate(co, -1.0 - grp.value)[1] is not None
-        if meets != shifted:
+        paired = match is not None
+        if meets != paired:
             return TheoremReport("P32", g, FAILS,
                                  {"value": grp.value, "non_main_or_repeated": meets,
-                                  "orthogonal_vector": meets, "shift_in_complement": shifted},
+                                  "orthogonal_vector": meets, "shift_in_complement": paired},
                                  TOL_EQ)
     return TheoremReport("P32", g, HOLDS, {"groups": len(analysis.spectrum.groups)}, TOL_EQ)
 
@@ -331,8 +347,7 @@ def check_simple_shifted_nonmain(
 ) -> TheoremReport:
     """C33: a simple complement eigenvalue of the form -1-lambda is non-main there."""
     applicable = False
-    for grp in analysis.spectrum.groups:
-        _, match = locate(co, -1.0 - grp.value)
+    for grp, (_, match) in zip(analysis.spectrum.groups, shifted(analysis, co)):
         if match is not None and match.multiplicity == 1:
             applicable = True
             if match.is_main:
@@ -366,7 +381,7 @@ def check_complement_gap(
     groups = co.spectrum.groups
     # Any eigenvalue above lo outside the top group intrudes; the largest
     # intruder is the second group.
-    ok = locate(co, lo)[0] <= groups[0].multiplicity
+    ok = shifted(analysis, co)[-1][0] <= groups[0].multiplicity
     return TheoremReport("P34", g, HOLDS if ok else FAILS,
                          {"window": [lo, co.lambda_max],
                           "intruder": None if ok else groups[1].value}, TOL_EQ)
@@ -607,7 +622,7 @@ def check_complement_second_eigenvalue(g: Graph, *, analysis: GraphAnalysis,
         # at order 1 there is no second eigenvalue to compare.
         return TheoremReport("COR47", inst, HOLDS, wit | {"equality_checked": False})
     shift = -1.0 - analysis.lambda_min
-    above, grp = locate(co, shift)
+    above, grp = shifted(analysis, co)[-1]
     # lambda_2(comp) is eigenvalue index 1: the located group must cover it.
     ok = grp is not None and above <= 1 < above + grp.multiplicity
     return TheoremReport("COR47", inst, HOLDS if ok else FAILS,

@@ -3,8 +3,10 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -473,6 +475,35 @@ def test_closed_stdout_exit5_without_traceback():
     assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b"")
 
 
+def test_an_interrupt_exits_130_without_traceback():
+    # SIGINT to the calling process alone, as a sweep's long run is under way:
+    # it reaps its workers, so the pipes they inherited close and communicate
+    # returns; a worker left alive would hold them open until the timeout.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # A background job of a shell starts with SIGINT ignored, and a child
+    # inherits that; a handled SIGINT is reset to the default across exec.
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mainspec", "verify", "all", "--exhaustive", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path_env))
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    try:
+        assert proc.stderr.readline().startswith(b"note: --exhaustive 7 sweeps all ")
+        time.sleep(1.0)  # past the fork, into the sweep
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == cli.EXIT_INTERRUPTED
+    assert b"Traceback" not in err
+    assert err.decode().splitlines()[-1] == "error: interrupted"
+    assert out == b""
+
+
 def test_the_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     # One process, one parser: every call must print what it prints in a
     # process of its own, whatever the calls before it set or failed on.
@@ -713,8 +744,8 @@ class TestSplitSweep:
 
         monkeypatch.setattr(sweeps, "sweep", sweep)
         self.cpus(monkeypatch, 3)
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(["verify", "all", "--exhaustive", "5"])
+        code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
+        assert (code, out, err) == (cli.EXIT_INTERRUPTED, "", "error: interrupted\n")
         assert self.forks == 2
         self.no_children()
 

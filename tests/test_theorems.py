@@ -135,6 +135,56 @@ def test_locate_k33_shift_is_the_repeated_top():
     assert grp.value == co.eigenvalue(1)
 
 
+def scan_shifts(a: GraphAnalysis, co: GraphAnalysis) -> tuple:
+    """``shifted``'s answer made afresh: each group of a, largest first,
+    looked up at -1 - lambda in co by a scan of every group."""
+    return tuple(scan_all_groups(co, -1.0 - grp.value) for grp in a.spectrum.groups)
+
+
+def test_shifted_matches_a_scan_per_group():
+    for a, co in sweep(5):
+        for own, other in ((a, co), (co, a)):
+            got = theorems.shifted(own, other)
+            want = scan_shifts(own, other)
+            assert len(got) == len(want)
+            assert all(above == w_above and grp is w_grp
+                       for (above, grp), (w_above, w_grp) in zip(got, want)), own.graph
+            assert theorems.shifted(own, other) is got  # the kept answer
+
+
+def test_shifted_answers_each_pair_not_the_last_one():
+    # The kept answer is keyed on both analyses: a change of either alone is
+    # a new pair.  Each call below differs from the one before on one side.
+    k33, p5 = complete_bipartite(3, 3), path(5)
+    found = analyze_with_complements([k33, p5])
+    (a, co), (a2, co2) = found[k33], found[p5]
+    calls = [(a, co), (a, co2), (a2, co2), (a2, co), (a, co)]
+    for (x, y), (x_last, y_last) in zip(calls[1:], calls):
+        assert scan_shifts(x, y) != scan_shifts(x_last, y_last)
+    for x, y in calls:
+        assert theorems.shifted(x, y) == scan_shifts(x, y)
+
+
+def test_a_pairs_checkers_look_up_each_shift_once(monkeypatch):
+    # All 16 graph checkers of one pair make one complement lookup per group
+    # of G, shared through ``shifted``.
+    real = theorems.locate
+    seen: list[GraphAnalysis] = []
+
+    def counting(a, x):
+        seen.append(a)
+        return real(a, x)
+
+    monkeypatch.setattr(theorems, "locate", counting)
+    pairs = list(sweep(5)) + [analyze_with_complements([g])[g]
+                              for g in (complete_bipartite(3, 3), path(9), double_star(2, 3))]
+    for a, co in pairs:
+        seen.clear()
+        for check in GRAPH_CHECKERS.values():
+            check(a.graph, analysis=a, co=co)
+        assert sum(x is co for x in seen) == len(a.spectrum.groups), a.graph
+
+
 class TestTwoMainRelation:
     def test_star_holds(self):
         assert checked(check_two_main_relation, star(5)).verdict == HOLDS
