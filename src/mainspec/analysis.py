@@ -22,10 +22,8 @@ class RouteDisagreementError(RuntimeError):
     """The float route's own main count contradicts the exact walk-matrix rank."""
 
     def __init__(self, s_float: int, rank: int):
-        super().__init__(
-            f"float route counted {s_float} main group(s) but the exact "
-            f"walk-matrix rank is {rank}"
-        )
+        super().__init__(f"float route found {s_float} main eigenvalues, "
+                         f"walk-matrix rank is {rank}")
         self.s_float = s_float
         self.rank = rank
 

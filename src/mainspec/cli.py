@@ -7,14 +7,17 @@ through gray-band groups the exact rank cannot settle),
 decomposition missed its bounds, or eigenvalue groups were too close to
 separate), 5 stdout was closed before all output was written (for example
 by ``| head``; the rest of the output is dropped, nothing is printed),
-6 a process checking a share of ``verify``'s sweep ended without sending
-back its result (it was killed, or failed outside the checks),
-130 interrupted (SIGINT, as by Ctrl-C; every worker is reaped first).
+6 a process checking a share of ``verify``'s sweep could not be started, or
+ended without sending back its result (it was killed, or failed outside the
+checks), 130 interrupted (SIGINT, as by Ctrl-C; every worker is reaped first).
+The commands raise; ``main`` alone maps each failure to its code and its one
+``error:`` line.  A worker dies with its parent: a killed ``verify`` leaves none.
 """
 from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import functools
 import json
 import math
@@ -103,18 +106,21 @@ def _timestamp() -> str:
 def _read_input(raw: str) -> tuple[str, str]:
     """Resolve the INPUT argument: '-' reads stdin, an existing path reads the
     file, anything else is taken literally.  Returns (text, source); raises
-    ValueError on a stream or file longer than MAX_INPUT, after reading at
-    most one character more."""
-    if raw == "-":
-        text, source = sys.stdin.read(MAX_INPUT + 1), "stdin"
-    elif os.path.isfile(raw):
-        with open(raw, "r", encoding="ascii") as fh:
-            text, source = fh.read(MAX_INPUT + 1), raw
-    else:
-        return raw, "literal"
+    ParameterError on a file or stream that cannot be read or decoded (a file
+    must be ASCII) or is longer than MAX_INPUT, read to one character more."""
+    try:
+        if raw == "-":
+            text, source = sys.stdin.read(MAX_INPUT + 1), "stdin"
+        elif os.path.isfile(raw):
+            with open(raw, "r", encoding="ascii") as fh:
+                text, source = fh.read(MAX_INPUT + 1), raw
+        else:
+            return raw, "literal"
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParameterError(str(err)) from None
     if len(text) > MAX_INPUT:
-        raise ValueError(f"{source} holds more than {MAX_INPUT:,} characters, "
-                         f"more than any graph of order <= {MAX_ORDER} needs")
+        raise ParameterError(f"{source} holds more than {MAX_INPUT:,} characters, "
+                             f"more than any graph of order <= {MAX_ORDER} needs")
     return text, source
 
 
@@ -185,22 +191,10 @@ def _print_analysis_table(record: dict[str, Any]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        text, source = _read_input(args.input)
-        g = _parse_graph(text, args.format)
-    except (Graph6Error, EdgeListError, ParameterError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        a = analyze_graph(g)
-        co = analyze_graph(g.complement())
-    except RouteDisagreementError as err:
-        print(f"error: cross-check disagreement: float route found {err.s_float} "
-              f"main eigenvalues, walk-matrix rank is {err.rank}", file=sys.stderr)
-        return EXIT_DISAGREE
-    except _NUMERICAL_ERRORS as err:
-        print(f"error: numerical check failed: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    text, source = _read_input(args.input)
+    g = _parse_graph(text, args.format)
+    a = analyze_graph(g)
+    co = analyze_graph(g.complement())
     record = _analysis_record(g, a, co, source, args.format)
     if args.json:
         record["generated_at"] = _timestamp()
@@ -240,12 +234,7 @@ def _as_int(token: str) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        spec = _parse_family_tokens([args.family, *args.params])
-        g = build_family(spec)
-    except ParameterError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    g = build_family(_parse_family_tokens([args.family, *args.params]))
     sys.stdout.buffer.write(serialize_graph6(g) + b"\n")
     return EXIT_OK
 
@@ -256,7 +245,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _parse_path_range(raw: str) -> tuple[int, int]:
-    bad = ValueError(f"bad path range {raw!r}")
+    bad = ParameterError(f"bad path range {raw!r}")
     try:
         lo, hi = map(int, raw.split("..", 1)) if ".." in raw else (2, int(raw))
     except ValueError:
@@ -404,15 +393,24 @@ class _Worker:
     """A forked process that runs ``job`` and pipes its result back."""
 
     def __init__(self, job: Callable[[], Any]) -> None:
-        read, write = os.pipe()
-        with warnings.catch_warnings():
-            # Python 3.12 warns when a process with more than one thread forks;
-            # the others here are OpenBLAS's pool, which stops around a fork.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            self.pid = os.fork()
+        parent = os.getpid()
+        fds: tuple[int, ...] = ()
+        try:
+            fds = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12 warns when a process with more than one thread forks;
+                # the others here are OpenBLAS's pool, which stops around a fork.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+        except OSError as err:  # out of processes, memory or file descriptors
+            for fd in fds:
+                os.close(fd)
+            raise _WorkerLost(f"a sweep worker could not be started "
+                              f"({type(err).__name__}: {err})") from None
+        read, write = fds
         if self.pid == 0:
             os.close(read)
-            _serve(write, job)
+            _serve(write, job, parent)
         os.close(write)
         self.pipe = open(read, "rb")
 
@@ -442,13 +440,22 @@ class _Worker:
             self.pid = 0
 
 
-def _serve(write: int, job: Callable[[], Any]) -> None:
+def _serve(write: int, job: Callable[[], Any], parent: int) -> None:
     """The forked worker's whole life: send ``job``'s result and exit.
 
     It never returns, prints or flushes the buffers it shares with its parent,
-    whatever ``job`` raises, Ctrl-C included."""
+    whatever ``job`` raises, Ctrl-C included.  It asks the kernel to kill it
+    when ``parent`` dies, and exits if ``parent`` already has; should the kernel
+    refuse, ``parent`` still reaps it on every path it controls."""
     status = 1
     try:
+        with contextlib.suppress(ImportError):  # a Python built without ctypes
+            import ctypes  # here, so that only the workers load it
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # the parent died before the request
+            return
         try:
             result = job()
         except Exception as err:  # a numerical error is re-raised by the parent
@@ -505,41 +512,21 @@ def _check_sweep(ids: list[str], args: argparse.Namespace,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        args.path_range = _parse_path_range(args.paths)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    args.path_range = _parse_path_range(args.paths)
     if args.exhaustive < 1 or args.exhaustive > MAX_ENUM_ORDER:
-        print(f"error: --exhaustive must be between 1 and {MAX_ENUM_ORDER}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"--exhaustive must be between 1 and {MAX_ENUM_ORDER}")
     for flag, size in (("--doublestars", args.doublestars), ("--krr", args.krr),
                        ("--harmonictrees", args.harmonictrees),
                        ("--pendants", min(args.pendants)), ("--sample", args.sample)):
         if size < 0:
-            print(f"error: {flag} must be >= 0", file=sys.stderr)
-            return EXIT_USAGE
+            raise ParameterError(f"{flag} must be >= 0")
     if args.sample > sweeps.MAX_SAMPLE:
-        print(f"error: --sample must be at most {sweeps.MAX_SAMPLE:,}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"--sample must be at most {sweeps.MAX_SAMPLE:,}")
     ids = list(ALL_IDS) if args.theorem == "all" else [args.theorem]
     tallies = {tid: _Tally() for tid in ids}
-    try:
-        instances = _family_instances(ids, args)
-    except ParameterError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        disagreement = _check_sweep(ids, args, tallies)
-        disagreement |= _check_pairs(_family_pairs(instances, tallies), args.json)
-    except _NUMERICAL_ERRORS as err:
-        print(f"error: numerical check failed: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _WorkerLost as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_WORKER_LOST
+    instances = _family_instances(ids, args)
+    disagreement = _check_sweep(ids, args, tallies)
+    disagreement |= _check_pairs(_family_pairs(instances, tallies), args.json)
 
     failures = sum(t.fails for t in tallies.values())
     instances = sum(t.total for t in tallies.values())
@@ -634,20 +621,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        try:
+            code = args.func(args)
+        except (Graph6Error, EdgeListError, ParameterError) as err:
+            code = _fail(EXIT_USAGE, err)
+        except RouteDisagreementError as err:
+            code = _fail(EXIT_DISAGREE, f"cross-check disagreement: {err}")
+        except _NUMERICAL_ERRORS as err:
+            code = _fail(EXIT_NUMERICAL, f"numerical check failed: {err}")
+        except _WorkerLost as err:
+            code = _fail(EXIT_WORKER_LOST, err)
+        sys.stdout.flush()  # on every path, so a closed reader is met in this guard
     except BrokenPipeError:
         # The reader is gone: point stdout at devnull so that the flush at
         # interpreter exit drops what is still buffered without a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return _fail(EXIT_INTERRUPTED, "interrupted")
     return code
 
 

@@ -1,4 +1,5 @@
 """CLI behavior: formats, exit codes, JSON stability."""
+import errno
 import io
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 from mainspec import analysis, cli, spectra, sweeps, theorems
 from mainspec.analysis import RouteDisagreementError
 from mainspec.graph6 import serialize_edgelist, serialize_graph6
-from mainspec.graphs import MAX_ORDER, FamilySpec, Graph, build_family, complete, path
+from mainspec.graphs import (
+    MAX_ORDER, FamilySpec, Graph, ParameterError, build_family, complete, path)
 from mainspec.theorems import TheoremReport
 
 
@@ -76,6 +78,20 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", str(p))
         assert code == 0
         assert "n=4 m=3" in out
+
+    def test_non_ascii_or_unreadable_file_exit2(self, capsys, monkeypatch, tmp_path):
+        p = tmp_path / "g.g6"
+        p.write_bytes(b"C\xc3\xa9\n")
+        assert run(capsys, "analyze", str(p)) == (2, "", (
+            "error: 'ascii' codec can't decode byte 0xc3 in position 1: "
+            "ordinal not in range(128)\n"))
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert run(capsys, "analyze", str(p)) == (
+            2, "", f"error: [Errno 13] Permission denied: {str(p)!r}\n")
 
     def test_edgelist_format(self, capsys):
         code, out, _ = run(capsys, "analyze", "4 3\n0 1\n1 2\n2 3",
@@ -171,6 +187,59 @@ def test_numerical_failure_exit4(capsys, monkeypatch, argv, error):
     code, _, err = run(capsys, *argv)
     assert code == 4
     assert err == "error: numerical check failed: injected\n"
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (ParameterError("injected"), cli.EXIT_USAGE, "error: injected"),
+    (RouteDisagreementError(2, 3), cli.EXIT_DISAGREE, "error: cross-check disagreement: "
+     "float route found 2 main eigenvalues, walk-matrix rank is 3"),
+    (spectra.ConvergenceError("injected"), cli.EXIT_NUMERICAL,
+     "error: numerical check failed: injected"),
+    (cli._WorkerLost("injected"), cli.EXIT_WORKER_LOST, "error: injected"),
+    (KeyboardInterrupt(), cli.EXIT_INTERRUPTED, "error: interrupted"),
+], ids=["usage", "disagreement", "numerical", "worker-lost", "interrupt"])
+@pytest.mark.parametrize("argv", [("analyze", "Ch"), ("verify", "T45", "--exhaustive", "3")],
+                         ids=["analyze", "verify"])
+def test_main_maps_each_failure_to_its_exit_code(capsys, monkeypatch, argv, error, code, line):
+    # Raised from inside the command, where the analyses run: main alone turns
+    # it into the exit code and the one error line.
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "analyze_graph", boom)
+    monkeypatch.setattr(sweeps, "sweep", boom)
+    assert run(capsys, *argv) == (code, "", line + "\n")
+
+
+def _mainspec_env():
+    """This environment, with the tested ``mainspec`` first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path_env)
+
+
+def test_an_error_after_buffered_output_to_a_closed_reader_exit5():
+    # The --json reports of the sweep sit in stdout's buffer when the family
+    # checks fail: the error line is printed, then the flush meets the closed
+    # pipe.  A flush made only on success would leave it to interpreter exit,
+    # which prints "Exception ignored" and exits 120.
+    script = ("import sys\n"
+              "from mainspec import cli, spectra\n"
+              "def late(*args):\n"
+              "    raise spectra.ConvergenceError('injected')\n"
+              "cli._family_pairs = late\n"
+              "sys.exit(cli.main(['verify', 'T45', '--exhaustive', '2', '--json']))\n")
+    env = _mainspec_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT
+    assert proc.stderr == b"error: numerical check failed: injected\n"
 
 
 def test_lapack_failure_exit4(capsys, monkeypatch):
@@ -461,11 +530,9 @@ class TestCaps:
 
 def test_closed_stdout_exit5_without_traceback():
     # `verify ... --json | head -1`: the reader leaves after one line
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "mainspec", "verify", "all", "--exhaustive", "5", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path_env))
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_mainspec_env())
     try:
         assert proc.stdout.readline().startswith(b'{"theorem_id": ')
         proc.stdout.close()
@@ -479,16 +546,13 @@ def test_an_interrupt_exits_130_without_traceback():
     # SIGINT to the calling process alone, as a sweep's long run is under way:
     # it reaps its workers, so the pipes they inherited close and communicate
     # returns; a worker left alive would hold them open until the timeout.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     # A background job of a shell starts with SIGINT ignored, and a child
     # inherits that; a handled SIGINT is reset to the default across exec.
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         proc = subprocess.Popen(
             [sys.executable, "-m", "mainspec", "verify", "all", "--exhaustive", "7"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path_env))
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_mainspec_env())
     finally:
         signal.signal(signal.SIGINT, handler)
     try:
@@ -504,6 +568,47 @@ def test_an_interrupt_exits_130_without_traceback():
     assert out == b""
 
 
+def _process_state(pid):
+    """The state letter of process ``pid`` ('R', 'S', 'Z', ...), None once it is reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def test_a_killed_verify_takes_its_worker_with_it():
+    # SIGTERM, which Python does not handle, ends the calling process at once:
+    # no finally runs, so only the kernel's parent-death signal can stop the
+    # worker; left alone it would sweep for minutes under init.
+    script = ("import os, sys\n"
+              "from mainspec import cli\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}  # one worker on any machine\n"
+              "sys.exit(cli.main(['verify', 'all', '--exhaustive', '7']))\n")
+    worker = None
+    with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, env=_mainspec_env()) as proc:
+        try:
+            assert proc.stderr.readline().startswith(b"note: --exhaustive 7 sweeps all ")
+            children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+            deadline = time.monotonic() + 30
+            while worker is None and time.monotonic() < deadline:
+                with open(children) as fh:
+                    worker = next(map(int, fh.read().split()), None)
+                time.sleep(0.05)
+            assert worker is not None, "no worker was forked"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == -signal.SIGTERM
+            deadline = time.monotonic() + 5
+            while _process_state(worker) not in (None, "Z") and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _process_state(worker) in (None, "Z")
+        finally:
+            if worker is not None and _process_state(worker) not in (None, "Z"):
+                os.kill(worker, signal.SIGKILL)
+            proc.kill()
+
+
 def test_the_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     # One process, one parser: every call must print what it prints in a
     # process of its own, whatever the calls before it set or failed on.
@@ -517,8 +622,7 @@ def test_the_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     ]
     scrub = lambda s: re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', s)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _mainspec_env()
     fresh = []
     for argv in calls:
         proc = subprocess.run([sys.executable, "-m", "mainspec", *argv],
@@ -748,6 +852,23 @@ class TestSplitSweep:
         assert (code, out, err) == (cli.EXIT_INTERRUPTED, "", "error: interrupted\n")
         assert self.forks == 2
         self.no_children()
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_a_worker_that_cannot_be_started_exit6(self, capsys, monkeypatch, call):
+        # Out of processes at the fork, or of descriptors at the pipe: nothing
+        # opened for the worker is left open.
+        def fail():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, call, fail)
+        self.cpus(monkeypatch, 2)
+        fds = len(os.listdir("/proc/self/fd"))
+        code, out, err = run(capsys, "verify", "all", "--exhaustive", "6")
+        assert len(os.listdir("/proc/self/fd")) == fds
+        self.no_children()
+        assert (code, out) == (cli.EXIT_WORKER_LOST, "")
+        assert err == ("error: a sweep worker could not be started (BlockingIOError: "
+                       "[Errno 11] Resource temporarily unavailable)\n")
 
     @pytest.mark.parametrize("argv, cpus", [
         (("--exhaustive", "5", "--json"), 2),
