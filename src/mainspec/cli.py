@@ -524,9 +524,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ParameterError(f"--sample must be at most {sweeps.MAX_SAMPLE:,}")
     ids = list(ALL_IDS) if args.theorem == "all" else [args.theorem]
     tallies = {tid: _Tally() for tid in ids}
-    instances = _family_instances(ids, args)
+    family = _family_instances(ids, args)
     disagreement = _check_sweep(ids, args, tallies)
-    disagreement |= _check_pairs(_family_pairs(instances, tallies), args.json)
+    disagreement |= _check_pairs(_family_pairs(family, tallies), args.json)
 
     failures = sum(t.fails for t in tallies.values())
     instances = sum(t.total for t in tallies.values())

@@ -35,7 +35,7 @@ class WalkMatrix:
 def walk_matrix(g: Graph) -> WalkMatrix:
     """Columns j, Aj, A^2 j, ..., A^(n-1) j of the adjacency matrix, exactly."""
     n = g.n
-    nbrs = g.neighbor_lists()
+    nbrs = [g.neighbors(v) for v in range(n)]
     col = [1] * n
     cols = [col]
     for _ in range(n - 1):
@@ -477,7 +477,7 @@ def harmonic_ell(g: Graph) -> int | None:
     is the unique nonnegative integer ratio.
     """
     degs = g.degrees()
-    nbrs = g.neighbor_lists()
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     ad = [sum(degs[w] for w in nbrs[v]) for v in range(g.n)]
     if all(d == 0 for d in degs):
         return 0

@@ -66,21 +66,13 @@ def parse_graph6(data: str | bytes) -> Graph:
             f"payload too long: need {expected} bytes for n={n}, got {actual}", pos + expected
         )
 
-    rows = [0] * n
-    pairs = triangle_pairs(n)
-    bit = 0
-    for off in range(pos, len(raw)):
-        b = raw[off]
+    payload = raw[pos:]
+    for off, b in enumerate(payload, pos):
         if not 63 <= b <= 126:
             raise Graph6Error(f"byte {b} outside graph6 range 63..126", off)
-        chunk = b - 63
-        for k in range(5, -1, -1):
-            if bit < nbits and chunk >> k & 1:
-                i, j = pairs[bit]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-    return Graph(n, tuple(rows))
+    # Pair k is bit k of the payload's bit string: the edge mask is it reversed.
+    bits = "".join([format(b - 63, "06b") for b in payload])
+    return Graph.from_edge_mask(n, int(bits[:nbits][::-1] or "0", 2))
 
 
 def _parse_order(raw: bytes) -> tuple[int, int]:

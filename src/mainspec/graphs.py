@@ -4,6 +4,10 @@ Vertices are always 0..n-1 and graphs are simple and undirected.  Adjacency is
 stored as one neighbor bitmask per vertex: equality and hashing are cheap, and
 complement / enumeration reduce to integer bit operations.
 
+Rows the program builds (edge masks and lists, complements, families, and
+stacks ``stack_graphs`` checked as a whole) are valid by construction and go
+through ``_trusted``; ``Graph(n, rows)`` checks the rows a caller passes in.
+
 A graph's structural facts (degrees, m, sum d^2, connectivity, the
 two-coloring and the pseudo-regular ratio) are one ``Facts`` record, read
 through the ``per_graph`` function ``facts``: it is computed on the first
@@ -64,8 +68,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"graph order must be >= 1, got {self.n}")
+        _require_order(self.n)
         if len(self.rows) != self.n:
             raise ParameterError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows):
@@ -94,17 +97,24 @@ class Graph:
                 raise ParameterError(f"loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        _require_order(n)
+        return _trusted(n, tuple(rows))
 
     @staticmethod
     def from_edge_mask(n: int, mask: int) -> "Graph":
-        """Build a graph from an edge bitmask over ``triangle_pairs(n)``."""
+        """Build a graph from an edge bitmask over ``triangle_pairs(n)``: column j,
+        vertex j's neighbors below it, is the mask's next j bits."""
+        _require_order(n)
         rows = [0] * n
-        for bit, (i, j) in enumerate(triangle_pairs(n)):
-            if mask >> bit & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        return Graph(n, tuple(rows))
+        for j in range(1, n):
+            below = mask & (1 << j) - 1
+            mask >>= j
+            rows[j] = below
+            while below:
+                low = below & -below
+                rows[low.bit_length() - 1] |= 1 << j
+                below ^= low
+        return _trusted(n, tuple(rows))
 
     @property
     def m(self) -> int:
@@ -116,9 +126,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.rows[v]))
-
-    def neighbor_lists(self) -> list[list[int]]:
-        return [list(self.neighbors(v)) for v in range(self.n)]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j in triangle_pairs(self.n) if self.rows[i] >> j & 1]
@@ -135,6 +142,11 @@ class Graph:
         # The complement of a valid graph is valid: no symmetry walk.
         full = (1 << self.n) - 1
         return _trusted(self.n, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(self.rows)))
+
+
+def _require_order(n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"graph order must be >= 1, got {n}")
 
 
 def _trusted(n: int, rows: tuple[int, ...]) -> Graph:

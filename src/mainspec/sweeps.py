@@ -179,7 +179,6 @@ def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray) -> list[GraphAnalysi
     evals, evecs, _ = spectra.eigen_decompose_batch(adj)
     proj_sq = evecs.sum(axis=1) ** 2
     del evecs
-    adj = adj.astype(np.int8)  # 0/1: an eighth of the float stack, kept through the finish
     out: list[GraphAnalysis] = []
     for lo in range(0, len(graphs), _FINISH_BLOCK):
         block = slice(lo, lo + _FINISH_BLOCK)

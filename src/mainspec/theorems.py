@@ -68,13 +68,12 @@ FAILS = "fails"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True)
 class TheoremReport:
     """One verdict on one instance.
 
     ``subject`` is the graph checked, or a family description such as
     ``path(6)``; ``instance`` is its label, for a graph its graph6 string.
-    Reports compare by label.
     """
 
     theorem_id: str
@@ -87,13 +86,6 @@ class TheoremReport:
     def instance(self) -> str:
         subject = self.subject
         return subject if isinstance(subject, str) else _graph6(subject)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TheoremReport):
-            return NotImplemented
-        return (self.theorem_id, self.instance, self.verdict, self.witnesses,
-                self.tolerance) == (other.theorem_id, other.instance, other.verdict,
-                                    other.witnesses, other.tolerance)
 
     def to_json(self) -> dict[str, Any]:
         return {

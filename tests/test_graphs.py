@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mainspec import cli
+from mainspec.graph6 import parse_graph6, serialize_graph6
 from mainspec.graphs import (
     MAX_ENUM_ORDER,
     FamilySpec,
@@ -144,6 +145,35 @@ class TestEnumeration:
             assert g == Graph.from_edges(4, [pairs[k] for k in range(len(pairs)) if m >> k & 1])
             seen.add(g)
         assert len(seen) == 64
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_edge_masks_build_valid_rows(self, n):
+        # ``from_edge_mask`` walks the mask column by column and skips the
+        # constructor's checks: a per-pair reference gives the same rows, the
+        # constructor accepts them, and graph6 round-trips through the mask.
+        pairs = triangle_pairs(n)
+        for mask in range(mask_population(n)):
+            rows = [0] * n
+            for bit, (i, j) in enumerate(pairs):
+                if mask >> bit & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            g = Graph.from_edge_mask(n, mask)
+            assert g.rows == tuple(rows)
+            assert Graph(n, g.rows) == g
+            assert parse_graph6(serialize_graph6(g)) == g
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_unchecked_builders_keep_the_order_check(self, n):
+        # An empty row tuple is valid rows but not a graph.
+        with pytest.raises(ParameterError) as want:
+            Graph(n, ())
+        with pytest.raises(ParameterError) as by_mask:
+            Graph.from_edge_mask(n, 0)
+        with pytest.raises(ParameterError) as by_edges:
+            Graph.from_edges(n, [])
+        assert str(by_mask.value) == str(by_edges.value) == str(want.value)
+        assert str(want.value) == f"graph order must be >= 1, got {n}"
 
 
 @settings(max_examples=300)
