@@ -6,7 +6,8 @@ walk-matrix rank.  Only gray groups are settled by the exact count.  A float
 count that still contradicts the rank is a hard error, never papered over.
 ``finish_analyses`` runs everything after the eigensolver over a stack of
 graphs; ``analyze_graph`` is a stack of one, and ``sweeps.analyze_stack``
-passes whole sweep chunks and ``verify``'s family stacks.
+passes a sweep's blocks and ``verify``'s family stacks, each of at most
+``sweeps._BLOCK`` graphs.
 """
 from __future__ import annotations
 

@@ -3,12 +3,12 @@
 graph6 packs the upper triangle of the adjacency matrix, column by column
 ((0,1), (0,2), (1,2), (0,3), ...), six bits per printable byte (value + 63).
 The size header is a single byte n + 63 for n <= 62; larger orders use the
-'~' extended forms.  Parsing is strict about byte ranges and payload length
-and reports the byte offset of the first problem.
+'~' extended forms.  Parsing is strict about byte ranges, payload length
+and padding bits, and reports the byte offset of the first problem.
 """
 from __future__ import annotations
 
-from .graphs import MAX_ORDER, Graph, triangle_pairs
+from .graphs import MAX_ORDER, Graph
 
 _HEADER = b">>graph6<<"
 
@@ -72,6 +72,8 @@ def parse_graph6(data: str | bytes) -> Graph:
             raise Graph6Error(f"byte {b} outside graph6 range 63..126", off)
     # Pair k is bit k of the payload's bit string: the edge mask is it reversed.
     bits = "".join([format(b - 63, "06b") for b in payload])
+    if "1" in bits[nbits:]:
+        raise Graph6Error("non-zero padding bits", len(raw) - 1)
     return Graph.from_edge_mask(n, int(bits[:nbits][::-1] or "0", 2))
 
 
@@ -113,19 +115,12 @@ def _encode_order(n: int) -> bytes:
 
 def serialize_graph6(g: Graph) -> bytes:
     """Encode a graph as one graph6 line (no header, no trailing newline)."""
-    out = bytearray(_encode_order(g.n))
-    chunk = 0
-    filled = 0
-    for i, j in triangle_pairs(g.n):
-        chunk = chunk << 1 | (g.rows[i] >> j & 1)
-        filled += 1
-        if filled == 6:
-            out.append(chunk + 63)
-            chunk = 0
-            filled = 0
-    if filled:
-        out.append((chunk << (6 - filled)) + 63)
-    return bytes(out)
+    nbits = g.n * (g.n - 1) // 2
+    # The payload's bit string is the edge mask reversed (order 1's empty mask
+    # formats as one digit, cut off), zero-padded to whole bytes.
+    bits = format(g.edge_mask(), f"0{nbits}b")[::-1][:nbits] + "0" * (-nbits % 6)
+    payload = [int(bits[k:k + 6], 2) + 63 for k in range(0, len(bits), 6)]
+    return _encode_order(g.n) + bytes(payload)
 
 
 def parse_edgelist(text: str) -> Graph:

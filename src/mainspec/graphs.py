@@ -116,6 +116,14 @@ class Graph:
                 below ^= low
         return _trusted(n, tuple(rows))
 
+    def edge_mask(self) -> int:
+        """The edge bitmask over ``triangle_pairs(n)``, the inverse of ``from_edge_mask``:
+        column j, vertex j's neighbors below it, is the mask's next j bits."""
+        mask = 0
+        for j in range(self.n - 1, 0, -1):
+            mask = mask << j | self.rows[j] & (1 << j) - 1
+        return mask
+
     @property
     def m(self) -> int:
         """Number of edges."""

@@ -1,22 +1,18 @@
 """Chunked exhaustive sweeps over all labeled graphs of a fixed order.
 
-The enumeration is an edge-bitmask counter, streamed chunk by chunk: each
-chunk of masks becomes a (B, n, n) adjacency stack, its graphs' neighbor
-bitmasks are read off that stack in one step and checked as one array
-(``graphs.stack_graphs``), and it goes to ``analyze_stack``,
-which runs the batched eigensolver once and then ``analysis.finish_analyses``, the
-finish ``analyze_graph`` uses, in row blocks of ``_FINISH_BLOCK`` graphs:
-grouping, the certified walk ranks and the harmonic test each run once per
-block, and only the records are built per graph.  Blocks bound the finish's
-temporaries: one block of a whole order-6 chunk took a bare sweep's peak RSS
-from 104 to 142 MB, 2,048-row blocks leave it at 105 MB.
-Once a chunk is analysed and its float stack dropped, ``graphs.fill_stack_facts``
+The enumeration is an edge-bitmask counter, streamed chunk by chunk, and
+each chunk is built in blocks of ``_BLOCK`` graphs.  A block of masks becomes
+a (B, n, n) adjacency stack, its graphs' neighbor bitmasks are read off that
+stack in one step and checked as one array (``graphs.stack_graphs``), and it
+goes to ``analyze_stack``: one batched eigensolve, then
+``analysis.finish_analyses``, the finish ``analyze_graph`` uses, so grouping,
+the certified walk ranks and the harmonic test each run once per block and
+only the records are built per graph.  ``graphs.fill_stack_facts`` then
 stores every graph's ``graphs.facts`` record (degrees, connectivity,
-two-coloring, pseudo-regular ratio), computed from its rows in the same
-blocks, so the claim checkers read it and compute none.  Filled in one
-32,768-graph block instead, the facts left an order-6 chunk's RSS about 5 MB
-higher, and holding the chunk's rows array through the analysis raised
-``verify all --exhaustive 6``'s peak by 1.5 MB.
+two-coloring, pseudo-regular ratio), computed from the block's rows, so the
+claim checkers read it and compute none.  The block rule: no array a sweep
+builds holds more than one block of graphs; a chunk outlives its blocks only
+as its records.
 Nearly every complement claim needs both spectra, and the complement of mask
 ``m`` is mask ``full ^ m``.  The full population is swept in complement-closed
 chunks, masks with the top edge bit clear and their complements, so every
@@ -65,7 +61,7 @@ from .analysis import resolve_spectrum  # noqa: F401  (bound here for perfbench'
 from .graphs import Graph, fill_stack_facts, stack_graphs, triangle_pairs
 
 DEFAULT_CHUNK = 1 << 15
-_FINISH_BLOCK = 1 << 11
+_BLOCK = 1 << 11
 SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
 # Largest sample ``verify --sample`` takes: about 3 minutes of sweep at some
 # 5,000-6,000 pairs/s in one process, half that split over two CPUs
@@ -161,43 +157,40 @@ def _collection_paused() -> Iterator[None]:
 @_collection_paused()
 def _analyses_for_chunk(n: int, masks: np.ndarray, *,
                         facts: bool = True) -> dict[int, GraphAnalysis]:
-    adj = adjacency_stack(n, masks)
-    # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
-    graphs = stack_graphs((adj @ 2.0 ** np.arange(n)).astype(np.int64))
-    analyses = analyze_stack(graphs, adj)
-    del adj  # the float stack goes before the facts come, so they add nothing to the peak
-    if facts:
-        for lo in range(0, len(graphs), _FINISH_BLOCK):
-            fill_stack_facts(graphs[lo:lo + _FINISH_BLOCK])
+    analyses: list[GraphAnalysis] = []
+    for lo in range(0, len(masks), _BLOCK):
+        adj = adjacency_stack(n, masks[lo:lo + _BLOCK])
+        # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
+        graphs = stack_graphs((adj @ 2.0 ** np.arange(n)).astype(np.int64))
+        analyses += analyze_stack(graphs, adj)
+        if facts:
+            fill_stack_facts(graphs)
     return dict(zip(masks.tolist(), analyses))
 
 
 def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray) -> list[GraphAnalysis]:
     """Analyse equally-sized ``graphs`` from their (B, n, n) adjacency stack:
     one batched eigendecomposition, which raises on any graph that misses a
-    hygiene bound, then the finish in ``_FINISH_BLOCK``-row blocks."""
+    hygiene bound, then one finish."""
     evals, evecs, _ = spectra.eigen_decompose_batch(adj)
-    proj_sq = evecs.sum(axis=1) ** 2
-    del evecs
-    out: list[GraphAnalysis] = []
-    for lo in range(0, len(graphs), _FINISH_BLOCK):
-        block = slice(lo, lo + _FINISH_BLOCK)
-        out += finish_analyses(graphs[block], adj[block], evals[block], proj_sq[block])
-    return out
+    return finish_analyses(graphs, adj, evals, evecs.sum(axis=1) ** 2)
 
 
 def analyze_with_complements(
     graphs: Iterable[Graph],
 ) -> dict[Graph, tuple[GraphAnalysis, GraphAnalysis]]:
     """``{g: (analysis, complement analysis)}`` for each distinct graph of ``graphs``:
-    each complement built once, each distinct graph analysed once, one stack per order."""
+    each complement built once, each distinct graph analysed once, in stacks of
+    at most ``_BLOCK`` graphs of one order."""
     complements = {g: g.complement() for g in dict.fromkeys(graphs)}
     distinct = dict.fromkeys(h for pair in complements.items() for h in pair)
     found: dict[Graph, GraphAnalysis] = {}
     for n in sorted({h.n for h in distinct}):
         stack = [h for h in distinct if h.n == n]
-        adj = np.stack([h.adjacency_matrix() for h in stack])
-        found.update(zip(stack, analyze_stack(stack, adj)))
+        for lo in range(0, len(stack), _BLOCK):
+            block = stack[lo:lo + _BLOCK]
+            adj = np.stack([h.adjacency_matrix() for h in block])
+            found.update(zip(block, analyze_stack(block, adj)))
     return {g: (found[g], found[c]) for g, c in complements.items()}
 
 

@@ -391,6 +391,60 @@ def test_the_collector_runs_between_chunks(collector_state, monkeypatch):
     assert gc.isenabled()
 
 
+def _block_route(kind, monkeypatch):
+    if kind == "population":  # one chunk of 32,768 graphs
+        return lambda: list(sweep(6)), mask_population(6)
+    if kind == "sample":
+        monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+        masks = sweeps.sample_masks(7, 1000)
+        full = mask_population(7) - 1
+        return (lambda: list(sweep(7, masks=masks)),
+                len(np.union1d(masks, full ^ masks)))
+    graphs = [Graph.from_edge_mask(7, m) for m in sweeps.sample_masks(7, 150).tolist()]
+    graphs += [path(5), cycle(5)]  # a second, smaller order
+    distinct = {h for g in graphs for h in (g, g.complement())}
+    return lambda: sweeps.analyze_with_complements(graphs), len(distinct)
+
+
+@pytest.mark.parametrize("kind", ["population", "sample", "families"])
+def test_no_stack_holds_more_than_one_block(monkeypatch, kind):
+    # Every eigensolve and finish takes at most ``_BLOCK`` graphs, in a
+    # population sweep, a multi-chunk sample with its complement batches and
+    # a family stack alike, and each graph is decomposed exactly once.
+    monkeypatch.setattr(sweeps, "_BLOCK", 100)
+    decomposed = Counter()
+    sizes = {"eigensolve": [], "finish": []}
+    batch, finish = spectra.eigen_decompose_batch, sweeps.finish_analyses
+
+    def recording_batch(mats):
+        sizes["eigensolve"].append(len(mats))
+        decomposed.update(m.tobytes() for m in mats)
+        return batch(mats)
+
+    def recording_finish(graphs, *args):
+        sizes["finish"].append(len(graphs))
+        return finish(graphs, *args)
+
+    monkeypatch.setattr(spectra, "eigen_decompose_batch", recording_batch)
+    monkeypatch.setattr(sweeps, "finish_analyses", recording_finish)
+    route, distinct = _block_route(kind, monkeypatch)
+    route()
+    assert max(sizes["eigensolve"]) == max(sizes["finish"]) == 100
+    assert sum(sizes["eigensolve"]) == sum(sizes["finish"]) == distinct
+    assert len(decomposed) == distinct and set(decomposed.values()) == {1}
+
+
+def test_a_multi_chunk_sample_is_swept_in_mask_order(monkeypatch):
+    # ``sweep(n, masks=m)`` yields its pairs in the order of ``m``, across
+    # chunk edges (every 256 masks) and block edges (every 100 graphs).
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    monkeypatch.setattr(sweeps, "_BLOCK", 100)
+    masks = sweeps.sample_masks(7, 1000)
+    want = [Graph.from_edge_mask(7, m) for m in masks.tolist()]
+    assert [(a.graph, co.graph) for a, co in sweep(7, masks=masks)] == [
+        (g, g.complement()) for g in want]
+
+
 def test_pipeline_never_reaches_bareiss(monkeypatch):
     calls = []
     for name in ("walk_matrix", "exact_rank"):

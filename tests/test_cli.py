@@ -104,6 +104,11 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    def test_graph6_padding_bits_exit2(self, capsys):
+        # "B~" sets the triangle's three edge bits and all three padding bits.
+        assert run(capsys, "analyze", "B~") == (
+            2, "", "error: non-zero padding bits (byte offset 1)\n")
+
     def test_edgelist_error_exit2(self, capsys):
         code, _, err = run(capsys, "analyze", "junk", "--format", "edgelist")
         assert code == 2

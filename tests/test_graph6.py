@@ -1,4 +1,6 @@
 """graph6 + edge-list codec tests, cross-checked against networkx."""
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from mainspec.graphs import (
     cycle,
     path,
     star,
+    triangle_pairs,
 )
 from mainspec.sweeps import mask_population
 
@@ -84,6 +87,55 @@ def test_agrees_with_networkx(nm):
     assert parse_graph6(theirs) == g
 
 
+def _header(n):
+    return bytes([n + 63] if n <= 62 else [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63,
+                                           (n & 63) + 63])
+
+
+def _per_pair_graph6(g):
+    """graph6 packed one triangle pair at a time, the reference for the mask codec."""
+    out = bytearray(_header(g.n))
+    chunk = filled = 0
+    for i, j in triangle_pairs(g.n):
+        chunk = chunk << 1 | (g.rows[i] >> j & 1)
+        filled += 1
+        if filled == 6:
+            out.append(chunk + 63)
+            chunk = filled = 0
+    if filled:
+        out.append((chunk << (6 - filled)) + 63)
+    return bytes(out)
+
+
+def _random_graphs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, p = rng.randint(1, MAX_ORDER), rng.random()
+        yield Graph.from_edges(n, [(i, j) for i, j in triangle_pairs(n) if rng.random() < p])
+
+
+def test_serializer_matches_the_per_pair_reference():
+    small = (Graph.from_edge_mask(n, m) for n in range(1, 7) for m in range(mask_population(n)))
+    for g in [*small, *_random_graphs(60, 29)]:
+        assert serialize_graph6(g) == _per_pair_graph6(g)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=70).flatmap(
+    lambda n: st.lists(st.integers(63, 126), min_size=(n * (n - 1) // 2 + 5) // 6,
+                       max_size=(n * (n - 1) // 2 + 5) // 6).map(
+        lambda body: _header(n) + bytes(body))))
+def test_every_accepted_input_round_trips(data):
+    # Size and byte ranges are right by construction, so only padding bits
+    # can be refused, and they sit in the last byte.
+    try:
+        g = parse_graph6(data)
+    except Graph6Error as exc:
+        assert str(exc) == f"non-zero padding bits (byte offset {len(data) - 1})"
+        return
+    assert serialize_graph6(g) == data
+
+
 def test_string_input_accepted():
     assert parse_graph6("Ch") == path(4)
 
@@ -123,6 +175,12 @@ class TestGraph6Errors:
         with pytest.raises(Graph6Error) as exc:
             parse_graph6(b"E")  # order 6 needs 3 body bytes
         assert exc.value.offset == 1
+
+    @pytest.mark.parametrize("data,offset", [(b"B~", 1), (b"Bx", 1), (b"D?@", 2)])
+    def test_padding_bits_rejected(self, data, offset):
+        with pytest.raises(Graph6Error, match="non-zero padding bits") as exc:
+            parse_graph6(data)
+        assert exc.value.offset == offset
 
     def test_trailing_garbage(self):
         with pytest.raises(Graph6Error):

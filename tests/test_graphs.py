@@ -150,7 +150,8 @@ class TestEnumeration:
     def test_edge_masks_build_valid_rows(self, n):
         # ``from_edge_mask`` walks the mask column by column and skips the
         # constructor's checks: a per-pair reference gives the same rows, the
-        # constructor accepts them, and graph6 round-trips through the mask.
+        # constructor accepts them, ``edge_mask`` gives the mask back, and
+        # graph6 round-trips through the mask.
         pairs = triangle_pairs(n)
         for mask in range(mask_population(n)):
             rows = [0] * n
@@ -160,6 +161,7 @@ class TestEnumeration:
                     rows[j] |= 1 << i
             g = Graph.from_edge_mask(n, mask)
             assert g.rows == tuple(rows)
+            assert g.edge_mask() == mask
             assert Graph(n, g.rows) == g
             assert parse_graph6(serialize_graph6(g)) == g
 
