@@ -19,6 +19,7 @@ import argparse
 import bisect
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -352,17 +353,17 @@ def _selected_masks(args: argparse.Namespace) -> np.ndarray | None:
     return None
 
 
-def _sweep_pairs(n: int, chunks: Iterable[np.ndarray], checks: _Checks,
+def _sweep_pairs(n: int, share: Iterable[np.ndarray], checks: _Checks,
                  args: argparse.Namespace) -> Iterator[_Pair]:
-    """Every order-n labeled graph of ``chunks`` the filters keep, keyed by its
+    """Every order-n labeled graph of ``share`` the filters keep, keyed by its
     mask, with the chosen claims' graph checkers."""
-    for masks in chunks:
-        for key, (a, co) in zip(masks.flat, sweeps.sweep(n, masks=masks)):
-            if args.connected and not is_connected(a.graph):
-                continue
-            if args.bipartite and not is_bipartite(a.graph):
-                continue
-            yield key, a, co, checks
+    share, keys = itertools.tee(share)  # each chunk is cut once, read twice
+    for key, (a, co) in zip(itertools.chain.from_iterable(keys), sweeps.sweep(n, share=share)):
+        if args.connected and not is_connected(a.graph):
+            continue
+        if args.bipartite and not is_bipartite(a.graph):
+            continue
+        yield key, a, co, checks
 
 
 def _family_pairs(instances: list[tuple[str, Graph, Callable[..., TheoremReport]]],

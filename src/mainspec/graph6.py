@@ -44,16 +44,14 @@ def parse_graph6(data: str | bytes) -> Graph:
     An order above MAX_ORDER is refused on its size header, before the
     payload is read.
     """
-    raw = _to_bytes(data)
-    if raw.startswith(_HEADER):
-        raw = raw[len(_HEADER):]
-    raw = raw.rstrip(b"\r\n")
-    if not raw:
-        raise Graph6Error("empty input", 0)
+    raw = _to_bytes(data).rstrip(b"\r\n")
+    start = len(_HEADER) if raw.startswith(_HEADER) else 0  # offsets count the prefix
+    if len(raw) == start:
+        raise Graph6Error("empty input", start)
 
-    n, pos = _parse_order(raw)
+    n, pos = _parse_order(raw, start)
     if n > MAX_ORDER:
-        raise Graph6Error(f"order {n} is above the cap of {MAX_ORDER}", 0)
+        raise Graph6Error(f"order {n} is above the cap of {MAX_ORDER}", start)
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
     actual = len(raw) - pos
@@ -77,32 +75,32 @@ def parse_graph6(data: str | bytes) -> Graph:
     return Graph.from_edge_mask(n, int(bits[:nbits][::-1] or "0", 2))
 
 
-def _parse_order(raw: bytes) -> tuple[int, int]:
-    """Read the size header; returns (n, payload offset)."""
-    b0 = raw[0]
+def _parse_order(raw: bytes, start: int) -> tuple[int, int]:
+    """Read the size header at ``start``; returns (n, payload offset)."""
+    b0 = raw[start]
     if b0 != 126:
         if not 63 <= b0 <= 126:
-            raise Graph6Error(f"byte {b0} outside graph6 range 63..126", 0)
+            raise Graph6Error(f"byte {b0} outside graph6 range 63..126", start)
         n = b0 - 63
         if n == 0:
-            raise Graph6Error("order 0 not supported", 0)
-        return n, 1
+            raise Graph6Error("order 0 not supported", start)
+        return n, start + 1
     # '~' prefix: 3 bytes of 18-bit order, or '~~' followed by 6 bytes of 36 bits.
-    long_form = len(raw) > 1 and raw[1] == 126
-    start, width = (2, 6) if long_form else (1, 3)
-    if len(raw) < start + width:
+    long_form = raw[start + 1:start + 2] == b"~"
+    first, width = (start + 2, 6) if long_form else (start + 1, 3)
+    if len(raw) < first + width:
         raise Graph6Error("truncated extended size header", len(raw))
     n = 0
-    for off in range(start, start + width):
+    for off in range(first, first + width):
         b = raw[off]
         if not 63 <= b <= 126:
             raise Graph6Error(f"byte {b} outside graph6 range 63..126", off)
         n = n << 6 | (b - 63)
     if not long_form and n < 63:
-        raise Graph6Error(f"non-canonical extended header for n={n}", 0)
+        raise Graph6Error(f"non-canonical extended header for n={n}", start)
     if long_form and n < 258048:
-        raise Graph6Error(f"non-canonical extended header for n={n}", 0)
-    return n, start + width
+        raise Graph6Error(f"non-canonical extended header for n={n}", start)
+    return n, first + width
 
 
 def _encode_order(n: int) -> bytes:

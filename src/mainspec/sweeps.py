@@ -12,18 +12,17 @@ stores every graph's ``graphs.facts`` record (degrees, connectivity,
 two-coloring, pseudo-regular ratio), computed from the block's rows, so the
 claim checkers read it and compute none.  The block rule: no array a sweep
 builds holds more than one block of graphs; a chunk outlives its blocks only
-as its records.
+as its records, until its pairs are yielded.
 Nearly every complement claim needs both spectra, and the complement of mask
-``m`` is mask ``full ^ m``.  The full population is swept in complement-closed
-chunks, masks with the top edge bit clear and their complements, so every
-graph is analysed once at every order; only a sample's missing complements go
-through a second batch, whose graphs only ever serve as a complement: no
-checker or filter reads their facts, so those are left to the lazy per-graph
-route.  A chunk is dropped before the next one is built, so a sweep holds one
-at a time.  ``shares`` cuts every selection into chunks, and splits it for
-``verify``'s processes, one share per usable CPU: a sample into contiguous
-slices, the full population into ranges of those representative masks; a
-sweep is one share.
+``m`` is mask ``full ^ m``.  ``shares`` cuts every selection into chunks, and
+splits it for ``verify``'s processes, one share per usable CPU; a sweep is one
+share.  The full population is cut into complement-closed chunks of one block,
+``_BLOCK // 2`` masks with the top edge bit clear and their complements, so
+every graph is analysed once and no sweep holds more than one block of
+records at any order.  A sample is cut into chunks of ``DEFAULT_CHUNK``, and
+only its missing complements go through a second batch, whose facts no
+checker or filter reads, so those are left to the lazy per-graph route.
+``sweep`` takes each chunk as it is and drops it before the next.
 Every decomposition either passes ``spectra``'s orthonormality, residual and
 trace bounds or raises, so a sweep keeps no hygiene record of its own; the
 per-batch maxima are read where ``spectra.eigen_decompose_batch`` returns them.
@@ -31,21 +30,17 @@ per-batch maxima are read where ``spectra.eigen_decompose_batch`` returns them.
 way and returns the (analysis, complement analysis) pair the sweep yields.
 
 A chunk is built with automatic cyclic collection paused
-(``_collection_paused``).  It makes 14.7 tracked objects per graph at order 6
-(the ``Graph`` and its dict, its ``graphs.Facts``, ``GraphAnalysis`` and
-spectrum, 5.5 ``EigenGroup`` records on average, and plain tuples), and all of
-them stay alive until the chunk's pairs are yielded, so a collection during
-the build can reclaim none of them; each one walks every live record.  A
-collection untracks 3 of them per graph, plain tuples of atomic values only:
-CPython keeps every tuple subclass tracked, the records' named tuples
-included.  Measured with a ``gc.callbacks`` hook (2-core x86_64, Python
-3.11), ``verify all --exhaustive 6`` in one process, unpaused, started 865
-generation-0, 78 generation-1 and 7 full collections inside its chunk
-builds, 0.42 s of a 3.5 s run; paused, none start there and the 7 that run
-after the builds take 0.07 s.  A ``sweep-sampled-o8`` pass runs 13-17
-generation-0 collections and 1 generation-1, 0.05-0.07 s in all.  The pause
-never spans a ``yield``: the consumer's claim checkers run with the collector
-as the caller left it.
+(``_collection_paused``).  Its records, 14.7 tracked objects per graph at
+order 6 (CPython keeps every tuple subclass tracked, the records' named
+tuples included), all stay alive until the chunk's pairs are yielded, so a
+collection during the build reclaims none of them and walks them all.
+Measured with a ``gc.callbacks`` hook (2-core x86_64, Python 3.11),
+``verify all --exhaustive 6`` in one process, unpaused, started 885
+collections inside its 16 chunk builds, 0.21 s of a 3.3 s run; paused, none
+start there and the 40 between the builds take 0.09 s.  A
+``sweep-sampled-o8`` pass runs 13-17 generation-0 collections and 1
+generation-1, 0.05-0.07 s in all.  The pause never spans a ``yield``: the
+consumer's claim checkers run with the collector as the caller left it.
 """
 from __future__ import annotations
 
@@ -93,15 +88,15 @@ def sample_masks(n: int, size: int, seed: int = SAMPLE_SEED) -> np.ndarray:
 def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator[np.ndarray]]:
     """Split a sweep's selection into at most ``count`` shares, one per process.
 
-    A share is an iterator of mask arrays, each to be swept by
-    ``sweep(n, masks=...)`` and none longer than ``DEFAULT_CHUNK``: this is
-    where every sweep's chunks are cut.  A sample ``masks`` is cut into
-    contiguous slices of its sorted order, each in chunks.  The full
-    population is cut into ranges of representative masks, those with the
-    top edge bit clear, and each comes with its complements ``full ^ m``:
-    every chunk is closed under complement, so no graph goes through a
-    complement batch.  Chunks are built as the share is swept, so order 8
-    never holds its 2^28 masks at once.
+    A share is an iterator of chunks, each swept as it is by ``sweep``: this
+    is where every sweep's chunks are cut.  A sample ``masks`` is cut
+    into contiguous slices of its sorted order, each in chunks of at most
+    ``DEFAULT_CHUNK``.  The full population is cut into ranges of
+    representative masks, those with the top edge bit clear, each expanded
+    one block at a time with its complements ``full ^ m``: every chunk holds
+    at most ``_BLOCK`` graphs and is closed under complement, so no graph
+    goes through a complement batch.  Chunks are built as the share is
+    swept, so order 8 never holds its 2^28 masks at once.
     """
     if masks is not None:
         count = max(1, min(count, len(masks)))
@@ -118,10 +113,10 @@ def _slices(masks: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _closed_chunks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Representative masks ``lo..hi-1`` and their complements, ``DEFAULT_CHUNK``
-    at a time, each chunk in mask order: below order 7 the one chunk is ``all_masks``."""
+    """Representative masks ``lo..hi-1`` ``_BLOCK // 2`` at a time, each chunk
+    with its complements after it: one sorted block (below order 6, ``all_masks``)."""
     full = mask_population(n) - 1
-    step = max(DEFAULT_CHUNK // 2, 1)
+    step = max(_BLOCK // 2, 1)
     for start in range(lo, hi, step):
         reps = np.arange(start, min(start + step, hi), dtype=np.int64)
         yield reps if full == 0 else np.concatenate([reps, full ^ reps[::-1]])
@@ -194,18 +189,19 @@ def analyze_with_complements(
     return {g: (found[g], found[c]) for g, c in complements.items()}
 
 
-def sweep(n: int, *,
-          masks: np.ndarray | None = None) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
+def sweep(n: int, *, masks: np.ndarray | None = None, share: Iterable[np.ndarray] | None = None,
+          ) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
     """Yield (analysis, complement analysis) for every selected labeled graph,
-    chunk by chunk of ``shares(n, 1, masks)``'s one share.
+    chunk by chunk of ``share``, by default ``shares(n, 1, masks)``'s one share.
 
-    ``masks=None`` streams the full population in complement-closed chunks,
-    each in mask order; otherwise pairs follow ``masks`` in chunks of
-    ``DEFAULT_CHUNK``, each with a batch of its missing complements.  Every
-    decomposition passes ``spectra``'s hygiene bounds or raises.
+    ``masks=None`` streams the full population in complement-closed chunks of
+    one block, each in mask order; otherwise pairs follow ``masks`` in chunks
+    of ``DEFAULT_CHUNK``, each with a batch of its missing complements.  Each
+    chunk is swept as it comes, never cut again.  Every decomposition passes
+    ``spectra``'s hygiene bounds or raises.
     """
     full = mask_population(n) - 1
-    for part in shares(n, 1, masks)[0]:
+    for part in shares(n, 1, masks)[0] if share is None else share:
         found = _analyses_for_chunk(n, part)
         missing = np.setdiff1d(full ^ part, part)
         if len(missing):

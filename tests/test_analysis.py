@@ -3,6 +3,7 @@ import contextlib
 import gc
 import inspect
 import io
+import itertools
 import sys
 import weakref
 from collections import Counter, deque
@@ -237,13 +238,9 @@ def _verify_json_pairs(n):
     return pairs
 
 
-@pytest.mark.parametrize("route", [lambda n: list(sweep(n)), _verify_json_pairs],
-                         ids=["sweep", "verify-json"])
-def test_a_multi_chunk_population_sweep_analyses_each_graph_once(monkeypatch, route):
-    # Every chunk of a population sweep holds its complements, so no graph
-    # goes through a second, complement batch, whatever the chunk size.
-    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
-    swept = []  # graphs sent to the eigensolver by the sweep's chunk builds
+def _chunk_build_stacks(monkeypatch):
+    """The stacks the sweep's chunk builds send to the eigensolver, as they come."""
+    stacks = []
     building = []
     chunk = sweeps._analyses_for_chunk
     batch = spectra.eigen_decompose_batch
@@ -257,26 +254,71 @@ def test_a_multi_chunk_population_sweep_analyses_each_graph_once(monkeypatch, ro
 
     def recording(mats):
         if building:
-            swept.append(len(mats))
+            stacks.append(mats)
         return batch(mats)
 
     monkeypatch.setattr(sweeps, "_analyses_for_chunk", build)
     monkeypatch.setattr(spectra, "eigen_decompose_batch", recording)
+    return stacks
+
+
+@pytest.mark.parametrize("route", [lambda n: list(sweep(n)), _verify_json_pairs],
+                         ids=["sweep", "verify-json"])
+def test_a_multi_chunk_population_sweep_analyses_each_graph_once(monkeypatch, route):
+    # Every chunk of a population sweep holds its complements, so no graph
+    # goes through a second, complement batch, whatever the chunk size.
+    monkeypatch.setattr(sweeps, "_BLOCK", 256)
+    stacks = _chunk_build_stacks(monkeypatch)
     pairs = route(5)
+    swept = [len(mats) for mats in stacks]  # graphs sent by the sweep's chunk builds
     assert sum(swept) == mask_population(5) == 1024
     assert Counter(a.graph for a, _ in pairs) == Counter(
         Graph.from_edge_mask(5, m) for m in range(mask_population(5)))
     assert all(co.graph == a.graph.complement() for a, co in pairs)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def test_a_closed_chunk_is_never_cut_again(monkeypatch):
+    # ``DEFAULT_CHUNK`` cuts samples only.  Cut below the order-5 population's
+    # one closed chunk of 1,024 graphs, the chunk's parts would each need
+    # their complements in a second batch.
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    stacks = _chunk_build_stacks(monkeypatch)
+    assert len(_verify_json_pairs(5)) == mask_population(5)
+    decomposed = Counter(m.tobytes() for mats in stacks for m in mats)
+    assert len(decomposed) == mask_population(5) and set(decomposed.values()) == {1}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
 def test_a_small_population_is_one_chunk_in_mask_order(n):
     assert np.array_equal(np.concatenate(list(sweeps.shares(n, 1)[0])),
                           np.arange(mask_population(n)))
 
 
-def test_closed_chunks_are_sorted_and_partition_the_population(monkeypatch):
-    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 1 << 10)
+def test_order_6_chunks_are_sorted_closed_and_partition_the_population():
+    # 32,768 graphs in 16 chunks of one block: each in mask order, the
+    # stream as a whole is not.
+    full = mask_population(6) - 1
+    chunks = list(sweeps.shares(6, 1)[0])
+    assert [len(c) for c in chunks] == [sweeps._BLOCK] * 16
+    for c in chunks:
+        assert np.all(np.diff(c) > 0)
+        assert np.array_equal(np.sort(full ^ c), c)
+    assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(mask_population(6)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("count", range(1, 4))
+def test_every_population_chunk_is_one_closed_block(n, count):
+    # Orders 7 and 8 are streamed: only each share's first chunks are taken.
+    full = mask_population(n) - 1
+    for share in sweeps.shares(n, count):
+        for c in itertools.islice(share, 3):
+            assert 0 < len(c) <= sweeps._BLOCK
+            assert np.all(np.diff(c) > 0)
+            assert np.array_equal(np.sort(full ^ c), c)
+
+
+def test_closed_chunks_are_sorted_and_partition_the_population():
     full = mask_population(7) - 1
     for count in (1, 3):
         chunks = [c for share in sweeps.shares(7, count) for c in share]
@@ -291,7 +333,7 @@ def test_sweep_streams_masks_chunk_by_chunk(monkeypatch):
     def no_population(n):
         raise AssertionError("the whole mask population was materialised")
 
-    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 4)
+    monkeypatch.setattr(sweeps, "_BLOCK", 4)
     monkeypatch.setattr(sweeps, "all_masks", no_population)
     a, co = next(sweep(8))
     assert a.graph == Graph.from_edge_mask(8, 0)
@@ -301,7 +343,7 @@ def test_sweep_streams_masks_chunk_by_chunk(monkeypatch):
 def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
     # A multi-chunk sweep holds one chunk of records at a time: the first
     # chunk's graphs are gone when the second chunk's build starts.
-    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    monkeypatch.setattr(sweeps, "_BLOCK", 256)
     real = sweeps._analyses_for_chunk
     first = []
     alive = []
@@ -376,7 +418,7 @@ def test_a_chunk_that_raises_restores_the_collector(collector_state, monkeypatch
 def test_the_collector_runs_between_chunks(collector_state, monkeypatch):
     # The sweep's consumer runs the claim checkers; it must do so with the
     # collector on, before, between and after the chunk builds.
-    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    monkeypatch.setattr(sweeps, "_BLOCK", 256)
     gc.enable()
     pairs = sweep(5)
     next(pairs)
@@ -392,7 +434,7 @@ def test_the_collector_runs_between_chunks(collector_state, monkeypatch):
 
 
 def _block_route(kind, monkeypatch):
-    if kind == "population":  # one chunk of 32,768 graphs
+    if kind == "population":  # closed chunks of one block each
         return lambda: list(sweep(6)), mask_population(6)
     if kind == "sample":
         monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)

@@ -182,6 +182,15 @@ class TestGraph6Errors:
             parse_graph6(data)
         assert exc.value.offset == offset
 
+    @pytest.mark.parametrize("data,offset", [
+        (b"", 10), (b"C\x1f", 11), (b"E", 11), (b"B~", 11), (b"D?@", 12), (b"Chh", 12),
+        (b"?", 10), (b"~", 11), (b"~??A", 10), (b"~?mw", 10)])
+    def test_a_prefixed_offset_counts_the_prefix(self, data, offset):
+        # the same defects as the unprefixed cases here, after ">>graph6<<"
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(b">>graph6<<" + data)
+        assert exc.value.offset == offset
+
     def test_trailing_garbage(self):
         with pytest.raises(Graph6Error):
             parse_graph6(b"Chh")
