@@ -25,6 +25,7 @@ the reference the stack path is tested against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, NamedTuple, Sequence, TypeVar
@@ -91,6 +92,10 @@ class Graph:
     def from_edges(n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
+            try:  # numpy integers too, as Python ints: 1 << np.int64(70) wraps
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ParameterError(f"edge ({u}, {v}) has a non-integer endpoint") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:

@@ -1,7 +1,7 @@
 """Chunked exhaustive sweeps over all labeled graphs of a fixed order.
 
 The enumeration is an edge-bitmask counter, streamed chunk by chunk, and
-each chunk is built in blocks of ``_BLOCK`` graphs.  A block of masks becomes
+each chunk is cut and built in blocks of ``_BLOCK`` graphs.  A block of masks becomes
 a (B, n, n) adjacency stack, its graphs' neighbor bitmasks are read off that
 stack in one step and checked as one array (``graphs.stack_graphs``), and it
 goes to ``analyze_stack``: one batched eigensolve, then
@@ -11,35 +11,43 @@ only the records are built per graph.  ``graphs.fill_stack_facts`` then
 stores every graph's ``graphs.facts`` record (degrees, connectivity,
 two-coloring, pseudo-regular ratio), computed from the block's rows, so the
 claim checkers read it and compute none.  The block rule: no array a sweep
-builds holds more than one block of graphs; a chunk outlives its blocks only
-as its records, until its pairs are yielded.
+builds holds more than one block of graphs; a cut outlives its blocks only
+as its records, until its pairs are yielded, and as the carry's.
 Nearly every complement claim needs both spectra, and the complement of mask
-``m`` is mask ``full ^ m``.  ``shares`` cuts every selection into chunks, and
-splits it for ``verify``'s processes, one share per usable CPU; a sweep is one
+``m`` is mask ``full ^ m``.  ``shares`` splits every selection into chunks,
+and for ``verify``'s processes into one share per usable CPU; a sweep is one
 share.  The full population is cut into complement-closed chunks of one block,
 ``_BLOCK // 2`` masks with the top edge bit clear and their complements, so
 every graph is analysed once and no sweep holds more than one block of
-records at any order.  A sample is cut into chunks of ``DEFAULT_CHUNK``, and
-only its missing complements go through a second batch, whose facts no
-checker or filter reads, so those are left to the lazy per-graph route.
-``sweep`` takes each chunk as it is and drops it before the next.
+records at any order.  A sample share is one chunk, its whole selection, and
+``sweep`` cuts every chunk ``_BLOCK`` masks at a time, in their order.  Each
+cut is analysed in one block, with stacked facts, then its missing
+complements in a second block, whose facts no checker or filter reads, so
+those are left to the lazy per-graph route.  Where a cut's mask ``m`` and its
+complement both lie in the chunk, but the complement in a later cut, the
+carry keeps both analyses until that cut takes them, and the complement's
+facts are stacked with its block: each selected graph is decomposed once.
+The carry is empty for closed chunks, holds a few pairs for a random sample
+at order 7 or 8, and never more than ``_CARRY`` blocks of analyses; past
+that, a pair is decomposed again in its later cut.  Each cut is dropped,
+apart from its carry, before the next one is built.
 Every decomposition either passes ``spectra``'s orthonormality, residual and
 trace bounds or raises, so a sweep keeps no hygiene record of its own; the
 per-batch maxima are read where ``spectra.eigen_decompose_batch`` returns them.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
 way and returns the (analysis, complement analysis) pair the sweep yields.
 
-A chunk is built with automatic cyclic collection paused
+A block is built with automatic cyclic collection paused
 (``_collection_paused``).  Its records, 14.7 tracked objects per graph at
 order 6 (CPython keeps every tuple subclass tracked, the records' named
-tuples included), all stay alive until the chunk's pairs are yielded, so a
+tuples included), all stay alive until the cut's pairs are yielded, so a
 collection during the build reclaims none of them and walks them all.
 Measured with a ``gc.callbacks`` hook (2-core x86_64, Python 3.11),
 ``verify all --exhaustive 6`` in one process, unpaused, started 885
 collections inside its 16 chunk builds, 0.21 s of a 3.3 s run; paused, none
 start there and the 40 between the builds take 0.09 s.  A
-``sweep-sampled-o8`` pass runs 13-17 generation-0 collections and 1
-generation-1, 0.05-0.07 s in all.  The pause never spans a ``yield``: the
+``sweep-sampled-o8`` pass, cut at the block, runs 14-19 generation-0
+collections and 1-2 generation-1, 0.03-0.05 s in all.  The pause never spans a ``yield``: the
 consumer's claim checkers run with the collector as the caller left it.
 """
 from __future__ import annotations
@@ -53,15 +61,15 @@ import numpy as np
 from . import spectra
 from .analysis import GraphAnalysis, finish_analyses
 from .analysis import resolve_spectrum  # noqa: F401  (bound here for perfbench's span tracer)
-from .graphs import Graph, fill_stack_facts, stack_graphs, triangle_pairs
+from .graphs import Graph, ParameterError, fill_stack_facts, stack_graphs, triangle_pairs
 
-DEFAULT_CHUNK = 1 << 15
 _BLOCK = 1 << 11
+_CARRY = 8  # blocks of analyses a sweep's carry may hold
 SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
-# Largest sample ``verify --sample`` takes: about 3 minutes of sweep at some
-# 5,000-6,000 pairs/s in one process, half that split over two CPUs
-# (``verify all --exhaustive 8 --sample 131072`` takes 22-27 s in one process
-# and 14.5 s in two on a 2-core x86_64 box).  Past a fiftieth of the population numpy's sampler
+# Largest sample ``verify --sample`` takes: about 2-3 minutes of sweep at some
+# 6,000-8,000 pairs/s in one process, half that split over two CPUs
+# (``verify all --exhaustive 8 --sample 131072`` takes 16-21 s in one process
+# and 11-12 s in two on a 2-core x86_64 box).  Past a fiftieth of the population numpy's sampler
 # without replacement builds the whole population as int64, 2 GiB at order 8.
 MAX_SAMPLE = 1 << 20
 
@@ -88,28 +96,46 @@ def sample_masks(n: int, size: int, seed: int = SAMPLE_SEED) -> np.ndarray:
 def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator[np.ndarray]]:
     """Split a sweep's selection into at most ``count`` shares, one per process.
 
-    A share is an iterator of chunks, each swept as it is by ``sweep``: this
-    is where every sweep's chunks are cut.  A sample ``masks`` is cut
-    into contiguous slices of its sorted order, each in chunks of at most
-    ``DEFAULT_CHUNK``.  The full population is cut into ranges of
-    representative masks, those with the top edge bit clear, each expanded
-    one block at a time with its complements ``full ^ m``: every chunk holds
-    at most ``_BLOCK`` graphs and is closed under complement, so no graph
-    goes through a complement batch.  Chunks are built as the share is
-    swept, so order 8 never holds its 2^28 masks at once.
+    A share is an iterator of chunks, each cut by ``sweep`` ``_BLOCK`` masks at
+    a time.  A sample ``masks``, whose masks must all be edge masks of order
+    ``n`` (else ParameterError), is split into contiguous slices of its order,
+    and each share is one chunk, its slice: so ``sweep`` sees the whole
+    selection and finds every complement it holds.  The full population is
+    cut into ranges of representative masks, those with the top edge bit
+    clear, each expanded one block at a time with its complements
+    ``full ^ m``: every chunk holds at most ``_BLOCK`` graphs and is closed
+    under complement, so no graph goes through a complement batch.  Chunks
+    are built as the share is swept, so order 8 never holds its 2^28 masks at
+    once.
     """
     if masks is not None:
+        population = mask_population(n)
+        if len(masks) and not 0 <= masks.min() <= masks.max() < population:
+            raise ParameterError(f"edge masks of order {n} lie in [0, {population:,}), "
+                                 f"got {masks.min()}..{masks.max()}")
         count = max(1, min(count, len(masks)))
-        return [_slices(part) for part in np.array_split(masks, count)]
+        return [iter([part]) for part in np.array_split(masks, count)]
     reps = max(mask_population(n) // 2, 1)  # order 1's one mask is its own complement
     count = max(1, min(count, reps))
     return [_closed_chunks(n, reps * i // count, reps * (i + 1) // count) for i in range(count)]
 
 
 def _slices(masks: np.ndarray) -> Iterator[np.ndarray]:
-    """``masks`` ``DEFAULT_CHUNK`` at a time, in their order."""
-    for lo in range(0, len(masks), DEFAULT_CHUNK):
-        yield masks[lo:lo + DEFAULT_CHUNK]
+    """``masks`` ``_BLOCK`` at a time, in their order: a chunk's cuts."""
+    for lo in range(0, len(masks), _BLOCK):
+        yield masks[lo:lo + _BLOCK]
+
+
+def _pair_cuts(masks: np.ndarray, full: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each mask's pair ``{m, full ^ m}`` also lies in an earlier cut of
+    ``masks``, and whether in a later one."""
+    cuts = np.arange(len(masks)) // _BLOCK
+    pairs, which = np.unique(np.minimum(masks, full ^ masks), return_inverse=True)
+    first = np.full(len(pairs), len(masks))
+    last = np.zeros(len(pairs), dtype=np.int64)
+    np.minimum.at(first, which, cuts)
+    np.maximum.at(last, which, cuts)
+    return first[which] < cuts, last[which] > cuts
 
 
 def _closed_chunks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -150,15 +176,19 @@ def _collection_paused() -> Iterator[None]:
 
 
 @_collection_paused()
-def _analyses_for_chunk(n: int, masks: np.ndarray, *,
-                        facts: bool = True) -> dict[int, GraphAnalysis]:
+def _analyses_for_chunk(n: int, masks: np.ndarray,
+                        facts: np.ndarray | None = None) -> dict[int, GraphAnalysis]:
+    """``{m: analysis}`` for ``masks``, ``_BLOCK`` at a time; the facts of the
+    graphs ``facts`` picks, by default all, are stacked."""
     analyses: list[GraphAnalysis] = []
     for lo in range(0, len(masks), _BLOCK):
         adj = adjacency_stack(n, masks[lo:lo + _BLOCK])
         # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
         graphs = stack_graphs((adj @ 2.0 ** np.arange(n)).astype(np.int64))
         analyses += analyze_stack(graphs, adj)
-        if facts:
+        if facts is not None:
+            graphs = [g for g, pick in zip(graphs, facts[lo:lo + _BLOCK].tolist()) if pick]
+        if graphs:
             fill_stack_facts(graphs)
     return dict(zip(masks.tolist(), analyses))
 
@@ -195,18 +225,32 @@ def sweep(n: int, *, masks: np.ndarray | None = None, share: Iterable[np.ndarray
     chunk by chunk of ``share``, by default ``shares(n, 1, masks)``'s one share.
 
     ``masks=None`` streams the full population in complement-closed chunks of
-    one block, each in mask order; otherwise pairs follow ``masks`` in chunks
-    of ``DEFAULT_CHUNK``, each with a batch of its missing complements.  Each
-    chunk is swept as it comes, never cut again.  Every decomposition passes
-    ``spectra``'s hygiene bounds or raises.
+    one block, each in mask order; otherwise pairs follow ``masks``, which
+    must be edge masks of order ``n`` (else ParameterError).  Each chunk is cut
+    ``_BLOCK`` masks at a time: a cut is analysed in one block, then the
+    complements neither it nor the carry holds in one more, and the carry
+    takes the pairs a later cut of the chunk still needs, so no selected
+    graph is decomposed twice while the carry has room.  Every decomposition
+    passes ``spectra``'s hygiene bounds or raises.
     """
     full = mask_population(n) - 1
-    for part in shares(n, 1, masks)[0] if share is None else share:
-        found = _analyses_for_chunk(n, part)
-        missing = np.setdiff1d(full ^ part, part)
-        if len(missing):
-            # Only ever yielded as the complement, whose facts nothing reads.
-            found |= _analyses_for_chunk(n, missing, facts=False)
-        for mask in part.tolist():
-            yield found[mask], found[full ^ mask]
-        del found  # the next chunk's build must not find this one alive
+    for chunk in shares(n, 1, masks)[0] if share is None else share:
+        carry: dict[int, GraphAnalysis] = {}
+        earlier, later = _pair_cuts(chunk, full)
+        for part, before, after in zip(_slices(chunk), _slices(earlier), _slices(later)):
+            found = {m: carry.pop(m) for m in np.union1d(part, full ^ part).tolist()
+                     if m in carry}
+            held = np.fromiter(found, dtype=np.int64, count=len(found))
+            found |= _analyses_for_chunk(n, np.setdiff1d(part, held))
+            # A complement another cut selects is yielded there as a selected
+            # graph, which needs its facts, and the carry keeps the pairs a
+            # later cut needs, as far as it has room.
+            missing = np.setdiff1d(full ^ part, np.union1d(part, held))
+            if len(missing):
+                found |= _analyses_for_chunk(
+                    n, missing, facts=np.isin(missing, full ^ part[before | after]))
+            for mask in part.tolist():
+                yield found[mask], found[full ^ mask]
+            keep = part[after][:(_CARRY * _BLOCK - len(carry)) // 2]
+            carry.update((m, found[m]) for m in np.union1d(keep, full ^ keep).tolist())
+            del found  # the next cut's build must not find this one alive

@@ -4,6 +4,7 @@ import gc
 import inspect
 import io
 import itertools
+import re
 import sys
 import weakref
 from collections import Counter, deque
@@ -22,6 +23,7 @@ from mainspec.graph6 import parse_graph6
 from mainspec.graphs import (
     Facts,
     Graph,
+    ParameterError,
     complete,
     cycle,
     double_star,
@@ -278,12 +280,16 @@ def test_a_multi_chunk_population_sweep_analyses_each_graph_once(monkeypatch, ro
 
 
 def test_a_closed_chunk_is_never_cut_again(monkeypatch):
-    # ``DEFAULT_CHUNK`` cuts samples only.  Cut below the order-5 population's
-    # one closed chunk of 1,024 graphs, the chunk's parts would each need
-    # their complements in a second batch.
-    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    # ``sweep`` cuts every chunk at ``_BLOCK``, the size of a closed chunk:
+    # each of the order-5 population's four closed chunks of 256 graphs goes
+    # to the eigensolver whole, closed under complement, with no second batch.
+    monkeypatch.setattr(sweeps, "_BLOCK", 256)
     stacks = _chunk_build_stacks(monkeypatch)
     assert len(_verify_json_pairs(5)) == mask_population(5)
+    assert [len(mats) for mats in stacks] == [256] * 4
+    for mats in stacks:
+        complements = 1 - np.eye(5) - mats
+        assert {m.tobytes() for m in complements} == {m.tobytes() for m in mats}
     decomposed = Counter(m.tobytes() for mats in stacks for m in mats)
     assert len(decomposed) == mask_population(5) and set(decomposed.values()) == {1}
 
@@ -436,8 +442,7 @@ def test_the_collector_runs_between_chunks(collector_state, monkeypatch):
 def _block_route(kind, monkeypatch):
     if kind == "population":  # closed chunks of one block each
         return lambda: list(sweep(6)), mask_population(6)
-    if kind == "sample":
-        monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    if kind == "sample":  # ten cuts, each with its complement batch
         masks = sweeps.sample_masks(7, 1000)
         full = mask_population(7) - 1
         return (lambda: list(sweep(7, masks=masks)),
@@ -478,13 +483,97 @@ def test_no_stack_holds_more_than_one_block(monkeypatch, kind):
 
 def test_a_multi_chunk_sample_is_swept_in_mask_order(monkeypatch):
     # ``sweep(n, masks=m)`` yields its pairs in the order of ``m``, across
-    # chunk edges (every 256 masks) and block edges (every 100 graphs).
-    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 256)
+    # the edges of its cuts and of their complement batches (every 100 graphs).
     monkeypatch.setattr(sweeps, "_BLOCK", 100)
     masks = sweeps.sample_masks(7, 1000)
     want = [Graph.from_edge_mask(7, m) for m in masks.tolist()]
     assert [(a.graph, co.graph) for a, co in sweep(7, masks=masks)] == [
         (g, g.complement()) for g in want]
+
+
+def _stored_facts(g):
+    return any(isinstance(v, Facts) for v in g.__dict__.values())
+
+
+def _swept_sample(route, n, size):
+    """The pairs of order ``n``'s ``size``-mask sample, as ``sweep(n, masks=...)``
+    or ``verify all --sample size --json`` sweeps them; whether each pair's two
+    graphs had stacked facts when it was yielded; and ``verify``'s output, its
+    timestamp cut."""
+    pairs, stored = [], []
+    real = sweeps.sweep
+
+    def recording(n, **kwargs):
+        for a, co in real(n, **kwargs):
+            pairs.append((a, co))
+            stored.append((_stored_facts(a.graph), _stored_facts(co.graph)))
+            yield a, co
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(sweeps, "sweep", recording)
+        if route == "sweep":
+            deque(sweeps.sweep(n, masks=sweeps.sample_masks(n, size)), maxlen=0)
+        else:
+            argv = ["verify", "all", "--exhaustive", str(n), "--sample", str(size), "--json"]
+            assert cli.main(argv) == 0
+    return pairs, stored, re.sub(r'"generated_at": "[^"]*"', "", out.getvalue())
+
+
+@pytest.mark.parametrize("route", ["sweep", "verify-json"])
+def test_a_sample_cut_at_the_block_decomposes_each_graph_once(monkeypatch, route):
+    # Under one block, order 5's 600-mask sample is one cut.  Cut 64 masks at
+    # a time, over 300 of its masks have their complement selected in another
+    # cut, and the carry takes each such pair's two analyses to the later one.
+    n, size, block = 5, 600, 64
+    whole, _, whole_out = _swept_sample(route, n, size)
+    masks = sweeps.sample_masks(n, size)
+    full = mask_population(n) - 1
+    cut = {m: i // block for i, m in enumerate(masks.tolist())}
+    assert sum(cut.get(full ^ m, i) != i for m, i in cut.items()) > 300
+    monkeypatch.setattr(sweeps, "_BLOCK", block)
+    stacks = _chunk_build_stacks(monkeypatch)
+    pairs, stored, out = _swept_sample(route, n, size)
+    decomposed = Counter(m.tobytes() for mats in stacks for m in mats)
+    assert len(decomposed) == len(np.union1d(masks, full ^ masks))
+    assert set(decomposed.values()) == {1}
+    want = [Graph.from_edge_mask(n, m) for m in masks.tolist()]
+    assert [(a.graph, co.graph) for a, co in pairs] == [(g, g.complement()) for g in want]
+    # A complement's facts are stacked where its mask is selected, only there.
+    assert stored == [(True, full ^ m in cut) for m in masks.tolist()]
+    assert pairs == whole and out == whole_out
+
+
+def test_the_carry_is_bounded(monkeypatch):
+    # All of order 5's masks as a sample, cut 16 at a time: each of the 512
+    # masks below 512 has its complement in a later cut, more pairs than the
+    # carry's blocks hold.  The pairs it has no room for are decomposed again
+    # in their later cut, and no more than the cut, its complement batch and
+    # the carry are alive at once.
+    monkeypatch.setattr(sweeps, "_BLOCK", 16)
+    built = []
+    stack = sweeps.stack_graphs
+
+    def recording(rows):
+        graphs = stack(rows)
+        built.extend(weakref.ref(g) for g in graphs)
+        return graphs
+
+    monkeypatch.setattr(sweeps, "stack_graphs", recording)
+    masks = np.arange(mask_population(5))
+    alive = []
+    for (a, co), m in zip(sweep(5, masks=masks), masks.tolist()):
+        assert a.graph == Graph.from_edge_mask(5, m) and co.graph == a.graph.complement()
+        alive.append(sum(ref() is not None for ref in built))
+    assert max(alive) == (2 + sweeps._CARRY) * 16
+    assert mask_population(5) < len(built) <= 2 * mask_population(5)
+
+
+@pytest.mark.parametrize("mask", [1 << 15, -1])
+def test_sweep_refuses_a_mask_outside_the_order(mask):
+    # 1 << 15 would be read as the empty graph of order 6, and -1 as K_6.
+    with pytest.raises(ParameterError, match="edge masks of order 6"):
+        next(sweep(6, masks=np.array([0, mask], dtype=np.int64)))
 
 
 def test_pipeline_never_reaches_bareiss(monkeypatch):

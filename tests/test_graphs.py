@@ -79,6 +79,19 @@ class TestGraphType:
         with pytest.raises(ParameterError):
             Graph(2, (0b10, 0b00))
 
+    def test_numpy_endpoints_build_the_same_graph(self):
+        # 1 << np.int64(70) wraps; each endpoint is taken as a Python int.
+        g = Graph.from_edges(100, [(np.int64(0), np.int64(70)), (np.int32(70), np.uint8(99))])
+        assert g == Graph.from_edges(100, [(0, 70), (70, 99)])
+        assert g.rows[0] == 1 << 70 and g.rows[70] == 1 | 1 << 99
+        a = g.adjacency_matrix()
+        assert np.array_equal(a, a.T) and a.sum() == 4
+
+    @pytest.mark.parametrize("edge", [(0.0, 1), (0, np.float64(1)), ("0", 1)])
+    def test_rejects_non_integer_endpoints(self, edge):
+        with pytest.raises(ParameterError, match="non-integer endpoint"):
+            Graph.from_edges(3, [edge])
+
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1
