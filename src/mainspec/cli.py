@@ -19,7 +19,6 @@ import argparse
 import bisect
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -356,14 +355,14 @@ def _selected_masks(args: argparse.Namespace) -> np.ndarray | None:
 def _sweep_pairs(n: int, share: Iterable[np.ndarray], checks: _Checks,
                  args: argparse.Namespace) -> Iterator[_Pair]:
     """Every order-n labeled graph of ``share`` the filters keep, keyed by its
-    mask, with the chosen claims' graph checkers."""
-    share, keys = itertools.tee(share)  # each chunk is cut once, read twice
-    for key, (a, co) in zip(itertools.chain.from_iterable(keys), sweeps.sweep(n, share=share)):
-        if args.connected and not is_connected(a.graph):
-            continue
-        if args.bipartite and not is_bipartite(a.graph):
-            continue
-        yield key, a, co, checks
+    mask, with the chosen claims' graph checkers; each chunk is one sweep."""
+    for chunk in share:
+        for (a, co), key in zip(sweeps.sweep(n, masks=chunk), chunk.tolist()):
+            if args.connected and not is_connected(a.graph):
+                continue
+            if args.bipartite and not is_bipartite(a.graph):
+                continue
+            yield key, a, co, checks
 
 
 def _family_pairs(instances: list[tuple[str, Graph, Callable[..., TheoremReport]]],

@@ -14,12 +14,12 @@ claim checkers read it and compute none.  The block rule: no array a sweep
 builds holds more than one block of graphs; a cut outlives its blocks only
 as its records, until its pairs are yielded, and as the carry's.
 Nearly every complement claim needs both spectra, and the complement of mask
-``m`` is mask ``full ^ m``.  ``shares`` splits every selection into chunks,
-and for ``verify``'s processes into one share per usable CPU; a sweep is one
-share.  The full population is cut into complement-closed chunks of one block,
-``_BLOCK // 2`` masks with the top edge bit clear and their complements, so
-every graph is analysed once and no sweep holds more than one block of
-records at any order.  A sample share is one chunk, its whole selection, and
+``m`` is mask ``full ^ m``.  A ``sweep`` takes one selection and checks it;
+``shares`` splits one into chunks, one share per ``verify`` process, and
+``verify`` sweeps each chunk alone.  The population is cut into closed
+chunks of one block, ``_BLOCK // 2`` masks with the top edge bit clear and
+their complements, so every graph is analysed once and no sweep holds more
+than one block of records at any order.  A sample is one chunk, and
 ``sweep`` cuts every chunk ``_BLOCK`` masks at a time, in their order.  Each
 cut is analysed in one block, with stacked facts, then its missing
 complements in a second block, whose facts no checker or filter reads, so
@@ -96,34 +96,23 @@ def sample_masks(n: int, size: int, seed: int = SAMPLE_SEED) -> np.ndarray:
 def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator[np.ndarray]]:
     """Split a sweep's selection into at most ``count`` shares, one per process.
 
-    A share is an iterator of chunks, each cut by ``sweep`` ``_BLOCK`` masks at
-    a time.  A sample ``masks``, whose masks must all be edge masks of order
-    ``n`` (else ParameterError), is split into contiguous slices of its order,
-    and each share is one chunk, its slice: so ``sweep`` sees the whole
-    selection and finds every complement it holds.  The full population is
-    cut into ranges of representative masks, those with the top edge bit
-    clear, each expanded one block at a time with its complements
-    ``full ^ m``: every chunk holds at most ``_BLOCK`` graphs and is closed
-    under complement, so no graph goes through a complement batch.  Chunks
-    are built as the share is swept, so order 8 never holds its 2^28 masks at
-    once.
+    A share is an iterator of chunks, each of which ``verify`` passes to
+    ``sweep`` as one selection, so ``sweep`` checks its masks.  A sample
+    ``masks`` is split into contiguous slices of its order, and each share is
+    one chunk, its slice: so ``sweep`` sees the whole slice and finds every
+    complement it holds.  The full population is cut into ranges of
+    representative masks, those with the top edge bit clear, each expanded
+    one block at a time with its complements ``full ^ m``: every chunk holds
+    at most ``_BLOCK`` graphs and is closed under complement, so no graph
+    goes through a complement batch.  Chunks are built as the share is
+    swept, so order 8 never holds its 2^28 masks at once.
     """
     if masks is not None:
-        population = mask_population(n)
-        if len(masks) and not 0 <= masks.min() <= masks.max() < population:
-            raise ParameterError(f"edge masks of order {n} lie in [0, {population:,}), "
-                                 f"got {masks.min()}..{masks.max()}")
         count = max(1, min(count, len(masks)))
         return [iter([part]) for part in np.array_split(masks, count)]
     reps = max(mask_population(n) // 2, 1)  # order 1's one mask is its own complement
     count = max(1, min(count, reps))
     return [_closed_chunks(n, reps * i // count, reps * (i + 1) // count) for i in range(count)]
-
-
-def _slices(masks: np.ndarray) -> Iterator[np.ndarray]:
-    """``masks`` ``_BLOCK`` at a time, in their order: a chunk's cuts."""
-    for lo in range(0, len(masks), _BLOCK):
-        yield masks[lo:lo + _BLOCK]
 
 
 def _pair_cuts(masks: np.ndarray, full: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,20 +165,18 @@ def _collection_paused() -> Iterator[None]:
 
 
 @_collection_paused()
-def _analyses_for_chunk(n: int, masks: np.ndarray,
+def _analyses_for_block(n: int, masks: np.ndarray,
                         facts: np.ndarray | None = None) -> dict[int, GraphAnalysis]:
-    """``{m: analysis}`` for ``masks``, ``_BLOCK`` at a time; the facts of the
-    graphs ``facts`` picks, by default all, are stacked."""
-    analyses: list[GraphAnalysis] = []
-    for lo in range(0, len(masks), _BLOCK):
-        adj = adjacency_stack(n, masks[lo:lo + _BLOCK])
-        # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
-        graphs = stack_graphs((adj @ 2.0 ** np.arange(n)).astype(np.int64))
-        analyses += analyze_stack(graphs, adj)
-        if facts is not None:
-            graphs = [g for g, pick in zip(graphs, facts[lo:lo + _BLOCK].tolist()) if pick]
-        if graphs:
-            fill_stack_facts(graphs)
+    """``{m: analysis}`` for at most ``_BLOCK`` ``masks``, built as one block;
+    the facts of the graphs ``facts`` picks, by default all, are stacked."""
+    adj = adjacency_stack(n, masks)
+    # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
+    graphs = stack_graphs((adj @ 2.0 ** np.arange(n)).astype(np.int64))
+    analyses = analyze_stack(graphs, adj)
+    if facts is not None:
+        graphs = [g for g, pick in zip(graphs, facts.tolist()) if pick]
+    if graphs:
+        fill_stack_facts(graphs)
     return dict(zip(masks.tolist(), analyses))
 
 
@@ -219,35 +206,47 @@ def analyze_with_complements(
     return {g: (found[g], found[c]) for g, c in complements.items()}
 
 
-def sweep(n: int, *, masks: np.ndarray | None = None, share: Iterable[np.ndarray] | None = None,
+def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
           ) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
-    """Yield (analysis, complement analysis) for every selected labeled graph,
-    chunk by chunk of ``share``, by default ``shares(n, 1, masks)``'s one share.
-
-    ``masks=None`` streams the full population in complement-closed chunks of
-    one block, each in mask order; otherwise pairs follow ``masks``, which
-    must be edge masks of order ``n`` (else ParameterError).  Each chunk is cut
-    ``_BLOCK`` masks at a time: a cut is analysed in one block, then the
-    complements neither it nor the carry holds in one more, and the carry
-    takes the pairs a later cut of the chunk still needs, so no selected
-    graph is decomposed twice while the carry has room.  Every decomposition
-    passes ``spectra``'s hygiene bounds or raises.
+    """Yield (analysis, complement analysis) for every selected labeled graph
+    of order ``n`` in 1..11: by default all, in ``shares(n, 1)``'s closed
+    chunks of one block, each in mask order; else the one chunk ``masks``, any
+    1-D integer array or list of edge masks of order ``n``, in its order.  A
+    bad order or selection raises ParameterError.  Each chunk is cut
+    ``_BLOCK`` masks at a time: a cut's masks the carry lacks are analysed in
+    one block, then the complements neither the cut nor the carry holds in
+    one more, and the carry takes the pairs a later cut still needs, so no
+    selected graph is decomposed twice while the carry has room.  Every
+    decomposition passes ``spectra``'s hygiene bounds or raises.
     """
+    if not 1 <= n <= 11:  # order 12's 66 edge bits overflow an int64 mask
+        raise ParameterError(f"a sweep's order lies in 1..11, got {n}")
     full = mask_population(n) - 1
-    for chunk in shares(n, 1, masks)[0] if share is None else share:
+    if masks is not None:
+        masks = np.asarray(masks)
+        if masks.ndim != 1 or (masks.size and masks.dtype.kind not in "iu"):
+            raise ParameterError(f"edge masks of order {n} are a 1-D integer selection, "
+                                 f"got {masks.dtype} of shape {masks.shape}")
+        masks = masks.astype(np.int64, copy=False)
+        if len(masks) and not 0 <= masks.min() <= masks.max() <= full:
+            raise ParameterError(f"edge masks of order {n} lie in [0, {full + 1:,}), "
+                                 f"got {masks.min()}..{masks.max()}")
+    for chunk in shares(n, 1, masks)[0]:
         carry: dict[int, GraphAnalysis] = {}
         earlier, later = _pair_cuts(chunk, full)
-        for part, before, after in zip(_slices(chunk), _slices(earlier), _slices(later)):
+        for lo in range(0, len(chunk), _BLOCK):
+            part, before, after = (a[lo:lo + _BLOCK] for a in (chunk, earlier, later))
             found = {m: carry.pop(m) for m in np.union1d(part, full ^ part).tolist()
                      if m in carry}
             held = np.fromiter(found, dtype=np.int64, count=len(found))
-            found |= _analyses_for_chunk(n, np.setdiff1d(part, held))
+            if len(fresh := np.setdiff1d(part, held)):  # else the carry holds the whole cut
+                found |= _analyses_for_block(n, fresh)
             # A complement another cut selects is yielded there as a selected
             # graph, which needs its facts, and the carry keeps the pairs a
             # later cut needs, as far as it has room.
             missing = np.setdiff1d(full ^ part, np.union1d(part, held))
             if len(missing):
-                found |= _analyses_for_chunk(
+                found |= _analyses_for_block(
                     n, missing, facts=np.isin(missing, full ^ part[before | after]))
             for mask in part.tolist():
                 yield found[mask], found[full ^ mask]

@@ -244,7 +244,7 @@ def _chunk_build_stacks(monkeypatch):
     """The stacks the sweep's chunk builds send to the eigensolver, as they come."""
     stacks = []
     building = []
-    chunk = sweeps._analyses_for_chunk
+    chunk = sweeps._analyses_for_block
     batch = spectra.eigen_decompose_batch
 
     def build(*args, **kwargs):
@@ -259,7 +259,7 @@ def _chunk_build_stacks(monkeypatch):
             stacks.append(mats)
         return batch(mats)
 
-    monkeypatch.setattr(sweeps, "_analyses_for_chunk", build)
+    monkeypatch.setattr(sweeps, "_analyses_for_block", build)
     monkeypatch.setattr(spectra, "eigen_decompose_batch", recording)
     return stacks
 
@@ -350,7 +350,7 @@ def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
     # A multi-chunk sweep holds one chunk of records at a time: the first
     # chunk's graphs are gone when the second chunk's build starts.
     monkeypatch.setattr(sweeps, "_BLOCK", 256)
-    real = sweeps._analyses_for_chunk
+    real = sweeps._analyses_for_block
     first = []
     alive = []
 
@@ -358,7 +358,7 @@ def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
         alive.append(first[0]() is not None if first else None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sweeps, "_analyses_for_chunk", build)
+    monkeypatch.setattr(sweeps, "_analyses_for_block", build)
     pairs = sweep(5)
     a, _ = next(pairs)
     first.append(weakref.ref(a.graph))
@@ -381,7 +381,7 @@ def collector_state():
 def test_no_collection_starts_inside_a_chunk_build(collector_state):
     # Every record a chunk builds stays alive until its pairs are yielded,
     # so a collection started while one is built could reclaim none of them.
-    chunk_code = inspect.unwrap(sweeps._analyses_for_chunk).__code__
+    chunk_code = inspect.unwrap(sweeps._analyses_for_block).__code__
     started = []
 
     def hook(phase, info):
@@ -569,11 +569,53 @@ def test_the_carry_is_bounded(monkeypatch):
     assert mask_population(5) < len(built) <= 2 * mask_population(5)
 
 
-@pytest.mark.parametrize("mask", [1 << 15, -1])
-def test_sweep_refuses_a_mask_outside_the_order(mask):
-    # 1 << 15 would be read as the empty graph of order 6, and -1 as K_6.
+@pytest.mark.parametrize("masks", [np.array([0, 1 << 15], dtype=np.int64),
+                                   np.array([0, -1], dtype=np.int64),
+                                   np.array([1.0, 2.0]), np.array([[0, 1]])],
+                         ids=["32768", "-1", "float", "2-D"])
+def test_sweep_refuses_a_mask_outside_the_order(masks):
+    # 1 << 15 would be read as the empty graph of order 6, and -1 as K_6; a
+    # float or 2-D selection holds no edge masks.
     with pytest.raises(ParameterError, match="edge masks of order 6"):
-        next(sweep(6, masks=np.array([0, mask], dtype=np.int64)))
+        next(sweep(6, masks=masks))
+
+
+def test_sweep_takes_any_integer_selection_as_int64():
+    want = list(sweep(6, masks=np.array([1, 2])))
+    assert len(want) == 2
+    for masks in ([1, 2], np.array([1, 2], dtype=np.int8), np.array([1, 2], dtype=np.uint64)):
+        assert list(sweep(6, masks=masks)) == want
+    assert list(sweep(6, masks=[])) == list(sweep(6, masks=np.array([], dtype=np.int64))) == []
+
+
+@pytest.mark.parametrize("n", [0, -1, 12])
+def test_sweep_refuses_an_order_outside_1_to_11(n):
+    # Order 12's 66 edge bits overflow an int64 mask.
+    with pytest.raises(ParameterError, match=r"order lies in 1\.\.11, got"):
+        next(sweep(n))
+
+
+def test_sweeping_each_chunk_of_three_shares_alone_decomposes_each_graph_once(monkeypatch):
+    # ``verify`` sweeps each chunk of each share as one selection: together
+    # they yield the pairs of the one-share sweep, each graph decomposed once.
+    keys = np.concatenate(list(sweeps.shares(6, 1)[0])).tolist()
+    want = dict(zip(keys, sweep(6)))
+    decomposed = Counter()
+    batch = spectra.eigen_decompose_batch
+
+    def recording(mats):
+        decomposed.update(m.tobytes() for m in mats)
+        return batch(mats)
+
+    monkeypatch.setattr(spectra, "eigen_decompose_batch", recording)
+    got, swept = {}, 0
+    for share in sweeps.shares(6, 3):
+        for chunk in share:
+            got.update(zip(chunk.tolist(), sweep(6, masks=chunk)))
+            swept += len(chunk)
+    assert swept == len(got) == mask_population(6)
+    assert got == want
+    assert len(decomposed) == mask_population(6) and set(decomposed.values()) == {1}
 
 
 def test_pipeline_never_reaches_bareiss(monkeypatch):
