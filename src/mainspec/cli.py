@@ -72,9 +72,11 @@ _NUMERICAL_ERRORS = (AmbiguousGroupingError, ConvergenceError, SpectralInvariant
 _MAX_FAIL_DETAIL = 20  # failing witnesses printed per claim in table mode
 
 # Smallest table-mode sweep split across CPUs.  A split costs about 20 ms of
-# CPU (the fork, copy-on-write faults, pickling, reaping) and a swept graph
-# 100-180 us, so 2,048 graphs are some ten times the split's cost; the default
-# --exhaustive 4 (64 graphs) and order 5 (1,024) stay in one process.
+# CPU (the fork, copy-on-write faults, pickling, reaping) and a graph swept and
+# checked in one process 40-110 us (order 6 to an order-7 sample with its
+# complement batch, 2-core x86_64), so 2,048 graphs are some four to ten times
+# the split's cost; the default --exhaustive 4 (64 graphs) and order 5 (1,024)
+# stay in one process.
 _MIN_SPLIT = 2048
 
 # Most characters ``analyze`` reads from stdin or a file.  The longest
@@ -312,9 +314,14 @@ class _Tally:
         else:
             self.skipped += 1
 
-    def _keep(self, key: float, report: TheoremReport) -> None:
+    def wants(self, key: float) -> bool:
+        """Whether a failure keyed ``key`` would be kept."""
         failing = self.failing
-        if len(failing) < _MAX_FAIL_DETAIL or key < failing[-1][0]:
+        return len(failing) < _MAX_FAIL_DETAIL or key < failing[-1][0]
+
+    def _keep(self, key: float, report: TheoremReport) -> None:
+        if self.wants(key):
+            failing = self.failing
             bisect.insort(failing, (key, report), key=itemgetter(0))
             del failing[_MAX_FAIL_DETAIL:]
 
@@ -352,17 +359,72 @@ def _selected_masks(args: argparse.Namespace) -> np.ndarray | None:
     return None
 
 
+def _cuts(n: int, share: Iterable[np.ndarray],
+           ) -> Iterator[tuple[list[tuple[GraphAnalysis, GraphAnalysis]], np.ndarray]]:
+    """Each cut of ``share``'s order-n graphs with its masks, the pairs'
+    keys; each chunk is one sweep."""
+    for chunk in share:
+        start = 0
+        for cut in sweeps.cuts(n, masks=chunk):
+            yield cut, chunk[start:start + len(cut)]
+            start += len(cut)
+            del cut  # the next cut's build must not find this one alive
+
+
 def _sweep_pairs(n: int, share: Iterable[np.ndarray], checks: _Checks,
                  args: argparse.Namespace) -> Iterator[_Pair]:
     """Every order-n labeled graph of ``share`` the filters keep, keyed by its
-    mask, with the chosen claims' graph checkers; each chunk is one sweep."""
-    for chunk in share:
-        for (a, co), key in zip(sweeps.sweep(n, masks=chunk), chunk.tolist()):
+    mask, with the chosen claims' graph checkers."""
+    for cut, keys in _cuts(n, share):
+        for (a, co), key in zip(cut, keys.tolist()):
             if args.connected and not is_connected(a.graph):
                 continue
             if args.bipartite and not is_bipartite(a.graph):
                 continue
             yield key, a, co, checks
+        del cut  # only its last pair, still bound, outlives it
+
+
+def _check_cuts(n: int, share: Iterable[np.ndarray], tallies: dict[str, _Tally],
+                args: argparse.Namespace) -> bool:
+    """Table mode: tally each cut of ``share`` from its block verdicts.
+    Returns True if a pair the filters keep disagrees."""
+    claims = [(column, GRAPH_CHECKERS[tid], tallies[tid])
+              for column, tid in enumerate(GRAPH_CHECKERS) if tid in tallies]
+    disagreement = False
+    for cut, keys in _cuts(n, share):
+        disagreement |= _tally_cut(cut, keys, claims, args)
+        del cut  # with _tally_cut's columns and verdicts, gone before the next cut is built
+    return disagreement
+
+
+def _tally_cut(cut: list[tuple[GraphAnalysis, GraphAnalysis]], keys: np.ndarray,
+               claims: list[tuple[int, Callable[..., TheoremReport], _Tally]],
+               args: argparse.Namespace) -> bool:
+    """Count each claim's verdicts on the graphs of ``cut`` the filters keep,
+    all from one ``theorems.check_block`` call.  The claim's per-graph checker
+    builds a report only for a failing graph whose mask its tally keeps.
+    Returns True if a kept pair disagrees."""
+    block = theorems.check_block(cut)
+    keep = np.ones(len(cut), dtype=bool)
+    if args.connected:
+        keep &= block.connected
+    if args.bipartite:
+        keep &= block.bipartite
+    rows = np.flatnonzero(keep)
+    verdicts = block.verdicts[rows]
+    counts = np.count_nonzero(verdicts[:, :, None] == np.arange(3), axis=0).tolist()
+    for column, check, tally in claims:
+        holds, fails, skipped = counts[column]  # codes index theorems.VERDICTS
+        tally.holds += holds
+        tally.fails += fails
+        tally.skipped += skipped
+        for row in rows[verdicts[:, column] == 1].tolist():
+            key = int(keys[row])
+            if tally.wants(key):
+                a, co = cut[row]
+                tally._keep(key, check(a.graph, analysis=a, co=co))
+    return bool(block.disagrees[rows].any())
 
 
 def _family_pairs(instances: list[tuple[str, Graph, Callable[..., TheoremReport]]],
@@ -376,8 +438,10 @@ def _family_pairs(instances: list[tuple[str, Graph, Callable[..., TheoremReport]
 
 
 def _check_pairs(pairs: Iterable[_Pair], as_json: bool) -> bool:
-    """Run each graph's checkers, tally the reports and, for ``--json``, print
-    them.  Returns True if either analysis of a checked pair disagrees."""
+    """Run each graph's per-graph checkers, tally the reports and, for
+    ``--json``, print them: the route of the family instances and of a
+    ``--json`` sweep.  Returns True if either analysis of a checked pair
+    disagrees."""
     disagreement = False
     for key, a, co, checks in pairs:
         disagreement |= a.disagrees or co.disagrees
@@ -470,13 +534,16 @@ def _serve(write: int, job: Callable[[], Any], parent: int) -> None:
 
 def _check_sweep(ids: list[str], args: argparse.Namespace,
                  tallies: dict[str, _Tally]) -> bool:
-    """Check the sweep's graphs with the chosen claims' graph checkers.
+    """Check the sweep's graphs against the chosen graph claims.
 
     The selection is split into shares (``sweeps.shares``), in table mode one
     per usable CPU: this process checks the first, a forked worker each other,
     and their tallies are merged by mask, so the output is the one a single
-    share gives.  ``--json`` prints its one share's chunks as they come, each
-    in mask order.  Returns True if a checked pair disagrees."""
+    share gives.  Table mode takes each cut's verdicts from one
+    ``theorems.check_block`` call and runs a per-graph checker only to report
+    a failure it prints (``_check_cuts``).  ``--json`` runs every per-graph
+    checker and prints its one share's chunks as they come, each in mask
+    order.  Returns True if a checked pair disagrees."""
     checks = [(GRAPH_CHECKERS[tid], tallies[tid]) for tid in ids if tid in GRAPH_CHECKERS]
     if not checks:
         return False
@@ -489,7 +556,10 @@ def _check_sweep(ids: list[str], args: argparse.Namespace,
     first, *rest = sweeps.shares(n, cpus, masks)
 
     def job(share: Iterator[np.ndarray]) -> tuple[list[_Tally], bool]:
-        disagreement = _check_pairs(_sweep_pairs(n, share, checks, args), args.json)
+        if args.json:
+            disagreement = _check_pairs(_sweep_pairs(n, share, checks, args), True)
+        else:
+            disagreement = _check_cuts(n, share, tallies, args)
         return [tally for _, tally in checks], disagreement
 
     workers: list[_Worker] = []

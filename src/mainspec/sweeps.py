@@ -14,13 +14,15 @@ claim checkers read it and compute none.  The block rule: no array a sweep
 builds holds more than one block of graphs; a cut outlives its blocks only
 as its records, until its pairs are yielded, and as the carry's.
 Nearly every complement claim needs both spectra, and the complement of mask
-``m`` is mask ``full ^ m``.  A ``sweep`` takes one selection and checks it;
-``shares`` splits one into chunks, one share per ``verify`` process, and
-``verify`` sweeps each chunk alone.  The population is cut into closed
+``m`` is mask ``full ^ m``.  ``cuts`` takes one selection, checks it and
+yields each cut's pairs as one list, which table-mode ``verify`` checks as
+one block (``theorems.check_block``); ``sweep`` is the same pairs one at a
+time.  ``shares`` splits a selection into chunks, one share per ``verify``
+process, and ``verify`` sweeps each chunk alone.  The population is cut into closed
 chunks of one block, ``_BLOCK // 2`` masks with the top edge bit clear and
 their complements, so every graph is analysed once and no sweep holds more
 than one block of records at any order.  A sample is one chunk, and
-``sweep`` cuts every chunk ``_BLOCK`` masks at a time, in their order.  Each
+``cuts`` cuts every chunk ``_BLOCK`` masks at a time, in their order.  Each
 cut is analysed in one block, with stacked facts, then its missing
 complements in a second block, whose facts no checker or filter reads, so
 those are left to the lazy per-graph route.  Where a cut's mask ``m`` and its
@@ -30,7 +32,8 @@ facts are stacked with its block: each selected graph is decomposed once.
 The carry is empty for closed chunks, holds a few pairs for a random sample
 at order 7 or 8, and never more than ``_CARRY`` blocks of analyses; past
 that, a pair is decomposed again in its later cut.  Each cut is dropped,
-apart from its carry, before the next one is built.
+apart from its carry, before the next one is built, and so must the
+consumer's list of its pairs be.
 Every decomposition either passes ``spectra``'s orthonormality, residual and
 trace bounds or raises, so a sweep keeps no hygiene record of its own; the
 per-batch maxima are read where ``spectra.eigen_decompose_batch`` returns them.
@@ -66,11 +69,12 @@ from .graphs import Graph, ParameterError, fill_stack_facts, stack_graphs, trian
 _BLOCK = 1 << 11
 _CARRY = 8  # blocks of analyses a sweep's carry may hold
 SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
-# Largest sample ``verify --sample`` takes: about 2-3 minutes of sweep at some
-# 6,000-8,000 pairs/s in one process, half that split over two CPUs
-# (``verify all --exhaustive 8 --sample 131072`` takes 16-21 s in one process
-# and 11-12 s in two on a 2-core x86_64 box).  Past a fiftieth of the population numpy's sampler
-# without replacement builds the whole population as int64, 2 GiB at order 8.
+# Largest sample ``verify --sample`` takes: about 1.5-2 minutes of sweep at
+# some 10,000-13,000 pairs/s in one process, less split over two CPUs
+# (``verify all --exhaustive 8 --sample 131072`` takes 10-13 s in one process
+# and 6-9 s in two on a shared 2-core x86_64 box).  Past a fiftieth of the
+# population numpy's sampler without replacement builds the whole population
+# as int64, 2 GiB at order 8.
 MAX_SAMPLE = 1 << 20
 
 
@@ -97,9 +101,9 @@ def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator
     """Split a sweep's selection into at most ``count`` shares, one per process.
 
     A share is an iterator of chunks, each of which ``verify`` passes to
-    ``sweep`` as one selection, so ``sweep`` checks its masks.  A sample
+    ``cuts`` as one selection, so ``cuts`` checks its masks.  A sample
     ``masks`` is split into contiguous slices of its order, and each share is
-    one chunk, its slice: so ``sweep`` sees the whole slice and finds every
+    one chunk, its slice: so ``cuts`` sees the whole slice and finds every
     complement it holds.  The full population is cut into ranges of
     representative masks, those with the top edge bit clear, each expanded
     one block at a time with its complements ``full ^ m``: every chunk holds
@@ -209,15 +213,26 @@ def analyze_with_complements(
 def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
           ) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
     """Yield (analysis, complement analysis) for every selected labeled graph
-    of order ``n`` in 1..11: by default all, in ``shares(n, 1)``'s closed
-    chunks of one block, each in mask order; else the one chunk ``masks``, any
-    1-D integer array or list of edge masks of order ``n``, in its order.  A
-    bad order or selection raises ParameterError.  Each chunk is cut
-    ``_BLOCK`` masks at a time: a cut's masks the carry lacks are analysed in
-    one block, then the complements neither the cut nor the carry holds in
-    one more, and the carry takes the pairs a later cut still needs, so no
-    selected graph is decomposed twice while the carry has room.  Every
-    decomposition passes ``spectra``'s hygiene bounds or raises.
+    of order ``n``, one pair at a time: ``cuts``, flattened."""
+    for pairs in cuts(n, masks=masks):
+        yield from pairs
+        del pairs  # the next cut's build must not find this one alive
+
+
+def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
+         ) -> Iterator[list[tuple[GraphAnalysis, GraphAnalysis]]]:
+    """Yield the (analysis, complement analysis) pairs of every selected
+    labeled graph of order ``n`` in 1..11, one list per cut: by default all,
+    in ``shares(n, 1)``'s closed chunks of one block, each in mask order; else
+    the one chunk ``masks``, any 1-D integer array or list of edge masks of
+    order ``n``, in its order.  A bad order or selection raises
+    ParameterError.  Each chunk is cut ``_BLOCK`` masks at a time: a cut's
+    masks the carry lacks are analysed in one block, then the complements
+    neither the cut nor the carry holds in one more, and the carry takes the
+    pairs a later cut still needs, so no selected graph is decomposed twice
+    while the carry has room.  Every decomposition passes ``spectra``'s
+    hygiene bounds or raises.  The consumer must drop a cut's list before it
+    asks for the next one.
     """
     if not 1 <= n <= 11:  # order 12's 66 edge bits overflow an int64 mask
         raise ParameterError(f"a sweep's order lies in 1..11, got {n}")
@@ -248,8 +263,7 @@ def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
             if len(missing):
                 found |= _analyses_for_block(
                     n, missing, facts=np.isin(missing, full ^ part[before | after]))
-            for mask in part.tolist():
-                yield found[mask], found[full ^ mask]
+            yield [(found[mask], found[full ^ mask]) for mask in part.tolist()]
             keep = part[after][:(_CARRY * _BLOCK - len(carry)) // 2]
             carry.update((m, found[m]) for m in np.union1d(keep, full ^ keep).tolist())
             del found  # the next cut's build must not find this one alive

@@ -17,11 +17,19 @@ The family checkers (L41, T42, C43, T46, COR47) read their instance, labelled
 ``path(n)`` or ``doublestar(k,s)``, from ``graphs.family_of(g)``; any other
 graph, a relabelled one included, is not-applicable under its own label.
 
-A sweep runs all 16 graph checkers on one graph before the next, so they read
-its structural facts (degrees, m, sum d^2, connectivity, the two-coloring,
-the pseudo-regular ratio) from its one ``graphs.facts`` record, and its main
-values from the spectrum, collected once.  A sweep's graphs come with that
-record already stored, computed for the whole chunk from its stack
+Table-mode ``verify`` runs no checker on a sweep's graphs to decide them:
+``check_block`` takes a whole cut of (analysis, complement analysis) pairs,
+gathers their groups, facts, ranks and harmonic levels into padded columns
+once, and decides each of the 16 graph claims as one array predicate that
+repeats its checker's float expressions step for step, so the verdicts are
+the checkers', bit for bit.  A checker then builds the report of a failure
+that is printed.  ``--json``, the family instances and every other caller run
+the checkers, ``GRAPH_CHECKERS`` stays the per-pair API, and ``check_block``
+is tested against it.  A checker reads its graph's structural facts
+(degrees, m, sum d^2, connectivity, the two-coloring, the pseudo-regular
+ratio) from its one ``graphs.facts`` record, and its main values from the
+spectrum, collected once.  A sweep's graphs come with that record already
+stored, computed for the whole chunk from its stack
 (``graphs.fill_stack_facts``); any other graph computes it on first read,
 once.  A report holds the graph itself and serialises its graph6 label only
 when ``instance`` is first read, once per graph, so a run that prints only
@@ -30,22 +38,25 @@ failures serialises only those.
 Every eigenvalue equality a claim tests, whether against its own spectrum
 (0, -lambda_1, sum d^2 / 2m, a closed form) or against the complement's
 (-1-lambda, looked up once per pair and group by ``shifted``), is decided by
-one function, ``locate``.  Three comparisons follow other rules: T31's
-distance over all main pairs, T44's relative slack and index bound, and P21's
-``TOL_REL``.
+one function, ``locate`` (``_locate`` over a block).  Three comparisons
+follow other rules: T31's distance over all main pairs, T44's relative slack
+and index bound, and P21's ``TOL_REL``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from itertools import chain
+from typing import Any, Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import exact
 from .analysis import GraphAnalysis
 from .analysis import analyze_graph  # noqa: F401  (bound here for perfbench's span tracer)
 from .graph6 import serialize_graph6
 from .graphs import Graph, facts, family_of, per_graph
-from .spectra import EigenGroup
+from .spectra import EigenGroup, MainSpectrum
 
 # Every eigenvalue equality is decided by ``locate`` to 1e-8 absolute, whether
 # both values come from one spectrum or from G and its complement; T31's main
@@ -700,3 +711,208 @@ CLAIMS: dict[str, str] = {
 }
 
 ALL_IDS = tuple(CLAIMS)
+
+
+# ---------------------------------------------------------------------------
+# The graph claims over a block of pairs.
+# ---------------------------------------------------------------------------
+
+VERDICTS = (HOLDS, FAILS, NOT_APPLICABLE)  # a block verdict code indexes this
+
+
+class BlockVerdicts(NamedTuple):
+    """``check_block``'s answer for B pairs, as a named tuple of arrays.
+
+    ``verdicts`` is (B, 16), one column per ``GRAPH_CHECKERS`` entry in its
+    order, each code an index into ``VERDICTS``.  ``connected`` and
+    ``bipartite`` are G's facts, and ``disagrees`` is set where either
+    analysis of the pair disagrees with its walk rank.
+    """
+
+    verdicts: np.ndarray
+    connected: np.ndarray
+    bipartite: np.ndarray
+    disagrees: np.ndarray
+
+
+def _pad(rows: Sequence[Sequence[Any]], fields: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``fields``-tuples, or of scalars when ``fields`` is 1, as one
+    (B, K + 1, fields) float array, K the longest row, zero past each row's
+    end, so every row has at least one padding column; and the row lengths."""
+    count = np.fromiter(map(len, rows), np.intp, len(rows))
+    flat = chain.from_iterable(rows)
+    if fields > 1:
+        flat = chain.from_iterable(flat)
+    width = int(count.max()) + 1
+    out = np.zeros((len(rows), width, fields))
+    out[np.arange(width) < count[:, None]] = np.fromiter(
+        flat, np.float64, int(count.sum()) * fields).reshape(-1, fields)
+    return out, count
+
+
+def _groups(spectra: Sequence[MainSpectrum]) -> tuple[np.ndarray, ...]:
+    """Padded group columns: values (-inf past the last group), multiplicities
+    (0 there), main flags (False there) and the group counts."""
+    cols, count = _pad([s.groups for s in spectra], 4)
+    value = np.where(np.arange(cols.shape[1]) < count[:, None], cols[..., 0], -np.inf)
+    return value, cols[..., 1], cols[..., 3] != 0, count
+
+
+def _locate(value: np.ndarray, mult: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``locate`` for every row of a padded block: x is (B,) or (B, J), one
+    lookup per entry; returns (above, index of the first group at or below
+    x + TOL_EQ, whether that group equals x), each of x's shape.  The values
+    fall along a row and the padding is -inf, so the groups above x + TOL_EQ
+    are the first ones, and the index is never past the padding column."""
+    wide = x.ndim == 2
+    over = (value[:, None, :] if wide else value) > (x + TOL_EQ)[..., None]
+    index = over.sum(axis=-1)
+    above = np.zeros((len(mult), mult.shape[1] + 1))
+    np.cumsum(mult, axis=1, out=above[:, 1:])
+    flat = index if wide else index[:, None]
+    above = np.take_along_axis(above, flat, axis=1)
+    at = np.take_along_axis(value, flat, axis=1)
+    if not wide:
+        above, at = above[:, 0], at[:, 0]
+    return above, index, np.abs(at - x) <= TOL_EQ
+
+
+def _codes(applicable: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Verdict codes: holds where ``ok``, fails where not, not-applicable
+    outside ``applicable``."""
+    return np.where(applicable, np.where(ok, 0, 1), 2).astype(np.int8)
+
+
+def check_block(pairs: Sequence[tuple[GraphAnalysis, GraphAnalysis]]) -> BlockVerdicts:
+    """The verdicts of every ``GRAPH_CHECKERS`` entry on each (analysis,
+    complement analysis) pair, decided for the whole block at once.
+
+    The pairs' group values, multiplicities and main flags, G's facts, and
+    each analysis's walk-rank agreement and harmonic level are gathered into
+    padded columns once; each claim is then one array predicate over them.
+    Every float expression repeats its per-graph checker's step for step, so
+    each code equals the verdict that checker reports, bit for bit: ``locate``
+    is a count of the groups above x + TOL_EQ, then |v - x| <= TOL_EQ at the
+    first group left; ``shifted`` is one (B, K, K) comparison; T31's pair
+    distance is the all-pairs minimum, which the merge walk meets.  TOL_EQ is
+    read when called.  Building a report is left to the per-graph checker.
+    """
+    count = len(pairs)
+    if not count:
+        empty = np.zeros(0, dtype=bool)
+        return BlockVerdicts(np.zeros((0, len(GRAPH_CHECKERS)), np.int8), empty, empty, empty)
+    own, comp = zip(*pairs)
+    rows = np.arange(count)
+    graphs, spectrum, rank, s_float, level = zip(*own)
+    _, co_spectrum, co_rank, co_s_float, _ = zip(*comp)
+    # s_float and the harmonic level become nan where they are None.
+    s_float, co_s_float = np.array(s_float, dtype=float), np.array(co_s_float, dtype=float)
+    own_disagrees = ~np.isnan(s_float) & (s_float != rank)
+    disagrees = own_disagrees | (~np.isnan(co_s_float) & (co_s_float != co_rank))
+    level = np.array(level, dtype=float)
+    harmonic = ~np.isnan(level)
+    value, mult, main, groups = _groups(spectrum)
+    where = {id(s): row for row, s in enumerate(spectrum)}
+    co_rows = [where.get(id(s), -1) for s in co_spectrum]
+    if -1 in co_rows:
+        co_value, co_mult, co_main, _ = _groups(co_spectrum)
+    else:  # a complement-closed block: every complement's columns are gathered
+        co_value, co_mult, co_main = value[co_rows], mult[co_rows], main[co_rows]
+    degrees, m, sum_squares, connected, sides, ratio = zip(*map(facts, graphs))
+    degrees, order = _pad(degrees, 1)
+    degrees = degrees[..., 0]
+    vertices = np.arange(degrees.shape[1]) < order[:, None]
+    n = order.astype(np.float64)
+    m = np.array(m, dtype=float)
+    sum_squares = np.array(sum_squares, dtype=float)
+    connected = np.array(connected, dtype=bool)
+    bipartite = np.array([s is not None for s in sides], dtype=bool)
+    # The two-coloring as G's vertices on side 1 (none where it has no coloring).
+    side1 = [() if s is None else s[1] for s in sides]
+    ones = np.zeros(degrees.shape, dtype=bool)
+    ones[np.repeat(rows, list(map(len, side1))),
+         np.fromiter(chain.from_iterable(side1), np.intp)] = True
+    ratio = np.array([r or (0, 0) for r in ratio], dtype=float).reshape(count, 2)
+
+    columns = np.arange(value.shape[1])
+    main_count = main.sum(axis=1)
+    co_main_count = co_main.sum(axis=1)
+    # Main values first, in group order, as ``MainSpectrum.main_values``.
+    mains = np.take_along_axis(value, np.argsort(~main, axis=1, kind="stable"), axis=1)
+    co_mains = np.take_along_axis(co_value, np.argsort(~co_main, axis=1, kind="stable"), axis=1)
+    lam1 = value[:, 0]
+    low = groups - 1
+    low_main, low_mult = main[rows, low], mult[rows, low]
+    co_top_mult = co_mult[:, 0]
+    verdicts: dict[str, np.ndarray] = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # P21
+        lami = mains[:, 1]
+        denom = 2.0 * m - n * lam1
+        degenerate = np.abs(denom) <= 1e-9 * n * (1.0 + np.abs(lam1))
+        square = lam1 * lam1
+        squared_ok = np.abs(square - sum_squares / n) <= TOL_REL * np.maximum(1.0, square)
+        rhs = (sum_squares - 2.0 * m * lam1) / denom
+        ratio_ok = np.abs(lami - rhs) <= TOL_REL * np.maximum(1.0, np.abs(lami))
+        verdicts["P21"] = _codes(main_count == 2, np.where(degenerate, squared_ok, ratio_ok))
+        # C22, P24, P25: the groups at 0 and at sum d^2 / 2m
+        _, zero, zero_found = _locate(value, mult, np.zeros(count))
+        zero_main = zero_found & main[rows, zero]
+        _, index, index_found = _locate(value, mult, sum_squares / (2.0 * m))
+        index_match = index_found & (index == 0)
+        verdicts["C22"] = _codes((main_count == 2) & zero_main, index_match)
+        # L23
+        _, neg, neg_found = _locate(value, mult, -lam1)
+        verdicts["L23"] = _codes(harmonic & (m >= 1) & bipartite,
+                                 neg_found & ~main[rows, neg])
+        membership = ~main | (columns == 0) | (zero_found[:, None] & (columns == zero[:, None]))
+        verdicts["P24"] = _codes(True, membership.all(axis=1) == harmonic)
+        verdicts["P25"] = _codes(m >= 1, (index_match & (main_count <= 2)) == harmonic)
+        # P26
+        isolated = ((degrees == 0) & vertices).any(axis=1)
+        has_ratio = ratio[:, 1] != 0
+        verdicts["P26"] = _codes(~isolated, (has_ratio == harmonic) & (
+            ~has_ratio | ((ratio[:, 0] == level) & (ratio[:, 1] == 1))))
+        # T31
+        most, co_most = int(main_count.max()), int(co_main_count.max())
+        distance = np.abs(mains[:, :most, None] + co_mains[:, None, :co_most] + 1.0)
+        paired = ((columns[:most] < main_count[:, None])[:, :, None]
+                  & (np.arange(co_most) < co_main_count[:, None])[:, None, :])
+        separation = np.where(paired, distance, np.inf).min(axis=(1, 2))
+        verdicts["T31"] = _codes(True, (main_count == co_main_count) & (separation > TOL_EQ))
+        # The complement claims: where -1-lambda sits in the complement's spectrum.
+        above, match, found = _locate(co_value, co_mult, -1.0 - value)
+        real = columns < groups[:, None]
+        meets = ~main | (mult > 1)
+        verdicts["P32"] = _codes(True, ~(real & (meets != found)).any(axis=1))
+        simple = real & found & (np.take_along_axis(co_mult, match, axis=1) == 1)
+        shift_main = np.take_along_axis(co_main, match, axis=1)
+        verdicts["C33"] = _codes(simple.any(axis=1), ~(simple & shift_main).any(axis=1))
+        low_above, low_found = above[rows, low], found[rows, low]
+        equals1 = low_found & (low_above == 0)
+        equals2 = low_found & (low_above == 1)
+        violated = (low_above >= 2) | ((low_above == 0) & ~low_found)
+        verdicts["INEQ2"] = _codes(n >= 2, ~violated)
+        verdicts["P34"] = _codes(True, low_above <= co_top_mult)
+        verdicts["P35"] = _codes(True, equals1 == (~low_main & (co_top_mult > 1)))
+        verdicts["P36"] = _codes(n >= 2, equals2 == ((low_main & (low_mult > 1))
+                                                     | (~low_main & (co_top_mult == 1))))
+        s = ones.sum(axis=1)
+        r = n - s
+        verdicts["T37"] = _codes(connected & bipartite, equals1 == ((m == r * s) & (r == s)))
+        # T44: its checker's returns, the last first, each earlier one overriding.
+        semiregular = bipartite.copy()
+        for side in (vertices & ~ones, ones):  # each side non-empty, of one degree
+            semiregular &= (np.where(side, degrees, -1).max(axis=1)
+                            == np.where(side, degrees, np.inf).min(axis=1))
+        pair = (main_count == 2) & (mains[:, 0] == lam1) & neg_found & (
+            mains[:, 1] == value[rows, neg])
+        t44 = _codes(True, pair == semiregular)
+        t44[semiregular & ((degrees == degrees[:, :1]) | ~vertices).all(axis=1)] = 2
+        t44[semiregular & (np.abs(lam1 - np.sqrt(sum_squares / n)) > TOL_EQ * (1.0 + lam1))] = 1
+        t44[~(sum_squares <= lam1 * lam1 * n + TOL_EQ * n * (1.0 + lam1 * lam1))] = 1
+        t44[(n < 2) | ~connected] = 2
+        verdicts["T44"] = t44
+        verdicts["T45"] = _codes(True, ~own_disagrees)
+    return BlockVerdicts(np.stack([verdicts[tid] for tid in GRAPH_CHECKERS], axis=1),
+                         connected, bipartite, disagrees)

@@ -12,7 +12,7 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from mainspec import cli, exact, spectra, sweeps
+from mainspec import cli, exact, spectra, sweeps, theorems
 from mainspec.analysis import (
     GraphAnalysis,
     RouteDisagreementError,
@@ -227,15 +227,15 @@ def _verify_json_pairs(n):
     """The (analysis, complement analysis) pairs ``verify all --exhaustive n
     --json`` checks, as its sweep yields them."""
     pairs = []
-    real = sweeps.sweep
+    real = sweeps.cuts
 
     def recording(n, **kwargs):
-        for pair in real(n, **kwargs):
-            pairs.append(pair)
-            yield pair
+        for cut in real(n, **kwargs):
+            pairs.extend(cut)
+            yield cut
 
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
-        mp.setattr(sweeps, "sweep", recording)
+        mp.setattr(sweeps, "cuts", recording)
         assert cli.main(["verify", "all", "--exhaustive", str(n), "--json"]) == 0
     return pairs
 
@@ -346,19 +346,26 @@ def test_sweep_streams_masks_chunk_by_chunk(monkeypatch):
     assert co.graph == complete(8)
 
 
-def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
-    # A multi-chunk sweep holds one chunk of records at a time: the first
-    # chunk's graphs are gone when the second chunk's build starts.
+def _alive_at_each_build(monkeypatch, first):
+    """Cut order 5 into four closed chunks of 256 graphs, and record, as each
+    chunk's build starts, whether each weak reference in ``first`` is alive."""
     monkeypatch.setattr(sweeps, "_BLOCK", 256)
     real = sweeps._analyses_for_block
-    first = []
     alive = []
 
     def build(*args, **kwargs):
-        alive.append(first[0]() is not None if first else None)
+        alive.append([ref() is not None for ref in first] if first else None)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sweeps, "_analyses_for_block", build)
+    return alive
+
+
+def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
+    # A multi-chunk sweep holds one chunk of records at a time: the first
+    # chunk's graphs are gone when the second chunk's build starts.
+    first = []
+    alive = _alive_at_each_build(monkeypatch, first)
     pairs = sweep(5)
     a, _ = next(pairs)
     first.append(weakref.ref(a.graph))
@@ -367,7 +374,26 @@ def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
     # of its first, so a consumer holding it would keep mask 0's graph alive.
     deque(pairs, maxlen=0)
     # four complement-closed order-5 chunks, each built once
-    assert alive == [None] + [False] * 3
+    assert alive == [None] + [[False]] * 3
+
+
+def test_a_verify_cut_is_freed_before_the_next_is_built(monkeypatch):
+    # Table-mode verify drops each cut's pairs, and the verdicts
+    # ``check_block`` made of them, before it asks for the next cut.
+    first = []
+    alive = _alive_at_each_build(monkeypatch, first)
+    check_block = theorems.check_block
+
+    def watched(pairs):
+        block = check_block(pairs)
+        if not first:
+            first.extend(map(weakref.ref, (pairs[0][0].graph, block.verdicts)))
+        return block
+
+    monkeypatch.setattr(theorems, "check_block", watched)
+    with contextlib.redirect_stdout(io.StringIO()):  # order 5 never forks
+        assert cli.main(["verify", "all", "--exhaustive", "5"]) == 0
+    assert alive == [None] + [[False, False]] * 3
 
 
 @pytest.fixture
@@ -501,17 +527,17 @@ def _swept_sample(route, n, size):
     graphs had stacked facts when it was yielded; and ``verify``'s output, its
     timestamp cut."""
     pairs, stored = [], []
-    real = sweeps.sweep
+    real = sweeps.cuts
 
     def recording(n, **kwargs):
-        for a, co in real(n, **kwargs):
-            pairs.append((a, co))
-            stored.append((_stored_facts(a.graph), _stored_facts(co.graph)))
-            yield a, co
+        for cut in real(n, **kwargs):
+            pairs.extend(cut)
+            stored.extend((_stored_facts(a.graph), _stored_facts(co.graph)) for a, co in cut)
+            yield cut
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(sweeps, "sweep", recording)
+        mp.setattr(sweeps, "cuts", recording)
         if route == "sweep":
             deque(sweeps.sweep(n, masks=sweeps.sample_masks(n, size)), maxlen=0)
         else:

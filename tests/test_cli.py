@@ -53,6 +53,21 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def force_verdicts(monkeypatch, tid, verdict_of):
+    """Make ``theorems.check_block`` give claim ``tid`` the verdict
+    ``verdict_of(g)`` on each swept graph g, as table-mode verify reads it."""
+    real = theorems.check_block
+    column = list(theorems.GRAPH_CHECKERS).index(tid)
+
+    def check_block(pairs):
+        block = real(pairs)
+        block.verdicts[:, column] = [theorems.VERDICTS.index(verdict_of(a.graph))
+                                     for a, _ in pairs]
+        return block
+
+    monkeypatch.setattr(theorems, "check_block", check_block)
+
+
 class TestAnalyze:
     def test_literal_graph6(self, capsys):
         code, out, _ = run(capsys, "analyze", "Ch")
@@ -212,7 +227,7 @@ def test_main_maps_each_failure_to_its_exit_code(capsys, monkeypatch, argv, erro
         raise error
 
     monkeypatch.setattr(cli, "analyze_graph", boom)
-    monkeypatch.setattr(sweeps, "sweep", boom)
+    monkeypatch.setattr(sweeps, "cuts", boom)
     assert run(capsys, *argv) == (code, "", line + "\n")
 
 
@@ -354,7 +369,7 @@ class TestVerify:
         (("--exhaustive", "8", "--sample", "16"), None),
     ])
     def test_long_sweep_is_announced(self, capsys, monkeypatch, argv, note):
-        monkeypatch.setattr(sweeps, "sweep", lambda n, **kwargs: iter(()))
+        monkeypatch.setattr(sweeps, "cuts", lambda n, **kwargs: iter(()))
         code, _, err = run(capsys, "verify", "P32", *argv)
         assert code == 0
         if note is None:
@@ -414,10 +429,7 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_forced_failure_exit1(self, capsys, monkeypatch):
-        def always_fails(g, *, analysis=None, co=None):
-            return TheoremReport("T45", "stub", "fails", {"why": "forced"})
-
-        monkeypatch.setitem(cli.GRAPH_CHECKERS, "T45", always_fails)
+        force_verdicts(monkeypatch, "T45", lambda g: theorems.FAILS)
         code, out, _ = run(capsys, "verify", "T45", "--exhaustive", "3")
         assert code == 1
         assert "FAIL" in out
@@ -513,7 +525,7 @@ class TestCaps:
     def test_verify_family_over_order_cap(self, capsys, monkeypatch, argv, largest):
         # refused before any family graph is built or any sweep runs
         monkeypatch.setattr(cli, "build_family", _forbid)
-        monkeypatch.setattr(sweeps, "sweep", _forbid)
+        monkeypatch.setattr(sweeps, "cuts", _forbid)
         code, out, err = run(capsys, "verify", "T45", *argv)
         _refused(code, out, err)
         assert largest in err
@@ -527,7 +539,7 @@ class TestCaps:
 
     def test_sample_at_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(sweeps, "sample_masks", lambda n, size: np.zeros(0, dtype=np.int64))
-        monkeypatch.setattr(sweeps, "sweep", lambda n, **kwargs: iter(()))
+        monkeypatch.setattr(sweeps, "cuts", lambda n, **kwargs: iter(()))
         code, _, err = run(capsys, "verify", "P32", "--exhaustive", "8",
                            "--sample", str(sweeps.MAX_SAMPLE))
         assert (code, err) == (0, "")
@@ -656,13 +668,13 @@ def _disagreeing(a):
 
 
 def test_complement_disagreement_in_sweep_exit3(capsys, monkeypatch):
-    real = sweeps.sweep
+    real = sweeps.cuts
 
-    def sweep(n, **kwargs):
-        for a, co in real(n, **kwargs):
-            yield a, _disagreeing(co)
+    def cuts(n, **kwargs):
+        for pairs in real(n, **kwargs):
+            yield [(a, _disagreeing(co)) for a, co in pairs]
 
-    monkeypatch.setattr(sweeps, "sweep", sweep)
+    monkeypatch.setattr(sweeps, "cuts", cuts)
     code, out, err = run(capsys, "verify", "T45", "--exhaustive", "3")
     assert code == 3
     assert "0 fails" in out  # T45 reads G's analysis only, which agrees
@@ -771,10 +783,11 @@ class TestSplitSweep:
         def failing(g):
             return g.rows[4] >> 3 & 1 and g.m % 3 == 1
 
-        def fails(g, *, analysis, co):
-            verdict = theorems.FAILS if failing(g) else theorems.HOLDS
-            return TheoremReport("P32", g, verdict, {"m": g.m})
+        def fails(g, *, analysis, co):  # the report of a failing graph
+            return TheoremReport("P32", g, theorems.FAILS, {"m": g.m})
 
+        force_verdicts(monkeypatch, "P32",
+                       lambda g: theorems.FAILS if failing(g) else theorems.HOLDS)
         monkeypatch.setitem(theorems.GRAPH_CHECKERS, "P32", fails)
         single, split = self.both(capsys, monkeypatch, "verify", "P32", "--exhaustive", "5")
         assert single == split
@@ -789,18 +802,45 @@ class TestSplitSweep:
                                for g in failed[:20]]
         assert lines[21] == f"  ... and {len(failed) - 20} more failures"
 
+    def test_table_failures_are_the_json_reports_tallied(self, capsys, monkeypatch):
+        # TOL_EQ widened so that P25, T31, P32, C33 and P36 fail on hundreds of
+        # order-5 graphs.  Table mode counts block verdicts and builds a report
+        # only for a failure it prints; it must print the per-claim tallies of
+        # the --json reports, every one built by a per-graph checker: the same
+        # counts, the first 20 FAIL lines by mask, the same remainder.
+        monkeypatch.setattr(theorems, "TOL_EQ", 0.05)
+        self.cpus(monkeypatch, 1)
+        code, out, _ = run(capsys, "verify", "all", "--exhaustive", "5", "--json")
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()[:-1]]
+        lines, failures = [], 0
+        for tid in theorems.ALL_IDS:
+            reports = [r for r in records if r["theorem_id"] == tid]
+            failed = [r for r in reports if r["verdict"] == theorems.FAILS]
+            holds = sum(r["verdict"] == theorems.HOLDS for r in reports)
+            lines.append(f"{tid}: {len(reports)} instances — {holds} holds, {len(failed)} fails, "
+                         f"{len(reports) - holds - len(failed)} not-applicable")
+            lines += [f"  FAIL {r['instance']}: {json.dumps(r['witnesses'])}" for r in failed[:20]]
+            if len(failed) > 20:
+                lines.append(f"  ... and {len(failed) - 20} more failures")
+            failures += len(failed)
+        lines.append(f"verified 21 claim(s) over {len(records)} instance(s): "
+                     f"{failures} failure(s)")
+        assert failures > 1000
+        single, split = self.both(capsys, monkeypatch, "verify", "all", "--exhaustive", "5")
+        assert single == split == (1, "\n".join(lines) + "\n", "")
+
     def in_worker(self, monkeypatch, action):
-        """Make ``sweeps.sweep`` run ``action`` in the workers, not in this process."""
+        """Make ``sweeps.cuts`` run ``action`` on each pair in the workers, not
+        in this process."""
         parent = os.getpid()
-        real = sweeps.sweep
+        real = sweeps.cuts
 
-        def sweep(n, **kwargs):
-            for a, co in real(n, **kwargs):
-                if os.getpid() != parent:
-                    a, co = action(a, co)
-                yield a, co
+        def cuts(n, **kwargs):
+            for pairs in real(n, **kwargs):
+                yield pairs if os.getpid() == parent else [action(a, co) for a, co in pairs]
 
-        monkeypatch.setattr(sweeps, "sweep", sweep)
+        monkeypatch.setattr(sweeps, "cuts", cuts)
 
     def test_numerical_error_in_a_worker_exit4(self, capsys, monkeypatch):
         def fail(a, co):
@@ -844,14 +884,14 @@ class TestSplitSweep:
 
     def test_workers_are_reaped_when_this_process_is_interrupted(self, capsys, monkeypatch):
         parent = os.getpid()
-        real = sweeps.sweep
+        real = sweeps.cuts
 
-        def sweep(n, **kwargs):
+        def cuts(n, **kwargs):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             yield from real(n, **kwargs)
 
-        monkeypatch.setattr(sweeps, "sweep", sweep)
+        monkeypatch.setattr(sweeps, "cuts", cuts)
         self.cpus(monkeypatch, 3)
         code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
         assert (code, out, err) == (cli.EXIT_INTERRUPTED, "", "error: interrupted\n")

@@ -14,11 +14,12 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mainspec import graphs, spectra, theorems
+from mainspec import graphs, spectra, sweeps, theorems
 from mainspec.analysis import GraphAnalysis
 from mainspec.graph6 import parse_graph6, serialize_graph6
 from mainspec.graphs import (
@@ -705,3 +706,78 @@ def test_labels_are_cached_per_graph(monkeypatch):
     assert reports[0] == TheoremReport(reports[0].theorem_id, g, reports[0].verdict,
                                        reports[0].witnesses, reports[0].tolerance)
     assert reports[0].instance == "EhCG"
+
+
+# The seven pinned false-FAIL graphs: T31, P32 and C33 FAIL on each.
+NEAR_PAIRS = ["HvG[upG", "MhCH@A??G?_@?A_??", "MhCK?C@?G@?C?_??_", "MhCS?C@?GA?O?@??_",
+              "MhD?GI??G?_A?G_??", "MhGaAA??G?_A?C_??", "NhCGK?@?G?_@?O??_G?"]
+
+
+def _blocks(source):
+    """The blocks of (analysis, complement analysis) pairs of one source."""
+    if source == "near-pairs":  # one block of orders 9, 14 and 15
+        found = analyze_with_complements([parse_graph6(g6) for g6 in NEAR_PAIRS])
+        return [list(found.values())]
+    n, size = source
+    masks = None if size is None else sample_masks(n, size, seed=7)
+    return list(sweeps.cuts(n, masks=masks))
+
+
+@pytest.mark.parametrize("source, tol", [((n, None), theorems.TOL_EQ) for n in range(1, 7)] + [
+    ((7, 4096), theorems.TOL_EQ), ((8, 2048), theorems.TOL_EQ), ("near-pairs", theorems.TOL_EQ),
+    ((5, None), 0.05)], ids=[f"exhaustive-{n}" for n in range(1, 7)] + [
+    "sampled-7", "sampled-8", "near-pairs", "exhaustive-5-wide"])
+def test_block_verdicts_equal_the_per_graph_checkers(monkeypatch, source, tol):
+    # ``check_block`` decides all 16 graph claims for a block at once; every
+    # verdict must be the one its per-graph checker reports.  The near pairs
+    # make T31, P32 and C33 FAIL; a TOL_EQ widened to 0.05, read by both
+    # paths when called, adds P25 and P36 FAILs.
+    wide = tol != theorems.TOL_EQ
+    monkeypatch.setattr(theorems, "TOL_EQ", tol)
+    codes = {verdict: code for code, verdict in enumerate(theorems.VERDICTS)}
+    checks = list(GRAPH_CHECKERS.values())
+    fails = set()
+    for pairs in _blocks(source):
+        block = theorems.check_block(pairs)
+        want = np.array([[codes[check(a.graph, analysis=a, co=co).verdict] for check in checks]
+                         for a, co in pairs]).reshape(len(pairs), len(checks))
+        assert block.verdicts.shape == want.shape
+        assert [tid for column, tid in enumerate(GRAPH_CHECKERS)
+                if not np.array_equal(block.verdicts[:, column], want[:, column])] == []
+        fails |= {tid for tid, failed in zip(GRAPH_CHECKERS, (want == codes[FAILS]).any(axis=0))
+                  if failed}
+        assert block.connected.tolist() == [graphs.is_connected(a.graph) for a, _ in pairs]
+        assert block.bipartite.tolist() == [graphs.is_bipartite(a.graph) for a, _ in pairs]
+        assert block.disagrees.tolist() == [a.disagrees or co.disagrees for a, co in pairs]
+    if source == "near-pairs":
+        assert fails == {"T31", "P32", "C33"}
+    elif wide:
+        assert fails == {"P25", "T31", "P32", "C33", "P36"}
+    else:
+        assert fails == set()
+
+
+def test_block_verdicts_of_moved_and_disagreeing_analyses():
+    # The FAIL branches real graphs never reach, in one block of several
+    # orders: each group of G, then of its complement, moved off every
+    # equality in turn (``moved``), either route made to disagree, and the
+    # harmonic level taken away or made up.
+    pairs = []
+    for g in (harmonic_tree(2), star(6), path(4), cycle(6), complete_bipartite(3, 3),
+              double_star(2, 3), pendant_decorated(cycle(5), 1), complete(1)):
+        a, co = analyze_with_complements([g])[g]
+        pairs += [(a, co), (a._replace(s_float=a.rank + 1), co),
+                  (a, co._replace(s_float=co.rank + 1)),
+                  (a._replace(harmonic_level=None if a.is_harmonic else 3), co)]
+        pairs += [(moved(a, i), co) for i in range(len(a.spectrum.groups))]
+        pairs += [(a, moved(co, i)) for i in range(len(co.spectrum.groups))]
+    block = theorems.check_block(pairs)
+    want = [[theorems.VERDICTS.index(check(a.graph, analysis=a, co=co).verdict)
+             for check in GRAPH_CHECKERS.values()] for a, co in pairs]
+    assert block.verdicts.tolist() == want
+    assert block.disagrees.tolist() == [a.disagrees or co.disagrees for a, co in pairs]
+    fails = {tid for row in want for tid, code in zip(GRAPH_CHECKERS, row)
+             if theorems.VERDICTS[code] == FAILS}
+    assert fails == set(GRAPH_CHECKERS) - {"T31", "C33"}  # the near pairs fail those
+    empty = theorems.check_block([])
+    assert empty.verdicts.shape == (0, len(GRAPH_CHECKERS))
