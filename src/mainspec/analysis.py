@@ -4,10 +4,11 @@ This is where the two independent routes meet: the float spectrum with the
 main flags ``spectra.build_groups`` gives its groups, and the exact integer
 walk-matrix rank.  Only gray groups are settled by the exact count.  A float
 count that still contradicts the rank is a hard error, never papered over.
-``finish_analyses`` runs everything after the eigensolver over a stack of
-graphs; ``analyze_graph`` is a stack of one, and ``sweeps.analyze_stack``
-passes a sweep's blocks and ``verify``'s family stacks, each of at most
-``sweeps._BLOCK`` graphs.
+``finish_block`` runs everything after the eigensolver over a stack of
+graphs and returns one ``Block`` of columns; ``records`` is the one builder
+of ``GraphAnalysis`` records from a block's rows.  ``analyze_graph`` is a
+stack of one, and ``sweeps.analyze_stack`` passes a sweep's blocks and
+``verify``'s family stacks, each of at most ``sweeps._BLOCK`` graphs.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import exact, spectra
-from .graphs import Graph
+from .graphs import Graph, StackFacts, stack_facts, stack_graphs, store_facts
 
 
 class RouteDisagreementError(RuntimeError):
@@ -100,33 +101,67 @@ def resolve_spectrum(
         return spectrum, spectrum.main_count, False
 
 
-def finish_analyses(
-    graphs: Sequence[Graph], adj: np.ndarray, evals: np.ndarray, proj_sq: np.ndarray
-) -> list[GraphAnalysis]:
-    """Everything after the eigensolver, for a stack of equally-sized graphs.
+class Block(NamedTuple):
+    """The analyses of B graphs of one order n, as a named tuple of arrays.
 
-    ``adj`` is the (B, n, n) adjacency stack of ``graphs``, ``evals`` their
-    sorted eigenvalues and ``proj_sq`` the per-eigenvector all-ones
-    projections, one row per graph.  Grouping with the float flags, walk
-    ranks and the harmonic test run once over the whole stack; then only a
-    graph with a gray group has those groups settled by its exact rank.  A
-    disagreement is left in the result (``disagrees``) for the caller to act
-    on.
+    The group columns are (B, n + 1), padded as ``spectra.build_groups`` pads
+    them, with every gray group settled; the rest is (B,), nan where a
+    ``GraphAnalysis`` holds None.  A sweep block also holds its (B, n) int64
+    neighbor bitmasks and their ``graphs.stack_facts`` columns.
     """
-    groups = spectra.build_groups(evals, proj_sq)
+
+    value: np.ndarray
+    mult: np.ndarray
+    proj: np.ndarray
+    main: np.ndarray
+    count: np.ndarray
+    rank: np.ndarray
+    s_float: np.ndarray
+    level: np.ndarray
+    rows: np.ndarray | None = None
+    facts: StackFacts | None = None
+
+
+def finish_block(adj: np.ndarray, evals: np.ndarray, proj_sq: np.ndarray,
+                 rows: np.ndarray | None = None) -> Block:
+    """Everything after the eigensolver for a (B, n, n) adjacency stack with
+    sorted eigenvalues ``evals``, all-ones projections ``proj_sq`` and, for a
+    sweep block, neighbor bitmasks ``rows``: each layer runs once over the
+    stack, and only a row with a gray group is settled alone, by its exact
+    rank (``resolve_spectrum``).  A disagreement is left in the columns."""
+    cols = spectra.build_groups(evals, proj_sq)
     adj = adj.astype(np.int64)
-    ranks = exact.walk_ranks(adj)
-    levels = exact.harmonic_levels(adj)
-    out = []
-    for g, grp, rank, level in zip(graphs, groups, ranks, levels):
-        spectrum = spectra.MainSpectrum(grp)
-        s_float: int | None = spectrum.main_count
-        gray = [i for i, x in enumerate(grp) if x.is_main is None]
-        if gray:
-            spectrum, s_float, _ = resolve_spectrum(
-                spectrum, spectra.classify_flags(grp, g.n)[0], gray, rank)
-        out.append(GraphAnalysis(g, spectrum, rank, s_float, level))
-    return out
+    rank = np.array(exact.walk_ranks(adj), dtype=np.int64)
+    main, s_float = cols.main, cols.main.sum(axis=1, dtype=float)
+    gray = np.flatnonzero(cols.gray.any(axis=1))
+    for b, grp in zip(gray.tolist(), spectra.group_rows(*(c[gray] for c in cols))):
+        spectrum, s, _ = resolve_spectrum(spectra.MainSpectrum(grp), main[b, :len(grp)].tolist(),
+                                          np.flatnonzero(cols.gray[b]).tolist(), int(rank[b]))
+        main[b, :len(grp)] = [x.is_main for x in spectrum.groups]
+        s_float[b] = np.nan if s is None else s
+    return Block(cols.value, cols.mult, cols.proj, main, cols.count, rank, s_float,
+                 np.array(exact.harmonic_levels(adj), dtype=float), rows,
+                 None if rows is None else stack_facts(rows))
+
+
+def records(block: Block, index: Sequence[int] | np.ndarray,
+            graphs: Sequence[Graph] | None = None,
+            facts: np.ndarray | None = None) -> list[GraphAnalysis]:
+    """The ``GraphAnalysis`` records of rows ``index`` of ``block``: the one
+    builder of records.  The graphs are ``graphs`` or are built from the
+    block's rows, and those ``facts`` picks get their ``graphs.facts``
+    record from its fact columns."""
+    index = np.asarray(index, dtype=np.intp)
+    if graphs is None:
+        graphs = stack_graphs(block.rows[index])
+        if facts is not None:
+            store_facts([g for g, f in zip(graphs, facts.tolist()) if f],
+                        StackFacts(*(c[index[facts]] for c in block.facts)))
+    spectrums = map(spectra.MainSpectrum, spectra.group_rows(*(c[index] for c in block[:5])))
+    return [GraphAnalysis(g, spectrum, rank, None if s != s else int(s),
+                          None if level != level else int(level))
+            for g, spectrum, rank, s, level in zip(
+                graphs, spectrums, *(c[index].tolist() for c in block[5:8]))]
 
 
 def analyze_graph(g: Graph) -> GraphAnalysis:
@@ -138,12 +173,9 @@ def analyze_graph(g: Graph) -> GraphAnalysis:
     data takes its analyses from ``sweeps.analyze_stack`` instead.
     """
     dec = spectra.eigen_decompose(g)
-    (result,) = finish_analyses(
-        [g],
-        g.adjacency_matrix()[None],
-        dec.eigenvalues[None],
-        (dec.eigenvectors.sum(axis=0) ** 2)[None],
-    )
+    block = finish_block(g.adjacency_matrix()[None], dec.eigenvalues[None],
+                         (dec.eigenvectors.sum(axis=0) ** 2)[None])
+    (result,) = records(block, [0], [g])
     if result.disagrees:
         raise RouteDisagreementError(result.s_float, result.rank)
     return result

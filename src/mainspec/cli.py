@@ -43,8 +43,6 @@ from .graphs import (
     Graph,
     ParameterError,
     build_family,
-    is_bipartite,
-    is_connected,
     require_capped,
 )
 from .spectra import AmbiguousGroupingError, ConvergenceError, SpectralInvariantError
@@ -73,10 +71,10 @@ _MAX_FAIL_DETAIL = 20  # failing witnesses printed per claim in table mode
 
 # Smallest table-mode sweep split across CPUs.  A split costs about 20 ms of
 # CPU (the fork, copy-on-write faults, pickling, reaping) and a graph swept and
-# checked in one process 40-110 us (order 6 to an order-7 sample with its
-# complement batch, 2-core x86_64), so 2,048 graphs are some four to ten times
-# the split's cost; the default --exhaustive 4 (64 graphs) and order 5 (1,024)
-# stay in one process.
+# checked in one process 15-35 us (order 6 to an order-7 sample with its
+# complement batch, 2-core x86_64): a 2,048-mask sample of order 6 or 7 still
+# ends sooner split, 0.26 s against 0.27-0.28 s with start-up; the default
+# --exhaustive 4 (64 graphs) and order 5 (1,024) stay in one process.
 _MIN_SPLIT = 2048
 
 # Most characters ``analyze`` reads from stdin or a file.  The longest
@@ -87,9 +85,9 @@ _MIN_SPLIT = 2048
 MAX_INPUT = 1 << 18
 
 # How long a full sweep of these orders runs: order 6 (32,768 graphs) takes
-# seconds, order 7 has 64 times as many graphs and order 8 8,192 times, so
-# verify says so before it starts.
-_LONG_SWEEPS = {7: "minutes", 8: "hours"}
+# under a second, order 7 has 64 times as many graphs (21 s over two CPUs, 2-core
+# x86_64) and order 8 8,192 times, so verify says so before it starts.
+_LONG_SWEEPS = {7: "half a minute", 8: "an hour or more"}
 
 
 def _fmt(x: float) -> str:
@@ -359,16 +357,22 @@ def _selected_masks(args: argparse.Namespace) -> np.ndarray | None:
     return None
 
 
-def _cuts(n: int, share: Iterable[np.ndarray],
-           ) -> Iterator[tuple[list[tuple[GraphAnalysis, GraphAnalysis]], np.ndarray]]:
+def _cuts(n: int, share: Iterable[np.ndarray]) -> Iterator[tuple[sweeps.Cut, np.ndarray]]:
     """Each cut of ``share``'s order-n graphs with its masks, the pairs'
     keys; each chunk is one sweep."""
     for chunk in share:
         start = 0
         for cut in sweeps.cuts(n, masks=chunk):
-            yield cut, chunk[start:start + len(cut)]
-            start += len(cut)
+            yield cut, chunk[start:start + len(cut.own)]
+            start += len(cut.own)
             del cut  # the next cut's build must not find this one alive
+
+
+def _kept(cut: sweeps.Cut, args: argparse.Namespace) -> np.ndarray:
+    """The pairs of ``cut`` the filters keep, read off G's fact columns."""
+    facts = cut.block.facts
+    return np.flatnonzero((facts.connected[cut.own] | (not args.connected))
+                          & (facts.bipartite[cut.own] | (not args.bipartite)))
 
 
 def _sweep_pairs(n: int, share: Iterable[np.ndarray], checks: _Checks,
@@ -376,13 +380,12 @@ def _sweep_pairs(n: int, share: Iterable[np.ndarray], checks: _Checks,
     """Every order-n labeled graph of ``share`` the filters keep, keyed by its
     mask, with the chosen claims' graph checkers."""
     for cut, keys in _cuts(n, share):
-        for (a, co), key in zip(cut, keys.tolist()):
-            if args.connected and not is_connected(a.graph):
-                continue
-            if args.bipartite and not is_bipartite(a.graph):
-                continue
+        rows = _kept(cut, args)
+        found = sweeps.pairs(cut, rows)
+        del cut
+        for (a, co), key in zip(found, keys[rows].tolist()):
             yield key, a, co, checks
-        del cut  # only its last pair, still bound, outlives it
+        del found  # only its last pair, still bound, outlives it
 
 
 def _check_cuts(n: int, share: Iterable[np.ndarray], tallies: dict[str, _Tally],
@@ -394,24 +397,19 @@ def _check_cuts(n: int, share: Iterable[np.ndarray], tallies: dict[str, _Tally],
     disagreement = False
     for cut, keys in _cuts(n, share):
         disagreement |= _tally_cut(cut, keys, claims, args)
-        del cut  # with _tally_cut's columns and verdicts, gone before the next cut is built
+        del cut  # with _tally_cut's verdicts, gone before the next cut is built
     return disagreement
 
 
-def _tally_cut(cut: list[tuple[GraphAnalysis, GraphAnalysis]], keys: np.ndarray,
+def _tally_cut(cut: sweeps.Cut, keys: np.ndarray,
                claims: list[tuple[int, Callable[..., TheoremReport], _Tally]],
                args: argparse.Namespace) -> bool:
     """Count each claim's verdicts on the graphs of ``cut`` the filters keep,
-    all from one ``theorems.check_block`` call.  The claim's per-graph checker
-    builds a report only for a failing graph whose mask its tally keeps.
-    Returns True if a kept pair disagrees."""
+    all from one ``theorems.check_block`` call; only a failure its tally keeps
+    has its pair's records built, for the checker's report.  Returns True if
+    a kept pair disagrees."""
     block = theorems.check_block(cut)
-    keep = np.ones(len(cut), dtype=bool)
-    if args.connected:
-        keep &= block.connected
-    if args.bipartite:
-        keep &= block.bipartite
-    rows = np.flatnonzero(keep)
+    rows = _kept(cut, args)
     verdicts = block.verdicts[rows]
     counts = np.count_nonzero(verdicts[:, :, None] == np.arange(3), axis=0).tolist()
     for column, check, tally in claims:
@@ -422,7 +420,7 @@ def _tally_cut(cut: list[tuple[GraphAnalysis, GraphAnalysis]], keys: np.ndarray,
         for row in rows[verdicts[:, column] == 1].tolist():
             key = int(keys[row])
             if tally.wants(key):
-                a, co = cut[row]
+                ((a, co),) = sweeps.pairs(cut, np.array([row]))
                 tally._keep(key, check(a.graph, analysis=a, co=co))
     return bool(block.disagrees[rows].any())
 

@@ -5,22 +5,17 @@ stored as one neighbor bitmask per vertex: equality and hashing are cheap, and
 complement / enumeration reduce to integer bit operations.
 
 Rows the program builds (edge masks and lists, complements, families, and
-stacks ``stack_graphs`` checked as a whole) are valid by construction and go
+stacks ``check_stack`` checked as a whole) are valid by construction and go
 through ``_trusted``; ``Graph(n, rows)`` checks the rows a caller passes in.
 
 A graph's structural facts (degrees, m, sum d^2, connectivity, the
 two-coloring and the pseudo-regular ratio) are one ``Facts`` record, read
-through the ``per_graph`` function ``facts``: it is computed on the first
-read for a graph object, from one bitmask breadth-first walk, and kept on
-that graph, so the claim checkers and the sweep filters share it, and code
-that never asks pays nothing.  ``is_connected`` and ``is_bipartite`` read
-it.  Sweeps take another road to the same record: ``stack_graphs`` checks a
-whole (B, n) stack of neighbor bitmasks at once and builds its graphs without
-the per-graph symmetry walk, and ``fill_stack_facts`` computes the records of
-a stack of graphs in vectorised passes and stores each where ``facts`` looks,
-so no fact body runs while a sweep is checked.  Family, parsed and hand-built
-graphs, and every graph above order 62, keep the lazy route, which is also
-the reference the stack path is tested against.
+through the ``per_graph`` function ``facts``: computed from one bitmask
+breadth-first walk on the first read and kept on the graph.  Sweeps check a
+(B, n) stack of neighbor bitmasks (``check_stack``) and compute its facts as
+columns (``stack_facts``) at once; ``store_facts`` puts a row's record where
+``facts`` looks.  The lazy route is the reference the stack path is tested
+against.
 """
 from __future__ import annotations
 
@@ -288,13 +283,12 @@ def is_bipartite(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def stack_graphs(rows: np.ndarray) -> list[Graph]:
-    """The graphs of a (B, n) int64 stack of neighbor bitmasks, checked as a whole.
+def check_stack(rows: np.ndarray) -> None:
+    """Check a (B, n) int64 stack of neighbor bitmasks as a whole.
 
     One vectorised pass makes ``Graph.__post_init__``'s checks for every row
     (no bit >= n, no loop, bit j of row i equal to bit i of row j) and raises
-    ParameterError at the first bad graph; the graphs are then built without
-    the per-graph walk.
+    ParameterError at the first bad graph.
     """
     count, n = rows.shape
     if not 1 <= n <= 62:
@@ -308,19 +302,37 @@ def stack_graphs(rows: np.ndarray) -> list[Graph]:
         if bad.any():
             where = np.argwhere(bad)[0].tolist()
             raise ParameterError(f"stack graph {where[0]}: " + message.format(*where))
+
+
+def stack_graphs(rows: np.ndarray) -> list[Graph]:
+    """The graphs of a (B, n) int64 stack of neighbor bitmasks that
+    ``check_stack`` passed, built without the per-graph walk."""
+    n = rows.shape[1]
     return [_trusted(n, tuple(r)) for r in rows.tolist()]
 
 
-def fill_stack_facts(graphs: Sequence[Graph]) -> None:
-    """Store the ``facts`` record of each of ``graphs``, all of one order n <= 62.
+class StackFacts(NamedTuple):
+    """The ``facts`` of a (B, n) stack as columns: ``side1`` is the bitmask of
+    side 1 of the two-coloring (side 0 is every other vertex), ``ratio`` is
+    (B, 2), (0, 0) where ``Facts.ratio`` is None."""
 
-    The graphs' rows become one (B, n) int64 array.  Degrees and sum d^2 come
-    from popcounts, the pseudo-regular ratio from the neighbor-degree sums
-    reduced by ``np.gcd``; connectivity and the sides from ``facts``'s
-    bitmask BFS run on every graph at once over the array's columns, giving
-    the same sides in the same order.
+    degrees: np.ndarray
+    m: np.ndarray
+    sum_squares: np.ndarray
+    connected: np.ndarray
+    bipartite: np.ndarray
+    side1: np.ndarray
+    ratio: np.ndarray
+
+
+def stack_facts(rows: np.ndarray) -> StackFacts:
+    """The structural facts of a (B, n) int64 stack of neighbor bitmasks as columns.
+
+    Degrees and sum d^2 come from popcounts, the pseudo-regular ratio from
+    the neighbor-degree sums reduced by ``np.gcd``; connectivity and the
+    sides from ``facts``'s bitmask BFS run on every graph at once over the
+    array's columns, giving the same sides.
     """
-    rows = np.array([g.rows for g in graphs], dtype=np.int64)
     count, n = rows.shape
     full = (1 << n) - 1
     degs = np.zeros_like(rows)
@@ -355,20 +367,27 @@ def fill_stack_facts(graphs: Sequence[Graph]) -> None:
         odd |= (reach & sides[color, idx]) != 0
         layer = reach & ~seen
         color ^= 1
-    masks, slot = np.unique(sides, return_inverse=True)
-    parts = [tuple(_bits(mask)) for mask in masks.tolist()]
-    slot = slot.reshape(2, count)
     # Pseudo-regular: every vertex has the ratio of vertex 0, sum of neighbor degrees / degree.
     num0, den0 = nbr_sums[:, 0], degs[:, 0]
     regular = (degs > 0).all(axis=1) & (nbr_sums * den0[:, None] == num0[:, None] * degs).all(axis=1)
-    common = np.maximum(np.gcd(num0, den0), 1)
-    for g, d, sq, conn, two, s0, s1, reg, p, q in zip(
-            graphs, degs.tolist(), (degs * degs).sum(axis=1).tolist(), (components == 1).tolist(),
-            (~odd).tolist(), slot[0].tolist(), slot[1].tolist(), regular.tolist(),
-            (num0 // common).tolist(), (den0 // common).tolist()):
+    ratio = np.stack([num0, den0], axis=1) // np.maximum(np.gcd(num0, den0), 1)[:, None]
+    return StackFacts(degs, degs.sum(axis=1) // 2, (degs * degs).sum(axis=1), components == 1,
+                      ~odd, sides[1], np.where(regular[:, None], ratio, 0))
+
+
+def store_facts(graphs: Sequence[Graph], columns: StackFacts) -> None:
+    """Store each of ``graphs``' ``facts`` record, read off its row of ``columns``."""
+    full = (1 << columns.degrees.shape[1]) - 1
+    masks, slot = np.unique(np.stack([full ^ columns.side1, columns.side1]), return_inverse=True)
+    parts = [tuple(_bits(mask)) for mask in masks.tolist()]
+    slot = slot.reshape(2, -1)
+    for g, d, m, sq, conn, two, s0, s1, (p, q) in zip(
+            graphs, columns.degrees.tolist(), columns.m.tolist(), columns.sum_squares.tolist(),
+            columns.connected.tolist(), columns.bipartite.tolist(), slot[0].tolist(),
+            slot[1].tolist(), columns.ratio.tolist()):
         g.__dict__["_facts"] = Facts(  # where ``facts`` keeps its record
-            tuple(d), sum(d) // 2, sq, conn, (parts[s0], parts[s1]) if two else None,
-            (p, q) if reg else None)
+            tuple(d), m, sq, conn, (parts[s0], parts[s1]) if two else None,
+            (p, q) if q else None)
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,22 @@ def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dic
 # ---------------------------------------------------------------------------
 
 
-def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[tuple[EigenGroup, ...]]:
-    """Cluster and classify each row of a (B, n) stack of sorted eigenvalues;
-    one tuple of ``EigenGroup`` named tuples per row.
+class Groups(NamedTuple):
+    """``build_groups``' columns: (B, n + 1), one per group, largest first,
+    and -inf, 0, 0.0, False past each row's ``count`` groups.  ``main`` holds
+    the threshold flags, ``gray`` the groups the exact rank must settle."""
+
+    value: np.ndarray
+    mult: np.ndarray
+    proj: np.ndarray
+    main: np.ndarray
+    count: np.ndarray
+    gray: np.ndarray
+
+
+def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> Groups:
+    """Cluster and classify each row of a (B, n) stack of sorted eigenvalues,
+    as padded group columns.
 
     A gap larger than the row's grouping tolerance starts a new run.  A
     group's value is the mean of its run and its projection the sum of the
@@ -172,46 +185,54 @@ def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> list[tuple[EigenGrou
     bit.  The rare runs of 8 or more take numpy's own sum.  Raises
     AmbiguousGroupingError when two neighboring representatives end up
     closer than 3x the grouping tolerance, which would make the clustering
-    order dependent.
-
-    Each group is built once, with the float route's own flag: the
-    ``classify_flags`` threshold at order n, or None inside the gray band,
-    where the caller must fall back on the exact rank.  The groups are made
-    by ``tuple.__new__`` over the zipped columns, skipping the named tuple's
-    Python-level ``__new__``; a row's tuple becomes its ``MainSpectrum``'s
-    ``groups`` as it is.
+    order dependent.  Each group is flagged by the ``classify_flags``
+    threshold at order n and marked gray inside the gray band.
     """
     B, n = evals.shape
     tau = GROUP_TOL * np.maximum(1.0, np.abs(evals).max(axis=1))
     starts = np.ones((B, n), dtype=bool)
     starts[:, 1:] = evals[:, :-1] - evals[:, 1:] > tau[:, None]
     run = np.cumsum(starts, axis=1) - 1
-    slot = (run + n * np.arange(B)[:, None]).ravel()
-    sums = np.bincount(slot, evals.ravel(), B * n).reshape(B, n)
-    proj = np.bincount(slot, proj_sq.ravel(), B * n).reshape(B, n)
-    mult = np.bincount(slot, minlength=B * n).reshape(B, n)
+    slot = (run + (n + 1) * np.arange(B)[:, None]).ravel()
+    width = B * (n + 1)
+    sums = np.bincount(slot, evals.ravel(), width).reshape(B, n + 1)
+    proj = np.bincount(slot, proj_sq.ravel(), width).reshape(B, n + 1)
+    mult = np.bincount(slot, minlength=width).reshape(B, n + 1)
     for b, r in zip(*np.nonzero(mult >= 8)):
         a = int(np.argmax(run[b] == r))
         sums[b, r] = evals[b, a:a + mult[b, r]].sum()
         proj[b, r] = proj_sq[b, a:a + mult[b, r]].sum()
     values = sums / np.maximum(mult, 1)
     count = run[:, -1] + 1
-    close = values[:, :-1] - values[:, 1:] < 3.0 * tau[:, None]
-    close &= np.arange(1, n) < count[:, None]
+    real = np.arange(n + 1) < count[:, None]
+    close = values[:, :-2] - values[:, 1:-1] < 3.0 * tau[:, None]
+    close &= real[:, 1:-1]
     if close.any():
         b, r = np.argwhere(close)[0]
         raise AmbiguousGroupingError(
             f"group representatives {float(values[b, r])!r} and "
             f"{float(values[b, r + 1])!r} are closer than {3.0 * tau[b]:.3e}"
         )
+    values[~real] = -np.inf
     main, gray = _main_flags(proj, n)
+    return Groups(values, mult, proj, main, count, gray & real)
+
+
+def group_rows(value: np.ndarray, mult: np.ndarray, proj: np.ndarray, main: np.ndarray,
+               count: np.ndarray, gray: np.ndarray | None = None,
+               ) -> list[tuple[EigenGroup, ...]]:
+    """One tuple of ``EigenGroup`` named tuples per row of padded group
+    columns, flagged by ``main``, or None where ``gray`` is set.  The groups
+    are made by ``tuple.__new__`` over the zipped columns, skipping the named
+    tuple's Python-level ``__new__``."""
     flags = main.tolist()
-    for b, r in np.argwhere(gray & (np.arange(n) < count[:, None])).tolist():
-        flags[b][r] = None
+    if gray is not None:
+        for b, r in np.argwhere(gray).tolist():
+            flags[b][r] = None
     make = partial(tuple.__new__, EigenGroup)
     return [
         tuple(map(make, zip(v[:k], m[:k], p[:k], f[:k])))
-        for v, m, p, f, k in zip(values.tolist(), mult.tolist(), proj.tolist(), flags,
+        for v, m, p, f, k in zip(value.tolist(), mult.tolist(), proj.tolist(), flags,
                                  count.tolist())
     ]
 
@@ -220,7 +241,8 @@ def group_eigenvalues(d: EigenDecomposition) -> MainSpectrum:
     """Grouping with the float route's own flags; no exact-rank fallback, so
     gray-band groups stay undecided (None)."""
     proj_sq = d.eigenvectors.sum(axis=0) ** 2
-    return MainSpectrum(build_groups(d.eigenvalues[None], proj_sq[None])[0])
+    cols = build_groups(d.eigenvalues[None], proj_sq[None])
+    return MainSpectrum(group_rows(*cols)[0])
 
 
 def _main_flags(proj: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,80 +1,66 @@
 """Chunked exhaustive sweeps over all labeled graphs of a fixed order.
 
 The enumeration is an edge-bitmask counter, streamed chunk by chunk, and
-each chunk is cut and built in blocks of ``_BLOCK`` graphs.  A block of masks becomes
-a (B, n, n) adjacency stack, its graphs' neighbor bitmasks are read off that
-stack in one step and checked as one array (``graphs.stack_graphs``), and it
-goes to ``analyze_stack``: one batched eigensolve, then
-``analysis.finish_analyses``, the finish ``analyze_graph`` uses, so grouping,
-the certified walk ranks and the harmonic test each run once per block and
-only the records are built per graph.  ``graphs.fill_stack_facts`` then
-stores every graph's ``graphs.facts`` record (degrees, connectivity,
-two-coloring, pseudo-regular ratio), computed from the block's rows, so the
-claim checkers read it and compute none.  The block rule: no array a sweep
-builds holds more than one block of graphs; a cut outlives its blocks only
-as its records, until its pairs are yielded, and as the carry's.
-Nearly every complement claim needs both spectra, and the complement of mask
-``m`` is mask ``full ^ m``.  ``cuts`` takes one selection, checks it and
-yields each cut's pairs as one list, which table-mode ``verify`` checks as
-one block (``theorems.check_block``); ``sweep`` is the same pairs one at a
-time.  ``shares`` splits a selection into chunks, one share per ``verify``
-process, and ``verify`` sweeps each chunk alone.  The population is cut into closed
-chunks of one block, ``_BLOCK // 2`` masks with the top edge bit clear and
-their complements, so every graph is analysed once and no sweep holds more
-than one block of records at any order.  A sample is one chunk, and
-``cuts`` cuts every chunk ``_BLOCK`` masks at a time, in their order.  Each
-cut is analysed in one block, with stacked facts, then its missing
-complements in a second block, whose facts no checker or filter reads, so
-those are left to the lazy per-graph route.  Where a cut's mask ``m`` and its
-complement both lie in the chunk, but the complement in a later cut, the
-carry keeps both analyses until that cut takes them, and the complement's
-facts are stacked with its block: each selected graph is decomposed once.
-The carry is empty for closed chunks, holds a few pairs for a random sample
-at order 7 or 8, and never more than ``_CARRY`` blocks of analyses; past
-that, a pair is decomposed again in its later cut.  Each cut is dropped,
-apart from its carry, before the next one is built, and so must the
-consumer's list of its pairs be.
-Every decomposition either passes ``spectra``'s orthonormality, residual and
-trace bounds or raises, so a sweep keeps no hygiene record of its own; the
-per-batch maxima are read where ``spectra.eigen_decompose_batch`` returns them.
+each chunk is cut and built in blocks of at most ``_BLOCK`` graphs.  A block
+of masks becomes a (B, n, n) adjacency stack, its neighbor bitmasks are read
+off it in one step and checked as one array (``graphs.check_stack``), and
+``analyze_stack`` makes it one ``analysis.Block`` of columns: one batched
+eigensolve, then ``analysis.finish_block``, the finish ``analyze_graph``
+uses, so grouping, the certified walk ranks, the harmonic test and the
+structural facts each run once per block, and no record is built.
+The complement of mask ``m`` is mask ``full ^ m``.  ``cuts`` takes one
+selection, checks it and yields each cut as a ``Cut``: a block of its graphs
+and their complements, with each graph's row and its complement's, which
+table-mode ``verify`` decides as columns (``theorems.check_block``).
+``pairs`` builds the records of a cut's pairs (``analysis.records``) for
+``sweep``, ``verify --json`` and the failures ``verify`` prints.  ``shares``
+splits a selection into chunks, one share per ``verify`` process.  The
+population is cut into closed chunks of one block, ``_BLOCK // 2`` masks
+with the top edge bit clear and their complements.  A sample is one chunk,
+cut ``_BLOCK`` masks at a time in its order: each cut's masks are analysed
+in one block, then the complements it lacks in a second, and the carry
+takes a pair whose masks lie in different cuts to the later one, so each
+selected graph is decomposed once while the carry's ``_CARRY`` blocks have
+room.  No array a sweep builds holds more than one block of graphs, and each
+cut is dropped, apart from its carry, before the next is built.  Every
+decomposition passes ``spectra``'s hygiene bounds or raises.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
-way and returns the (analysis, complement analysis) pair the sweep yields.
+way and returns the records of each graph and its complement.
 
-A block is built with automatic cyclic collection paused
-(``_collection_paused``).  Its records, 14.7 tracked objects per graph at
-order 6 (CPython keeps every tuple subclass tracked, the records' named
-tuples included), all stay alive until the cut's pairs are yielded, so a
-collection during the build reclaims none of them and walks them all.
-Measured with a ``gc.callbacks`` hook (2-core x86_64, Python 3.11),
-``verify all --exhaustive 6`` in one process, unpaused, started 885
-collections inside its 16 chunk builds, 0.21 s of a 3.3 s run; paused, none
-start there and the 40 between the builds take 0.09 s.  A
-``sweep-sampled-o8`` pass, cut at the block, runs 14-19 generation-0
-collections and 1-2 generation-1, 0.03-0.05 s in all.  The pause never spans a ``yield``: the
-consumer's claim checkers run with the collector as the caller left it.
+Records are built with automatic cyclic collection paused
+(``_collection_paused``): a cut's records, about 12.4 tracked objects per
+graph (CPython tracks every tuple subclass), all live until its pairs are
+yielded, so a collection during the build walks them and frees none.  A
+block's columns are about 0.0015 tracked objects per graph and need no
+pause.  Measured with a ``gc.callbacks`` hook (2-core x86_64, Python 3.11):
+one-process ``verify all --exhaustive 6``, which builds no record, starts 8
+generation-0 collections, 0.001 s in all; a ``sweep-sampled-o8`` pass, which
+builds a record of every graph, starts 9, 0.02 s, paused, and 498, 45 of
+them of generation 1 or 2, 0.08 s, unpaused.  The pause never spans a
+``yield``: the consumer runs with the collector as the caller left it.
 """
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import spectra
-from .analysis import GraphAnalysis, finish_analyses
+from .analysis import Block, GraphAnalysis, finish_block, records
 from .analysis import resolve_spectrum  # noqa: F401  (bound here for perfbench's span tracer)
-from .graphs import Graph, ParameterError, fill_stack_facts, stack_graphs, triangle_pairs
+from .graphs import Graph, ParameterError, StackFacts, check_stack, triangle_pairs
 
 _BLOCK = 1 << 11
 _CARRY = 8  # blocks of analyses a sweep's carry may hold
 SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
-# Largest sample ``verify --sample`` takes: about 1.5-2 minutes of sweep at
-# some 10,000-13,000 pairs/s in one process, less split over two CPUs
-# (``verify all --exhaustive 8 --sample 131072`` takes 10-13 s in one process
-# and 6-9 s in two on a shared 2-core x86_64 box).  Past a fiftieth of the
-# population numpy's sampler without replacement builds the whole population
-# as int64, 2 GiB at order 8.
+# Largest sample ``verify --sample`` takes: ``verify all --exhaustive 8
+# --sample 1048576`` takes 45 s in one process, some 23,000 pairs/s, less split
+# over two CPUs (``--sample 131072`` takes 6 s in one process and 3 s in two
+# on a shared 2-core x86_64 box).  Past a fiftieth of the population numpy's
+# sampler without replacement builds the whole population as int64, 2 GiB at
+# order 8.
 MAX_SAMPLE = 1 << 20
 
 
@@ -154,11 +140,8 @@ def adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
 
 @contextmanager
 def _collection_paused() -> Iterator[None]:
-    """Automatic cyclic collection off for the block, then back as it was.
-
-    Process-wide, so it is only held over code that yields nothing: a
-    generator's consumer would run with collection off, and an abandoned
-    generator would leave it off."""
+    """Automatic cyclic collection off while records are built, then back as it
+    was; process-wide, so only over code that yields nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -168,28 +151,43 @@ def _collection_paused() -> Iterator[None]:
             gc.enable()
 
 
-@_collection_paused()
-def _analyses_for_block(n: int, masks: np.ndarray,
-                        facts: np.ndarray | None = None) -> dict[int, GraphAnalysis]:
-    """``{m: analysis}`` for at most ``_BLOCK`` ``masks``, built as one block;
-    the facts of the graphs ``facts`` picks, by default all, are stacked."""
+class Cut(NamedTuple):
+    """One cut of a sweep as columns: ``own`` is each selected graph's row of
+    ``block``, in the selection's order, ``co`` its complement's, and
+    ``selected`` marks the rows the chunk selects, whose records get facts."""
+
+    block: Block
+    own: np.ndarray
+    co: np.ndarray
+    selected: np.ndarray
+
+
+def _take(block: Block, index: np.ndarray) -> Block:
+    """Rows ``index`` of a sweep block, every column with them."""
+    return Block(*(c[index] for c in block[:-1]), StackFacts(*(c[index] for c in block.facts)))
+
+
+def _join(blocks: Sequence[Block]) -> Block:
+    """Sweep blocks of one order, one after the other."""
+    return Block(*map(np.concatenate, zip(*(b[:-1] for b in blocks))),
+                 StackFacts(*map(np.concatenate, zip(*(b.facts for b in blocks)))))
+
+
+def _block(n: int, masks: np.ndarray) -> Block:
+    """The analyses of at most ``_BLOCK`` ``masks`` as one block, their rows checked."""
     adj = adjacency_stack(n, masks)
     # Vertex i's neighbor bitmask is sum_j a_ij 2^j, exact in float64 for n <= 52.
-    graphs = stack_graphs((adj @ 2.0 ** np.arange(n)).astype(np.int64))
-    analyses = analyze_stack(graphs, adj)
-    if facts is not None:
-        graphs = [g for g, pick in zip(graphs, facts.tolist()) if pick]
-    if graphs:
-        fill_stack_facts(graphs)
-    return dict(zip(masks.tolist(), analyses))
+    rows = (adj @ 2.0 ** np.arange(n)).astype(np.int64)
+    check_stack(rows)
+    return analyze_stack(adj, rows)
 
 
-def analyze_stack(graphs: Sequence[Graph], adj: np.ndarray) -> list[GraphAnalysis]:
-    """Analyse equally-sized ``graphs`` from their (B, n, n) adjacency stack:
-    one batched eigendecomposition, which raises on any graph that misses a
-    hygiene bound, then one finish."""
+def analyze_stack(adj: np.ndarray, rows: np.ndarray | None = None) -> Block:
+    """Analyse a (B, n, n) adjacency stack, with neighbor bitmasks ``rows``
+    for a sweep block: one batched eigendecomposition, which raises on any
+    graph that misses a hygiene bound, then one finish."""
     evals, evecs, _ = spectra.eigen_decompose_batch(adj)
-    return finish_analyses(graphs, adj, evals, evecs.sum(axis=1) ** 2)
+    return finish_block(adj, evals, evecs.sum(axis=1) ** 2, rows)
 
 
 def analyze_with_complements(
@@ -206,34 +204,38 @@ def analyze_with_complements(
         for lo in range(0, len(stack), _BLOCK):
             block = stack[lo:lo + _BLOCK]
             adj = np.stack([h.adjacency_matrix() for h in block])
-            found.update(zip(block, analyze_stack(block, adj)))
+            found.update(zip(block, records(analyze_stack(adj), np.arange(len(block)), block)))
     return {g: (found[g], found[c]) for g, c in complements.items()}
+
+
+@_collection_paused()
+def pairs(cut: Cut, which: np.ndarray | None = None,
+          ) -> list[tuple[GraphAnalysis, GraphAnalysis]]:
+    """The (analysis, complement analysis) records of the pairs ``which`` of
+    ``cut``, by default all, in its order: each row's record built once, a
+    selected graph's with its facts."""
+    own, co = (cut.own, cut.co) if which is None else (cut.own[which], cut.co[which])
+    rows = np.union1d(own, co)
+    built = dict(zip(rows.tolist(), records(cut.block, rows, facts=cut.selected[rows])))
+    return [(built[g], built[c]) for g, c in zip(own.tolist(), co.tolist())]
 
 
 def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
           ) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
     """Yield (analysis, complement analysis) for every selected labeled graph
-    of order ``n``, one pair at a time: ``cuts``, flattened."""
-    for pairs in cuts(n, masks=masks):
-        yield from pairs
-        del pairs  # the next cut's build must not find this one alive
+    of order ``n``, one pair at a time: each of ``cuts``' cuts as records."""
+    for cut in cuts(n, masks=masks):
+        yield from pairs(cut)
+        del cut  # the next cut's build must not find this one alive
 
 
-def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
-         ) -> Iterator[list[tuple[GraphAnalysis, GraphAnalysis]]]:
-    """Yield the (analysis, complement analysis) pairs of every selected
-    labeled graph of order ``n`` in 1..11, one list per cut: by default all,
-    in ``shares(n, 1)``'s closed chunks of one block, each in mask order; else
-    the one chunk ``masks``, any 1-D integer array or list of edge masks of
-    order ``n``, in its order.  A bad order or selection raises
-    ParameterError.  Each chunk is cut ``_BLOCK`` masks at a time: a cut's
-    masks the carry lacks are analysed in one block, then the complements
-    neither the cut nor the carry holds in one more, and the carry takes the
-    pairs a later cut still needs, so no selected graph is decomposed twice
-    while the carry has room.  Every decomposition passes ``spectra``'s
-    hygiene bounds or raises.  The consumer must drop a cut's list before it
-    asks for the next one.
-    """
+def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None) -> Iterator[Cut]:
+    """Yield every selected labeled graph of order ``n`` in 1..11 with its
+    complement, one ``Cut`` per ``_BLOCK`` masks: by default all, in
+    ``shares(n, 1)``'s closed chunks, each in mask order; else the one chunk
+    ``masks``, any 1-D integer array or list of edge masks of order ``n``, in
+    its order.  A bad order or selection raises ParameterError.  The consumer
+    must drop a cut before it asks for the next one."""
     if not 1 <= n <= 11:  # order 12's 66 edge bits overflow an int64 mask
         raise ParameterError(f"a sweep's order lies in 1..11, got {n}")
     full = mask_population(n) - 1
@@ -247,23 +249,31 @@ def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
             raise ParameterError(f"edge masks of order {n} lie in [0, {full + 1:,}), "
                                  f"got {masks.min()}..{masks.max()}")
     for chunk in shares(n, 1, masks)[0]:
-        carry: dict[int, GraphAnalysis] = {}
+        carry, carried = None, np.zeros(0, dtype=np.int64)  # the carry's rows, their masks
         earlier, later = _pair_cuts(chunk, full)
         for lo in range(0, len(chunk), _BLOCK):
             part, before, after = (a[lo:lo + _BLOCK] for a in (chunk, earlier, later))
-            found = {m: carry.pop(m) for m in np.union1d(part, full ^ part).tolist()
-                     if m in carry}
-            held = np.fromiter(found, dtype=np.int64, count=len(found))
-            if len(fresh := np.setdiff1d(part, held)):  # else the carry holds the whole cut
-                found |= _analyses_for_block(n, fresh)
-            # A complement another cut selects is yielded there as a selected
-            # graph, which needs its facts, and the carry keeps the pairs a
-            # later cut needs, as far as it has room.
-            missing = np.setdiff1d(full ^ part, np.union1d(part, held))
-            if len(missing):
-                found |= _analyses_for_block(
-                    n, missing, facts=np.isin(missing, full ^ part[before | after]))
-            yield [(found[mask], found[full ^ mask]) for mask in part.tolist()]
-            keep = part[after][:(_CARRY * _BLOCK - len(carry)) // 2]
-            carry.update((m, found[m]) for m in np.union1d(keep, full ^ keep).tolist())
-            del found  # the next cut's build must not find this one alive
+            held = np.isin(carried, np.union1d(part, full ^ part))
+            taken, carried = carried[held], carried[~held]
+            fresh = np.setdiff1d(part, taken)  # empty where the carry holds the whole cut
+            missing = np.setdiff1d(full ^ part, np.union1d(part, taken))
+            parts = [_block(n, m) for m in (fresh, missing) if len(m)]
+            if len(taken):
+                parts.insert(0, _take(carry, held))
+                carry = _take(carry, ~held)
+            block = _join(parts)
+            del parts  # the cut's parts live on only as its block
+            found = np.concatenate([taken, fresh, missing])
+            order = np.argsort(found)
+            own, co = (order[np.searchsorted(found, x, sorter=order)] for x in (part, full ^ part))
+            # A complement another cut selects is a selected graph there, so
+            # its record carries its facts here too.
+            selected = np.zeros(len(found), dtype=bool)
+            selected[own] = selected[co[before | after]] = True
+            yield Cut(block, own, co, selected)
+            # The carry keeps the pairs a later cut needs, as far as it has room.
+            if len(keep := part[after][:(_CARRY * _BLOCK - len(carried)) // 2]):
+                kept = order[np.searchsorted(found, np.union1d(keep, full ^ keep), sorter=order)]
+                carry = _take(block, kept) if carry is None else _join([carry, _take(block, kept)])
+                carried = np.concatenate([carried, found[kept]])
+            del block  # the next cut's build must not find this one alive

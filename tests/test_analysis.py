@@ -17,6 +17,7 @@ from mainspec.analysis import (
     GraphAnalysis,
     RouteDisagreementError,
     analyze_graph,
+    records,
     resolve_spectrum,
 )
 from mainspec.graph6 import parse_graph6
@@ -185,6 +186,47 @@ def test_unreachable_rank_raises_disagreement(monkeypatch):
     assert None not in [g.is_main for g in a.spectrum.groups]
 
 
+def _per_graph_reference(g):
+    """``g``'s analysis by the per-graph rule, away from any stack: its groups
+    with the float route's flags, gray groups settled by ``resolve_with_rank``
+    on its walk rank, or given their threshold flags where that rank is out
+    of reach."""
+    spectrum = spectra.group_eigenvalues(spectra.eigen_decompose(g))
+    adj = g.adjacency_matrix().astype(np.int64)[None]
+    rank, level = exact.walk_ranks(adj)[0], exact.harmonic_levels(adj)[0]
+    if None not in [grp.is_main for grp in spectrum.groups]:
+        return GraphAnalysis(g, spectrum, rank, spectrum.main_count, level)
+    try:
+        return GraphAnalysis(g, spectra.resolve_with_rank(spectrum, rank), rank, None, level)
+    except ValueError:
+        flags, _ = spectra.classify_flags(spectrum.groups, g.n)
+        spectrum = MainSpectrum(tuple(grp._replace(is_main=flag)
+                                      for grp, flag in zip(spectrum.groups, flags)))
+        return GraphAnalysis(g, spectrum, rank, spectrum.main_count, level)
+
+
+@pytest.mark.parametrize("band", [{"MAIN_TOL": 1e-6}, UNREACHABLE_GRAY],
+                         ids=["settled", "unreachable"])
+def test_a_gray_band_stack_gives_the_per_graph_records(monkeypatch, band):
+    # One order-39 stack in which P_39's rows take the gray-zone fallback
+    # (or, out of the rank's reach, the threshold flags) and the other rows
+    # do not: each row is settled alone, and every record built from the
+    # columns, through a family stack or a stack of rows, is the per-graph one.
+    for name, value in band.items():
+        monkeypatch.setattr(spectra, name, value)
+    stack = [path(39), cycle(39), star(39), double_star(18, 19), complete(39)]
+    want = {h: _per_graph_reference(h) for g in stack for h in (g, g.complement())}
+    gray = [h for h, a in want.items() if a.used_fallback or a.disagrees]
+    assert path(39) in gray and len(gray) < len(want)
+    found = sweeps.analyze_with_complements(stack)
+    assert {h: a for pair in found.values() for a in pair for h in [a.graph]} == want
+    graphs = list(want)
+    rows = np.array([h.rows for h in graphs], dtype=np.int64)
+    block = sweeps.analyze_stack(np.stack([h.adjacency_matrix() for h in graphs]), rows)
+    assert records(block, np.arange(len(graphs)), facts=np.ones(len(graphs), bool)) == [
+        want[h] for h in graphs]
+
+
 def test_strict_flag_difference():
     # analyze_graph is always strict now: it raises on a route disagreement and
     # returns a plain analysis when the routes agree; the stacked route returns
@@ -198,7 +240,7 @@ def test_strict_flag_difference():
 
 
 def test_sweep_matches_analyze_graph():
-    # both go through analysis.finish_analyses; only the batch size differs
+    # both go through analysis.finish_block; only the batch size differs
     for ga, _ in sweep(5, masks=np.arange(0, mask_population(5), 5)):
         a = analyze_graph(ga.graph)
         assert (ga.rank, ga.s_float, ga.used_fallback, ga.harmonic_level) == (
@@ -227,24 +269,24 @@ def _verify_json_pairs(n):
     """The (analysis, complement analysis) pairs ``verify all --exhaustive n
     --json`` checks, as its sweep yields them."""
     pairs = []
-    real = sweeps.cuts
+    real = sweeps.pairs
 
-    def recording(n, **kwargs):
-        for cut in real(n, **kwargs):
-            pairs.extend(cut)
-            yield cut
+    def recording(cut, which=None):
+        found = real(cut, which)
+        pairs.extend(found)
+        return found
 
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
-        mp.setattr(sweeps, "cuts", recording)
+        mp.setattr(sweeps, "pairs", recording)
         assert cli.main(["verify", "all", "--exhaustive", str(n), "--json"]) == 0
     return pairs
 
 
 def _chunk_build_stacks(monkeypatch):
-    """The stacks the sweep's chunk builds send to the eigensolver, as they come."""
+    """The stacks the sweep's block builds send to the eigensolver, as they come."""
     stacks = []
     building = []
-    chunk = sweeps._analyses_for_block
+    chunk = sweeps._block
     batch = spectra.eigen_decompose_batch
 
     def build(*args, **kwargs):
@@ -259,7 +301,7 @@ def _chunk_build_stacks(monkeypatch):
             stacks.append(mats)
         return batch(mats)
 
-    monkeypatch.setattr(sweeps, "_analyses_for_block", build)
+    monkeypatch.setattr(sweeps, "_block", build)
     monkeypatch.setattr(spectra, "eigen_decompose_batch", recording)
     return stacks
 
@@ -350,14 +392,14 @@ def _alive_at_each_build(monkeypatch, first):
     """Cut order 5 into four closed chunks of 256 graphs, and record, as each
     chunk's build starts, whether each weak reference in ``first`` is alive."""
     monkeypatch.setattr(sweeps, "_BLOCK", 256)
-    real = sweeps._analyses_for_block
+    real = sweeps._block
     alive = []
 
     def build(*args, **kwargs):
         alive.append([ref() is not None for ref in first] if first else None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sweeps, "_analyses_for_block", build)
+    monkeypatch.setattr(sweeps, "_block", build)
     return alive
 
 
@@ -378,16 +420,16 @@ def test_a_chunk_is_freed_before_the_next_is_built(monkeypatch):
 
 
 def test_a_verify_cut_is_freed_before_the_next_is_built(monkeypatch):
-    # Table-mode verify drops each cut's pairs, and the verdicts
+    # Table-mode verify drops each cut's columns, and the verdicts
     # ``check_block`` made of them, before it asks for the next cut.
     first = []
     alive = _alive_at_each_build(monkeypatch, first)
     check_block = theorems.check_block
 
-    def watched(pairs):
-        block = check_block(pairs)
+    def watched(cut):
+        block = check_block(cut)
         if not first:
-            first.extend(map(weakref.ref, (pairs[0][0].graph, block.verdicts)))
+            first.extend(map(weakref.ref, (cut.block.value, block.verdicts)))
         return block
 
     monkeypatch.setattr(theorems, "check_block", watched)
@@ -405,9 +447,10 @@ def collector_state():
 
 
 def test_no_collection_starts_inside_a_chunk_build(collector_state):
-    # Every record a chunk builds stays alive until its pairs are yielded,
-    # so a collection started while one is built could reclaim none of them.
-    chunk_code = inspect.unwrap(sweeps._analyses_for_block).__code__
+    # Every record a cut's pairs are built of stays alive until they are
+    # yielded, so a collection started while they are built could reclaim
+    # none of them.  A block's columns hold no record.
+    chunk_code = inspect.unwrap(sweeps.pairs).__code__
     started = []
 
     def hook(phase, info):
@@ -487,19 +530,19 @@ def test_no_stack_holds_more_than_one_block(monkeypatch, kind):
     monkeypatch.setattr(sweeps, "_BLOCK", 100)
     decomposed = Counter()
     sizes = {"eigensolve": [], "finish": []}
-    batch, finish = spectra.eigen_decompose_batch, sweeps.finish_analyses
+    batch, finish = spectra.eigen_decompose_batch, sweeps.finish_block
 
     def recording_batch(mats):
         sizes["eigensolve"].append(len(mats))
         decomposed.update(m.tobytes() for m in mats)
         return batch(mats)
 
-    def recording_finish(graphs, *args):
-        sizes["finish"].append(len(graphs))
-        return finish(graphs, *args)
+    def recording_finish(adj, *args):
+        sizes["finish"].append(len(adj))
+        return finish(adj, *args)
 
     monkeypatch.setattr(spectra, "eigen_decompose_batch", recording_batch)
-    monkeypatch.setattr(sweeps, "finish_analyses", recording_finish)
+    monkeypatch.setattr(sweeps, "finish_block", recording_finish)
     route, distinct = _block_route(kind, monkeypatch)
     route()
     assert max(sizes["eigensolve"]) == max(sizes["finish"]) == 100
@@ -527,17 +570,17 @@ def _swept_sample(route, n, size):
     graphs had stacked facts when it was yielded; and ``verify``'s output, its
     timestamp cut."""
     pairs, stored = [], []
-    real = sweeps.cuts
+    real = sweeps.pairs
 
-    def recording(n, **kwargs):
-        for cut in real(n, **kwargs):
-            pairs.extend(cut)
-            stored.extend((_stored_facts(a.graph), _stored_facts(co.graph)) for a, co in cut)
-            yield cut
+    def recording(cut, which=None):
+        found = real(cut, which)
+        pairs.extend(found)
+        stored.extend((_stored_facts(a.graph), _stored_facts(co.graph)) for a, co in found)
+        return found
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(sweeps, "cuts", recording)
+        mp.setattr(sweeps, "pairs", recording)
         if route == "sweep":
             deque(sweeps.sweep(n, masks=sweeps.sample_masks(n, size)), maxlen=0)
         else:
@@ -574,25 +617,26 @@ def test_the_carry_is_bounded(monkeypatch):
     # All of order 5's masks as a sample, cut 16 at a time: each of the 512
     # masks below 512 has its complement in a later cut, more pairs than the
     # carry's blocks hold.  The pairs it has no room for are decomposed again
-    # in their later cut, and no more than the cut, its complement batch and
-    # the carry are alive at once.
+    # in their later cut, and no more rows of analysis columns than the
+    # cut's, its complement batch's and the carry's are alive at once.
     monkeypatch.setattr(sweeps, "_BLOCK", 16)
-    built = []
-    stack = sweeps.stack_graphs
+    built, decomposed = [], []
+    for name in ("analyze_stack", "_take", "_join"):
+        def recording(*args, _real=getattr(sweeps, name), _name=name):
+            block = _real(*args)
+            built.append(weakref.ref(block.rank))
+            if _name == "analyze_stack":
+                decomposed.append(len(block.rank))
+            return block
 
-    def recording(rows):
-        graphs = stack(rows)
-        built.extend(weakref.ref(g) for g in graphs)
-        return graphs
-
-    monkeypatch.setattr(sweeps, "stack_graphs", recording)
+        monkeypatch.setattr(sweeps, name, recording)
     masks = np.arange(mask_population(5))
     alive = []
     for (a, co), m in zip(sweep(5, masks=masks), masks.tolist()):
         assert a.graph == Graph.from_edge_mask(5, m) and co.graph == a.graph.complement()
-        alive.append(sum(ref() is not None for ref in built))
+        alive.append(sum(len(rank) for ref in built if (rank := ref()) is not None))
     assert max(alive) == (2 + sweeps._CARRY) * 16
-    assert mask_population(5) < len(built) <= 2 * mask_population(5)
+    assert mask_population(5) < sum(decomposed) <= 2 * mask_population(5)
 
 
 @pytest.mark.parametrize("masks", [np.array([0, 1 << 15], dtype=np.int64),
@@ -656,8 +700,7 @@ def test_pipeline_never_reaches_bareiss(monkeypatch):
         for h in (g, g.complement()):
             assert analyze_graph(h).rank <= h.n
     masks = sweeps.sample_masks(8, 512, 8)
-    graphs = [Graph.from_edge_mask(8, m) for m in masks.tolist()]
-    assert len(sweeps.analyze_stack(graphs, sweeps.adjacency_stack(8, masks))) == 512
+    assert len(sweeps.analyze_stack(sweeps.adjacency_stack(8, masks)).rank) == 512
     assert calls == []
 
 
@@ -702,7 +745,8 @@ def test_build_groups_makes_exact_eigen_groups():
     rng = np.random.default_rng(5)
     adj = sweeps.adjacency_stack(6, rng.choice(mask_population(6), 64, replace=False))
     evals, evecs, _ = spectra.eigen_decompose_batch(adj)
-    rows = spectra.build_groups(evals, evecs.sum(axis=1) ** 2)
+    cols = spectra.build_groups(evals, evecs.sum(axis=1) ** 2)
+    rows = spectra.group_rows(*cols)
     assert len(rows) == 64
     for row in rows:
         assert type(row) is tuple

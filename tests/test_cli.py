@@ -16,7 +16,7 @@ from mainspec import analysis, cli, spectra, sweeps, theorems
 from mainspec.analysis import RouteDisagreementError
 from mainspec.graph6 import serialize_edgelist, serialize_graph6
 from mainspec.graphs import (
-    MAX_ORDER, FamilySpec, Graph, ParameterError, build_family, complete, path)
+    MAX_ORDER, FamilySpec, Graph, ParameterError, build_family, complete, path, stack_graphs)
 from mainspec.theorems import TheoremReport
 
 
@@ -59,13 +59,28 @@ def force_verdicts(monkeypatch, tid, verdict_of):
     real = theorems.check_block
     column = list(theorems.GRAPH_CHECKERS).index(tid)
 
-    def check_block(pairs):
-        block = real(pairs)
-        block.verdicts[:, column] = [theorems.VERDICTS.index(verdict_of(a.graph))
-                                     for a, _ in pairs]
+    def check_block(cut):
+        block = real(cut)
+        block.verdicts[:, column] = [theorems.VERDICTS.index(verdict_of(g))
+                                     for g in stack_graphs(cut.block.rows[cut.own])]
         return block
 
     monkeypatch.setattr(theorems, "check_block", check_block)
+
+
+def sweep_records(monkeypatch):
+    """The number of records each record build of a sweep makes, as it comes:
+    the builds from a block's rows (family graphs come with their graphs)."""
+    built = []
+    real = sweeps.records
+
+    def records(block, index, graphs=None, facts=None):
+        if graphs is None:
+            built.append(len(index))
+        return real(block, index, graphs, facts)
+
+    monkeypatch.setattr(sweeps, "records", records)
+    return built
 
 
 class TestAnalyze:
@@ -434,6 +449,26 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_table_mode_builds_no_records(self, capsys, monkeypatch):
+        # Table mode decides and counts every swept graph from its cut's
+        # columns; with nothing to report it builds no record of a swept graph.
+        built = sweep_records(monkeypatch)
+        code, out, _ = run(capsys, "verify", "all", "--exhaustive", "5")
+        assert code == 0 and "T45: 1076 instances — 1076 holds" in out
+        assert built == []
+
+    def test_table_mode_builds_records_only_for_the_failures_it_keeps(
+            self, capsys, monkeypatch):
+        # T45 forced to fail on all 1,024 order-5 graphs: the tally keeps the
+        # first 20 by mask, and each of those, and nothing else, has the
+        # records of its pair built, for the per-graph checker's report.
+        built = sweep_records(monkeypatch)
+        force_verdicts(monkeypatch, "T45", lambda g: theorems.FAILS)
+        code, out, _ = run(capsys, "verify", "all", "--exhaustive", "5")
+        assert code == 1 and out.count("  FAIL ") == 20
+        assert "T45: 1076 instances — 52 holds, 1024 fails" in out
+        assert built == [2] * 20
+
     def test_verify_json_reports_are_stable(self, capsys):
         _, first, _ = run(capsys, "verify", "C43", "--paths", "2..6", "--json")
         _, second, _ = run(capsys, "verify", "C43", "--paths", "2..6", "--json")
@@ -663,16 +698,23 @@ def test_usage_without_command():
     assert exc.value.code == 2
 
 
-def _disagreeing(a):
-    return a._replace(s_float=a.rank + 1)
+def _disagreeing_complements(cut):
+    """``cut`` with each complement read from a row of its own, a copy whose
+    float count disagrees with its walk rank; G's rows are left as they are."""
+    co = sweeps._take(cut.block, cut.co)
+    co.s_float[:] = co.rank + 1
+    rows = len(cut.selected)
+    return cut._replace(block=sweeps._join([cut.block, co]),
+                        co=np.arange(rows, rows + len(cut.co)),
+                        selected=np.concatenate([cut.selected, np.zeros(len(cut.co), bool)]))
 
 
 def test_complement_disagreement_in_sweep_exit3(capsys, monkeypatch):
     real = sweeps.cuts
 
     def cuts(n, **kwargs):
-        for pairs in real(n, **kwargs):
-            yield [(a, _disagreeing(co)) for a, co in pairs]
+        for cut in real(n, **kwargs):
+            yield _disagreeing_complements(cut)
 
     monkeypatch.setattr(sweeps, "cuts", cuts)
     code, out, err = run(capsys, "verify", "T45", "--exhaustive", "3")
@@ -682,10 +724,16 @@ def test_complement_disagreement_in_sweep_exit3(capsys, monkeypatch):
 
 
 def test_complement_disagreement_in_family_exit3(capsys, monkeypatch):
-    target = path(5).complement()
+    target = path(5).complement().adjacency_matrix()
     real = sweeps.analyze_stack
-    monkeypatch.setattr(sweeps, "analyze_stack", lambda graphs, adj: [
-        _disagreeing(a) if a.graph == target else a for a in real(graphs, adj)])
+
+    def analyze_stack(adj, rows=None):
+        block = real(adj, rows)
+        hit = (adj == target).all(axis=(1, 2))
+        block.s_float[hit] = block.rank[hit] + 1
+        return block
+
+    monkeypatch.setattr(sweeps, "analyze_stack", analyze_stack)
     code, out, err = run(capsys, "verify", "C43", "--paths", "5..5")
     assert code == 3
     assert "C43: 1 instances — 1 holds" in out
@@ -831,19 +879,19 @@ class TestSplitSweep:
         assert single == split == (1, "\n".join(lines) + "\n", "")
 
     def in_worker(self, monkeypatch, action):
-        """Make ``sweeps.cuts`` run ``action`` on each pair in the workers, not
+        """Make ``sweeps.cuts`` run ``action`` on each cut in the workers, not
         in this process."""
         parent = os.getpid()
         real = sweeps.cuts
 
         def cuts(n, **kwargs):
-            for pairs in real(n, **kwargs):
-                yield pairs if os.getpid() == parent else [action(a, co) for a, co in pairs]
+            for cut in real(n, **kwargs):
+                yield cut if os.getpid() == parent else action(cut)
 
         monkeypatch.setattr(sweeps, "cuts", cuts)
 
     def test_numerical_error_in_a_worker_exit4(self, capsys, monkeypatch):
-        def fail(a, co):
+        def fail(cut):
             raise spectra.SpectralInvariantError("injected")
 
         self.in_worker(monkeypatch, fail)
@@ -854,7 +902,7 @@ class TestSplitSweep:
                                     "error: numerical check failed: injected\n")
 
     def test_disagreement_in_a_worker_exit3(self, capsys, monkeypatch):
-        self.in_worker(monkeypatch, lambda a, co: (a, _disagreeing(co)))
+        self.in_worker(monkeypatch, _disagreeing_complements)
         self.cpus(monkeypatch, 2)
         code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
         self.no_children()
@@ -864,7 +912,7 @@ class TestSplitSweep:
                        "walk-matrix rank\n")
 
     def test_a_worker_that_exits_without_a_result_exit6(self, capsys, monkeypatch):
-        self.in_worker(monkeypatch, lambda a, co: os._exit(3))
+        self.in_worker(monkeypatch, lambda cut: os._exit(3))
         self.cpus(monkeypatch, 3)
         code, out, err = run(capsys, "verify", "all", "--exhaustive", "5")
         self.no_children()
@@ -872,7 +920,7 @@ class TestSplitSweep:
         assert err == "error: a sweep worker ended without a result (exit status 3)\n"
 
     def test_a_worker_that_fails_outside_the_checks_exit6(self, capsys, monkeypatch):
-        def fail(a, co):
+        def fail(cut):
             raise KeyError("injected")
 
         self.in_worker(monkeypatch, fail)

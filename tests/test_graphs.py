@@ -19,6 +19,7 @@ from mainspec.graphs import (
     ParameterError,
     Facts,
     build_family,
+    check_stack,
     complete,
     complete_bipartite,
     cycle,
@@ -26,13 +27,14 @@ from mainspec.graphs import (
     empty_graph,
     facts,
     family_of,
-    fill_stack_facts,
     harmonic_tree,
     is_bipartite,
     is_connected,
     path,
     pendant_decorated,
+    stack_facts,
     stack_graphs,
+    store_facts,
     star,
     triangle_pairs,
 )
@@ -401,7 +403,7 @@ class TestStacks:
         for h, mask in batch:
             assert stored(h) == [], mask
         refs = [Graph.from_edge_mask(n, mask) for _, mask in batch]
-        fill_stack_facts(refs)
+        store_facts(refs, stack_facts(np.array([g.rows for g in refs], dtype=np.int64)))
         for (h, mask), ref in zip(batch, refs):
             assert stored(ref) == [facts(ref)]
             assert facts(h) == facts(ref), mask
@@ -415,8 +417,10 @@ class TestStacks:
                 valid.append(Graph(n, rows))
             except ParameterError:
                 with pytest.raises(ParameterError):
-                    stack_graphs(np.array([rows], dtype=np.int64))
-        assert stack_graphs(np.array([g.rows for g in valid], dtype=np.int64)) == valid
+                    check_stack(np.array([rows], dtype=np.int64))
+        rows = np.array([g.rows for g in valid], dtype=np.int64)
+        check_stack(rows)
+        assert stack_graphs(rows) == valid
 
     @pytest.mark.parametrize("vertex, flip, message", [
         (3, 1 << 3, "stack graph 5: loop at vertex 3"),
@@ -428,7 +432,7 @@ class TestStacks:
                         dtype=np.int64)
         rows[5, vertex] ^= flip
         with pytest.raises(ParameterError) as err:
-            stack_graphs(rows)
+            check_stack(rows)
         assert str(err.value) == message
 
     def test_complement_rows_pass_the_constructor(self):

@@ -31,6 +31,7 @@ from mainspec.spectra import (
     eigen_decompose,
     eigen_decompose_batch,
     group_eigenvalues,
+    group_rows,
     resolve_with_rank,
 )
 from mainspec.sweeps import mask_population
@@ -197,9 +198,14 @@ class TestGrouping:
             build_groups(evals, np.ones((1, 3)))
         assert repr(1.0) in str(err.value) and repr(1.0 - 2e-7) in str(err.value)
 
+    @staticmethod
+    def rows(cols):
+        """``build_groups``' columns as one tuple of groups per row."""
+        return group_rows(*cols)
+
     def test_clean_split(self):
         evals = np.array([[1.0, 1.0 - 1e-12, 0.0]])
-        (groups,) = build_groups(evals, np.array([[1.0, 2.0, 3.0]]))
+        (groups,) = self.rows(build_groups(evals, np.array([[1.0, 2.0, 3.0]])))
         assert [g.multiplicity for g in groups] == [2, 1]
         assert groups[0].projection_norm_sq == 3.0
 
@@ -222,7 +228,7 @@ class TestGrouping:
             bounds = list(zip(cuts, cuts[1:] + [len(evals)]))
             want = [(float(np.mean(evals[a:b])), b - a, float(np.sum(proj_sq[a:b])))
                     for a, b in bounds]
-            (got,) = build_groups(evals[None], proj_sq[None])
+            (got,) = self.rows(build_groups(evals[None], proj_sq[None]))
             assert [(g.value.hex(), g.multiplicity, g.projection_norm_sq.hex()) for g in got] == [
                 (v.hex(), m, p.hex()) for v, m, p in want]
 
@@ -230,9 +236,26 @@ class TestGrouping:
         masks = np.arange(0, mask_population(5), 3)
         evals, evecs, _ = eigen_decompose_batch(sweeps.adjacency_stack(5, masks))
         proj_sq = evecs.sum(axis=1) ** 2
-        together = build_groups(evals, proj_sq)
+        together = self.rows(build_groups(evals, proj_sq))
         for row, groups in enumerate(together):
-            assert build_groups(evals[row:row + 1], proj_sq[row:row + 1]) == [groups]
+            assert self.rows(build_groups(evals[row:row + 1], proj_sq[row:row + 1])) == [groups]
+
+    def test_group_columns_are_padded(self):
+        # One column per group and at least one past the last: -inf, 0, 0.0,
+        # False, False there; the top group is main, never gray.
+        masks = np.arange(0, mask_population(5), 7)
+        evals, evecs, _ = eigen_decompose_batch(sweeps.adjacency_stack(5, masks))
+        cols = build_groups(evals, evecs.sum(axis=1) ** 2)
+        for c in (cols.value, cols.mult, cols.proj, cols.main, cols.gray):
+            assert c.shape == (len(masks), 6)
+        past = np.arange(6) >= cols.count[:, None]
+        assert past[:, -1].all() and (cols.count >= 1).all()
+        assert (cols.value[past] == -np.inf).all() and (cols.value[~past] > -np.inf).all()
+        assert (cols.mult[past] == 0).all() and (cols.mult[~past] >= 1).all()
+        assert (cols.proj[past] == 0.0).all()
+        assert not (cols.main[past].any() or cols.gray[past].any() or cols.gray[:, 0].any())
+        assert cols.main[:, 0].all()
+        assert (cols.mult.sum(axis=1) == 5).all()
 
     def test_ambiguous_row_in_a_stack_is_named(self):
         evals = np.array([[2.0, 0.0, -2.0], [1.0, 1.0 - 2e-7, -1.0]])

@@ -713,14 +713,44 @@ NEAR_PAIRS = ["HvG[upG", "MhCH@A??G?_@?A_??", "MhCK?C@?G@?C?_??_", "MhCS?C@?GA?O
               "MhD?GI??G?_A?G_??", "MhGaAA??G?_A?C_??", "NhCGK?@?G?_@?O??_G?"]
 
 
-def _blocks(source):
-    """The blocks of (analysis, complement analysis) pairs of one source."""
-    if source == "near-pairs":  # one block of orders 9, 14 and 15
-        found = analyze_with_complements([parse_graph6(g6) for g6 in NEAR_PAIRS])
-        return [list(found.values())]
+def _cut_of(graphs):
+    """One cut of ``graphs``, all of one order, and their complements, as
+    ``sweeps.cuts`` gives one: the graphs' rows first, then their complements'."""
+    stack = [*graphs, *(g.complement() for g in graphs)]
+    block = sweeps.analyze_stack(np.stack([h.adjacency_matrix() for h in stack]),
+                                 np.array([h.rows for h in stack], dtype=np.int64))
+    k = len(graphs)
+    return sweeps.Cut(block, np.arange(k), np.arange(k, 2 * k), np.ones(2 * k, dtype=bool))
+
+
+def _cuts(source):
+    """The cuts of one source, as columns."""
+    if source == "near-pairs":  # one cut per order: 9, 14 and 15
+        near = [parse_graph6(g6) for g6 in NEAR_PAIRS]
+        return [_cut_of([g for g in near if g.n == n]) for n in sorted({g.n for g in near})]
     n, size = source
     masks = None if size is None else sample_masks(n, size, seed=7)
     return list(sweeps.cuts(n, masks=masks))
+
+
+def _compare_block(cut, pairs, fails):
+    """Assert that ``check_block(cut)`` gives the per-graph checkers' verdicts
+    on ``pairs``, the records of the cut's pairs, and its columns their facts
+    and disagreements; add the claims that fail to ``fails``."""
+    codes = {verdict: code for code, verdict in enumerate(theorems.VERDICTS)}
+    checks = list(GRAPH_CHECKERS.values())
+    block = theorems.check_block(cut)
+    want = np.array([[codes[check(a.graph, analysis=a, co=co).verdict] for check in checks]
+                     for a, co in pairs]).reshape(len(pairs), len(checks))
+    assert block.verdicts.shape == want.shape
+    assert [tid for column, tid in enumerate(GRAPH_CHECKERS)
+            if not np.array_equal(block.verdicts[:, column], want[:, column])] == []
+    fails |= {tid for tid, failed in zip(GRAPH_CHECKERS, (want == codes[FAILS]).any(axis=0))
+              if failed}
+    facts = cut.block.facts
+    assert facts.connected[cut.own].tolist() == [graphs.is_connected(a.graph) for a, _ in pairs]
+    assert facts.bipartite[cut.own].tolist() == [graphs.is_bipartite(a.graph) for a, _ in pairs]
+    assert block.disagrees.tolist() == [a.disagrees or co.disagrees for a, co in pairs]
 
 
 @pytest.mark.parametrize("source, tol", [((n, None), theorems.TOL_EQ) for n in range(1, 7)] + [
@@ -728,27 +758,16 @@ def _blocks(source):
     ((5, None), 0.05)], ids=[f"exhaustive-{n}" for n in range(1, 7)] + [
     "sampled-7", "sampled-8", "near-pairs", "exhaustive-5-wide"])
 def test_block_verdicts_equal_the_per_graph_checkers(monkeypatch, source, tol):
-    # ``check_block`` decides all 16 graph claims for a block at once; every
-    # verdict must be the one its per-graph checker reports.  The near pairs
-    # make T31, P32 and C33 FAIL; a TOL_EQ widened to 0.05, read by both
-    # paths when called, adds P25 and P36 FAILs.
+    # ``check_block`` decides all 16 graph claims for a cut at once; every
+    # verdict must be the one its per-graph checker reports on the records
+    # built from the cut's columns.  The near pairs make T31, P32 and C33
+    # FAIL; a TOL_EQ widened to 0.05, read by both paths when called, adds
+    # P25 and P36 FAILs.
     wide = tol != theorems.TOL_EQ
     monkeypatch.setattr(theorems, "TOL_EQ", tol)
-    codes = {verdict: code for code, verdict in enumerate(theorems.VERDICTS)}
-    checks = list(GRAPH_CHECKERS.values())
     fails = set()
-    for pairs in _blocks(source):
-        block = theorems.check_block(pairs)
-        want = np.array([[codes[check(a.graph, analysis=a, co=co).verdict] for check in checks]
-                         for a, co in pairs]).reshape(len(pairs), len(checks))
-        assert block.verdicts.shape == want.shape
-        assert [tid for column, tid in enumerate(GRAPH_CHECKERS)
-                if not np.array_equal(block.verdicts[:, column], want[:, column])] == []
-        fails |= {tid for tid, failed in zip(GRAPH_CHECKERS, (want == codes[FAILS]).any(axis=0))
-                  if failed}
-        assert block.connected.tolist() == [graphs.is_connected(a.graph) for a, _ in pairs]
-        assert block.bipartite.tolist() == [graphs.is_bipartite(a.graph) for a, _ in pairs]
-        assert block.disagrees.tolist() == [a.disagrees or co.disagrees for a, co in pairs]
+    for cut in _cuts(source):
+        _compare_block(cut, sweeps.pairs(cut), fails)
     if source == "near-pairs":
         assert fails == {"T31", "P32", "C33"}
     elif wide:
@@ -757,27 +776,84 @@ def test_block_verdicts_equal_the_per_graph_checkers(monkeypatch, source, tol):
         assert fails == set()
 
 
+def test_block_verdicts_of_a_selection_split_across_cuts(monkeypatch):
+    # An order-7 selection of 2,500 masks: 1,000 pairs with both masks
+    # selected, each mask below half the population and its complement
+    # above, so the two lie in different cuts of 2,048, and 500 masks, half
+    # below and half above, whose complement is not selected.  The carry
+    # takes the pairs to their later cut, each cut's complement block holds
+    # the rest, and each graph is decomposed once; the verdicts equal the
+    # per-graph checkers' on ``sweep``'s records.
+    full = sweeps.mask_population(7) - 1
+    low = np.random.default_rng(3).choice(full // 2 + 1, 1500, replace=False)
+    masks = np.sort(np.concatenate([low[:1250], full ^ low[:1000], full ^ low[1250:]]))
+    decomposed = []
+    batch = spectra.eigen_decompose_batch
+    monkeypatch.setattr(spectra, "eigen_decompose_batch",
+                        lambda mats: decomposed.append(len(mats)) or batch(mats))
+    cuts = list(sweeps.cuts(7, masks=masks))
+    assert [len(cut.own) for cut in cuts] == [2048, 452]
+    assert sum(decomposed) == len(np.union1d(masks, full ^ masks)) == 3000
+    # the second cut takes every complement the first selected from the carry
+    second = cuts[1]
+    assert second.selected.sum() == 452 + np.isin(full ^ masks[2048:], masks[:2048]).sum()
+    assert all((~cut.selected).any() for cut in cuts)  # each has a complement block
+    pairs = list(sweep(7, masks=masks))
+    fails = set()
+    start = 0
+    for cut in cuts:
+        _compare_block(cut, pairs[start:start + len(cut.own)], fails)
+        start += len(cut.own)
+    assert fails == set()
+
+
+def _doctored(a_row, co_row, **changes):
+    """Rows ``a_row`` and ``co_row`` of one block as a pair of one-row blocks;
+    ``changes`` maps "a" or "co" to a function that edits that row in place."""
+    out = []
+    for side, row in (("a", a_row), ("co", co_row)):
+        block, index = row
+        one = sweeps._take(block, np.array([index]))
+        if side in changes:
+            changes[side](one)
+        out.append(one)
+    return out
+
+
+def _moved(i):
+    """Move group ``i`` of a one-row block up by 1e-6, as ``moved`` does."""
+    def move(block):
+        block.value[0, i] += 1e-6
+    return move
+
+
 def test_block_verdicts_of_moved_and_disagreeing_analyses():
-    # The FAIL branches real graphs never reach, in one block of several
-    # orders: each group of G, then of its complement, moved off every
-    # equality in turn (``moved``), either route made to disagree, and the
-    # harmonic level taken away or made up.
-    pairs = []
+    # The FAIL branches real graphs never reach, one cut per graph and order:
+    # each group of G, then of its complement, moved off every equality in
+    # turn (``moved``), either route made to disagree, and the harmonic level
+    # taken away or made up.
+    fails = set()
     for g in (harmonic_tree(2), star(6), path(4), cycle(6), complete_bipartite(3, 3),
               double_star(2, 3), pendant_decorated(cycle(5), 1), complete(1)):
-        a, co = analyze_with_complements([g])[g]
-        pairs += [(a, co), (a._replace(s_float=a.rank + 1), co),
-                  (a, co._replace(s_float=co.rank + 1)),
-                  (a._replace(harmonic_level=None if a.is_harmonic else 3), co)]
-        pairs += [(moved(a, i), co) for i in range(len(a.spectrum.groups))]
-        pairs += [(a, moved(co, i)) for i in range(len(co.spectrum.groups))]
-    block = theorems.check_block(pairs)
-    want = [[theorems.VERDICTS.index(check(a.graph, analysis=a, co=co).verdict)
-             for check in GRAPH_CHECKERS.values()] for a, co in pairs]
-    assert block.verdicts.tolist() == want
-    assert block.disagrees.tolist() == [a.disagrees or co.disagrees for a, co in pairs]
-    fails = {tid for row in want for tid, code in zip(GRAPH_CHECKERS, row)
-             if theorems.VERDICTS[code] == FAILS}
+        block = _cut_of([g]).block
+        a, co = (block, 0), (block, 1)
+
+        def disagree(one):
+            one.s_float[0] = one.rank[0] + 1
+
+        def level(one):
+            one.level[0] = np.nan if one.level[0] == one.level[0] else 3
+
+        rows = [_doctored(a, co), _doctored(a, co, a=disagree), _doctored(a, co, co=disagree),
+                _doctored(a, co, a=level)]
+        rows += [_doctored(a, co, a=_moved(i)) for i in range(block.count[0])]
+        rows += [_doctored(a, co, co=_moved(i)) for i in range(block.count[1])]
+        k = len(rows)
+        cut = sweeps.Cut(sweeps._join([one for pair in rows for one in pair]),
+                         np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2),
+                         np.ones(2 * k, dtype=bool))
+        _compare_block(cut, sweeps.pairs(cut), fails)
     assert fails == set(GRAPH_CHECKERS) - {"T31", "C33"}  # the near pairs fail those
-    empty = theorems.check_block([])
+    cut = _cut_of([path(3)])
+    empty = theorems.check_block(cut._replace(own=cut.own[:0], co=cut.co[:0]))
     assert empty.verdicts.shape == (0, len(GRAPH_CHECKERS))
