@@ -87,9 +87,10 @@ def resolve_spectrum(
     """Settle the gray groups with the exact rank; returns (final, s_float, fallback).
 
     ``spectrum`` carries ``build_groups``' flags, None on the ``gray`` groups,
-    and ``flags`` the plain threshold flags (``spectra.classify_flags``).  A
-    rank the gray groups cannot reach leaves them their threshold flags and
-    s_float the threshold count: a disagreement for the caller to surface.
+    and ``flags`` its ``main`` column for the same groups: every group's
+    threshold flag, gray ones included.  A rank the gray groups cannot reach
+    leaves them their threshold flags and s_float the threshold count: a
+    disagreement for the caller to surface.
     """
     if not gray:
         return spectrum, spectrum.main_count, False

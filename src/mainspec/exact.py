@@ -5,12 +5,17 @@ floating spectrum; no float enters.  The analysis pipeline passes stacks of
 graphs (a single graph is a stack of one) to ``walk_ranks``: the Krylov rank
 mod a 31-bit prime bounds each walk rank from below, and a monic dependency,
 lifted over further primes by the Chinese remainder theorem and checked
-exactly, bounds it from above, at every order.  Their harmonic levels come
-from one int64 product.  ``walk_matrix``, ``exact_rank`` and ``exact_det``
-(fraction-free Bareiss elimination over Python integers) are not on that
-route; ``exact_det`` gives T46 its determinant.  An equitable partition is
-checked as given (``verify_equitable``) and yields the divisor walk matrix
-behind that determinant.  This module is the cross-check counterpart of
+exactly, bounds it from above, at every order.  A stack of one, which is
+what ``analyze`` and every single-graph caller pass, is eliminated by a 2-D
+loop of its own: the stacked kernel pays a dozen-odd numpy calls per pivot
+to index its batch axis, which dominate at one graph and vanish over a
+sweep block of 2,048.  Both give the same results bit for bit.  A stack's
+harmonic levels come from one int64 product.  ``walk_matrix``,
+``exact_rank`` and ``exact_det`` (fraction-free Bareiss elimination over
+Python integers) are not on that route; ``exact_det`` gives T46 its
+determinant.  An equitable partition is checked as given
+(``verify_equitable``) and yields the divisor walk matrix behind that
+determinant.  This module is the cross-check counterpart of
 :mod:`mainspec.spectra`.
 """
 from __future__ import annotations
@@ -177,14 +182,21 @@ def _krylov_dependency(krylov: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     and for k < K the monic combination m of length K (m_k = 1, m_i = 0 for
     i > k) with sum m_i A^i j = 0 mod p, entries in [0, p); a graph with no
     dependency among its K vectors gets coefficients 0.
+
+    A stack of one (B = 1) goes to ``_krylov_dependency_of_one``, the same
+    elimination on 2-D arrays: per pivot the batched gathers, the all-ranks
+    test and the vectorised Fermat inverse cost more than the row update
+    itself when the batch axis has length 1.
     """
     B, K, n = krylov.shape
+    if B == 1:
+        return _krylov_dependency_of_one(krylov[0], p)
     rows = np.arange(B)
     m = np.empty((B, K, n + K), dtype=np.int64)
     np.remainder(krylov, p, out=m[:, :, :n])
     m[:, :, n:] = np.eye(K, dtype=np.int64)
     rank = np.full(B, K)
-    step = max(1, _BLOCK_ENTRIES // (B * (n + K)))
+    step = max(1, _BLOCK_ENTRIES // max(B * (n + K), 1))  # B = 0: an empty stack
     for r in range(K):
         row = m[:, r]
         piv = np.argmax(row[:, :n] != 0, axis=1)
@@ -201,6 +213,32 @@ def _krylov_dependency(krylov: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     k = np.minimum(rank, K - 1)
     coeffs = m[rows, k, n:] * (rank < K)[:, None]
     return rank, coeffs * _inverse_mod(coeffs[rows, k], p)[:, None] % p
+
+
+def _krylov_dependency_of_one(krylov: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_krylov_dependency` of one graph's (K, n) Krylov vectors, as a stack of one.
+
+    The same elimination in the same order, on 2-D arrays with the pivot as
+    Python ints and one scalar inverse, so (rank_p, coefficients) equal the
+    stacked kernel's bit for bit without its per-pivot batch indexing.
+    """
+    K, n = krylov.shape
+    m = np.empty((K, n + K), dtype=np.int64)
+    np.remainder(krylov, p, out=m[:, :n])
+    m[:, n:] = np.eye(K, dtype=np.int64)
+    for r in range(K):
+        row = m[r]
+        piv = int(np.argmax(row[:n] != 0))
+        pv = int(row[piv])
+        if not pv:
+            coeffs = m[r, n:]
+            return np.array([r]), (coeffs * pow(int(coeffs[r]), p - 2, p) % p)[None]
+        below = m[r + 1:]
+        f = below[:, piv].copy()
+        below *= pv
+        below -= f[:, None] * row
+        below %= p
+    return np.array([K]), np.zeros((1, K), dtype=np.int64)
 
 
 def _dependency_holds(adj: np.ndarray, krylov: np.ndarray, m: Sequence[int]) -> bool:

@@ -138,17 +138,17 @@ def eigen_decompose_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dic
 
     lam_max = np.abs(evals).max(axis=1) if n else np.zeros(B)
     gram = evecs.transpose(0, 2, 1) @ evecs - np.eye(n)
-    orth = np.abs(gram).reshape(B, -1).max(axis=1)
+    orth = np.abs(gram).reshape(B, n * n).max(axis=1)
     _require("orthonormality defect", orth, ORTHONORMALITY_TOL * n, n)
     resid = np.abs(mats @ evecs - evecs * evals[:, None, :])
-    resid = resid.reshape(B, -1).max(axis=1)
+    resid = resid.reshape(B, n * n).max(axis=1)
     _require("eigen residual", resid, RESIDUAL_TOL * (1.0 + lam_max) * n, n)
     drift = np.abs(evals.sum(axis=1) - np.trace(mats, axis1=1, axis2=2))
     _require("trace drift", drift, TRACE_TOL * n * np.maximum(1.0, lam_max), n)
     hygiene = {
-        "orthonormality": float(orth.max()),
-        "residual": float(resid.max()),
-        "trace_drift": float(drift.max()),
+        "orthonormality": float(orth.max(initial=0.0)),
+        "residual": float(resid.max(initial=0.0)),
+        "trace_drift": float(drift.max(initial=0.0)),
     }
     return evals, evecs, hygiene
 
@@ -197,6 +197,7 @@ def build_groups(evals: np.ndarray, proj_sq: np.ndarray) -> Groups:
     width = B * (n + 1)
     sums = np.bincount(slot, evals.ravel(), width).reshape(B, n + 1)
     proj = np.bincount(slot, proj_sq.ravel(), width).reshape(B, n + 1)
+    proj = proj.astype(float, copy=False)  # bincount gives ints on an empty stack
     mult = np.bincount(slot, minlength=width).reshape(B, n + 1)
     for b, r in zip(*np.nonzero(mult >= 8)):
         a = int(np.argmax(run[b] == r))

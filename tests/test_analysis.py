@@ -227,6 +227,22 @@ def test_a_gray_band_stack_gives_the_per_graph_records(monkeypatch, band):
         want[h] for h in graphs]
 
 
+@pytest.mark.parametrize("sweep_block", [False, True], ids=["family", "sweep"])
+def test_an_empty_stack_is_an_empty_block(sweep_block):
+    # The same columns as a block of graphs, with no row in them.
+    adj = np.stack([path(6).adjacency_matrix(), cycle(6).adjacency_matrix()])
+    rows = np.array([path(6).rows, cycle(6).rows], dtype=np.int64) if sweep_block else None
+
+    def columns(block):
+        return [(c.shape, c.dtype) for field in block if field is not None
+                for c in (field if isinstance(field, tuple) else [field])]
+
+    full = sweeps.analyze_stack(adj, rows)
+    empty = sweeps.analyze_stack(adj[:0], None if rows is None else rows[:0])
+    assert columns(empty) == [((0,) + shape[1:], dtype) for shape, dtype in columns(full)]
+    assert records(empty, [], None if sweep_block else []) == []
+
+
 def test_strict_flag_difference():
     # analyze_graph is always strict now: it raises on a route disagreement and
     # returns a plain analysis when the routes agree; the stacked route returns

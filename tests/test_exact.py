@@ -403,6 +403,22 @@ def dependency_lengths(monkeypatch):
     return lengths
 
 
+def _dependency_inputs():
+    """Graphs of one order per list, on which a stack of one must eliminate
+    as the stacked kernel does: every graph of orders 1-5, the seeded order-7
+    and order-8 samples, G(n, p) graphs with their complements and twin
+    blow-ups at n = 10-60, and the order-200 path, K_100,100 and blow-up."""
+    for n in range(1, 6):
+        yield [Graph.from_edge_mask(n, m) for m in range(mask_population(n))]
+    for n, seed in [(7, 71), (8, 81), (8, 82)]:
+        yield [Graph.from_edge_mask(n, m) for m in sample_masks(n, 600, seed).tolist()]
+    for n in range(10, 61, 10):
+        graphs = [_gnp(n, q, 100 * n + i) for i, q in enumerate((0.1, 0.3, 0.5, 0.7, 0.9))]
+        graphs += [g.complement() for g in graphs] + [_twin_blowup(_gnp(n // 2, 0.3, n))]
+        yield graphs
+    yield [path(200), complete_bipartite(100, 100), _twin_blowup(_gnp(100, 0.3, 200))]
+
+
 class TestWalkRanks:
     """Batched walk ranks: mod-p Krylov lower bound, CRT-lifted certified dependency."""
 
@@ -420,6 +436,27 @@ class TestWalkRanks:
         ranks = exact.walk_ranks(_stack(graphs))
         assert bareiss_calls == []
         assert ranks == _bareiss_ranks(graphs)
+
+    @pytest.mark.parametrize("p", [exact._FIRST_PRIME, 3, 5])
+    def test_a_stack_of_one_eliminates_as_the_stacked_kernel(self, p):
+        # Mod 3 and mod 5 many residues vanish, so rows pivot past their
+        # first column and reduce to zero early; the shorter length is what a
+        # lifting prime gets.  The stacked kernel runs on the inputs twice
+        # over, so that an order with one graph is no stack of one.
+        for graphs in _dependency_inputs():
+            adj = _stack(graphs)
+            n = adj.shape[1]
+            for length in sorted({n, n // 2 + 1}):
+                krylov = exact._krylov(adj, p, length)
+                ranks, coeffs = exact._krylov_dependency(np.concatenate([krylov, krylov]), p)
+                for b in range(len(graphs)):
+                    rank, c = exact._krylov_dependency(krylov[b:b + 1], p)
+                    assert rank.dtype == ranks.dtype and c.dtype == coeffs.dtype
+                    assert rank.tolist() == [ranks[b]] and c.tolist() == [coeffs[b].tolist()]
+
+    @pytest.mark.parametrize("n", [1, 8, 200])
+    def test_an_empty_stack_has_no_ranks(self, n):
+        assert exact.walk_ranks(np.zeros((0, n, n), dtype=np.int64)) == []
 
     def test_later_primes_settle_what_a_bad_first_prime_cannot(self, monkeypatch,
                                                                bareiss_calls):

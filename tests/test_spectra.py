@@ -143,6 +143,12 @@ class TestBatch:
             assert np.array_equal(bvals[i], alone.eigenvalues)
             assert np.array_equal(bvecs[i], alone.eigenvectors)
 
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_an_empty_stack_decomposes_to_empty_arrays(self, n):
+        evals, evecs, hygiene = eigen_decompose_batch(np.zeros((0, n, n)))
+        assert evals.shape == (0, n) and evecs.shape == (0, n, n)
+        assert hygiene == {"orthonormality": 0.0, "residual": 0.0, "trace_drift": 0.0}
+
     def test_bound_violation_names_worst_value_and_order(self, monkeypatch):
         monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
         with pytest.raises(spectra.SpectralInvariantError, match=r"eigen residual .* \(n=5\)"):
