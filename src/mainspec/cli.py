@@ -7,9 +7,10 @@ through gray-band groups the exact rank cannot settle),
 decomposition missed its bounds, or eigenvalue groups were too close to
 separate), 5 stdout was closed before all output was written (for example
 by ``| head``; the rest of the output is dropped, nothing is printed),
-6 a process checking a share of ``verify``'s sweep could not be started, or
-ended without sending back its result (it was killed, or failed outside the
-checks), 130 interrupted (SIGINT, as by Ctrl-C; every worker is reaped first).
+6 a forked sweep process (a table-mode share's worker, or the producer that
+builds a ``--json`` sweep's cuts) could not be started, or ended without
+sending back its results (it was killed, or failed outside the checks),
+130 interrupted (SIGINT, as by Ctrl-C; every worker is reaped first).
 The commands raise; ``main`` alone maps each failure to its code and its one
 ``error:`` line.  A worker dies with its parent: a killed ``verify`` leaves none.
 """
@@ -22,10 +23,7 @@ import functools
 import json
 import math
 import os
-import pickle
-import signal
 import sys
-import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -43,9 +41,11 @@ from .graphs import (
     Graph,
     ParameterError,
     build_family,
+    is_bipartite,
+    is_connected,
     require_capped,
 )
-from .spectra import AmbiguousGroupingError, ConvergenceError, SpectralInvariantError
+from .spectra import NUMERICAL_ERRORS
 from .theorems import (
     ALL_IDS,
     FAILS,
@@ -65,17 +65,7 @@ EXIT_CLOSED_STDOUT = 5
 EXIT_WORKER_LOST = 6
 EXIT_INTERRUPTED = 130
 
-_NUMERICAL_ERRORS = (AmbiguousGroupingError, ConvergenceError, SpectralInvariantError)
-
 _MAX_FAIL_DETAIL = 20  # failing witnesses printed per claim in table mode
-
-# Smallest table-mode sweep split across CPUs.  A split costs about 20 ms of
-# CPU (the fork, copy-on-write faults, pickling, reaping) and a graph swept and
-# checked in one process 15-35 us (order 6 to an order-7 sample with its
-# complement batch, 2-core x86_64): a 2,048-mask sample of order 6 or 7 still
-# ends sooner split, 0.26 s against 0.27-0.28 s with start-up; the default
-# --exhaustive 4 (64 graphs) and order 5 (1,024) stay in one process.
-_MIN_SPLIT = 2048
 
 # Most characters ``analyze`` reads from stdin or a file.  The longest
 # well-formed input at MAX_ORDER is K_200 as an edge list: 137,320 characters
@@ -341,10 +331,6 @@ _Checks = list[tuple[Callable[..., TheoremReport], _Tally]]
 _Pair = tuple[float, GraphAnalysis, GraphAnalysis, _Checks]
 
 
-class _WorkerLost(Exception):
-    """A process checking a share of the sweep ended without sending its result."""
-
-
 def _selected_masks(args: argparse.Namespace) -> np.ndarray | None:
     """The sweep's sample, or None for all labeled graphs of the order."""
     n = args.exhaustive
@@ -357,17 +343,6 @@ def _selected_masks(args: argparse.Namespace) -> np.ndarray | None:
     return None
 
 
-def _cuts(n: int, share: Iterable[np.ndarray]) -> Iterator[tuple[sweeps.Cut, np.ndarray]]:
-    """Each cut of ``share``'s order-n graphs with its masks, the pairs'
-    keys; each chunk is one sweep."""
-    for chunk in share:
-        start = 0
-        for cut in sweeps.cuts(n, masks=chunk):
-            yield cut, chunk[start:start + len(cut.own)]
-            start += len(cut.own)
-            del cut  # the next cut's build must not find this one alive
-
-
 def _kept(cut: sweeps.Cut, args: argparse.Namespace) -> np.ndarray:
     """The pairs of ``cut`` the filters keep, read off G's fact columns."""
     facts = cut.block.facts
@@ -375,29 +350,20 @@ def _kept(cut: sweeps.Cut, args: argparse.Namespace) -> np.ndarray:
                           & (facts.bipartite[cut.own] | (not args.bipartite)))
 
 
-def _sweep_pairs(n: int, share: Iterable[np.ndarray], checks: _Checks,
-                 args: argparse.Namespace) -> Iterator[_Pair]:
-    """Every order-n labeled graph of ``share`` the filters keep, keyed by its
-    mask, with the chosen claims' graph checkers."""
-    for cut, keys in _cuts(n, share):
-        rows = _kept(cut, args)
-        found = sweeps.pairs(cut, rows)
-        del cut
-        for (a, co), key in zip(found, keys[rows].tolist()):
-            yield key, a, co, checks
-        del found  # only its last pair, still bound, outlives it
-
-
 def _check_cuts(n: int, share: Iterable[np.ndarray], tallies: dict[str, _Tally],
                 args: argparse.Namespace) -> bool:
-    """Table mode: tally each cut of ``share`` from its block verdicts.
-    Returns True if a pair the filters keep disagrees."""
+    """Table mode: tally each cut of ``share``, each of its chunks one
+    selection, from its block verdicts, keyed by the chunk's masks.  Returns
+    True if a pair the filters keep disagrees."""
     claims = [(column, GRAPH_CHECKERS[tid], tallies[tid])
               for column, tid in enumerate(GRAPH_CHECKERS) if tid in tallies]
     disagreement = False
-    for cut, keys in _cuts(n, share):
-        disagreement |= _tally_cut(cut, keys, claims, args)
-        del cut  # with _tally_cut's verdicts, gone before the next cut is built
+    for chunk in share:
+        start = 0
+        for cut in sweeps.cuts(n, masks=chunk):
+            disagreement |= _tally_cut(cut, chunk[start:start + len(cut.own)], claims, args)
+            start += len(cut.own)
+            del cut  # with _tally_cut's verdicts, gone before the next cut is built
     return disagreement
 
 
@@ -451,125 +417,45 @@ def _check_pairs(pairs: Iterable[_Pair], as_json: bool) -> bool:
     return disagreement
 
 
-class _Worker:
-    """A forked process that runs ``job`` and pipes its result back."""
-
-    def __init__(self, job: Callable[[], Any]) -> None:
-        parent = os.getpid()
-        fds: tuple[int, ...] = ()
-        try:
-            fds = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12 warns when a process with more than one thread forks;
-                # the others here are OpenBLAS's pool, which stops around a fork.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                self.pid = os.fork()
-        except OSError as err:  # out of processes, memory or file descriptors
-            for fd in fds:
-                os.close(fd)
-            raise _WorkerLost(f"a sweep worker could not be started "
-                              f"({type(err).__name__}: {err})") from None
-        read, write = fds
-        if self.pid == 0:
-            os.close(read)
-            _serve(write, job, parent)
-        os.close(write)
-        self.pipe = open(read, "rb")
-
-    def result(self) -> Any:
-        """Wait for the worker's result; the worker is reaped."""
-        data = self.pipe.read()
-        self.pipe.close()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = 0
-        try:
-            return pickle.loads(data)
-        except Exception:  # nothing was sent, or it was cut short
-            code = os.waitstatus_to_exitcode(status)
-            how = (f"killed by {signal.Signals(-code).name}" if code < 0
-                   else f"exit status {code}")
-            raise _WorkerLost(f"a sweep worker ended without a result ({how})") from None
-
-    def stop(self) -> None:
-        """Kill and reap the worker, unless ``result`` already has."""
-        self.pipe.close()
-        if self.pid:
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
-            self.pid = 0
-
-
-def _serve(write: int, job: Callable[[], Any], parent: int) -> None:
-    """The forked worker's whole life: send ``job``'s result and exit.
-
-    It never returns, prints or flushes the buffers it shares with its parent,
-    whatever ``job`` raises, Ctrl-C included.  It asks the kernel to kill it
-    when ``parent`` dies, and exits if ``parent`` already has; should the kernel
-    refuse, ``parent`` still reaps it on every path it controls."""
-    status = 1
-    try:
-        with contextlib.suppress(ImportError):  # a Python built without ctypes
-            import ctypes  # here, so that only the workers load it
-            prctl = ctypes.CDLL(None).prctl
-            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-            prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
-        if os.getppid() != parent:  # the parent died before the request
-            return
-        try:
-            result = job()
-        except Exception as err:  # a numerical error is re-raised by the parent
-            result = err if isinstance(err, _NUMERICAL_ERRORS) else _WorkerLost(
-                f"a sweep worker ended without a result ({type(err).__name__}: {err})")
-        with open(write, "wb") as pipe:
-            pickle.dump(result, pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _check_sweep(ids: list[str], args: argparse.Namespace,
                  tallies: dict[str, _Tally]) -> bool:
     """Check the sweep's graphs against the chosen graph claims.
 
-    The selection is split into shares (``sweeps.shares``), in table mode one
-    per usable CPU: this process checks the first, a forked worker each other,
-    and their tallies are merged by mask, so the output is the one a single
-    share gives.  Table mode takes each cut's verdicts from one
-    ``theorems.check_block`` call and runs a per-graph checker only to report
-    a failure it prints (``_check_cuts``).  ``--json`` runs every per-graph
-    checker and prints its one share's chunks as they come, each in mask
-    order.  Returns True if a checked pair disagrees."""
+    ``--json`` runs every per-graph checker on the pairs ``sweeps.sweep``
+    yields, keeps those whose facts pass the filters, and prints each report
+    as it comes, chunk by chunk, each chunk in mask order; from
+    ``sweeps._MIN_SPLIT`` graphs on the sweep's cuts come from a forked
+    producer.  Table mode splits the selection into shares
+    (``sweeps.shares``), one per usable CPU: this process checks the first, a
+    forked worker each other, and their tallies are merged by mask, so the
+    output is the one a single share gives.  It takes each cut's verdicts
+    from one ``theorems.check_block`` call and runs a per-graph checker only
+    to report a failure it prints (``_check_cuts``).  Returns True if a
+    checked pair disagrees."""
     checks = [(GRAPH_CHECKERS[tid], tallies[tid]) for tid in ids if tid in GRAPH_CHECKERS]
     if not checks:
         return False
     n = args.exhaustive
     masks = _selected_masks(args)
+    if args.json:
+        with contextlib.closing(sweeps.sweep(n, masks=masks)) as swept:
+            return _check_pairs(((a.graph.edge_mask(), a, co, checks) for a, co in swept
+                                 if (not args.connected or is_connected(a.graph))
+                                 and (not args.bipartite or is_bipartite(a.graph))), True)
     size = sweeps.mask_population(n) if masks is None else len(masks)
-    cpus = 1
-    if not args.json and sys.platform == "linux" and size >= _MIN_SPLIT:
-        cpus = len(os.sched_getaffinity(0))
-    first, *rest = sweeps.shares(n, cpus, masks)
+    first, *rest = sweeps.shares(n, sweeps.usable_cpus(size), masks)
 
-    def job(share: Iterator[np.ndarray]) -> tuple[list[_Tally], bool]:
-        if args.json:
-            disagreement = _check_pairs(_sweep_pairs(n, share, checks, args), True)
-        else:
-            disagreement = _check_cuts(n, share, tallies, args)
-        return [tally for _, tally in checks], disagreement
+    def job(share: Iterator[np.ndarray]) -> list[tuple[list[_Tally], bool]]:
+        disagreement = _check_cuts(n, share, tallies, args)
+        return [([tally for _, tally in checks], disagreement)]  # a stream of one result
 
-    workers: list[_Worker] = []
+    workers: list[sweeps.Worker] = []
     try:
         for share in rest:  # before any chunk is built, so each worker starts small
-            workers.append(_Worker(functools.partial(job, share)))
-        disagreement = job(first)[1]
+            workers.append(sweeps.Worker(functools.partial(job, share)))
+        disagreement = _check_cuts(n, first, tallies, args)
         for worker in workers:  # in share order, so the first share to fail decides
-            result = worker.result()
-            if isinstance(result, Exception):
-                raise result
-            shared, flag = result
+            ((shared, flag),) = worker.results()
             for (_, tally), other in zip(checks, shared):
                 tally.merge(other)
             disagreement |= flag
@@ -703,9 +589,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = _fail(EXIT_USAGE, err)
         except RouteDisagreementError as err:
             code = _fail(EXIT_DISAGREE, f"cross-check disagreement: {err}")
-        except _NUMERICAL_ERRORS as err:
+        except NUMERICAL_ERRORS as err:
             code = _fail(EXIT_NUMERICAL, f"numerical check failed: {err}")
-        except _WorkerLost as err:
+        except sweeps.WorkerLost as err:
             code = _fail(EXIT_WORKER_LOST, err)
         sys.stdout.flush()  # on every path, so a closed reader is met in this guard
     except BrokenPipeError:

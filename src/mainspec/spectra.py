@@ -60,6 +60,10 @@ class AmbiguousGroupingError(RuntimeError):
     """Adjacent eigenvalue groups too close to separate at the grouping tolerance."""
 
 
+# What a failed hygiene check raises: ``verify`` exits 4 on any of them.
+NUMERICAL_ERRORS = (AmbiguousGroupingError, ConvergenceError, SpectralInvariantError)
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues (non-increasing) with matching orthonormal eigenvector columns."""

@@ -13,8 +13,9 @@ selection, checks it and yields each cut as a ``Cut``: a block of its graphs
 and their complements, with each graph's row and its complement's, which
 table-mode ``verify`` decides as columns (``theorems.check_block``).
 ``pairs`` builds the records of a cut's pairs (``analysis.records``) for
-``sweep``, ``verify --json`` and the failures ``verify`` prints.  ``shares``
-splits a selection into chunks, one share per ``verify`` process.  The
+``sweep``, which ``verify --json`` reads, and for the failures ``verify``
+prints.  ``shares`` splits a selection into chunks, one share per table-mode
+``verify`` process.  The
 population is cut into closed chunks of one block, ``_BLOCK // 2`` masks
 with the top edge bit clear and their complements.  A sample is one chunk,
 cut ``_BLOCK`` masks at a time in its order: each cut's masks are analysed
@@ -26,6 +27,23 @@ cut is dropped, apart from its carry, before the next is built.  Every
 decomposition passes ``spectra``'s hygiene bounds or raises.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
 way and returns the records of each graph and its complement.
+
+Both CPUs: a sweep of more than one cut, from ``_MIN_SPLIT`` selected graphs
+on Linux with two or more usable CPUs (``usable_cpus``), forks one producer
+(a ``Worker``) that runs ``cuts`` and pipes each cut back pickled, while this
+process builds the records of the cut before it and its caller checks them.
+A full pipe blocks the producer, so it is at most one cut ahead and each
+process holds about one cut.  A sweep of one cut has nothing to overlap, so
+it stays in one process: through the 16 graph checkers, an order-8 sample of
+2,048 masks took 0.32 s with a producer against 0.25 s without, of 3,072
+masks 0.39 against 0.38 s and of 4,096 masks 0.53 against 0.57 s (medians
+of 8 alternating runs, 2-core x86_64).
+An error the producer raises comes back in order, after the pairs before
+it: a ``ParameterError`` or a numerical-hygiene error as itself, anything
+else, and a producer that dies, as ``WorkerLost``.  The producer is killed
+and reaped however the sweep ends: exhausted, closed early, or left by an
+exception or Ctrl-C in its consumer.  Table-mode ``verify`` forks its
+shares' workers with the same ``Worker``, each sending one result.
 
 Records are built with automatic cyclic collection paused
 (``_collection_paused``): a cut's records, about 12.4 tracked objects per
@@ -41,9 +59,15 @@ them of generation 1 or 2, 0.08 s, unpaused.  The pause never spans a
 """
 from __future__ import annotations
 
+import functools
 import gc
-from contextlib import contextmanager
-from typing import Iterable, Iterator, NamedTuple, Sequence
+import os
+import pickle
+import signal
+import sys
+import warnings
+from contextlib import contextmanager, suppress
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,12 +80,23 @@ _BLOCK = 1 << 11
 _CARRY = 8  # blocks of analyses a sweep's carry may hold
 SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
 # Largest sample ``verify --sample`` takes: ``verify all --exhaustive 8
-# --sample 1048576`` takes 45 s in one process, some 23,000 pairs/s, less split
-# over two CPUs (``--sample 131072`` takes 6 s in one process and 3 s in two
-# on a shared 2-core x86_64 box).  Past a fiftieth of the population numpy's
-# sampler without replacement builds the whole population as int64, 2 GiB at
-# order 8.
+# --sample 1048576`` took 61 s in one process, some 17,000 pairs/s, and 32 s
+# split over two CPUs; ``--sample 131072`` took 8-10 s and 5 s in table mode,
+# and 58 s in one process and 45 s with the sweep's producer under ``--json``
+# (raw seconds on a shared 2-core x86_64 box, whose speed drifts by 20-30%).
+# Past a fiftieth of the population numpy's sampler without replacement
+# builds the whole population as int64, 2 GiB at order 8.
 MAX_SAMPLE = 1 << 20
+# Smallest selection a sweep splits across processes, into ``verify``'s table
+# shares or, past one cut, with ``sweep``'s producer.  A split costs about 20 ms of CPU (the
+# fork, copy-on-write faults, pickling, reaping) and a graph swept and checked
+# in one process 15-35 us (order 6 to an order-7 sample with its complement
+# batch, 2-core x86_64): a 2,048-mask sample of order 6 or 7 still ends sooner
+# split, 0.26 s against 0.27-0.28 s with start-up; the default --exhaustive 4
+# (64 graphs) and order 5 (1,024) stay in one process.
+_MIN_SPLIT = 2048
+# What a sweep process sends back as itself; any other error is WorkerLost.
+_FORWARDED = (ParameterError, *spectra.NUMERICAL_ERRORS)
 
 
 def mask_population(n: int) -> int:
@@ -223,10 +258,20 @@ def pairs(cut: Cut, which: np.ndarray | None = None,
 def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
           ) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
     """Yield (analysis, complement analysis) for every selected labeled graph
-    of order ``n``, one pair at a time: each of ``cuts``' cuts as records."""
-    for cut in cuts(n, masks=masks):
-        yield from pairs(cut)
-        del cut  # the next cut's build must not find this one alive
+    of order ``n``, one pair at a time: each of ``cuts``' cuts as records,
+    the cuts built by a forked producer where the selection is more than one
+    cut and ``usable_cpus`` gives two or more processes."""
+    size = mask_population(n) if masks is None else np.size(masks)
+    producer = None
+    if size > _BLOCK and usable_cpus(size) > 1:  # one cut leaves nothing to overlap
+        producer = Worker(functools.partial(cuts, n, masks=masks))
+    try:
+        for cut in cuts(n, masks=masks) if producer is None else producer.results():
+            yield from pairs(cut)
+            del cut  # the next cut's build or read must not find this one alive
+    finally:
+        if producer is not None:
+            producer.stop()
 
 
 def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None) -> Iterator[Cut]:
@@ -277,3 +322,112 @@ def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None) -> Iterator
                 carry = _take(block, kept) if carry is None else _join([carry, _take(block, kept)])
                 carried = np.concatenate([carried, found[kept]])
             del block  # the next cut's build must not find this one alive
+
+
+class WorkerLost(Exception):
+    """A forked sweep process could not be started, or ended before it sent
+    all of its results."""
+
+
+def usable_cpus(size: int) -> int:
+    """How many processes a sweep of ``size`` selected graphs takes: one per
+    usable CPU on Linux from ``_MIN_SPLIT`` graphs on, else one."""
+    if sys.platform == "linux" and size >= _MIN_SPLIT:
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+class Worker:
+    """A forked process that runs ``job`` and pipes back each result of the
+    iterable it returns, in order, none of them None or an exception."""
+
+    def __init__(self, job: Callable[[], Iterable[Any]]) -> None:
+        parent = os.getpid()
+        fds: tuple[int, ...] = ()
+        try:
+            fds = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12 warns when a process with more than one thread forks;
+                # the others here are OpenBLAS's pool, which stops around a fork.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+        except OSError as err:  # out of processes, memory or file descriptors
+            for fd in fds:
+                os.close(fd)
+            raise WorkerLost(f"a sweep worker could not be started "
+                             f"({type(err).__name__}: {err})") from None
+        read, write = fds
+        if self.pid == 0:
+            os.close(read)
+            _serve(write, job, parent)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def results(self) -> Iterator[Any]:
+        """Yield each result as the worker sends it; after the last the worker
+        is reaped, and an error it sent instead is raised here."""
+        while True:
+            try:  # the pipe may close before the end, or mid-result
+                result = pickle.load(self.pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise WorkerLost(f"a sweep worker ended without a result ({self._reap()})"
+                                 ) from None
+            if result is None or isinstance(result, Exception):
+                self._reap()
+                if result is None:
+                    return
+                raise result
+            yield result
+            del result  # freed before the next one is read
+
+    def _reap(self) -> str:
+        """Close the pipe, reap the worker and say how it ended."""
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        code = os.waitstatus_to_exitcode(status)
+        return f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+
+    def stop(self) -> None:
+        """Kill and reap the worker, unless ``results`` already has."""
+        self.pipe.close()
+        if self.pid:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+            self.pid = 0
+
+
+def _serve(write: int, job: Callable[[], Iterable[Any]], parent: int) -> None:
+    """The forked worker's whole life: send each of ``job``'s results, then
+    None, or the error that cut them short, and exit.
+
+    It never returns, prints or flushes the buffers it shares with its parent,
+    whatever ``job`` raises, Ctrl-C included.  It asks the kernel to kill it
+    when ``parent`` dies, and exits if ``parent`` already has; should the kernel
+    refuse, ``parent`` still reaps it on every path it controls."""
+    status = 1
+    try:
+        with suppress(ImportError):  # a Python built without ctypes
+            import ctypes  # here, so that only the workers load it
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # the parent died before the request
+            return
+        with open(write, "wb") as pipe:
+            try:
+                for result in job():
+                    pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()  # all of it, before the next result is made
+                    del result  # a cut is dropped before the next is built
+                end = None
+            except Exception as err:
+                end = err if isinstance(err, _FORWARDED) else WorkerLost(
+                    f"a sweep worker ended without a result ({type(err).__name__}: {err})")
+            pickle.dump(end, pipe)
+        status = 0
+    finally:
+        os._exit(status)

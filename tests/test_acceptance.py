@@ -141,6 +141,9 @@ def digest() -> SweepDigest:
     d = SweepDigest(mode=mode)
     with pytest.MonkeyPatch.context() as mp:
         _record_hygiene(d, mp)
+        # One usable CPU: the sweeps build their blocks in this process, where
+        # the spies record, not in a forked producer.
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         t0 = time.perf_counter()
         for n in range(1, 7):
             _consume(d, n, None)

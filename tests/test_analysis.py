@@ -4,6 +4,7 @@ import gc
 import inspect
 import io
 import itertools
+import os
 import re
 import sys
 import weakref
@@ -538,11 +539,17 @@ def _block_route(kind, monkeypatch):
     return lambda: sweeps.analyze_with_complements(graphs), len(distinct)
 
 
+def _one_cpu(monkeypatch):
+    """Sweep in this process, where a test's spies record, not in a forked producer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 @pytest.mark.parametrize("kind", ["population", "sample", "families"])
 def test_no_stack_holds_more_than_one_block(monkeypatch, kind):
     # Every eigensolve and finish takes at most ``_BLOCK`` graphs, in a
     # population sweep, a multi-chunk sample with its complement batches and
     # a family stack alike, and each graph is decomposed exactly once.
+    _one_cpu(monkeypatch)
     monkeypatch.setattr(sweeps, "_BLOCK", 100)
     decomposed = Counter()
     sizes = {"eigensolve": [], "finish": []}
@@ -684,6 +691,7 @@ def test_sweep_refuses_an_order_outside_1_to_11(n):
 def test_sweeping_each_chunk_of_three_shares_alone_decomposes_each_graph_once(monkeypatch):
     # ``verify`` sweeps each chunk of each share as one selection: together
     # they yield the pairs of the one-share sweep, each graph decomposed once.
+    _one_cpu(monkeypatch)
     keys = np.concatenate(list(sweeps.shares(6, 1)[0])).tolist()
     want = dict(zip(keys, sweep(6)))
     decomposed = Counter()
@@ -702,6 +710,148 @@ def test_sweeping_each_chunk_of_three_shares_alone_decomposes_each_graph_once(mo
     assert swept == len(got) == mask_population(6)
     assert got == want
     assert len(decomposed) == mask_population(6) and set(decomposed.values()) == {1}
+
+
+@pytest.fixture
+def producer(monkeypatch):
+    """Two usable CPUs, so that a sweep of more than one cut forks its
+    producer; returns the list of forked pids."""
+    if sys.platform != "linux":
+        pytest.skip("the producer is forked on Linux only")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forked
+
+
+def _no_child_and_no_pipe_left(fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def _swept(n, masks=None):
+    """Each pair ``sweep`` yields, with whether its two graphs had stacked facts."""
+    return [(a, co, _stored_facts(a.graph), _stored_facts(co.graph))
+            for a, co in sweep(n, masks=masks)]
+
+
+def _inline(n, masks=None):
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        return _swept(n, masks)
+
+
+@pytest.mark.parametrize("n, size", [(6, None), (7, 8192), (8, 8192)],
+                         ids=["order6", "order7-sample", "order8-sample"])
+def test_the_forked_producer_yields_the_inline_records(producer, n, size):
+    # The cuts are built in a forked producer and pickled back; the records
+    # built from them, and the facts stacked on their graphs, are the ones
+    # one process builds.
+    masks = None if size is None else sweeps.sample_masks(n, size)
+    want = _inline(n, masks)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert _swept(n, masks) == want
+    assert len(producer) == 1
+    _no_child_and_no_pipe_left(fds)
+
+
+def test_a_sweep_of_one_cut_forks_no_producer(producer):
+    # A producer would only build the one cut while this process waited; one
+    # mask more is a second cut, and the producer is forked.
+    masks = sweeps.sample_masks(8, sweeps._BLOCK + 1)
+    for selection, forks in ((masks[:-1], 0), (masks, 1)):
+        assert _swept(8, selection) == _inline(8, selection)
+        assert len(producer) == forks
+
+
+@pytest.mark.parametrize("masks, match", [
+    (np.full(4096, 1 << 40), r"edge masks of order 8 lie in \[0, 268,435,456\)"),
+    (np.ones(4096), "edge masks of order 8 are a 1-D integer selection"),
+], ids=["out-of-range", "float"])
+def test_a_bad_selection_raises_through_the_producer(producer, masks, match):
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(ParameterError, match=match):
+        next(sweep(8, masks=masks))
+    assert len(producer) == 1
+    _no_child_and_no_pipe_left(fds)
+
+
+def _failing_third_block(monkeypatch, error):
+    """Make the third block a sweep builds raise ``error``."""
+    real, built = sweeps._block, []
+
+    def build(*args):
+        built.append(True)
+        if len(built) == 3:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "_block", build)
+
+
+def test_a_numerical_error_in_the_producer_follows_the_pairs_before_it(producer, monkeypatch):
+    # Order 6 is 16 closed chunks of one block: the first two chunks' pairs
+    # come through, then the third chunk's error, as in one process.
+    want = _inline(6)[:2 * sweeps._BLOCK]
+    _failing_third_block(monkeypatch, SpectralInvariantError("injected"))
+    fds = sorted(os.listdir("/proc/self/fd"))
+    got = []
+    with pytest.raises(SpectralInvariantError, match="injected"):
+        for a, co in sweep(6):
+            got.append((a, co, _stored_facts(a.graph), _stored_facts(co.graph)))
+    assert len(producer) == 1
+    assert got == want
+    _no_child_and_no_pipe_left(fds)
+    inline = 0  # the blocks above were counted in the producer: this count starts at 0
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(SpectralInvariantError):
+        _one_cpu(mp)
+        for _ in sweep(6):
+            inline += 1
+    assert inline == len(got)
+
+
+@pytest.mark.parametrize("failure", ["error", "exit"])
+def test_a_producer_that_fails_outside_the_checks_is_lost(producer, monkeypatch, failure):
+    if failure == "error":
+        _failing_third_block(monkeypatch, KeyError("injected"))
+        message = r"ended without a result \(KeyError: 'injected'\)"
+    else:
+        monkeypatch.setattr(sweeps, "_block", lambda *args: os._exit(3))
+        message = r"ended without a result \(exit status 3\)"
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(sweeps.WorkerLost, match=message):
+        deque(sweep(6), maxlen=0)
+    _no_child_and_no_pipe_left(fds)
+
+
+@pytest.mark.parametrize("end", ["close", "raise", "interrupt"])
+def test_the_producer_is_reaped_however_the_consumer_stops(producer, end):
+    # Closed after one pair, or left by an exception raised in the consumer's
+    # loop (Ctrl-C is KeyboardInterrupt), the sweep kills and reaps its
+    # producer, and closes its pipe.
+    fds = sorted(os.listdir("/proc/self/fd"))
+    masks = sweeps.sample_masks(8, 8192)
+    if end == "close":
+        pairs = sweep(8, masks=masks)
+        a, _ = next(pairs)
+        assert a.graph == Graph.from_edge_mask(8, int(masks[0]))
+        pairs.close()
+    else:
+        error = ValueError if end == "raise" else KeyboardInterrupt
+        with pytest.raises(error):
+            for _ in sweep(8, masks=masks):
+                raise error
+    assert len(producer) == 1
+    _no_child_and_no_pipe_left(fds)
 
 
 def test_pipeline_never_reaches_bareiss(monkeypatch):

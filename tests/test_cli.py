@@ -230,7 +230,7 @@ def test_numerical_failure_exit4(capsys, monkeypatch, argv, error):
      "float route found 2 main eigenvalues, walk-matrix rank is 3"),
     (spectra.ConvergenceError("injected"), cli.EXIT_NUMERICAL,
      "error: numerical check failed: injected"),
-    (cli._WorkerLost("injected"), cli.EXIT_WORKER_LOST, "error: injected"),
+    (sweeps.WorkerLost("injected"), cli.EXIT_WORKER_LOST, "error: injected"),
     (KeyboardInterrupt(), cli.EXIT_INTERRUPTED, "error: interrupted"),
 ], ids=["usage", "disagreement", "numerical", "worker-lost", "interrupt"])
 @pytest.mark.parametrize("argv", [("analyze", "Ch"), ("verify", "T45", "--exhaustive", "3")],
@@ -777,12 +777,13 @@ def test_verify_analyses_each_family_graph_once(capsys, monkeypatch):
 
 
 class TestSplitSweep:
-    """Table-mode verify splits its sweep into one share per usable CPU; the
-    output is the one a single share gives, and no worker outlives a run."""
+    """Table-mode verify splits its sweep into one share per usable CPU, and
+    ``--json``'s sweep takes its cuts from one forked producer; the output is
+    the one a single process gives, and no worker outlives a run."""
 
     @pytest.fixture(autouse=True)
     def small_split(self, monkeypatch):
-        monkeypatch.setattr(cli, "_MIN_SPLIT", 1)  # fork at any order
+        monkeypatch.setattr(sweeps, "_MIN_SPLIT", 1)  # fork at any order
         self.forks = 0
         fork = os.fork
 
@@ -963,16 +964,32 @@ class TestSplitSweep:
         assert err == ("error: a sweep worker could not be started (BlockingIOError: "
                        "[Errno 11] Resource temporarily unavailable)\n")
 
-    @pytest.mark.parametrize("argv, cpus", [
-        (("--exhaustive", "5", "--json"), 2),
-        (("--exhaustive", "7", "--sample", "2048", "--json"), 2),
-        (("--exhaustive", "5"), 1),
-    ])
-    def test_json_and_one_cpu_never_fork(self, capsys, monkeypatch, argv, cpus):
+    @pytest.mark.parametrize("argv", [
+        ("--exhaustive", "5", "--json"),
+        ("--exhaustive", "7", "--sample", "2048", "--json"),
+        ("--exhaustive", "5"),
+    ], ids=["order5-json", "order7-sample-json", "order5"])
+    def test_one_cpu_never_forks(self, capsys, monkeypatch, argv):
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        self.cpus(monkeypatch, cpus)
+        self.cpus(monkeypatch, 1)
         code, _, err = run(capsys, "verify", "all", *argv)
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("--exhaustive", "5"),
+        ("--exhaustive", "5", "--connected", "--bipartite"),
+        ("--exhaustive", "7", "--sample", "2048"),
+    ], ids=["order5", "order5-filtered", "order7-sample"])
+    def test_json_forks_one_producer_and_prints_what_one_process_prints(
+            self, capsys, monkeypatch, argv):
+        # However many CPUs, --json forks one process, the sweep's producer;
+        # cuts of 256 masks give each sweep several, so there is one to fork.
+        monkeypatch.setattr(sweeps, "_BLOCK", 256)
+        scrub = lambda s: re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', s)
+        single, split = self.both(capsys, monkeypatch, "verify", "all", *argv, "--json")
+        assert self.forks == 1
+        assert single[0] == 0 and single[2] == ""
+        assert (single[0], scrub(single[1]), single[2]) == (split[0], scrub(split[1]), split[2])
