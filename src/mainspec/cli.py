@@ -423,7 +423,8 @@ def _check_sweep(ids: list[str], args: argparse.Namespace,
 
     ``--json`` runs every per-graph checker on the pairs ``sweeps.sweep``
     yields, keeps those whose facts pass the filters, and prints each report
-    as it comes, chunk by chunk, each chunk in mask order; from
+    as it comes, chunk by chunk, a population chunk in mask order and a
+    sample in ``sweeps.sample_masks``' paired order; from
     ``sweeps._MIN_SPLIT`` graphs on the sweep's cuts come from a forked
     producer.  Table mode splits the selection into shares
     (``sweeps.shares``), one per usable CPU: this process checks the first, a

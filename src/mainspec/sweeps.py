@@ -18,13 +18,14 @@ prints.  ``shares`` splits a selection into chunks, one share per table-mode
 ``verify`` process.  The
 population is cut into closed chunks of one block, ``_BLOCK // 2`` masks
 with the top edge bit clear and their complements.  A sample is one chunk,
-cut ``_BLOCK`` masks at a time in its order: each cut's masks are analysed
-in one block, then the complements it lacks in a second, and the carry
-takes a pair whose masks lie in different cuts to the later one, so each
-selected graph is decomposed once while the carry's ``_CARRY`` blocks have
-room.  No array a sweep builds holds more than one block of graphs, and each
-cut is dropped, apart from its carry, before the next is built.  Every
-decomposition passes ``spectra``'s hygiene bounds or raises.
+cut at most ``_BLOCK`` masks at a time in its order: each cut's masks are
+analysed in one block, then the complements it lacks in a second.
+``sample_masks`` draws in paired order, each drawn complement right after
+its mask, and neither a cut nor a share ends between the two, so each graph
+a ``verify`` run selects is decomposed once.  A pair that two cuts of some
+other order separate is decomposed in each.  No array a sweep builds holds
+more than one block of graphs, and each cut is dropped before the next is
+built.  Every decomposition passes ``spectra``'s hygiene bounds or raises.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
 way and returns the records of each graph and its complement.
 
@@ -77,7 +78,6 @@ from .analysis import resolve_spectrum  # noqa: F401  (bound here for perfbench'
 from .graphs import Graph, ParameterError, StackFacts, check_stack, triangle_pairs
 
 _BLOCK = 1 << 11
-_CARRY = 8  # blocks of analyses a sweep's carry may hold
 SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
 # Largest sample ``verify --sample`` takes: ``verify all --exhaustive 8
 # --sample 1048576`` took 61 s in one process, some 17,000 pairs/s, and 32 s
@@ -108,14 +108,26 @@ def all_masks(n: int) -> np.ndarray:
 
 
 def sample_masks(n: int, size: int, seed: int = SAMPLE_SEED) -> np.ndarray:
-    """Deterministic sample of distinct edge masks (sorted, fixed seed)."""
+    """Deterministic sample of ``size`` distinct edge masks (fixed seed), all
+    of them from ``size`` at least the population on, in paired order:
+    ascending, except that a mask whose complement was also drawn comes right
+    after it, the larger of the two moved up to follow the smaller."""
     pop = mask_population(n)
     if size >= pop:
-        return all_masks(n)
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(pop, size=size, replace=False)
-    picks.sort()
-    return picks.astype(np.int64)
+        picks = all_masks(n)
+    else:
+        picks = np.random.default_rng(seed).choice(pop, size=size, replace=False)
+        picks.sort()
+        picks = picks.astype(np.int64)
+    co = (pop - 1) ^ picks
+    paired = picks.take(np.searchsorted(picks, co), mode="clip") == co
+    return picks[np.argsort(np.where(paired, np.minimum(picks, co), picks), kind="stable")]
+
+
+def _parts_pair(masks: np.ndarray, full: int, at: int) -> bool:
+    """Whether a boundary before ``masks[at]`` parts it from the mask before
+    it, its complement."""
+    return 0 < at < len(masks) and bool(masks[at] == full ^ masks[at - 1])
 
 
 def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator[np.ndarray]]:
@@ -123,9 +135,11 @@ def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator
 
     A share is an iterator of chunks, each of which ``verify`` passes to
     ``cuts`` as one selection, so ``cuts`` checks its masks.  A sample
-    ``masks`` is split into contiguous slices of its order, and each share is
-    one chunk, its slice: so ``cuts`` sees the whole slice and finds every
-    complement it holds.  The full population is cut into ranges of
+    ``masks`` is split into contiguous slices of its order, at
+    ``len(masks) * i // count`` or one mask before where that would part a
+    mask from the complement right after it, and each share is one chunk,
+    its slice: so a sample in ``sample_masks``' paired order has each of its
+    pairs in one share.  The full population is cut into ranges of
     representative masks, those with the top edge bit clear, each expanded
     one block at a time with its complements ``full ^ m``: every chunk holds
     at most ``_BLOCK`` graphs and is closed under complement, so no graph
@@ -134,22 +148,13 @@ def shares(n: int, count: int, masks: np.ndarray | None = None) -> list[Iterator
     """
     if masks is not None:
         count = max(1, min(count, len(masks)))
-        return [iter([part]) for part in np.array_split(masks, count)]
+        full = mask_population(n) - 1
+        bounds = [len(masks) * i // count for i in range(count + 1)]
+        bounds = [at - _parts_pair(masks, full, at) for at in bounds]
+        return [iter([masks[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
     reps = max(mask_population(n) // 2, 1)  # order 1's one mask is its own complement
     count = max(1, min(count, reps))
     return [_closed_chunks(n, reps * i // count, reps * (i + 1) // count) for i in range(count)]
-
-
-def _pair_cuts(masks: np.ndarray, full: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each mask's pair ``{m, full ^ m}`` also lies in an earlier cut of
-    ``masks``, and whether in a later one."""
-    cuts = np.arange(len(masks)) // _BLOCK
-    pairs, which = np.unique(np.minimum(masks, full ^ masks), return_inverse=True)
-    first = np.full(len(pairs), len(masks))
-    last = np.zeros(len(pairs), dtype=np.int64)
-    np.minimum.at(first, which, cuts)
-    np.maximum.at(last, which, cuts)
-    return first[which] < cuts, last[which] > cuts
 
 
 def _closed_chunks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -188,18 +193,11 @@ def _collection_paused() -> Iterator[None]:
 
 class Cut(NamedTuple):
     """One cut of a sweep as columns: ``own`` is each selected graph's row of
-    ``block``, in the selection's order, ``co`` its complement's, and
-    ``selected`` marks the rows the chunk selects, whose records get facts."""
+    ``block``, in the selection's order, and ``co`` its complement's."""
 
     block: Block
     own: np.ndarray
     co: np.ndarray
-    selected: np.ndarray
-
-
-def _take(block: Block, index: np.ndarray) -> Block:
-    """Rows ``index`` of a sweep block, every column with them."""
-    return Block(*(c[index] for c in block[:-1]), StackFacts(*(c[index] for c in block.facts)))
 
 
 def _join(blocks: Sequence[Block]) -> Block:
@@ -248,10 +246,10 @@ def pairs(cut: Cut, which: np.ndarray | None = None,
           ) -> list[tuple[GraphAnalysis, GraphAnalysis]]:
     """The (analysis, complement analysis) records of the pairs ``which`` of
     ``cut``, by default all, in its order: each row's record built once, a
-    selected graph's with its facts."""
+    row of ``cut.own`` with its facts."""
     own, co = (cut.own, cut.co) if which is None else (cut.own[which], cut.co[which])
     rows = np.union1d(own, co)
-    built = dict(zip(rows.tolist(), records(cut.block, rows, facts=cut.selected[rows])))
+    built = dict(zip(rows.tolist(), records(cut.block, rows, facts=np.isin(rows, cut.own))))
     return [(built[g], built[c]) for g, c in zip(own.tolist(), co.tolist())]
 
 
@@ -260,7 +258,10 @@ def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
     """Yield (analysis, complement analysis) for every selected labeled graph
     of order ``n``, one pair at a time: each of ``cuts``' cuts as records,
     the cuts built by a forked producer where the selection is more than one
-    cut and ``usable_cpus`` gives two or more processes."""
+    cut and ``usable_cpus`` gives two or more processes.  The population, and
+    a sample in ``sample_masks``' paired order, has each graph decomposed
+    once; a selection in another order yields the same pairs in its order,
+    but a pair two cuts separate is decomposed in each."""
     size = mask_population(n) if masks is None else np.size(masks)
     producer = None
     if size > _BLOCK and usable_cpus(size) > 1:  # one cut leaves nothing to overlap
@@ -276,11 +277,15 @@ def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
 
 def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None) -> Iterator[Cut]:
     """Yield every selected labeled graph of order ``n`` in 1..11 with its
-    complement, one ``Cut`` per ``_BLOCK`` masks: by default all, in
+    complement, one ``Cut`` per at most ``_BLOCK`` masks: by default all, in
     ``shares(n, 1)``'s closed chunks, each in mask order; else the one chunk
     ``masks``, any 1-D integer array or list of edge masks of order ``n``, in
-    its order.  A bad order or selection raises ParameterError.  The consumer
-    must drop a cut before it asks for the next one."""
+    its order.  A cut ends one mask early where its last mask's complement
+    comes next, so each pair of a selection in ``sample_masks``' paired order
+    lies in one cut, and each graph is decomposed once; a pair two cuts of
+    another order separate is decomposed in each.  A bad order or selection
+    raises ParameterError.  The consumer must drop a cut before it asks for
+    the next one."""
     if not 1 <= n <= 11:  # order 12's 66 edge bits overflow an int64 mask
         raise ParameterError(f"a sweep's order lies in 1..11, got {n}")
     full = mask_population(n) - 1
@@ -294,34 +299,21 @@ def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None) -> Iterator
             raise ParameterError(f"edge masks of order {n} lie in [0, {full + 1:,}), "
                                  f"got {masks.min()}..{masks.max()}")
     for chunk in shares(n, 1, masks)[0]:
-        carry, carried = None, np.zeros(0, dtype=np.int64)  # the carry's rows, their masks
-        earlier, later = _pair_cuts(chunk, full)
-        for lo in range(0, len(chunk), _BLOCK):
-            part, before, after = (a[lo:lo + _BLOCK] for a in (chunk, earlier, later))
-            held = np.isin(carried, np.union1d(part, full ^ part))
-            taken, carried = carried[held], carried[~held]
-            fresh = np.setdiff1d(part, taken)  # empty where the carry holds the whole cut
-            missing = np.setdiff1d(full ^ part, np.union1d(part, taken))
-            parts = [_block(n, m) for m in (fresh, missing) if len(m)]
-            if len(taken):
-                parts.insert(0, _take(carry, held))
-                carry = _take(carry, ~held)
-            block = _join(parts)
-            del parts  # the cut's parts live on only as its block
-            found = np.concatenate([taken, fresh, missing])
+        lo = 0
+        while lo < len(chunk):
+            hi = min(lo + _BLOCK, len(chunk))
+            if hi - 1 > lo and _parts_pair(chunk, full, hi):
+                hi -= 1
+            part = chunk[lo:hi]
+            fresh = np.unique(part)
+            missing = np.setdiff1d(full ^ part, fresh)
+            block = _join([_block(n, m) for m in (fresh, missing) if len(m)])
+            found = np.concatenate([fresh, missing])
             order = np.argsort(found)
             own, co = (order[np.searchsorted(found, x, sorter=order)] for x in (part, full ^ part))
-            # A complement another cut selects is a selected graph there, so
-            # its record carries its facts here too.
-            selected = np.zeros(len(found), dtype=bool)
-            selected[own] = selected[co[before | after]] = True
-            yield Cut(block, own, co, selected)
-            # The carry keeps the pairs a later cut needs, as far as it has room.
-            if len(keep := part[after][:(_CARRY * _BLOCK - len(carried)) // 2]):
-                kept = order[np.searchsorted(found, np.union1d(keep, full ^ keep), sorter=order)]
-                carry = _take(block, kept) if carry is None else _join([carry, _take(block, kept)])
-                carried = np.concatenate([carried, found[kept]])
+            yield Cut(block, own, co)
             del block  # the next cut's build must not find this one alive
+            lo = hi
 
 
 class WorkerLost(Exception):

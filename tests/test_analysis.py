@@ -573,6 +573,30 @@ def test_no_stack_holds_more_than_one_block(monkeypatch, kind):
     assert len(decomposed) == distinct and set(decomposed.values()) == {1}
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_sample_comes_in_paired_order(n):
+    # The sorted draw's masks, each drawn complement right after its mask
+    # and the others ascending; all masks from the population on (order 8's
+    # 2^28 masks are not built here).
+    pop = mask_population(n)
+    full = pop - 1
+    sizes = [0, 5, min(pop // 2, 1 << 17)] + [pop, pop + 1] * (n < 8)
+    for size in sizes:
+        got = sweeps.sample_masks(n, size)
+        if size < pop:
+            drawn = np.random.default_rng(sweeps.SAMPLE_SEED).choice(pop, size, replace=False)
+        else:
+            drawn = np.arange(pop)
+        assert got.dtype == np.int64 and np.array_equal(np.sort(got), np.sort(drawn))
+        co = full ^ got
+        inside = np.isin(co, got)
+        first = np.flatnonzero(inside & (got < co))  # the smaller mask of each drawn pair
+        assert np.array_equal(got[np.minimum(first + 1, len(got) - 1)], co[first])
+        assert 2 * len(first) + np.count_nonzero(got == co) == np.count_nonzero(inside)
+        assert np.all(np.diff(got[~inside | (got <= co)]) > 0)
+        assert len(first) > 0 or n == 1 or size < min(pop, 6), (n, size)  # pairs were drawn
+
+
 def test_a_multi_chunk_sample_is_swept_in_mask_order(monkeypatch):
     # ``sweep(n, masks=m)`` yields its pairs in the order of ``m``, across
     # the edges of its cuts and of their complement batches (every 100 graphs).
@@ -614,16 +638,19 @@ def _swept_sample(route, n, size):
 
 @pytest.mark.parametrize("route", ["sweep", "verify-json"])
 def test_a_sample_cut_at_the_block_decomposes_each_graph_once(monkeypatch, route):
-    # Under one block, order 5's 600-mask sample is one cut.  Cut 64 masks at
-    # a time, over 300 of its masks have their complement selected in another
-    # cut, and the carry takes each such pair's two analyses to the later one.
+    # Under one block, order 5's 600-mask sample is one cut.  Cut at most 64
+    # masks at a time, it holds over 150 pairs of a mask and its complement,
+    # and in its paired order no cut ends between the two.
     n, size, block = 5, 600, 64
     whole, _, whole_out = _swept_sample(route, n, size)
     masks = sweeps.sample_masks(n, size)
     full = mask_population(n) - 1
-    cut = {m: i // block for i, m in enumerate(masks.tolist())}
-    assert sum(cut.get(full ^ m, i) != i for m, i in cut.items()) > 300
     monkeypatch.setattr(sweeps, "_BLOCK", block)
+    ends = np.cumsum([len(c.own) for c in sweeps.cuts(n, masks=masks)])
+    cut = dict(zip(masks.tolist(), np.searchsorted(ends, np.arange(size), side="right").tolist()))
+    paired = [m for m in cut if full ^ m in cut]
+    assert len(paired) > 2 * 150 and all(cut[m] == cut[full ^ m] for m in paired)
+    assert len(ends) > size // block
     stacks = _chunk_build_stacks(monkeypatch)
     pairs, stored, out = _swept_sample(route, n, size)
     decomposed = Counter(m.tobytes() for mats in stacks for m in mats)
@@ -636,30 +663,40 @@ def test_a_sample_cut_at_the_block_decomposes_each_graph_once(monkeypatch, route
     assert pairs == whole and out == whole_out
 
 
-def test_the_carry_is_bounded(monkeypatch):
-    # All of order 5's masks as a sample, cut 16 at a time: each of the 512
-    # masks below 512 has its complement in a later cut, more pairs than the
-    # carry's blocks hold.  The pairs it has no room for are decomposed again
-    # in their later cut, and no more rows of analysis columns than the
-    # cut's, its complement batch's and the carry's are alive at once.
+def test_a_selection_that_parts_its_pairs_holds_two_blocks(monkeypatch):
+    # All of order 5's masks in mask order, cut at most 16 at a time: each
+    # mask below 511 has its complement in a later cut, so each cut
+    # decomposes the complements it lacks in a second block.  Only 511's
+    # complement 512 comes right after it, where a cut ends one mask early:
+    # that pair is decomposed once, every other graph twice.  The pairs come
+    # in the selection's order, and no more rows of analysis columns than the
+    # cut's two blocks are alive at once.  The same masks in paired order
+    # are cut into closed cuts of one block, and decompose each graph once.
     monkeypatch.setattr(sweeps, "_BLOCK", 16)
-    built, decomposed = [], []
-    for name in ("analyze_stack", "_take", "_join"):
+    built, decomposed = [], Counter()
+    for name in ("analyze_stack", "_join"):
         def recording(*args, _real=getattr(sweeps, name), _name=name):
             block = _real(*args)
             built.append(weakref.ref(block.rank))
             if _name == "analyze_stack":
-                decomposed.append(len(block.rank))
+                decomposed.update(m.tobytes() for m in args[0])
             return block
 
         monkeypatch.setattr(sweeps, name, recording)
-    masks = np.arange(mask_population(5))
-    alive = []
-    for (a, co), m in zip(sweep(5, masks=masks), masks.tolist()):
-        assert a.graph == Graph.from_edge_mask(5, m) and co.graph == a.graph.complement()
-        alive.append(sum(len(rank) for ref in built if (rank := ref()) is not None))
-    assert max(alive) == (2 + sweeps._CARRY) * 16
-    assert mask_population(5) < sum(decomposed) <= 2 * mask_population(5)
+    pop = mask_population(5)
+    middle = {m.tobytes() for m in sweeps.adjacency_stack(5, np.array([511, 512]))}
+    for masks, paired in ((np.arange(pop), False), (sweeps.sample_masks(5, pop), True)):
+        built.clear()
+        decomposed.clear()
+        alive = []
+        for (a, co), m in zip(sweep(5, masks=masks), masks.tolist()):
+            assert a.graph == Graph.from_edge_mask(5, m) and co.graph == a.graph.complement()
+            alive.append(sum(len(rank) for ref in built if (rank := ref()) is not None))
+        assert len(alive) == pop and max(alive) == (16 if paired else 2 * 16)
+        assert len(decomposed) == pop
+        once = {graph for graph, times in decomposed.items() if times == 1}
+        assert once == (set(decomposed) if paired else middle)
+        assert set(decomposed.values()) == ({1} if paired else {1, 2})
 
 
 @pytest.mark.parametrize("masks", [np.array([0, 1 << 15], dtype=np.int64),
@@ -690,10 +727,12 @@ def test_sweep_refuses_an_order_outside_1_to_11(n):
 
 def test_sweeping_each_chunk_of_three_shares_alone_decomposes_each_graph_once(monkeypatch):
     # ``verify`` sweeps each chunk of each share as one selection: together
-    # they yield the pairs of the one-share sweep, each graph decomposed once.
+    # they yield the pairs of the one-share sweep, each graph decomposed
+    # once.  The population's three shares, two and three shares of an
+    # order-7 sample, and two to eight shares of an order-5 sample with 182
+    # pairs, where some boundaries move back one mask: a sample's shares
+    # never part a mask from its complement.
     _one_cpu(monkeypatch)
-    keys = np.concatenate(list(sweeps.shares(6, 1)[0])).tolist()
-    want = dict(zip(keys, sweep(6)))
     decomposed = Counter()
     batch = spectra.eigen_decompose_batch
 
@@ -701,15 +740,27 @@ def test_sweeping_each_chunk_of_three_shares_alone_decomposes_each_graph_once(mo
         decomposed.update(m.tobytes() for m in mats)
         return batch(mats)
 
-    monkeypatch.setattr(spectra, "eigen_decompose_batch", recording)
-    got, swept = {}, 0
-    for share in sweeps.shares(6, 3):
-        for chunk in share:
-            got.update(zip(chunk.tolist(), sweep(6, masks=chunk)))
-            swept += len(chunk)
-    assert swept == len(got) == mask_population(6)
-    assert got == want
-    assert len(decomposed) == mask_population(6) and set(decomposed.values()) == {1}
+    sample = sweeps.sample_masks(7, 40000)
+    for n, masks, counts in ((6, None, [3]), (7, sample, [2, 3]),
+                             (5, sweeps.sample_masks(5, 600), range(2, 9))):
+        keys = np.concatenate(list(sweeps.shares(n, 1, masks)[0])).tolist()
+        want = dict(zip(keys, sweep(n, masks=masks)))
+        full = mask_population(n) - 1
+        for count in counts:
+            decomposed.clear()
+            got, swept = {}, 0
+            with monkeypatch.context() as mp:
+                mp.setattr(spectra, "eigen_decompose_batch", recording)
+                for share in sweeps.shares(n, count, masks):
+                    for chunk in share:
+                        held = set(chunk.tolist())
+                        assert all(full ^ m in held for m in held if full ^ m in want)
+                        got.update(zip(chunk.tolist(), sweep(n, masks=chunk)))
+                        swept += len(chunk)
+            assert swept == len(got) == len(keys)
+            assert got == want
+            assert len(decomposed) == len(set(keys) | {full ^ m for m in keys})
+            assert set(decomposed.values()) == {1}
 
 
 @pytest.fixture

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from mainspec import analysis, cli, spectra, sweeps, theorems
-from mainspec.analysis import RouteDisagreementError
+from mainspec.analysis import Block, RouteDisagreementError
 from mainspec.graph6 import serialize_edgelist, serialize_graph6
 from mainspec.graphs import (
-    MAX_ORDER, FamilySpec, Graph, ParameterError, build_family, complete, path, stack_graphs)
+    MAX_ORDER, FamilySpec, Graph, ParameterError, StackFacts, build_family, complete, path,
+    stack_graphs)
 from mainspec.theorems import TheoremReport
 
 
@@ -698,15 +699,18 @@ def test_usage_without_command():
     assert exc.value.code == 2
 
 
+def _take(block, index):
+    """Rows ``index`` of a sweep block, every column with them."""
+    return Block(*(c[index] for c in block[:-1]), StackFacts(*(c[index] for c in block.facts)))
+
+
 def _disagreeing_complements(cut):
     """``cut`` with each complement read from a row of its own, a copy whose
     float count disagrees with its walk rank; G's rows are left as they are."""
-    co = sweeps._take(cut.block, cut.co)
+    co = _take(cut.block, cut.co)
     co.s_float[:] = co.rank + 1
-    rows = len(cut.selected)
-    return cut._replace(block=sweeps._join([cut.block, co]),
-                        co=np.arange(rows, rows + len(cut.co)),
-                        selected=np.concatenate([cut.selected, np.zeros(len(cut.co), bool)]))
+    rows = len(cut.block.rank)
+    return cut._replace(block=sweeps._join([cut.block, co]), co=np.arange(rows, rows + len(cut.co)))
 
 
 def test_complement_disagreement_in_sweep_exit3(capsys, monkeypatch):

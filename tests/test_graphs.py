@@ -38,7 +38,7 @@ from mainspec.graphs import (
     star,
     triangle_pairs,
 )
-from mainspec.sweeps import mask_population, sample_masks, sweep
+from mainspec.sweeps import mask_population, sample_masks, shares, sweep
 
 # Frozen labeled-graph counts (total, connected) up to n = 5.
 ENUM_COUNTS = {1: (1, 1), 2: (2, 1), 3: (8, 4), 4: (64, 38), 5: (1024, 728)}
@@ -359,11 +359,16 @@ class TestStacks:
         # record the lazy route computes on a fresh copy of it.  The selected
         # masks' graphs carry it, so the record's body runs for none of them;
         # the complement batch's graphs compute theirs when asked.
-        masks = np.arange(mask_population(n)) if sample is None else sample_masks(n, sample)
+        # The population is swept as ``verify`` sweeps it, in closed chunks.
+        if sample is None:
+            masks, pairs = np.concatenate(list(shares(n, 1)[0])), sweep(n)
+        else:
+            masks = sample_masks(n, sample)
+            pairs = sweep(n, masks=masks)
         selected = set(masks.tolist())
         full = mask_population(n) - 1
         swept = {id(h): (h, mask)  # an exhaustive sweep yields each graph twice
-                 for (a, co), m in zip(sweep(n, masks=masks), masks.tolist())
+                 for (a, co), m in zip(pairs, masks.tolist())
                  for h, mask in ((a.graph, m), (co.graph, full ^ m))}
         body = facts.__wrapped__.__code__
         ran = []

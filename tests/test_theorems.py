@@ -20,10 +20,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mainspec import graphs, spectra, sweeps, theorems
-from mainspec.analysis import GraphAnalysis
+from mainspec.analysis import Block, GraphAnalysis
 from mainspec.graph6 import parse_graph6, serialize_graph6
 from mainspec.graphs import (
     Graph,
+    StackFacts,
     complete,
     complete_bipartite,
     cycle,
@@ -720,7 +721,7 @@ def _cut_of(graphs):
     block = sweeps.analyze_stack(np.stack([h.adjacency_matrix() for h in stack]),
                                  np.array([h.rows for h in stack], dtype=np.int64))
     k = len(graphs)
-    return sweeps.Cut(block, np.arange(k), np.arange(k, 2 * k), np.ones(2 * k, dtype=bool))
+    return sweeps.Cut(block, np.arange(k), np.arange(k, 2 * k))
 
 
 def _cuts(source):
@@ -779,32 +780,42 @@ def test_block_verdicts_equal_the_per_graph_checkers(monkeypatch, source, tol):
 def test_block_verdicts_of_a_selection_split_across_cuts(monkeypatch):
     # An order-7 selection of 2,500 masks: 1,000 pairs with both masks
     # selected, each mask below half the population and its complement
-    # above, so the two lie in different cuts of 2,048, and 500 masks, half
-    # below and half above, whose complement is not selected.  The carry
-    # takes the pairs to their later cut, each cut's complement block holds
-    # the rest, and each graph is decomposed once; the verdicts equal the
-    # per-graph checkers' on ``sweep``'s records.
+    # above, and 500 masks, half below and half above, whose complement is
+    # not selected.  In paired order each pair lies in one cut of at most
+    # 2,048 masks, each cut's complement block holds the rest, and each graph
+    # is decomposed once.  Sorted, a pair whose masks lie in different cuts
+    # is decomposed in each.  Either way the verdicts equal the per-graph
+    # checkers' on ``sweep``'s records.
     full = sweeps.mask_population(7) - 1
     low = np.random.default_rng(3).choice(full // 2 + 1, 1500, replace=False)
-    masks = np.sort(np.concatenate([low[:1250], full ^ low[:1000], full ^ low[1250:]]))
+    ascending = np.sort(np.concatenate([low[:1250], full ^ low[:1000], full ^ low[1250:]]))
+    co = full ^ ascending
+    key = np.where(np.isin(co, ascending), np.minimum(ascending, co), ascending)
     decomposed = []
     batch = spectra.eigen_decompose_batch
     monkeypatch.setattr(spectra, "eigen_decompose_batch",
                         lambda mats: decomposed.append(len(mats)) or batch(mats))
-    cuts = list(sweeps.cuts(7, masks=masks))
-    assert [len(cut.own) for cut in cuts] == [2048, 452]
-    assert sum(decomposed) == len(np.union1d(masks, full ^ masks)) == 3000
-    # the second cut takes every complement the first selected from the carry
-    second = cuts[1]
-    assert second.selected.sum() == 452 + np.isin(full ^ masks[2048:], masks[:2048]).sum()
-    assert all((~cut.selected).any() for cut in cuts)  # each has a complement block
-    pairs = list(sweep(7, masks=masks))
-    fails = set()
-    start = 0
-    for cut in cuts:
-        _compare_block(cut, pairs[start:start + len(cut.own)], fails)
-        start += len(cut.own)
-    assert fails == set()
+    for masks in (ascending[np.argsort(key, kind="stable")], ascending):
+        paired = masks is not ascending
+        decomposed.clear()
+        cuts = list(sweeps.cuts(7, masks=masks))
+        assert len(cuts) == 2 and all(len(cut.own) <= 2048 for cut in cuts)
+        parts = np.split(masks, [len(cuts[0].own)])
+        assert sum(decomposed) == sum(len(np.union1d(p, full ^ p)) for p in parts)
+        assert (sum(decomposed) == len(np.union1d(masks, full ^ masks)) == 3000) is paired
+        assert all(len(cut.block.rank) > len(cut.own) for cut in cuts)  # a complement block each
+        pairs = list(sweep(7, masks=masks))
+        fails = set()
+        start = 0
+        for cut in cuts:
+            _compare_block(cut, pairs[start:start + len(cut.own)], fails)
+            start += len(cut.own)
+        assert fails == set()
+
+
+def _take(block, index):
+    """Rows ``index`` of a sweep block, every column with them."""
+    return Block(*(c[index] for c in block[:-1]), StackFacts(*(c[index] for c in block.facts)))
 
 
 def _doctored(a_row, co_row, **changes):
@@ -813,7 +824,7 @@ def _doctored(a_row, co_row, **changes):
     out = []
     for side, row in (("a", a_row), ("co", co_row)):
         block, index = row
-        one = sweeps._take(block, np.array([index]))
+        one = _take(block, np.array([index]))
         if side in changes:
             changes[side](one)
         out.append(one)
@@ -850,8 +861,7 @@ def test_block_verdicts_of_moved_and_disagreeing_analyses():
         rows += [_doctored(a, co, co=_moved(i)) for i in range(block.count[1])]
         k = len(rows)
         cut = sweeps.Cut(sweeps._join([one for pair in rows for one in pair]),
-                         np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2),
-                         np.ones(2 * k, dtype=bool))
+                         np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2))
         _compare_block(cut, sweeps.pairs(cut), fails)
     assert fails == set(GRAPH_CHECKERS) - {"T31", "C33"}  # the near pairs fail those
     cut = _cut_of([path(3)])
