@@ -266,7 +266,7 @@ def _dependency_holds(adj: np.ndarray, krylov: np.ndarray, m: Sequence[int]) -> 
     if not checks:
         return True
     qs = np.array(checks)[:, None]
-    kq = _krylov(np.broadcast_to(adj, (len(checks), n, n)), qs)
+    kq = _krylov(np.broadcast_to(adj, (len(checks), n, n)), qs, len(m))
     acc = np.zeros((len(checks), n), dtype=np.int64)
     for i, c in enumerate(m):
         acc = (acc + np.array([c % q for q in checks])[:, None] * kq[:, i]) % qs

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -227,19 +228,19 @@ def group_rows(value: np.ndarray, mult: np.ndarray, proj: np.ndarray, main: np.n
                count: np.ndarray, gray: np.ndarray | None = None,
                ) -> list[tuple[EigenGroup, ...]]:
     """One tuple of ``EigenGroup`` named tuples per row of padded group
-    columns, flagged by ``main``, or None where ``gray`` is set.  The groups
-    are made by ``tuple.__new__`` over the zipped columns, skipping the named
-    tuple's Python-level ``__new__``."""
-    flags = main.tolist()
+    columns, flagged by ``main``, or None where ``gray`` is set.  Only the
+    real slots, those ``build_groups`` did not pad with -inf, are converted,
+    in one flat run of groups that each row's ``count`` then splits.  The
+    groups are made by ``tuple.__new__`` over the zipped columns, skipping
+    the named tuple's Python-level ``__new__``."""
+    real = value > -np.inf
+    flags = main[real].tolist()
     if gray is not None:
-        for b, r in np.argwhere(gray).tolist():
-            flags[b][r] = None
-    make = partial(tuple.__new__, EigenGroup)
-    return [
-        tuple(map(make, zip(v[:k], m[:k], p[:k], f[:k])))
-        for v, m, p, f, k in zip(value.tolist(), mult.tolist(), proj.tolist(), flags,
-                                 count.tolist())
-    ]
+        for i in np.flatnonzero(gray[real]).tolist():
+            flags[i] = None
+    groups = map(partial(tuple.__new__, EigenGroup),
+                 zip(value[real].tolist(), mult[real].tolist(), proj[real].tolist(), flags))
+    return [tuple(islice(groups, k)) for k in count.tolist()]
 
 
 def group_eigenvalues(d: EigenDecomposition) -> MainSpectrum:

@@ -17,28 +17,34 @@ table-mode ``verify`` decides as columns (``theorems.check_block``).
 prints.  ``shares`` splits a selection into chunks, one share per table-mode
 ``verify`` process.  The
 population is cut into closed chunks of one block, ``_BLOCK // 2`` masks
-with the top edge bit clear and their complements.  A sample is one chunk,
-cut at most ``_BLOCK`` masks at a time in its order: each cut's masks are
-analysed in one block, then the complements it lacks in a second.
-``sample_masks`` draws in paired order, each drawn complement right after
-its mask, and neither a cut nor a share ends between the two, so each graph
-a ``verify`` run selects is decomposed once.  A pair that two cuts of some
-other order separate is decomposed in each.  No array a sweep builds holds
-more than one block of graphs, and each cut is dropped before the next is
-built.  Every decomposition passes ``spectra``'s hygiene bounds or raises.
+with the top edge bit clear and their complements, each one cut.  A sample
+is one chunk, cut in its order by graphs, not masks: a cut's masks and the
+complements it lacks make at most ``_BLOCK`` graphs.  So a complement-free
+sample is cut every ``_BLOCK // 2`` masks, and each cut but the last of a
+sample in paired order holds ``_BLOCK`` graphs.  A cut's masks are analysed
+in one stack, then the complements it lacks in a second, and the two are
+joined into its block.  ``sample_masks`` draws in paired order, each drawn
+complement right after its mask, and neither a cut nor a share ends between
+the two, so each graph a ``verify`` run selects is decomposed once.  A pair
+that two cuts of some other order separate is decomposed in each.  No array
+a sweep builds holds more than one block of graphs, and each cut is dropped
+before the next is built.  Every decomposition passes ``spectra``'s hygiene
+bounds or raises.
 ``analyze_with_complements`` sends ``verify``'s named-family graphs the same
 way and returns the records of each graph and its complement.
 
-Both CPUs: a sweep of more than one cut, from ``_MIN_SPLIT`` selected graphs
-on Linux with two or more usable CPUs (``usable_cpus``), forks one producer
-(a ``Worker``) that runs ``cuts`` and pipes each cut back pickled, while this
-process builds the records of the cut before it and its caller checks them.
-A full pipe blocks the producer, so it is at most one cut ahead and each
-process holds about one cut.  A sweep of one cut has nothing to overlap, so
-it stays in one process: through the 16 graph checkers, an order-8 sample of
-2,048 masks took 0.32 s with a producer against 0.25 s without, of 3,072
-masks 0.39 against 0.38 s and of 4,096 masks 0.53 against 0.57 s (medians
-of 8 alternating runs, 2-core x86_64).
+Both CPUs: a sweep of ``_MIN_SPLIT`` selected graphs or more on Linux with
+two or more usable CPUs (``usable_cpus``) forks one producer (a ``Worker``)
+that runs ``cuts`` and pipes each cut back pickled, while this process
+builds the records of the cut before it and its caller checks them.  A full
+pipe blocks the producer, so it is at most one cut ahead and each process
+holds about one cut; the caller waits only for the first cut, ``_BLOCK //
+2`` masks of a complement-free sample.  That many masks are one cut only
+when nearly every complement is among them.  Through the 16 graph checkers,
+an order-8 sample of 2,048 masks, two cuts, took 0.27 s with a producer
+against 0.30 s without, of 3,072 masks 0.32 against 0.42 s and of 4,096
+masks 0.43 against 0.59 s (medians of 8 alternating runs, each in a fresh
+interpreter, 2-core x86_64).
 An error the producer raises comes back in order, after the pairs before
 it: a ``ParameterError`` or a numerical-hygiene error as itself, anything
 else, and a producer that dies, as ``WorkerLost``.  The producer is killed
@@ -88,7 +94,7 @@ SAMPLE_SEED = 24049  # fixed so sampled sweeps are reproducible run to run
 # builds the whole population as int64, 2 GiB at order 8.
 MAX_SAMPLE = 1 << 20
 # Smallest selection a sweep splits across processes, into ``verify``'s table
-# shares or, past one cut, with ``sweep``'s producer.  A split costs about 20 ms of CPU (the
+# shares or with ``sweep``'s producer.  A split costs about 20 ms of CPU (the
 # fork, copy-on-write faults, pickling, reaping) and a graph swept and checked
 # in one process 15-35 us (order 6 to an order-7 sample with its complement
 # batch, 2-core x86_64): a 2,048-mask sample of order 6 or 7 still ends sooner
@@ -256,15 +262,15 @@ def pairs(cut: Cut, which: np.ndarray | None = None,
 def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
           ) -> Iterator[tuple[GraphAnalysis, GraphAnalysis]]:
     """Yield (analysis, complement analysis) for every selected labeled graph
-    of order ``n``, one pair at a time: each of ``cuts``' cuts as records,
-    the cuts built by a forked producer where the selection is more than one
-    cut and ``usable_cpus`` gives two or more processes.  The population, and
+    of order ``n``, one pair at a time: each of ``cuts``' cuts, of at most
+    ``_BLOCK`` graphs, as records, the cuts built by a forked producer where
+    ``usable_cpus`` gives the selection two or more processes.  The population, and
     a sample in ``sample_masks``' paired order, has each graph decomposed
     once; a selection in another order yields the same pairs in its order,
     but a pair two cuts separate is decomposed in each."""
     size = mask_population(n) if masks is None else np.size(masks)
     producer = None
-    if size > _BLOCK and usable_cpus(size) > 1:  # one cut leaves nothing to overlap
+    if usable_cpus(size) > 1:
         producer = Worker(functools.partial(cuts, n, masks=masks))
     try:
         for cut in cuts(n, masks=masks) if producer is None else producer.results():
@@ -277,15 +283,20 @@ def sweep(n: int, *, masks: Sequence[int] | np.ndarray | None = None,
 
 def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None) -> Iterator[Cut]:
     """Yield every selected labeled graph of order ``n`` in 1..11 with its
-    complement, one ``Cut`` per at most ``_BLOCK`` masks: by default all, in
-    ``shares(n, 1)``'s closed chunks, each in mask order; else the one chunk
-    ``masks``, any 1-D integer array or list of edge masks of order ``n``, in
-    its order.  A cut ends one mask early where its last mask's complement
-    comes next, so each pair of a selection in ``sample_masks``' paired order
-    lies in one cut, and each graph is decomposed once; a pair two cuts of
-    another order separate is decomposed in each.  A bad order or selection
-    raises ParameterError.  The consumer must drop a cut before it asks for
-    the next one."""
+    complement, as ``Cut``s: by default all, in ``shares(n, 1)``'s closed
+    chunks, each in mask order; else the one chunk ``masks``, any 1-D integer
+    array or list of edge masks of order ``n``, in its order.  A cut is the
+    longest run of at most ``_BLOCK`` masks, in order, whose masks and the
+    complements it lacks make at most ``_BLOCK`` graphs: a closed chunk is
+    one cut, a complement-free sample is cut every ``_BLOCK // 2`` masks.
+    The set operations that give a cut its graphs run once on a cut that
+    fits; only a run that does not is counted mask by mask (``_fitting``).
+    A cut never ends between a mask and its complement right after it, so
+    each pair of a selection in ``sample_masks``' paired order lies in one
+    cut, and each graph is decomposed once; a pair two cuts of another order
+    separate is decomposed in each.  A bad order or selection raises
+    ParameterError.  The consumer must drop a cut before it asks for the
+    next one."""
     if not 1 <= n <= 11:  # order 12's 66 edge bits overflow an int64 mask
         raise ParameterError(f"a sweep's order lies in 1..11, got {n}")
     full = mask_population(n) - 1
@@ -305,8 +316,11 @@ def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None) -> Iterator
             if hi - 1 > lo and _parts_pair(chunk, full, hi):
                 hi -= 1
             part = chunk[lo:hi]
-            fresh = np.unique(part)
-            missing = np.setdiff1d(full ^ part, fresh)
+            fresh, missing = _graphs_of(part, full)
+            if len(fresh) + len(missing) > _BLOCK:
+                hi = lo + _fitting(part, full)
+                part = chunk[lo:hi]
+                fresh, missing = _graphs_of(part, full)
             block = _join([_block(n, m) for m in (fresh, missing) if len(m)])
             found = np.concatenate([fresh, missing])
             order = np.argsort(found)
@@ -314,6 +328,22 @@ def cuts(n: int, *, masks: Sequence[int] | np.ndarray | None = None) -> Iterator
             yield Cut(block, own, co)
             del block  # the next cut's build must not find this one alive
             lo = hi
+
+
+def _graphs_of(part: np.ndarray, full: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cut's graphs: the distinct masks of ``part``, sorted, then the
+    complements of its masks that it lacks, sorted."""
+    fresh = np.unique(part)
+    return fresh, np.setdiff1d(full ^ part, fresh)
+
+
+def _fitting(part: np.ndarray, full: int) -> int:
+    """The length of the longest prefix of ``part`` whose masks and their
+    complements make at most ``_BLOCK`` distinct graphs.  A mask right after
+    its complement adds none, so the prefix never ends between the two."""
+    _, first = np.unique(np.stack([part, full ^ part], axis=1).ravel(), return_index=True)
+    added = np.bincount(first // 2, minlength=len(part))  # graphs each mask is first to bring
+    return int(np.searchsorted(added.cumsum(), _BLOCK, side="right"))
 
 
 class WorkerLost(Exception):

@@ -528,7 +528,7 @@ def test_the_collector_runs_between_chunks(collector_state, monkeypatch):
 def _block_route(kind, monkeypatch):
     if kind == "population":  # closed chunks of one block each
         return lambda: list(sweep(6)), mask_population(6)
-    if kind == "sample":  # ten cuts, each with its complement batch
+    if kind == "sample":  # cuts of about 50 masks, each with its complement batch
         masks = sweeps.sample_masks(7, 1000)
         full = mask_population(7) - 1
         return (lambda: list(sweep(7, masks=masks)),
@@ -548,12 +548,15 @@ def _one_cpu(monkeypatch):
 def test_no_stack_holds_more_than_one_block(monkeypatch, kind):
     # Every eigensolve and finish takes at most ``_BLOCK`` graphs, in a
     # population sweep, a multi-chunk sample with its complement batches and
-    # a family stack alike, and each graph is decomposed exactly once.
+    # a family stack alike, and each graph is decomposed exactly once.  A
+    # sweep's cut, its masks' stack and its complement stack together, holds
+    # at most ``_BLOCK`` graphs too, and a full one holds that many.
     _one_cpu(monkeypatch)
     monkeypatch.setattr(sweeps, "_BLOCK", 100)
     decomposed = Counter()
     sizes = {"eigensolve": [], "finish": []}
-    batch, finish = spectra.eigen_decompose_batch, sweeps.finish_block
+    cut_sizes = []
+    batch, finish, join = spectra.eigen_decompose_batch, sweeps.finish_block, sweeps._join
 
     def recording_batch(mats):
         sizes["eigensolve"].append(len(mats))
@@ -564,11 +567,18 @@ def test_no_stack_holds_more_than_one_block(monkeypatch, kind):
         sizes["finish"].append(len(adj))
         return finish(adj, *args)
 
+    def recording_join(blocks):
+        cut_sizes.append(sum(len(b.rank) for b in blocks))
+        return join(blocks)
+
     monkeypatch.setattr(spectra, "eigen_decompose_batch", recording_batch)
     monkeypatch.setattr(sweeps, "finish_block", recording_finish)
+    monkeypatch.setattr(sweeps, "_join", recording_join)
     route, distinct = _block_route(kind, monkeypatch)
     route()
-    assert max(sizes["eigensolve"]) == max(sizes["finish"]) == 100
+    assert max(sizes["eigensolve"]) == max(sizes["finish"]) <= 100
+    assert max(cut_sizes or sizes["eigensolve"]) == 100  # families are stacked without cuts
+    assert sum(cut_sizes or sizes["eigensolve"]) == distinct
     assert sum(sizes["eigensolve"]) == sum(sizes["finish"]) == distinct
     assert len(decomposed) == distinct and set(decomposed.values()) == {1}
 
@@ -663,15 +673,15 @@ def test_a_sample_cut_at_the_block_decomposes_each_graph_once(monkeypatch, route
     assert pairs == whole and out == whole_out
 
 
-def test_a_selection_that_parts_its_pairs_holds_two_blocks(monkeypatch):
-    # All of order 5's masks in mask order, cut at most 16 at a time: each
-    # mask below 511 has its complement in a later cut, so each cut
-    # decomposes the complements it lacks in a second block.  Only 511's
-    # complement 512 comes right after it, where a cut ends one mask early:
-    # that pair is decomposed once, every other graph twice.  The pairs come
-    # in the selection's order, and no more rows of analysis columns than the
-    # cut's two blocks are alive at once.  The same masks in paired order
-    # are cut into closed cuts of one block, and decompose each graph once.
+def test_a_selection_that_parts_its_pairs_holds_one_block(monkeypatch):
+    # All of order 5's masks in mask order, in cuts of at most 16 graphs: a
+    # mask below 504 has its complement in a later cut, so its cut holds 8
+    # masks and, in a second stack, the 8 complements it lacks.  The cut of
+    # 504..519 holds its own complements, 519..504, and is 16 masks long:
+    # those graphs are decomposed once, every other graph twice.  The pairs
+    # come in the selection's order, and no more rows of analysis columns
+    # than the cut's one block are alive at once.  The same masks in paired
+    # order are cut into closed cuts of 8 pairs, and decompose each graph once.
     monkeypatch.setattr(sweeps, "_BLOCK", 16)
     built, decomposed = [], Counter()
     for name in ("analyze_stack", "_join"):
@@ -684,7 +694,7 @@ def test_a_selection_that_parts_its_pairs_holds_two_blocks(monkeypatch):
 
         monkeypatch.setattr(sweeps, name, recording)
     pop = mask_population(5)
-    middle = {m.tobytes() for m in sweeps.adjacency_stack(5, np.array([511, 512]))}
+    middle = {m.tobytes() for m in sweeps.adjacency_stack(5, np.arange(504, 520))}
     for masks, paired in ((np.arange(pop), False), (sweeps.sample_masks(5, pop), True)):
         built.clear()
         decomposed.clear()
@@ -692,11 +702,47 @@ def test_a_selection_that_parts_its_pairs_holds_two_blocks(monkeypatch):
         for (a, co), m in zip(sweep(5, masks=masks), masks.tolist()):
             assert a.graph == Graph.from_edge_mask(5, m) and co.graph == a.graph.complement()
             alive.append(sum(len(rank) for ref in built if (rank := ref()) is not None))
-        assert len(alive) == pop and max(alive) == (16 if paired else 2 * 16)
+        assert len(alive) == pop and max(alive) == 16
         assert len(decomposed) == pop
         once = {graph for graph, times in decomposed.items() if times == 1}
         assert once == (set(decomposed) if paired else middle)
         assert set(decomposed.values()) == ({1} if paired else {1, 2})
+
+
+def test_a_cut_holds_at_most_one_block_of_graphs(monkeypatch):
+    # A cut's masks and the complements it lacks make at most ``_BLOCK``
+    # graphs.  Each cut's block is stood in for by its stacks of masks, so no
+    # graph is decomposed here.
+    monkeypatch.setattr(sweeps, "_block", lambda n, masks: masks)
+    monkeypatch.setattr(sweeps, "_join", lambda stacks: stacks)
+
+    def cut_up(n, masks=None):
+        got = list(sweeps.cuts(n, masks=masks))
+        full = mask_population(n) - 1
+        selected = np.concatenate(list(sweeps.shares(n, 1, masks)[0]))
+        ends = np.cumsum([len(cut.own) for cut in got])
+        for cut, part in zip(got, np.split(selected, ends[:-1])):
+            rows = np.concatenate(cut.block)
+            assert np.array_equal(rows[cut.own], part)
+            assert np.array_equal(rows[cut.co], full ^ part)
+            assert len(rows) == len(np.union1d(part, full ^ part)) <= sweeps._BLOCK
+        return got, selected, ends
+
+    # Order 6: 16 closed chunks, each one cut holding its complements.
+    got, _, _ = cut_up(6)
+    assert [[len(s) for s in cut.block] for cut in got] == [[sweeps._BLOCK]] * 16
+    # A complement-free order-8 sample: a cut every 1,024 masks.
+    got, _, _ = cut_up(8, sweeps.sample_masks(8, 8192))
+    assert [[len(s) for s in cut.block] for cut in got] == [[1024, 1024]] * 8
+    # A paired order-7 sample: every cut but the last is full, and none ends
+    # between a mask and its complement right after it.
+    got, masks, ends = cut_up(7, sweeps.sample_masks(7, 40000))
+    full = mask_population(7) - 1
+    sizes = [sum(map(len, cut.block)) for cut in got]
+    assert sizes[:-1] == [sweeps._BLOCK] * (len(got) - 1)
+    follows = masks[1:] == full ^ masks[:-1]  # masks[i + 1] is masks[i]'s complement
+    assert follows.sum() > 300 and not follows[ends[:-1] - 1].any()
+    assert max(len(cut.own) for cut in got) > sweeps._BLOCK // 2
 
 
 @pytest.mark.parametrize("masks", [np.array([0, 1 << 15], dtype=np.int64),
@@ -765,8 +811,8 @@ def test_sweeping_each_chunk_of_three_shares_alone_decomposes_each_graph_once(mo
 
 @pytest.fixture
 def producer(monkeypatch):
-    """Two usable CPUs, so that a sweep of more than one cut forks its
-    producer; returns the list of forked pids."""
+    """Two usable CPUs, so that a sweep from ``_MIN_SPLIT`` masks on forks
+    its producer; returns the list of forked pids."""
     if sys.platform != "linux":
         pytest.skip("the producer is forked on Linux only")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -815,10 +861,11 @@ def test_the_forked_producer_yields_the_inline_records(producer, n, size):
     _no_child_and_no_pipe_left(fds)
 
 
-def test_a_sweep_of_one_cut_forks_no_producer(producer):
-    # A producer would only build the one cut while this process waited; one
-    # mask more is a second cut, and the producer is forked.
-    masks = sweeps.sample_masks(8, sweeps._BLOCK + 1)
+def test_a_sweep_below_the_split_forks_no_producer(producer):
+    # Below ``_MIN_SPLIT`` masks the fork costs more than the overlap saves;
+    # from there on even a complement-free sample is two cuts, and the
+    # producer is forked.
+    masks = sweeps.sample_masks(8, sweeps._MIN_SPLIT)
     for selection, forks in ((masks[:-1], 0), (masks, 1)):
         assert _swept(8, selection) == _inline(8, selection)
         assert len(producer) == forks

@@ -571,6 +571,23 @@ class TestWalkRanks:
         m = _certified_dependency(monkeypatch, path(200))
         assert 2 * sum(abs(c) * 2 ** i for i, c in enumerate(m)) >= 1 << 64
 
+    def test_the_check_builds_only_the_vectors_it_sums(self, monkeypatch):
+        # The order-200 path's dependency has 101 coefficients: mod each check
+        # prime its Krylov sequence stops at A^100 j, not A^199 j.
+        m = _certified_dependency(monkeypatch, path(200))
+        adj = path(200).adjacency_matrix().astype(np.int64)
+        wrapping = exact._krylov(adj[None])[0]
+        built, krylov = [], exact._krylov
+
+        def krylov_spy(stack, p=None, length=None):
+            out = krylov(stack, p, length)
+            built.append(out.shape)
+            return out
+
+        monkeypatch.setattr(exact, "_krylov", krylov_spy)
+        assert exact._dependency_holds(adj, wrapping, m)
+        assert built and all(shape[1:] == (len(m), 200) for shape in built) and len(m) == 101
+
     def test_mod_p_matvec_at_max_order_fits_int64(self):
         # The worst matvec sums MAX_ORDER - 1 residues just below p, so every
         # column of K_n's Krylov sequence mod p must be exact.

@@ -263,6 +263,26 @@ class TestGrouping:
         assert cols.main[:, 0].all()
         assert (cols.mult.sum(axis=1) == 5).all()
 
+    def test_group_rows_equal_each_row_read_slot_by_slot(self):
+        # Reference: each row's first ``count`` slots read one at a time, the
+        # gray ones None, drawn here at random among the real slots.
+        masks = np.arange(0, mask_population(5), 5)
+        evals, evecs, _ = eigen_decompose_batch(sweeps.adjacency_stack(5, masks))
+        cols = build_groups(evals, evecs.sum(axis=1) ** 2)
+        real = np.arange(6) < cols.count[:, None]
+        drawn = real & (np.random.default_rng(2).random(real.shape) < 0.3)
+        for gray in (None, drawn):
+            want = [tuple(EigenGroup(float(cols.value[b, r]), int(cols.mult[b, r]),
+                                     float(cols.proj[b, r]),
+                                     None if gray is not None and gray[b, r]
+                                     else bool(cols.main[b, r]))
+                          for r in range(cols.count[b])) for b in range(len(masks))]
+            got = group_rows(*cols[:5], gray)
+            assert got == want
+            assert {tuple(map(type, grp)) for row in got for grp in row} <= {
+                (float, int, float, bool), (float, int, float, type(None))}
+        assert group_rows(*(c[:0] for c in cols[:5])) == []
+
     def test_ambiguous_row_in_a_stack_is_named(self):
         evals = np.array([[2.0, 0.0, -2.0], [1.0, 1.0 - 2e-7, -1.0]])
         with pytest.raises(AmbiguousGroupingError) as err:

@@ -781,11 +781,12 @@ def test_block_verdicts_of_a_selection_split_across_cuts(monkeypatch):
     # An order-7 selection of 2,500 masks: 1,000 pairs with both masks
     # selected, each mask below half the population and its complement
     # above, and 500 masks, half below and half above, whose complement is
-    # not selected.  In paired order each pair lies in one cut of at most
-    # 2,048 masks, each cut's complement block holds the rest, and each graph
-    # is decomposed once.  Sorted, a pair whose masks lie in different cuts
-    # is decomposed in each.  Either way the verdicts equal the per-graph
-    # checkers' on ``sweep``'s records.
+    # not selected.  In paired order the selection is two cuts of at most
+    # 2,048 graphs, each pair lies in one cut, each cut's complement block
+    # holds the rest, and each graph is decomposed once.  Sorted it is three
+    # cuts, and a pair whose masks lie in different cuts is decomposed in
+    # each.  Either way the verdicts equal the per-graph checkers' on
+    # ``sweep``'s records.
     full = sweeps.mask_population(7) - 1
     low = np.random.default_rng(3).choice(full // 2 + 1, 1500, replace=False)
     ascending = np.sort(np.concatenate([low[:1250], full ^ low[:1000], full ^ low[1250:]]))
@@ -799,8 +800,9 @@ def test_block_verdicts_of_a_selection_split_across_cuts(monkeypatch):
         paired = masks is not ascending
         decomposed.clear()
         cuts = list(sweeps.cuts(7, masks=masks))
-        assert len(cuts) == 2 and all(len(cut.own) <= 2048 for cut in cuts)
-        parts = np.split(masks, [len(cuts[0].own)])
+        assert len(cuts) == (2 if paired else 3)
+        assert all(len(cut.block.rank) <= 2048 for cut in cuts)
+        parts = np.split(masks, np.cumsum([len(cut.own) for cut in cuts])[:-1])
         assert sum(decomposed) == sum(len(np.union1d(p, full ^ p)) for p in parts)
         assert (sum(decomposed) == len(np.union1d(masks, full ^ masks)) == 3000) is paired
         assert all(len(cut.block.rank) > len(cut.own) for cut in cuts)  # a complement block each
