@@ -1,16 +1,22 @@
 """Exact integer route: walk matrices, walk rank, divisors of given equitable partitions.
 
 Every result here is an exact integer fact, whatever the conditioning of the
-floating spectrum; no float enters.  The analysis pipeline passes stacks of
-graphs (a single graph is a stack of one) to ``walk_ranks``: the Krylov rank
-mod a 31-bit prime bounds each walk rank from below, and a monic dependency,
-lifted over further primes by the Chinese remainder theorem and checked
-exactly, bounds it from above, at every order.  A stack of one, which is
-what ``analyze`` and every single-graph caller pass, is eliminated by a 2-D
-loop of its own: the stacked kernel pays a dozen-odd numpy calls per pivot
-to index its batch axis, which dominate at one graph and vanish over a
-sweep block of 2,048.  Both give the same results bit for bit.  A stack's
-harmonic levels come from one int64 product.  ``walk_matrix``,
+floating spectrum; nothing is rounded.  The analysis pipeline passes stacks
+of graphs (a single graph is a stack of one) to ``walk_ranks``: the Krylov
+rank mod a 31-bit prime bounds each walk rank from below, and a monic
+dependency, lifted over further primes by the Chinese remainder theorem and
+checked exactly, bounds it from above, at every order.  The Krylov vectors
+mod p are built by float64 BLAS matvecs and ``np.fmod``, exact because every
+partial sum is an integer below 2^53; the walk counts mod 2^64 that the
+checks read are built in wrapping int64, and only as many as the longest
+candidate dependency sums.  A stack of one, which is what ``analyze`` and
+every single-graph caller pass, is eliminated by a 2-D loop of its own: the
+stacked kernel pays a dozen-odd numpy calls per pivot to index its batch
+axis, which dominate at one graph and vanish over a sweep block of 2,048.
+Over all n vectors it first finds the rank alone, and carries the
+coefficient block only over the k + 1 vectors of a graph short of full
+rank.  Both give the same results bit for bit.  A stack's harmonic levels
+come from one int64 product.  ``walk_matrix``,
 ``exact_rank`` and ``exact_det`` (fraction-free Bareiss elimination over
 Python integers) are not on that route; ``exact_det`` gives T46 its
 determinant.  An equitable partition is checked as given
@@ -20,6 +26,7 @@ determinant.  This module is the cross-check counterpart of
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -132,9 +139,23 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+_PROVED: list[int] = []  # the primes ``_primes`` has proved so far, descending
+
+
 def _primes() -> Iterator[int]:
-    """The odd primes below 2^31, descending from 2^31 - 1, generated lazily."""
-    return filter(_is_prime, range(_FIRST_PRIME, 2, -2))
+    """The odd primes below 2^31, descending from 2^31 - 1, generated lazily.
+
+    Each is proved by ``_is_prime`` once per process and kept in ``_PROVED``,
+    which every later call reads before it extends it.
+    """
+    for i in itertools.count():
+        if i == len(_PROVED):
+            start = _PROVED[-1] - 2 if _PROVED else _FIRST_PRIME
+            q = next(filter(_is_prime, range(start, 2, -2)), None)
+            if q is None:
+                return
+            _PROVED.append(q)
+        yield _PROVED[i]
 
 
 def _krylov(adj: np.ndarray, p: int | np.ndarray | None = None,
@@ -142,18 +163,30 @@ def _krylov(adj: np.ndarray, p: int | np.ndarray | None = None,
     """Walk-matrix columns j, Aj, ..., A^(K-1) j of a (B, n, n) stack, as (B, K, n) int64 rows.
 
     K is ``length``, n by default.  With ``p`` (an int, or one modulus per
-    graph as a (B, 1) array) every entry is reduced mod p after each matvec,
-    which sums at most n residues below 2^31.  Without it the int64 matvecs
-    wrap, so the entries are the walk counts modulo 2^64 exactly.
+    graph as a (B, 1) array) the matvecs run on float64 BLAS and every entry
+    is reduced mod p after each one (``np.fmod``).  That is exact: a matvec
+    of a 0/1 matrix sums at most n <= 200 residues below 2^31, so every
+    partial sum, in whatever order BLAS adds, is an integer below 2^53.  A
+    stack of one with C moduli as a (C, 1) array gives that graph's C
+    sequences, each step one matrix product.  Without ``p`` the int64
+    matvecs wrap, so the entries are the walk counts modulo 2^64 exactly.
     """
     B, n, _ = adj.shape
     length = n if length is None else length
-    out = np.empty((B, length, n), dtype=np.int64)
+    if p is None:
+        out = np.empty((B, length, n), dtype=np.int64)
+        out[:, 0] = 1
+        for k in range(length - 1):
+            np.einsum("bij,bj->bi", adj, out[:, k], out=out[:, k + 1])
+        return out
+    q = np.asarray(p, dtype=np.float64)
+    at = np.swapaxes(adj, 1, 2).astype(np.float64)  # rows times A^T: each row's matvec
+    out = np.empty((len(q) if B == 1 and q.ndim else B, length, n))
     out[:, 0] = 1
     for k in range(length - 1):
-        v = np.einsum("bij,bj->bi", adj, out[:, k])
-        out[:, k + 1] = v if p is None else v % p
-    return out
+        x = out[:, k]
+        np.fmod(x @ at[0] if B == 1 else np.matmul(x[:, None], at)[:, 0], q, out=out[:, k + 1])
+    return out.astype(np.int64)
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -186,11 +219,22 @@ def _krylov_dependency(krylov: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     A stack of one (B = 1) goes to ``_krylov_dependency_of_one``, the same
     elimination on 2-D arrays: per pivot the batched gathers, the all-ranks
     test and the vectorised Fermat inverse cost more than the row update
-    itself when the batch axis has length 1.
+    itself when the batch axis has length 1.  Given all K = n vectors, as
+    a first prime is, it first finds rank_p = k by the same elimination
+    without the K x K coefficient block, which doubles each row update, and
+    runs the augmented one only if k < n, on j, ..., A^k j alone: rank_p
+    and the monic first dependency mod p depend on those vectors only,
+    whatever the elimination.
     """
     B, K, n = krylov.shape
     if B == 1:
-        return _krylov_dependency_of_one(krylov[0], p)
+        if K < n:  # a lifting prime's k + 1 vectors
+            return _krylov_dependency_of_one(krylov[0], p)
+        k = _eliminate_one(np.remainder(krylov[0], p), n, p)  # rank_p alone
+        coeffs = np.zeros((1, K), dtype=np.int64)
+        if k < K:
+            coeffs[:, :k + 1] = _krylov_dependency_of_one(krylov[0, :k + 1], p)[1]
+        return np.array([k]), coeffs
     rows = np.arange(B)
     m = np.empty((B, K, n + K), dtype=np.int64)
     np.remainder(krylov, p, out=m[:, :, :n])
@@ -226,19 +270,29 @@ def _krylov_dependency_of_one(krylov: np.ndarray, p: int) -> tuple[np.ndarray, n
     m = np.empty((K, n + K), dtype=np.int64)
     np.remainder(krylov, p, out=m[:, :n])
     m[:, n:] = np.eye(K, dtype=np.int64)
-    for r in range(K):
+    r = _eliminate_one(m, n, p)
+    if r == K:
+        return np.array([K]), np.zeros((1, K), dtype=np.int64)
+    coeffs = m[r, n:]
+    return np.array([r]), (coeffs * pow(int(coeffs[r]), p - 2, p) % p)[None]
+
+
+def _eliminate_one(m: np.ndarray, n: int, p: int) -> int:
+    """Fraction-free forward elimination mod p of a 2-D ``m`` in place, pivoting
+    in its first n columns; returns the first row that reduces to zero there,
+    or the row count if none does."""
+    for r in range(len(m)):
         row = m[r]
         piv = int(np.argmax(row[:n] != 0))
         pv = int(row[piv])
         if not pv:
-            coeffs = m[r, n:]
-            return np.array([r]), (coeffs * pow(int(coeffs[r]), p - 2, p) % p)[None]
+            return r
         below = m[r + 1:]
         f = below[:, piv].copy()
         below *= pv
         below -= f[:, None] * row
         below %= p
-    return np.array([K]), np.zeros((1, K), dtype=np.int64)
+    return len(m)
 
 
 def _dependency_holds(adj: np.ndarray, krylov: np.ndarray, m: Sequence[int]) -> bool:
@@ -266,7 +320,7 @@ def _dependency_holds(adj: np.ndarray, krylov: np.ndarray, m: Sequence[int]) -> 
     if not checks:
         return True
     qs = np.array(checks)[:, None]
-    kq = _krylov(np.broadcast_to(adj, (len(checks), n, n)), qs, len(m))
+    kq = _krylov(adj[None], qs, len(m))
     acc = np.zeros((len(checks), n), dtype=np.int64)
     for i, c in enumerate(m):
         acc = (acc + np.array([c % q for q in checks])[:, None] * kq[:, i]) % qs
@@ -318,18 +372,26 @@ def walk_ranks(adj: np.ndarray) -> list[int]:
     primes the lift sits at k = r and only takes primes that agree with m*;
     once their product exceeds 2 max |m*_i| it returns m*, which passes.
 
-    The primes are 31-bit, descending from 2^31 - 1 (``_primes``).  The
-    first one runs on the whole stack.  Only the graphs it leaves short
-    (rank_p < n) need the wrapping sequence, exact mod 2^64, that the checks
-    read.  When every walk count is below 2^63, as at every n <= 9, that
-    sequence is the one the prime reduces, so the stack builds its Krylov
-    sequence once; otherwise it is built for the short graphs alone, and
-    not at all when none is short.  Their candidates are checked in int64
-    (``_fits_int64_check``) wherever 2^64 alone covers the check's bound;
-    only the rest go graph by graph.  A lift sitting at k needs from a later
-    prime only whether j, ..., A^k j are dependent, so that prime gets the
-    first k + 1 Krylov vectors; a prime that finds them independent has a
-    higher rank_p and is redone over all n.
+    The primes are 31-bit, descending from 2^31 - 1 (``_primes``, each
+    proved once per process).  The first one runs on the whole stack; for a
+    stack of one it finds rank_p by a rank-only elimination and runs the
+    coefficient elimination only on a short graph's first k + 1 vectors.
+    Only the graphs it leaves short (rank_p < n) need the wrapping
+    sequence, exact mod 2^64, that the checks read, and only as many
+    vectors of it as the longest candidate has coefficients, max k + 1; a
+    graph whose lift a later prime raises past that gets its sequence
+    rebuilt to the new k + 1.  When Delta^(n-1) < 2^63, as for every graph
+    of order n <= 16, every walk count is below 2^63 and that sequence is
+    the one the prime reduces, so the stack builds its int64 Krylov
+    sequence once; otherwise the primes' Krylov vectors are built mod p on
+    float64 (``_krylov``), and the wrapping sequence for the short graphs
+    alone, not at all when none is short.  Their candidates are checked in
+    int64 (``_fits_int64_check``) wherever 2^64 alone covers the check's
+    bound; only the rest go graph by graph.  A lift sitting at k needs from
+    a later prime only whether j, ..., A^k j are dependent, so that prime
+    gets the first k + 1 Krylov vectors and the coefficient elimination
+    directly; a prime that finds them independent has a higher rank_p and
+    is redone over all n.
     """
     B, n, _ = adj.shape
     delta = adj.sum(axis=2).max(axis=1)
@@ -346,9 +408,11 @@ def walk_ranks(adj: np.ndarray) -> list[int]:
     idx = np.flatnonzero(ranks < n)
     if not idx.size:
         return ranks.tolist()
-    wrapping = krylov[idx] if unwrapped else _krylov(adj[idx])
-    sym = np.where(2 * coeffs[idx] > p, coeffs[idx] - p, coeffs[idx])
-    unsettled = ~_fits_int64_check(sym, wrapping, delta[idx])
+    length = int(ranks[idx].max()) + 1  # the longest candidate's vectors
+    wrapping = krylov[idx, :length] if unwrapped else _krylov(adj[idx], length=length)
+    short = coeffs[idx, :length]
+    unsettled = ~_fits_int64_check(np.where(2 * short > p, short - p, short), wrapping,
+                                   delta[idx])
     idx, wrapping = idx[unsettled], dict(zip(idx[unsettled].tolist(), wrapping[unsettled]))
     rank_p, coeffs = ranks[idx], coeffs[idx].tolist()
     # graph -> (k, modulus, lifted coefficients in [0, modulus))
@@ -365,6 +429,8 @@ def walk_ranks(adj: np.ndarray) -> list[int]:
                 m = [x + mod * ((y - x) * inv % p) for x, y in zip(m, c)]
                 mod *= p
             lifts[b] = k, mod, m
+            if k < n and len(wrapping[b]) <= k:  # a later prime raised the lift
+                wrapping[b] = _krylov(adj[b][None], length=k + 1)[0]
             if k == n or _dependency_holds(adj[b], wrapping[b],
                                            [x - mod if 2 * x > mod else x for x in m]):
                 ranks[b] = k

@@ -403,6 +403,46 @@ def dependency_lengths(monkeypatch):
     return lengths
 
 
+@pytest.fixture
+def coefficient_lengths(monkeypatch):
+    """Krylov vectors that each one-graph coefficient elimination receives."""
+    lengths = []
+    dependency = exact._krylov_dependency_of_one
+
+    def spy(krylov, p):
+        lengths.append(len(krylov))
+        return dependency(krylov, p)
+
+    monkeypatch.setattr(exact, "_krylov_dependency_of_one", spy)
+    return lengths
+
+
+def _int64_krylov(adj, p, length=None):
+    """The mod-p Krylov oracle: int64 matvecs, each reduced by ``%``."""
+    B, n, _ = adj.shape
+    length = n if length is None else length
+    out = np.empty((np.broadcast_shapes((B, 1), np.shape(p))[0], length, n), dtype=np.int64)
+    out[:, 0] = 1
+    for k in range(length - 1):
+        out[:, k + 1] = np.einsum("bij,bj->bi", adj, out[:, k]) % p
+    return out
+
+
+def _krylov_inputs():
+    """Graphs of one order per list: every graph of orders 1-5, the seeded
+    order-7 and order-8 samples, then alone one G(n, 0.3) at each n = 10,
+    20, ..., 200, the order-200 path, K_100,100 and a G(200, 0.5)."""
+    for n in range(1, 6):
+        yield [Graph.from_edge_mask(n, m) for m in range(mask_population(n))]
+    for n, seed in [(7, 71), (8, 81), (8, 82)]:
+        yield [Graph.from_edge_mask(n, m) for m in sample_masks(n, 600, seed).tolist()]
+    for n in range(10, 201, 10):
+        yield [_gnp(n, 0.3, n)]
+    yield [path(200)]
+    yield [complete_bipartite(100, 100)]
+    yield [_gnp(200, 0.5, 200)]
+
+
 def _dependency_inputs():
     """Graphs of one order per list, on which a stack of one must eliminate
     as the stacked kernel does: every graph of orders 1-5, the seeded order-7
@@ -489,6 +529,42 @@ class TestWalkRanks:
         monkeypatch.setattr(exact, "_primes", lambda: itertools.chain([3], primes()))
         assert exact.walk_ranks(_stack([g])) == [3] == _bareiss_ranks([g])
         assert dependency_lengths == [6, 3, 6]
+
+    def test_the_wrapping_sequence_stops_at_the_longest_candidate(self, monkeypatch):
+        # K_100,100 has walk rank 1: its candidate A j - 100 j sums 2 vectors.
+        built, krylov = [], exact._krylov
+
+        def krylov_spy(adj, p=None, length=None):
+            out = krylov(adj, p, length)
+            if p is None:
+                built.append(out.shape)
+            return out
+
+        monkeypatch.setattr(exact, "_krylov", krylov_spy)
+        assert exact.walk_ranks(_stack([complete_bipartite(100, 100)])) == [1]
+        assert built == [(1, 2, 200)]
+        # K_1,3 plus two isolated vertices: the lift at k = 2 from the prime 3
+        # is raised to k = 3, so the sequence is rebuilt 4 vectors long.
+        built.clear()
+        primes = exact._primes
+        monkeypatch.setattr(exact, "_primes", lambda: itertools.chain([3], primes()))
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3)])
+        assert exact.walk_ranks(_stack([g])) == [3]
+        assert built == [(1, 6, 6), (1, 4, 6)]  # the stack's int64 sequence, then the rebuild
+
+    def test_a_full_rank_graph_runs_no_coefficient_elimination(self, coefficient_lengths):
+        g = _gnp(40, 0.3, 40)
+        assert exact.walk_ranks(_stack([g])) == [40] == _bareiss_ranks([g])
+        assert coefficient_lengths == []
+
+    @pytest.mark.parametrize("g,rank", [(path(40), 20), (complete_bipartite(100, 100), 1),
+                                        (_twin_blowup(_gnp(20, 0.3, 20)), None)],
+                             ids=["P40", "K100_100", "twin40"])
+    def test_a_short_graph_gets_coefficients_from_k_plus_one_vectors(self, g, rank,
+                                                                      coefficient_lengths):
+        rank = _bareiss_ranks([g])[0] if rank is None else rank
+        assert rank < g.n and exact.walk_ranks(_stack([g])) == [rank]
+        assert coefficient_lengths and coefficient_lengths == [rank + 1] * len(coefficient_lengths)
 
     def test_lifting_primes_get_k_plus_one_vectors(self, dependency_lengths):
         assert exact.walk_ranks(_stack([path(200)])) == [100]
@@ -598,12 +674,41 @@ class TestWalkRanks:
             assert (col == pow(n - 1, i, p)).all()
         assert (krylov[-1] == pow(n - 1, n - 1, p)).all()
 
+    @pytest.mark.parametrize("p", [exact._FIRST_PRIME, 3, 5, "moduli"])
+    def test_float_krylov_matches_the_int64_oracle(self, p):
+        # Every residue is below 2^31 and a matvec sums at most 200 of them,
+        # so the float64 sums are exact integers below 2^53.
+        assert MAX_ORDER * (exact._FIRST_PRIME - 1) < 1 << 53
+        first = list(itertools.islice(exact._primes(), 3)) + [3, 5]
+        for graphs in _krylov_inputs():
+            adj = _stack(graphs)
+            n = adj.shape[1]
+            q = np.resize(first, len(graphs))[:, None] if p == "moduli" else p
+            for length in sorted({1, n // 2 + 1, n}):
+                got = exact._krylov(adj, q, length)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _int64_krylov(adj, q, length))
+            if p == "moduli":  # a stack of one with a (C, 1) array of moduli
+                qs = np.array(first)[:, None]
+                got = exact._krylov(adj[:1], qs)
+                assert np.array_equal(got, _int64_krylov(adj[:1], qs))
+
     def test_wrapping_krylov_is_exact_mod_2_64(self):
         g = _gnp(60, 0.5, 6)
         krylov = exact._krylov(_stack([g]))[0]
         walks = _BAREISS_WALK(g).entries
         for i in (0, 1, 20, 59):
             assert [int(x) % (1 << 64) for x in krylov[i]] == [row[i] % (1 << 64) for row in walks]
+
+    def test_primes_are_proved_once(self, monkeypatch):
+        want = list(itertools.islice(exact._primes(), 6))
+        proofs = []
+        is_prime = exact._is_prime
+        monkeypatch.setattr(exact, "_is_prime", lambda q: proofs.append(q) or is_prime(q))
+        assert list(itertools.islice(exact._primes(), 6)) == want
+        assert proofs == []  # each read from the proved list
+        later = list(itertools.islice(exact._primes(), len(exact._PROVED) + 1))
+        assert later[:6] == want and proofs and min(proofs) == later[-1]
 
     def test_primes_descend_from_2_31_minus_1(self):
         def trial(q):
